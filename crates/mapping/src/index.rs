@@ -6,36 +6,56 @@
 //! This module replaces both bottlenecks while producing the *identical*
 //! [`crate::Mapping`]:
 //!
-//! 1. **Candidate generation** — inverted postings over each field's
-//!    normalized label: interned stem keys, lexicon synset ids (so
-//!    synonym pairs land in the same posting list without pairwise
-//!    `are_synonyms` probes), and, under the fuzzy tier, first/second
-//!    character signature buckets covering the abbreviation and
-//!    bounded-Levenshtein predicates. Only fields sharing at least one
+//! 1. **Distinct labels** — fields are grouped by *label key*, the
+//!    ASCII-lowercased display form. `string_equal` is
+//!    `eq_ignore_ascii_case` on the display, and the content words are
+//!    tokenized from the display after lowercasing, so every input of
+//!    the match predicate is a function of the key: fields sharing a key
+//!    get the same verdict against any other label, and accept each
+//!    other as [`MatchTier::String`] without being scored. Drifted
+//!    corpora repeat labels heavily, so the work below runs over far
+//!    fewer labels than fields.
+//! 2. **Prepared labels** — each distinct label is prepared once: its
+//!    sorted interned key ids, and per distinct word its key id, its
+//!    sorted synset ids (one lexicon `resolve` per word) and its lemma
+//!    and stem. A label pair is then scored by id comparison and
+//!    sorted-slice intersection, plus a per-run memo of word-pair fuzzy
+//!    verdicts, with no allocation per pair ([`Prepared::tier`]).
+//! 3. **Candidate generation** — inverted postings over the distinct
+//!    labels: interned stem keys, lexicon synset ids (so synonym pairs
+//!    land in the same posting list without pairwise `are_synonyms`
+//!    probes), and, under the fuzzy tier, first/second character
+//!    signature buckets covering the abbreviation and
+//!    bounded-Levenshtein predicates. Only labels sharing at least one
 //!    posting are ever compared.
-//! 2. **Schema-aware union-find** — each root carries a schema bitset
+//! 4. **Schema-aware union-find** — each root carries a schema bitset
 //!    (`words × u64`); the clash check becomes a bitwise AND over
 //!    `words` machine words and unions OR the bitsets together.
-//! 3. **Parallel candidate scoring** — the match predicate is pure, so
-//!    candidate pairs are scored on the `qi-runtime` bounded pool
-//!    (chunk-partitioned) and the verdicts are merged *sequentially in
-//!    ascending `(i, j)` order*, exactly the order the naive double loop
-//!    visits matching pairs. The union-find therefore evolves through
-//!    the same state sequence and the output clusters are equal to the
-//!    naive path's, regardless of worker count.
+//! 5. **Deterministic merge** — accepted label pairs are expanded to
+//!    their cross-schema field pairs and merged *in ascending `(i, j)`
+//!    order*, exactly the order the naive double loop visits matching
+//!    pairs. The union-find therefore evolves through the same state
+//!    sequence and the output clusters are equal to the naive path's,
+//!    regardless of worker count.
+//!
+//! The predicate is not symmetric: `match_tier_with(a, b)` asks whether
+//! every word of `a` finds a partner in `b`, and the naive loop judges
+//! field pair `(i, j)`, `i < j`, as `(label(i), label(j))`. A label pair
+//! is therefore scored in each orientation some field pair needs (see
+//! [`Groups::needs`]).
 //!
 //! # Why the candidate set is exhaustive
 //!
-//! [`labels_match_with`] accepts a pair only if (a) the display strings
-//! are ASCII-case-equal, (b) the content-word key sets are equal, or
-//! (c) word counts agree and every word of one label matches a word of
-//! the other via stem equality, synonymy, or the fuzzy tier. Case (a)
-//! implies (b) (tokenization lowercases), and (b) and (c) both require
-//! at least one word-level connection, which the postings cover:
+//! [`crate::matcher::labels_match_with`] accepts a pair only if (a) the
+//! display strings are ASCII-case-equal, (b) the content-word key sets
+//! are equal, or (c) word counts agree and every word of one label
+//! matches a word of the other via stem equality, synonymy, or the fuzzy
+//! tier. Case (a) is the shared label key. Cases (b) and (c) both
+//! require at least one word-level connection, which the postings cover:
 //! stem-equal words share a stem posting; synonymous words resolve to
 //! intersecting synset id sets and share a synset posting; fuzzy
 //! connections share a signature bucket (see below). Hence every
-//! matching pair co-occurs in some posting list.
+//! matching pair of distinct labels co-occurs in some posting list.
 //!
 //! The fuzzy signature posts each content word under the first **and**
 //! second characters of its stem and lemma. Abbreviations preserve the
@@ -49,24 +69,34 @@
 //! floating-point expression the similarity DP uses (see
 //! [`prefix_blocking_sound`]), so rounding can never make the DP accept
 //! a pair the blocking argument classified as rejected. Outside the
-//! sound regime every labeled cross-schema pair is a candidate; those
-//! pairs are streamed through fixed-size blocks — still exact, no
-//! longer sub-quadratic in time, but O(block) rather than O(n²) memory.
+//! sound regime every pair of distinct labels with a cross-schema field
+//! pair is a candidate; those pairs are streamed through fixed-size
+//! blocks — still exact, no longer sub-quadratic in time, but O(block)
+//! rather than O(labels²) candidate memory.
 
 use crate::cluster::FieldRef;
-use crate::matcher::{match_tier_with, MatchStats, MatchTier, MatcherConfig};
+use crate::matcher::{fuzzy_token_match, MatchStats, MatchTier, MatcherConfig};
 use qi_lexicon::{Lexicon, SynsetId};
-use qi_runtime::{parallel_map_chunked, Interner};
-use qi_text::LabelText;
+use qi_runtime::{parallel_map, resolve_threads};
+use qi_text::{ContentWord, LabelText};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Candidate counts below this are scored sequentially — the corpus is
 /// small enough that spawning workers costs more than the scoring.
 const PARALLEL_SCORING_THRESHOLD: usize = 4096;
 
-/// Candidates handed to a pool worker per claim (see
-/// [`parallel_map_chunked`]).
+/// Candidates handed to a pool worker per claim; each chunk keeps its
+/// own fuzzy memo.
 const SCORING_CHUNK: usize = 1024;
+
+/// Directed label pairs buffered per scoring block in the universal-fuzzy
+/// regime; caps peak candidate memory at `BLOCK_PAIRS × 8` bytes while
+/// keeping blocks large enough to fan out on the pool.
+const BLOCK_PAIRS: usize = 1 << 16;
+
+/// `Groups::of_field` entry of a field without a non-empty label.
+const NO_LABEL: u32 = u32::MAX;
 
 type Field = (FieldRef, Option<LabelText>);
 
@@ -79,143 +109,314 @@ fn unpack(packed: u64) -> (usize, usize) {
 }
 
 /// Compute the connected components of the match graph without
-/// materializing it: generate candidates from postings, score them (in
-/// parallel when worthwhile), and merge in deterministic pair order.
-/// Returns the union-find root of every field. Pair volumes and index
-/// shape are accumulated into `stats` (plain local counters — no
-/// telemetry calls on this path).
+/// materializing it: group fields by label key, prepare the distinct
+/// labels, generate candidate label pairs from postings, score them (in
+/// parallel when worthwhile), and merge the accepted field pairs in
+/// deterministic order. Returns the union-find root of every field.
+/// `fields` must be in schema order, as [`crate::matcher::collect_fields`]
+/// emits them. Pair volumes and index shape are accumulated into `stats`
+/// (plain local counters — no telemetry calls on this path).
 pub(crate) fn indexed_components(
     fields: &[Field],
     lexicon: &Lexicon,
     config: MatcherConfig,
     stats: &mut MatchStats,
 ) -> Vec<usize> {
+    debug_assert!(fields.windows(2).all(|w| w[0].0.schema <= w[1].0.schema));
+    let groups = Groups::new(fields);
+    let prepared = Prepared::new(&groups.labels, lexicon, config);
+    // Same-key field pairs are decided without scoring.
+    let same_key: u64 = (0..groups.len()).map(|g| groups.self_pairs(g)).sum();
+    stats.pairs_generated += same_key;
+    stats.pairs_scored += same_key;
+    let accepted = if config.fuzzy && !prefix_blocking_sound(fields, config) {
+        stats.streaming_fallback = true;
+        score_all_label_pairs_streaming(&groups, &prepared, config, stats)
+    } else {
+        let mut directed = Vec::new();
+        for packed in candidate_label_pairs(&groups, &prepared, config, stats) {
+            push_orientations(&groups, packed, &mut directed, stats);
+        }
+        score_directed(&prepared, &directed, config, stats)
+    };
     let schema_count = fields.iter().map(|(f, _)| f.schema + 1).max().unwrap_or(0);
     let mut uf = SchemaUnionFind::new(fields, schema_count);
-    if config.fuzzy && !prefix_blocking_sound(fields, config) {
-        stats.streaming_fallback = true;
-        merge_all_pairs_streaming(fields, lexicon, config, &mut uf, stats);
-    } else {
-        let candidates = generate_candidates(fields, lexicon, config, stats);
-        let verdicts = score_candidates(fields, &candidates, lexicon, config);
-        stats.pairs_scored += candidates.len() as u64;
-        for (&packed, &verdict) in candidates.iter().zip(&verdicts) {
-            if let Some(tier) = verdict {
-                stats.count_accept(tier);
-                let (i, j) = unpack(packed);
-                if uf.merge(i, j) {
-                    stats.clusters_merged += 1;
-                }
-            }
-        }
-    }
+    merge_accepted(fields, &groups, accepted, &mut uf, stats);
     (0..fields.len()).map(|i| uf.find(i)).collect()
 }
 
-/// Pairs buffered per scoring block in the universal-fuzzy regime; caps
-/// peak candidate memory at `BLOCK_PAIRS × 8` bytes while keeping blocks
-/// large enough for [`score_candidates`] to fan out on the pool.
-const BLOCK_PAIRS: usize = 1 << 16;
+/// Fields grouped by label key (the ASCII-lowercased display form).
+/// Groups are numbered in order of their first field.
+struct Groups<'a> {
+    /// Each group's representative label (its first field's).
+    labels: Vec<&'a LabelText>,
+    /// Each group's fields, ascending.
+    members: Vec<Vec<u32>>,
+    /// Each group's fields per schema as `(schema, count)`, ascending.
+    schemas: Vec<Vec<(u32, u32)>>,
+    /// Each field's group, or [`NO_LABEL`].
+    of_field: Vec<u32>,
+}
 
-/// Universal-fuzzy regime: signature buckets cannot block the
-/// Levenshtein tier, so every labeled cross-schema pair is a candidate.
-/// Rather than materializing the O(n²) candidate list (the naive engine
-/// only pays time there, not memory), the pairs are streamed through a
-/// fixed-size block — scored, then merged in ascending `(i, j)` order —
-/// so the union-find still evolves through exactly the naive state
-/// sequence. Scoring never reads the union-find, so interleaving the
-/// block merges cannot change any verdict.
-fn merge_all_pairs_streaming(
-    fields: &[Field],
-    lexicon: &Lexicon,
-    config: MatcherConfig,
-    uf: &mut SchemaUnionFind,
-    stats: &mut MatchStats,
-) {
-    let labeled: Vec<bool> = fields
-        .iter()
-        .map(|(_, l)| l.as_ref().is_some_and(|l| !l.is_empty()))
-        .collect();
-    let mut block: Vec<u64> = Vec::with_capacity(BLOCK_PAIRS);
-    let flush = |block: &mut Vec<u64>, uf: &mut SchemaUnionFind, stats: &mut MatchStats| {
-        if block.is_empty() {
-            return;
+impl<'a> Groups<'a> {
+    fn new(fields: &'a [Field]) -> Self {
+        let mut by_key: HashMap<String, u32> = HashMap::new();
+        let mut groups = Groups {
+            labels: Vec::new(),
+            members: Vec::new(),
+            schemas: Vec::new(),
+            of_field: Vec::with_capacity(fields.len()),
+        };
+        for (i, (field, label)) in fields.iter().enumerate() {
+            let Some(label) = label.as_ref().filter(|l| !l.is_empty()) else {
+                groups.of_field.push(NO_LABEL);
+                continue;
+            };
+            let next = groups.labels.len() as u32;
+            let g = *by_key
+                .entry(label.display.to_ascii_lowercase())
+                .or_insert(next);
+            if g == next {
+                groups.labels.push(label);
+                groups.members.push(Vec::new());
+                groups.schemas.push(Vec::new());
+            }
+            groups.members[g as usize].push(i as u32);
+            let schema = field.schema as u32;
+            match groups.schemas[g as usize].last_mut() {
+                Some((last, count)) if *last == schema => *count += 1,
+                _ => groups.schemas[g as usize].push((schema, 1)),
+            }
+            groups.of_field.push(g);
         }
-        stats.streaming_blocks += 1;
-        stats.pairs_generated += block.len() as u64;
-        stats.pairs_scored += block.len() as u64;
-        let verdicts = score_candidates(fields, block, lexicon, config);
-        for (&packed, &verdict) in block.iter().zip(&verdicts) {
-            if let Some(tier) = verdict {
-                stats.count_accept(tier);
-                let (i, j) = unpack(packed);
-                if uf.merge(i, j) {
-                    stats.clusters_merged += 1;
+        groups
+    }
+
+    fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// Cross-schema field pairs inside group `g`.
+    fn self_pairs(&self, g: usize) -> u64 {
+        let n = self.members[g].len() as u64;
+        let same: u64 = self.schemas[g]
+            .iter()
+            .map(|&(_, c)| c as u64 * c as u64)
+            .sum();
+        (n * n - same) / 2
+    }
+
+    /// Cross-schema field pairs between groups `a` and `b`.
+    fn cross_pairs(&self, a: usize, b: usize) -> u64 {
+        let (ha, hb) = (&self.schemas[a], &self.schemas[b]);
+        let total = self.members[a].len() as u64 * self.members[b].len() as u64;
+        let (mut x, mut y, mut same) = (0, 0, 0u64);
+        while x < ha.len() && y < hb.len() {
+            match ha[x].0.cmp(&hb[y].0) {
+                Ordering::Less => x += 1,
+                Ordering::Greater => y += 1,
+                Ordering::Equal => {
+                    same += ha[x].1 as u64 * hb[y].1 as u64;
+                    x += 1;
+                    y += 1;
                 }
             }
         }
-        block.clear();
-    };
-    for i in 0..fields.len() {
-        if !labeled[i] {
-            continue;
-        }
-        for j in (i + 1)..fields.len() {
-            if !labeled[j] || fields[j].0.schema == fields[i].0.schema {
-                continue;
-            }
-            block.push(pack(i as u32, j as u32));
-            if block.len() == BLOCK_PAIRS {
-                flush(&mut block, uf, stats);
-            }
-        }
+        total - same
     }
-    flush(&mut block, uf, stats);
+
+    /// Whether some field pair `(i, j)`, `i < j`, of different schemas
+    /// has `i` in group `a` and `j` in group `b` — i.e. whether the naive
+    /// loop ever judges the orientation `(a, b)`. Fields are in schema
+    /// order, so this holds exactly when `a` has a field in a schema
+    /// before one of `b`'s.
+    fn needs(&self, a: usize, b: usize) -> bool {
+        let last_b = &self.schemas[b][self.schemas[b].len() - 1];
+        self.schemas[a][0].0 < last_b.0
+    }
 }
 
-/// Build the inverted postings and emit the deduplicated candidate pair
-/// list in ascending `(i, j)` order. Callers must have established that
-/// signature blocking is exhaustive ([`prefix_blocking_sound`]) before
-/// relying on this under `config.fuzzy`; the universal regime goes
-/// through [`merge_all_pairs_streaming`] instead.
-fn generate_candidates(
-    fields: &[Field],
-    lexicon: &Lexicon,
+/// The distinct labels in scoring form. Words are identified by lemma:
+/// a word's stem, synsets and fuzzy verdicts are all functions of it.
+struct Prepared<'a> {
+    /// Per word: its interned stem (the content-word key).
+    word_key: Vec<u32>,
+    /// Per word: its sorted, deduplicated synset ids.
+    word_synsets: Vec<Vec<SynsetId>>,
+    /// Per word: the content word, for the fuzzy tier.
+    word: Vec<&'a ContentWord>,
+    /// Per label: its word ids, in label order.
+    label_words: Vec<Vec<u32>>,
+    /// Per label: its sorted, deduplicated key ids.
+    label_keys: Vec<Vec<u32>>,
+    /// Distinct keys, i.e. stem posting lists.
+    key_count: usize,
+    config: MatcherConfig,
+}
+
+impl<'a> Prepared<'a> {
+    fn new(labels: &[&'a LabelText], lexicon: &Lexicon, config: MatcherConfig) -> Self {
+        let mut stems: HashMap<&str, u32> = HashMap::new();
+        let mut lemmas: HashMap<&str, u32> = HashMap::new();
+        let mut prepared = Prepared {
+            word_key: Vec::new(),
+            word_synsets: Vec::new(),
+            word: Vec::new(),
+            label_words: Vec::with_capacity(labels.len()),
+            label_keys: Vec::with_capacity(labels.len()),
+            key_count: 0,
+            config,
+        };
+        for label in labels {
+            let mut words = Vec::with_capacity(label.words.len());
+            for cw in &label.words {
+                let id = match lemmas.get(cw.lemma.as_str()) {
+                    Some(&id) => id,
+                    None => {
+                        let id = prepared.word.len() as u32;
+                        lemmas.insert(&cw.lemma, id);
+                        let next_key = stems.len() as u32;
+                        prepared
+                            .word_key
+                            .push(*stems.entry(cw.key()).or_insert(next_key));
+                        let mut synsets = lexicon.resolve(&cw.lemma);
+                        synsets.sort_unstable();
+                        synsets.dedup();
+                        prepared.word_synsets.push(synsets);
+                        prepared.word.push(cw);
+                        id
+                    }
+                };
+                words.push(id);
+            }
+            let mut keys: Vec<u32> = words
+                .iter()
+                .map(|&w| prepared.word_key[w as usize])
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            prepared.label_words.push(words);
+            prepared.label_keys.push(keys);
+        }
+        prepared.key_count = stems.len();
+        prepared
+    }
+
+    /// [`crate::matcher::match_tier_with`] on the representatives of
+    /// distinct labels `a` and `b` (whose keys differ, so they are never
+    /// string-equal), evaluated on the prepared form: the same checks in
+    /// the same order, so the same verdict and tier.
+    fn tier(&self, a: usize, b: usize, memo: &mut FuzzyMemo) -> Option<MatchTier> {
+        if self.label_keys[a] == self.label_keys[b] {
+            return Some(MatchTier::WordSet);
+        }
+        let (words_a, words_b) = (&self.label_words[a], &self.label_words[b]);
+        if words_a.len() != words_b.len() {
+            return None;
+        }
+        let mut needed_synonym = false;
+        let mut needed_fuzzy = false;
+        for &x in words_a {
+            let key = self.word_key[x as usize];
+            if words_b.iter().any(|&y| self.word_key[y as usize] == key) {
+                continue;
+            }
+            let synsets = &self.word_synsets[x as usize];
+            if !synsets.is_empty()
+                && words_b
+                    .iter()
+                    .any(|&y| intersects(synsets, &self.word_synsets[y as usize]))
+            {
+                needed_synonym = true;
+                continue;
+            }
+            if self.config.fuzzy && words_b.iter().any(|&y| memo.fuzzy(self, x, y)) {
+                needed_fuzzy = true;
+                continue;
+            }
+            return None;
+        }
+        if needed_fuzzy {
+            Some(MatchTier::Fuzzy)
+        } else if needed_synonym {
+            Some(MatchTier::Synonym)
+        } else {
+            Some(MatchTier::WordSet)
+        }
+    }
+}
+
+/// Word-pair fuzzy verdicts of one scoring run. The fuzzy tier is
+/// symmetric (abbreviation is tried both ways, edit distance is
+/// symmetric), so a pair is keyed by its unordered word ids.
+#[derive(Default)]
+struct FuzzyMemo {
+    verdicts: HashMap<u64, bool>,
+}
+
+impl FuzzyMemo {
+    fn fuzzy(&mut self, prepared: &Prepared, x: u32, y: u32) -> bool {
+        *self
+            .verdicts
+            .entry(pack(x.min(y), x.max(y)))
+            .or_insert_with(|| {
+                fuzzy_token_match(
+                    prepared.word[x as usize],
+                    prepared.word[y as usize],
+                    prepared.config,
+                )
+            })
+    }
+}
+
+/// Whether two sorted slices share an element.
+fn intersects(a: &[SynsetId], b: &[SynsetId]) -> bool {
+    let (mut x, mut y) = (0, 0);
+    while x < a.len() && y < b.len() {
+        match a[x].cmp(&b[y]) {
+            Ordering::Less => x += 1,
+            Ordering::Greater => y += 1,
+            Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
+/// Build the inverted postings over distinct labels and emit the
+/// deduplicated candidate pairs `(a, b)`, `a < b`, that have a
+/// cross-schema field pair. Callers must have established that signature
+/// blocking is exhaustive ([`prefix_blocking_sound`]) before relying on
+/// this under `config.fuzzy`; the universal regime goes through
+/// [`score_all_label_pairs_streaming`] instead.
+fn candidate_label_pairs(
+    groups: &Groups,
+    prepared: &Prepared,
     config: MatcherConfig,
     stats: &mut MatchStats,
 ) -> Vec<u64> {
-    // Stem keys are interned to dense symbols so stem postings live in a
-    // plain Vec instead of a string-keyed map.
-    let stems = Interner::new();
-    let mut stem_postings: Vec<Vec<u32>> = Vec::new();
+    let mut stem_postings: Vec<Vec<u32>> = vec![Vec::new(); prepared.key_count];
     let mut synset_postings: HashMap<SynsetId, Vec<u32>> = HashMap::new();
     let mut fuzzy_postings: HashMap<char, Vec<u32>> = HashMap::new();
 
-    let push_unique = |list: &mut Vec<u32>, i: u32| {
-        // Posting lists grow in field order, so duplicates from one
-        // field's words are always adjacent.
-        if list.last() != Some(&i) {
-            list.push(i);
+    let push_unique = |list: &mut Vec<u32>, g: u32| {
+        // Posting lists grow in label order, so duplicates from one
+        // label's words are always adjacent.
+        if list.last() != Some(&g) {
+            list.push(g);
         }
     };
-    for (idx, (_, label)) in fields.iter().enumerate() {
-        let Some(label) = label else { continue };
-        if label.is_empty() {
-            continue;
-        }
-        let i = idx as u32;
-        for word in &label.words {
-            let sym = stems.intern(&word.stem);
-            if sym.0 as usize == stem_postings.len() {
-                stem_postings.push(Vec::new());
-            }
-            push_unique(&mut stem_postings[sym.0 as usize], i);
-            for sid in lexicon.resolve(&word.lemma) {
-                push_unique(synset_postings.entry(sid).or_default(), i);
+    for (g, words) in prepared.label_words.iter().enumerate() {
+        let g = g as u32;
+        for &w in words {
+            let w = w as usize;
+            push_unique(&mut stem_postings[prepared.word_key[w] as usize], g);
+            for &sid in &prepared.word_synsets[w] {
+                push_unique(synset_postings.entry(sid).or_default(), g);
             }
             if config.fuzzy {
+                let word = prepared.word[w];
                 for c in signature_chars(&word.stem, &word.lemma) {
-                    push_unique(fuzzy_postings.entry(c).or_default(), i);
+                    push_unique(fuzzy_postings.entry(c).or_default(), g);
                 }
             }
         }
@@ -233,34 +434,149 @@ fn generate_candidates(
         .unwrap_or(0);
 
     let mut pairs: Vec<u64> = Vec::new();
+    for list in stem_postings
+        .iter()
+        .chain(synset_postings.values())
+        .chain(fuzzy_postings.values())
     {
-        let mut add_list = |list: &[u32]| {
-            for (x, &i) in list.iter().enumerate() {
-                let schema_i = fields[i as usize].0.schema;
-                for &j in &list[x + 1..] {
-                    if fields[j as usize].0.schema != schema_i {
-                        pairs.push(pack(i, j));
-                    }
+        for (x, &a) in list.iter().enumerate() {
+            for &b in &list[x + 1..] {
+                if groups.needs(a as usize, b as usize) || groups.needs(b as usize, a as usize) {
+                    pairs.push(pack(a, b));
                 }
             }
-        };
-        for list in &stem_postings {
-            add_list(list);
-        }
-        for list in synset_postings.values() {
-            add_list(list);
-        }
-        for list in fuzzy_postings.values() {
-            add_list(list);
         }
     }
-    // Posting-map iteration order is arbitrary; sorting restores the
-    // naive loop's ascending (i, j) order and drops duplicates from
-    // fields sharing several postings.
+    // Labels sharing several postings appear once per shared posting.
     pairs.sort_unstable();
     pairs.dedup();
-    stats.pairs_generated += pairs.len() as u64;
     pairs
+}
+
+/// Push `(a, b)` and/or `(b, a)` for the unordered candidate `packed`,
+/// each when some field pair needs it, and count the cross-schema field
+/// pairs the candidate decides.
+fn push_orientations(groups: &Groups, packed: u64, out: &mut Vec<u64>, stats: &mut MatchStats) {
+    let (a, b) = unpack(packed);
+    let field_pairs = groups.cross_pairs(a, b);
+    stats.pairs_generated += field_pairs;
+    stats.pairs_scored += field_pairs;
+    if groups.needs(a, b) {
+        out.push(pack(a as u32, b as u32));
+    }
+    if groups.needs(b, a) {
+        out.push(pack(b as u32, a as u32));
+    }
+}
+
+/// Universal-fuzzy regime: signature buckets cannot block the
+/// Levenshtein tier, so every pair of distinct labels with a
+/// cross-schema field pair is a candidate. Rather than materializing the
+/// O(labels²) candidate list, the pairs are streamed through a
+/// fixed-size block; only accepted pairs are kept.
+fn score_all_label_pairs_streaming(
+    groups: &Groups,
+    prepared: &Prepared,
+    config: MatcherConfig,
+    stats: &mut MatchStats,
+) -> Vec<(u64, MatchTier)> {
+    let mut accepted = Vec::new();
+    let mut block: Vec<u64> = Vec::with_capacity(BLOCK_PAIRS + 1);
+    for a in 0..groups.len() {
+        for b in (a + 1)..groups.len() {
+            if !groups.needs(a, b) && !groups.needs(b, a) {
+                continue;
+            }
+            push_orientations(groups, pack(a as u32, b as u32), &mut block, stats);
+            if block.len() >= BLOCK_PAIRS {
+                stats.streaming_blocks += 1;
+                accepted.extend(score_directed(prepared, &block, config, stats));
+                block.clear();
+            }
+        }
+    }
+    if !block.is_empty() {
+        stats.streaming_blocks += 1;
+        accepted.extend(score_directed(prepared, &block, config, stats));
+    }
+    accepted
+}
+
+/// Score directed label pairs with the prepared predicate and keep the
+/// accepted ones with their tier. The predicate is pure, so large sets
+/// fan out on the bounded pool in chunks, each with its own fuzzy memo;
+/// the output is in input order either way.
+fn score_directed(
+    prepared: &Prepared,
+    directed: &[u64],
+    config: MatcherConfig,
+    stats: &mut MatchStats,
+) -> Vec<(u64, MatchTier)> {
+    stats.label_pairs_scored += directed.len() as u64;
+    let score = |chunk: &[u64]| {
+        let mut memo = FuzzyMemo::default();
+        chunk
+            .iter()
+            .filter_map(|&packed| {
+                let (a, b) = unpack(packed);
+                prepared.tier(a, b, &mut memo).map(|tier| (packed, tier))
+            })
+            .collect::<Vec<_>>()
+    };
+    if directed.len() < PARALLEL_SCORING_THRESHOLD || resolve_threads(config.threads) <= 1 {
+        return score(directed);
+    }
+    let chunks: Vec<&[u64]> = directed.chunks(SCORING_CHUNK).collect();
+    parallel_map(&chunks, config.threads, |_, chunk| score(chunk))
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// Expand accepted label pairs (plus every group with itself, as
+/// [`MatchTier::String`]) to their cross-schema field pairs `(i, j)`,
+/// `i < j`, and merge them in ascending `(i, j)` order — the naive
+/// loop's order — counting each accept under its pair's tier.
+fn merge_accepted(
+    fields: &[Field],
+    groups: &Groups,
+    mut accepted: Vec<(u64, MatchTier)>,
+    uf: &mut SchemaUnionFind,
+    stats: &mut MatchStats,
+) {
+    accepted.sort_unstable_by_key(|&(packed, _)| packed);
+    let mut row: Vec<(u32, MatchTier)> = Vec::new();
+    for (i, &a) in groups.of_field.iter().enumerate() {
+        if a == NO_LABEL {
+            continue;
+        }
+        let schema = fields[i].0.schema;
+        let lo = accepted.partition_point(|&(p, _)| p < pack(a, 0));
+        let hi = accepted.partition_point(|&(p, _)| p < pack(a + 1, 0));
+        let partners = std::iter::once((a as usize, MatchTier::String)).chain(
+            accepted[lo..hi]
+                .iter()
+                .map(|&(p, tier)| (unpack(p).1, tier)),
+        );
+        row.clear();
+        for (b, tier) in partners {
+            let members = &groups.members[b];
+            let after = members.partition_point(|&j| j as usize <= i);
+            row.extend(
+                members[after..]
+                    .iter()
+                    .filter(|&&j| fields[j as usize].0.schema != schema)
+                    .map(|&j| (j, tier)),
+            );
+        }
+        row.sort_unstable_by_key(|&(j, _)| j);
+        for &(j, tier) in &row {
+            stats.count_accept(tier);
+            if uf.merge(i, j as usize) {
+                stats.clusters_merged += 1;
+            }
+        }
+    }
 }
 
 /// True when first/second-character buckets are an exhaustive blocking
@@ -312,32 +628,6 @@ pub(crate) fn signature_chars(stem: &str, lemma: &str) -> impl Iterator<Item = c
         }
     }
     out.into_iter().flatten()
-}
-
-/// Score every candidate pair with the full match predicate. Pure, so
-/// large candidate sets fan out on the bounded pool; the verdict vector
-/// is in candidate order either way. Verdicts carry the accepting
-/// [`MatchTier`] so both engines attribute accepts identically.
-fn score_candidates(
-    fields: &[Field],
-    candidates: &[u64],
-    lexicon: &Lexicon,
-    config: MatcherConfig,
-) -> Vec<Option<MatchTier>> {
-    let score_one = |packed: u64| {
-        let (i, j) = unpack(packed);
-        match (&fields[i].1, &fields[j].1) {
-            (Some(a), Some(b)) => match_tier_with(a, b, lexicon, config),
-            _ => None,
-        }
-    };
-    if candidates.len() >= PARALLEL_SCORING_THRESHOLD {
-        parallel_map_chunked(candidates, config.threads, SCORING_CHUNK, |_, &c| {
-            score_one(c)
-        })
-    } else {
-        candidates.iter().map(|&c| score_one(c)).collect()
-    }
 }
 
 /// Union-find whose roots carry a schema bitset, turning the
@@ -407,6 +697,8 @@ impl SchemaUnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matcher::{collect_fields, match_tier_with};
+    use qi_datasets::{generate_drift_corpus, DriftConfig};
 
     #[test]
     fn pack_unpack_roundtrip() {
@@ -458,6 +750,90 @@ mod tests {
         // Short stems stay sound at a strict threshold.
         let three = vec![field("abc")];
         assert!(prefix_blocking_sound(&three, config(0.8)));
+    }
+
+    #[test]
+    fn groups_key_on_lowercased_display_and_count_cross_pairs() {
+        let lex = Lexicon::builtin();
+        let field = |schema: usize, raw: Option<&str>| {
+            (
+                FieldRef::new(schema, qi_schema::NodeId::ROOT),
+                raw.map(|r| LabelText::new(r, &lex)),
+            )
+        };
+        let fields = vec![
+            field(0, Some("Zip Code")),
+            field(0, Some("zip-code")),
+            field(1, Some("ZIP code:")),
+            field(1, None),
+            field(1, Some("(none)")),
+            field(2, Some("City")),
+            field(2, Some("zip code")),
+        ];
+        let groups = Groups::new(&fields);
+        assert_eq!(groups.len(), 2, "{:?}", groups.members);
+        assert_eq!(groups.members, vec![vec![0, 1, 2, 6], vec![5]]);
+        assert_eq!(groups.of_field[3], NO_LABEL);
+        assert_eq!(groups.of_field[4], NO_LABEL, "empty display is unlabeled");
+        // Zip group: schemas {0: 2, 1: 1, 2: 1} -> 2 + 2 + 1 cross pairs.
+        assert_eq!(groups.self_pairs(0), 5);
+        assert_eq!(groups.cross_pairs(0, 1), 3);
+        // City (schema 2) never precedes a zip field of another schema.
+        assert!(groups.needs(0, 1));
+        assert!(!groups.needs(1, 0));
+    }
+
+    /// The prepared scorer is the match predicate: on every ordered pair
+    /// of distinct labels of a drift corpus, at both fuzzy thresholds the
+    /// drift tests use and with the fuzzy tier on and off, it returns the
+    /// same verdict and tier as `match_tier_with`.
+    #[test]
+    fn prepared_scorer_agrees_with_predicate_on_drift_labels() {
+        let lexicon = Lexicon::builtin();
+        let corpus = generate_drift_corpus(
+            &DriftConfig {
+                seed: 0x5EED_0013,
+                domains: 2,
+                interfaces: 10,
+                ..DriftConfig::default()
+            },
+            &lexicon,
+        );
+        let mut tiers = [0usize; 4];
+        for domain in &corpus {
+            let fields = collect_fields(&domain.schemas, &lexicon);
+            let groups = Groups::new(&fields);
+            for min_similarity in [0.85, 0.8] {
+                for fuzzy in [false, true] {
+                    let config = MatcherConfig {
+                        fuzzy,
+                        min_similarity,
+                        ..MatcherConfig::default()
+                    };
+                    let prepared = Prepared::new(&groups.labels, &lexicon, config);
+                    let mut memo = FuzzyMemo::default();
+                    for a in 0..groups.len() {
+                        for b in (0..groups.len()).filter(|&b| b != a) {
+                            let (la, lb) = (groups.labels[a], groups.labels[b]);
+                            let expected = match_tier_with(la, lb, &lexicon, config);
+                            assert_eq!(
+                                prepared.tier(a, b, &mut memo),
+                                expected,
+                                "{:?} vs {:?} at {config:?}",
+                                la.raw,
+                                lb.raw
+                            );
+                            if let Some(tier) = expected {
+                                tiers[tier as usize] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Every tier but String (distinct labels never share a key) is
+        // exercised, or the corpus degenerated.
+        assert!(tiers[1..].iter().all(|&n| n > 0), "tier counts {tiers:?}");
     }
 
     #[test]

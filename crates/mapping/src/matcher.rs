@@ -12,13 +12,13 @@
 //! never merged (intra-interface labels are assumed distinct concepts).
 //!
 //! Two equivalent engines implement the clustering. The default is the
-//! indexed candidate-generation engine of [`crate::index`] — inverted
-//! postings (interned stems, synset ids, fuzzy signature buckets) feed a
-//! schema-bitset union-find, so only fields sharing a posting are ever
-//! compared. The original brute-force double loop is kept as a reference
-//! implementation behind [`MatcherConfig::naive`]; both produce
-//! bit-identical [`Mapping`]s, which the test suite asserts on randomized
-//! corpora.
+//! indexed candidate-generation engine of [`crate::index`] — it scores
+//! distinct labels instead of fields, and inverted postings (interned
+//! stems, synset ids, fuzzy signature buckets) feed a schema-bitset
+//! union-find, so only labels sharing a posting are ever compared. The
+//! original brute-force double loop is kept as a reference implementation
+//! behind [`MatcherConfig::naive`]; both produce bit-identical
+//! [`Mapping`]s, which the test suite asserts on randomized corpora.
 
 use crate::cluster::{FieldRef, Mapping};
 use crate::index::indexed_components;
@@ -109,11 +109,18 @@ pub struct MatchStats {
     pub fuzzy_buckets: u64,
     /// Largest posting list over all three index families.
     pub max_bucket_size: u64,
-    /// Candidate pairs emitted by the postings (deduplicated); for the
-    /// naive engine, every labeled cross-schema pair.
+    /// Candidate field pairs emitted by the postings (deduplicated); for
+    /// the naive engine, every labeled cross-schema pair.
     pub pairs_generated: u64,
-    /// Pairs run through the full match predicate.
+    /// Field pairs whose verdict the engine decided. The indexed engine
+    /// decides a field pair by scoring its pair of distinct labels, or
+    /// without scoring when both fields share a label key.
     pub pairs_scored: u64,
+    /// Evaluations of the match predicate: one per scored field pair in
+    /// the naive engine, one per scored (ordered) pair of distinct labels
+    /// in the indexed engine. The gap to `pairs_scored` is the work label
+    /// deduplication saves.
+    pub label_pairs_scored: u64,
     /// Pairs the predicate accepted.
     pub pairs_accepted: u64,
     /// Accepted pairs whose display strings were equal
@@ -149,6 +156,7 @@ impl MatchStats {
         telemetry.add("matcher.fields_labeled", self.fields_labeled);
         telemetry.add("matcher.pairs_generated", self.pairs_generated);
         telemetry.add("matcher.pairs_scored", self.pairs_scored);
+        telemetry.add("matcher.label_pairs_scored", self.label_pairs_scored);
         telemetry.add("matcher.pairs_accepted", self.pairs_accepted);
         telemetry.add("matcher.accepted.string", self.accepted_string);
         telemetry.add("matcher.accepted.word_set", self.accepted_word_set);
@@ -190,6 +198,7 @@ impl MatchStats {
         self.max_bucket_size = self.max_bucket_size.max(other.max_bucket_size);
         self.pairs_generated += other.pairs_generated;
         self.pairs_scored += other.pairs_scored;
+        self.label_pairs_scored += other.label_pairs_scored;
         self.pairs_accepted += other.pairs_accepted;
         self.accepted_string += other.accepted_string;
         self.accepted_word_set += other.accepted_word_set;
@@ -416,6 +425,7 @@ fn naive_components(
             };
             stats.pairs_generated += 1;
             stats.pairs_scored += 1;
+            stats.label_pairs_scored += 1;
             let Some(tier) = match_tier_with(label_i, label_j, lexicon, config) else {
                 continue;
             };

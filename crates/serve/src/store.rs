@@ -32,7 +32,7 @@ use qi_runtime::{Category, Severity, Telemetry};
 use qi_schema::SchemaTree;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// One immutable rendered response, pinned to the artifact version it
 /// was rendered from.
@@ -69,6 +69,10 @@ pub struct Store {
     /// Bumped after every successful ingest swap; versions responses
     /// derived from the whole domain map rather than one artifact.
     generation: AtomicU64,
+    /// Serializes ingests and reloads. It guards no data, and the domain
+    /// map is swapped only after a rebuild completes, so a rebuild that
+    /// panicked left nothing half-written: the lock is taken through
+    /// poisoning rather than failing every later write.
     ingest_lock: Mutex<()>,
     lexicon: Lexicon,
     /// Behind a lock because a hot reload may install a snapshot built
@@ -208,7 +212,10 @@ impl Store {
         interface: SchemaTree,
         telemetry: &Telemetry,
     ) -> Option<Arc<DomainArtifact>> {
-        let _serialized = self.ingest_lock.lock().unwrap();
+        let _serialized = self
+            .ingest_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let slug = slug_of(domain);
         // Clone the current base under a brief read lock; the expensive
         // rebuild below runs with no lock held, so readers keep going.
@@ -260,7 +267,10 @@ impl Store {
     /// never validate against a post-reload artifact it was not
     /// rendered from.
     pub fn reload(&self, snapshot: Snapshot, telemetry: &Telemetry) -> usize {
-        let _serialized = self.ingest_lock.lock().unwrap();
+        let _serialized = self
+            .ingest_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let Snapshot { policy, domains } = snapshot;
         let floor = self
             .domains
@@ -337,6 +347,28 @@ mod tests {
         assert!(store.get("Auto").is_some());
         assert!(store.get("nope").is_none());
         assert_eq!(store.slugs(), vec!["auto".to_string()]);
+    }
+
+    #[test]
+    fn ingest_and_reload_recover_a_poisoned_ingest_lock() {
+        let store = auto_store();
+        std::thread::scope(|scope| {
+            let rebuild = scope.spawn(|| {
+                let _held = store.ingest_lock.lock().unwrap();
+                panic!("rebuild panicked while serialized");
+            });
+            assert!(rebuild.join().is_err());
+        });
+        assert!(store.ingest_lock.is_poisoned());
+        let before = store.get("auto").unwrap().interfaces();
+        let extra = qi_schema::text_format::parse("interface extra\n- Make\n").unwrap();
+        let after = store
+            .ingest("auto", extra)
+            .expect("ingest after a poisoning panic");
+        assert_eq!(after.interfaces(), before + 1);
+        let snapshot = store.snapshot();
+        assert_eq!(store.reload(snapshot, &Telemetry::off()), 1);
+        assert_eq!(store.get("auto").unwrap().interfaces(), before + 1);
     }
 
     #[test]

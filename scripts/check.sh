@@ -25,6 +25,11 @@ cargo test -q --test incremental
 # config) version of the scaled drift run in scripts/bench.sh.
 cargo test -q --test drift
 cargo test -q --test matcher_props drift_corpora_indexed_equals_naive_across_rates
+# Full-size engine equivalence: indexed == naive, outcome and tier
+# counters included, on every domain of a 100-domain x 20-interface
+# drift corpus with the fuzzy tier on (the benchmark pipeline's shape).
+# Release mode keeps the naive reference to a few seconds.
+cargo test -q --release --test matcher_props -- --ignored
 cargo clippy --all-targets --all-features -- -D warnings
 cargo fmt --check
 

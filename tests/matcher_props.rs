@@ -479,3 +479,130 @@ fn scaled_100x_indexed_equals_naive() {
         }
     }
 }
+
+/// Both engines on one corpus and configuration: equal mappings, and
+/// equal outcome and per-tier accept counters.
+fn assert_engines_agree(
+    schemas: &[SchemaTree],
+    lexicon: &Lexicon,
+    config: MatcherConfig,
+    ctx: &str,
+) {
+    let (indexed, indexed_stats) = match_by_labels_stats(schemas, lexicon, config);
+    let (naive, naive_stats) = match_by_labels_stats(
+        schemas,
+        lexicon,
+        MatcherConfig {
+            naive: true,
+            ..config
+        },
+    );
+    assert_eq!(indexed, naive, "{ctx}");
+    let outcome = |s: &qi_mapping::MatchStats| {
+        [
+            s.pairs_accepted,
+            s.clusters_merged,
+            s.accepted_string,
+            s.accepted_word_set,
+            s.accepted_synonym,
+            s.accepted_fuzzy,
+        ]
+    };
+    assert_eq!(
+        outcome(&indexed_stats),
+        outcome(&naive_stats),
+        "{ctx}: {indexed_stats:?} vs {naive_stats:?}"
+    );
+    assert!(
+        indexed_stats.pairs_scored <= naive_stats.pairs_scored,
+        "{ctx}"
+    );
+    assert!(
+        indexed_stats.label_pairs_scored <= indexed_stats.pairs_scored,
+        "{ctx}"
+    );
+}
+
+/// Labels that differ only in case, punctuation or non-ASCII letters.
+/// The indexed engine groups fields by their ASCII-lowercased display
+/// form; display normalization keeps only ASCII alphanumerics, so
+/// `Größe` and `größe` share a key while `GRÖSSE` and `Strasse` do not.
+/// Whatever the grouping, both engines must agree.
+#[test]
+fn case_variant_and_non_ascii_labels_indexed_equals_naive() {
+    let pool: &[&str] = &[
+        "Zip Code",
+        "ZIP code:",
+        "zip-code",
+        "Zipcode",
+        "Größe",
+        "GRÖSSE",
+        "größe",
+        "Straße",
+        "Strasse",
+        "STRASSE",
+        "Departure City",
+        "DEPARTURE CITY",
+        "city of departure",
+        "Qty",
+        "QTY",
+        "Quantity",
+        "Adress",
+        "ADDRESS",
+        "Ünits",
+        "units",
+    ];
+    let lexicon = Lexicon::builtin();
+    for seed in 500..516u64 {
+        let mut rng = SplitMix64::new(seed);
+        let n_schemas = 3 + rng.gen_range(6);
+        let schemas: Vec<SchemaTree> = (0..n_schemas)
+            .map(|s| {
+                let n_fields = 2 + rng.gen_range(9);
+                let specs: Vec<NodeSpec> = (0..n_fields)
+                    .map(|_| leaf(pool[rng.gen_range(pool.len())]))
+                    .collect();
+                SchemaTree::build(&format!("schema-{s}"), specs).unwrap()
+            })
+            .collect();
+        for fuzzy in [false, true] {
+            let config = MatcherConfig {
+                fuzzy,
+                ..MatcherConfig::default()
+            };
+            assert_engines_agree(
+                &schemas,
+                &lexicon,
+                config,
+                &format!("seed={seed} fuzzy={fuzzy}"),
+            );
+        }
+    }
+}
+
+/// Indexed against naive on a drift corpus of the benchmark pipeline's
+/// shape (100 domains × 20 interfaces, fuzzy tier on). Slow in debug
+/// builds, so it is ignored by default and run in release mode by
+/// `scripts/check.sh`:
+/// `cargo test -q --release --test matcher_props -- --ignored`.
+#[test]
+#[ignore]
+fn full_size_drift_corpus_indexed_equals_naive() {
+    let lexicon = Lexicon::builtin();
+    let corpus = generate_drift_corpus(
+        &DriftConfig {
+            seed: 1,
+            domains: 100,
+            interfaces: 20,
+            ..DriftConfig::default()
+        },
+        &lexicon,
+    );
+    let config = MatcherConfig {
+        fuzzy: true,
+        ..MatcherConfig::default()
+    };
+    for domain in &corpus {
+        assert_engines_agree(&domain.schemas, &lexicon, config, &domain.name);
+    }
+}
