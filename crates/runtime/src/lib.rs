@@ -54,7 +54,7 @@ pub use export::{chrome_trace, prometheus_text};
 pub use histogram::{Histogram, HistogramData};
 pub use intern::{Interner, Symbol};
 pub use memory::{current_rss_bytes, peak_rss_bytes};
-pub use pool::{parallel_map, parallel_map_chunked, parallel_try_map, resolve_threads, JobQueue};
+pub use pool::{parallel_map, parallel_try_map, resolve_threads, JobQueue};
 pub use rng::SplitMix64;
 pub use telemetry::{Counter, MetricsSnapshot, SpanData, Telemetry, TelemetryMode};
 pub use timeseries::{TimeSeries, Window};

@@ -44,8 +44,11 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn rss_samples_are_positive_and_ordered() {
-        let peak = peak_rss_bytes().expect("VmHWM readable on linux");
+        // Sample RSS before the high-water mark: the two values come from
+        // separate reads of /proc/self/status, and pages faulted in
+        // between them would lift RSS above an HWM read first.
         let current = current_rss_bytes().expect("VmRSS readable on linux");
+        let peak = peak_rss_bytes().expect("VmHWM readable on linux");
         assert!(current > 0);
         assert!(
             peak >= current,

@@ -47,63 +47,6 @@ where
         .collect()
 }
 
-/// Map `f` over `items` in contiguous chunks of `chunk_size`, on up to
-/// `threads` scoped workers, returning results in input order.
-///
-/// [`parallel_map`] hands out one item per cursor fetch, which is right
-/// for coarse work (a whole domain per item) but drowns fine-grained
-/// work in cursor contention and per-slot locking — candidate-pair
-/// scoring in the matcher runs `f` for hundreds of thousands of cheap
-/// predicates. Here workers claim whole bucket partitions at a time and
-/// write each chunk's results into a dedicated slot, so synchronisation
-/// cost is per chunk, not per item. Output order (and therefore every
-/// downstream merge) is independent of scheduling. Panics in `f`
-/// propagate to the caller.
-pub fn parallel_map_chunked<T, R, F>(items: &[T], threads: usize, chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let chunk_size = chunk_size.max(1);
-    let workers = resolve_threads(threads).min(items.len().div_ceil(chunk_size).max(1));
-    if workers <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    let n_chunks = items.len().div_ceil(chunk_size);
-    let mut chunk_slots: Vec<Mutex<Vec<R>>> = Vec::new();
-    chunk_slots.resize_with(n_chunks, || Mutex::new(Vec::new()));
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
-                    break;
-                }
-                let start = c * chunk_size;
-                let end = (start + chunk_size).min(items.len());
-                let out: Vec<R> = items[start..end]
-                    .iter()
-                    .enumerate()
-                    .map(|(off, item)| f(start + off, item))
-                    .collect();
-                *chunk_slots[c].lock().expect("chunk slot poisoned") = out;
-            });
-        }
-    });
-    let mut results: Vec<R> = Vec::with_capacity(items.len());
-    for slot in chunk_slots {
-        results.extend(slot.into_inner().expect("chunk slot poisoned"));
-    }
-    assert_eq!(results.len(), items.len(), "worker skipped a chunk");
-    results
-}
-
 /// Like [`parallel_map`], but a panic in `f` yields `Err(message)` for
 /// that item instead of aborting the whole map.
 pub fn parallel_try_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<Result<R, String>>
@@ -268,28 +211,6 @@ mod tests {
             });
             assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn chunked_maps_in_order() {
-        let items: Vec<usize> = (0..257).collect();
-        for threads in [1, 4, 16] {
-            for chunk in [1, 7, 64, 1000] {
-                let out = parallel_map_chunked(&items, threads, chunk, |i, &x| {
-                    assert_eq!(i, x);
-                    x * 3
-                });
-                assert_eq!(out, (0..257).map(|x| x * 3).collect::<Vec<_>>());
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_empty_and_zero_chunk() {
-        let out: Vec<u32> = parallel_map_chunked(&[] as &[u32], 4, 0, |_, &x| x);
-        assert!(out.is_empty());
-        let out = parallel_map_chunked(&[5u32], 4, 0, |_, &x| x + 1);
-        assert_eq!(out, vec![6]);
     }
 
     #[test]

@@ -1,18 +1,13 @@
 #!/usr/bin/env sh
-# Tier-1 verification: offline release build + full test suite, plus
-# lint gates (clippy warnings are errors, formatting must be canonical),
-# the property suite against the in-repo proptest shim (including the
-# committed regression corpus), and a telemetry-overhead guard.
+# Tier-1 verification: offline release build + full test suite
+# (including the seeded property suites and their regression cases),
+# plus lint gates (clippy warnings are errors, formatting must be
+# canonical), a telemetry-overhead guard and a server smoke stage.
 set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test -q --workspace
-# The property suite and its regression-corpus replay run against
-# crates/proptest (the offline shim), so the committed
-# tests/properties.proptest-regressions cases are exercised on every
-# check, not only on machines that can fetch the real crate.
-cargo test -q --features proptest --test properties
 # Incremental-equivalence stage: the delta-ingest suite runs in the
 # debug profile, where its debug_assert guards compare every extended
 # group naming against a from-scratch rebuild — any divergence between

@@ -1,6 +1,6 @@
 //! Randomized property tests for the clustering engines — dependency-free
 //! (driven by the in-repo [`SplitMix64`] PRNG, so they run under the
-//! default `cargo test -q`, unlike the proptest suite).
+//! default `cargo test -q`, like `tests/properties.rs`).
 //!
 //! Three invariants:
 //!

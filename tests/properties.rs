@@ -1,110 +1,231 @@
-//! Property-based tests (proptest) over the core data structures and
-//! invariants: the text pipeline, Definition 1 relations, the merge
-//! substrate and the naming algorithm on randomly generated domains.
+//! Randomized property tests over the core data structures and
+//! invariants: the text pipeline, Definition 1 relations, the memoizing
+//! naming context, histogram quantiles, the merge substrate and the
+//! naming algorithm on randomly generated domains.
 //!
-//! Gated behind the non-default `proptest` feature so the default
-//! `cargo test -q` stays lean. The suite runs against the in-repo
-//! `crates/proptest` shim (same API subset, deterministic PRNG, no
-//! shrinking — the real crate is unfetchable in the offline build
-//! environment); `scripts/check.sh` invokes it via
-//! `cargo test --features proptest`. On a networked machine the root
-//! dev-dependency can point back at `proptest = "1"` unchanged.
-#![cfg(feature = "proptest")]
+//! Dependency-free, in the style of `tests/matcher_props.rs`: every
+//! property is a plain `#[test]` looping over cases, and case `c` of a
+//! property with base seed `B` draws its inputs from
+//! `SplitMix64::new(B ^ c)`, so a failure message's case number is
+//! enough to replay it. Inputs that once broke an invariant are kept as
+//! literals in [`REGRESSIONS`] and replayed before the random cases.
 
-use proptest::prelude::*;
 use qi::{Lexicon, NamingPolicy};
 use qi_core::{ctx::NamingCtx, relations::relate, Labeler};
 use qi_datasets::{SynthConfig, SynthDomain};
+use qi_runtime::SplitMix64;
 use qi_schema::NodeId;
 use qi_text::{display_normalize, stem, tokenize, LabelText};
 
-proptest! {
-    /// The stemmer never panics, never grows a word, and is
-    /// deterministic on arbitrary (including non-ASCII) input.
-    #[test]
-    fn porter_stem_total_and_shrinking(word in ".{0,24}") {
+/// Cases per text, relation, context and histogram property.
+const CASES: u64 = 256;
+
+/// Random synthetic domains per merge and naming property (each also
+/// replays [`REGRESSIONS`] first).
+const SYNTH_CASES: u64 = 24;
+
+/// Synthetic domain configurations that once broke an invariant; every
+/// synthetic-domain property runs them before its random cases.
+const REGRESSIONS: &[SynthConfig] = &[SynthConfig {
+    seed: 4788076064470418072,
+    interfaces: 3,
+    concepts: 4,
+    groups: 1,
+    coverage: 0.3,
+    unlabeled_prob: 0.0,
+    group_label_prob: 0.7,
+}];
+
+const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
+const LETTERS_AND_SPACE: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz ";
+
+/// Multi-byte, combining, non-breaking and control characters that
+/// [`arbitrary_string`] mixes into its printable ASCII.
+const HOSTILE_CHARS: &[char] = &[
+    'é', 'ß', 'Ω', '中', 'क', '🚀', '\u{0301}', '\u{00a0}', '\u{2028}', '\t', '\u{7}', '\u{1b}',
+];
+
+/// One explicitly seeded generator per case: `(case, SplitMix64::new(base ^ case))`.
+fn cases(base: u64, count: u64) -> impl Iterator<Item = (u64, SplitMix64)> {
+    (0..count).map(move |case| (case, SplitMix64::new(base ^ case)))
+}
+
+/// `min..=max` characters drawn uniformly from `class` — the regex
+/// `[class]{min,max}`.
+fn class_string(rng: &mut SplitMix64, class: &str, min: usize, max: usize) -> String {
+    let class: Vec<char> = class.chars().collect();
+    let len = min + rng.gen_range(max - min + 1);
+    (0..len)
+        .map(|_| class[rng.gen_range(class.len())])
+        .collect()
+}
+
+/// Up to `max` arbitrary characters — the regex `.{0,max}`: printable
+/// ASCII, with about one character in five taken from [`HOSTILE_CHARS`].
+fn arbitrary_string(rng: &mut SplitMix64, max: usize) -> String {
+    let len = rng.gen_range(max + 1);
+    (0..len)
+        .map(|_| {
+            if rng.gen_range(5) == 0 {
+                HOSTILE_CHARS[rng.gen_range(HOSTILE_CHARS.len())]
+            } else {
+                char::from(b' ' + rng.gen_range(95) as u8)
+            }
+        })
+        .collect()
+}
+
+/// [`REGRESSIONS`], then [`SYNTH_CASES`] small random configurations.
+fn synth_configs(base: u64) -> Vec<SynthConfig> {
+    let random = cases(base, SYNTH_CASES).map(|(_, mut rng)| SynthConfig {
+        seed: rng.next_u64(),
+        interfaces: 3 + rng.gen_range(7),
+        concepts: 4 + rng.gen_range(12),
+        groups: 1 + rng.gen_range(4),
+        coverage: 0.3 + 0.6 * rng.next_f64(),
+        unlabeled_prob: 0.4 * rng.next_f64(),
+        group_label_prob: 0.7,
+    });
+    REGRESSIONS.iter().cloned().chain(random).collect()
+}
+
+/// The arbitrary-string generator really produces every hostile
+/// character, so the "arbitrary input" properties below keep seeing
+/// non-ASCII text.
+#[test]
+fn arbitrary_strings_include_hostile_characters() {
+    let drawn: String = cases(0x0100_0000_0000, CASES)
+        .map(|(_, mut rng)| arbitrary_string(&mut rng, 24))
+        .collect();
+    assert!(!drawn.is_ascii(), "arbitrary strings are all ASCII");
+    for hostile in HOSTILE_CHARS {
+        assert!(drawn.contains(*hostile), "{hostile:?} never drawn");
+    }
+}
+
+/// The stemmer never panics, never grows a word, and is deterministic
+/// on arbitrary (including non-ASCII) input.
+#[test]
+fn porter_stem_total_and_shrinking() {
+    for (case, mut rng) in cases(0x0200_0000_0000, CASES) {
+        let word = arbitrary_string(&mut rng, 24);
         let once = stem(&word);
-        prop_assert!(once.len() <= word.len().max(2) + 1);
-        prop_assert_eq!(stem(&word), once);
+        assert!(
+            once.len() <= word.len().max(2) + 1,
+            "case {case}: {word:?} grew to {once:?}"
+        );
+        assert_eq!(stem(&word), once, "case {case}: {word:?}");
     }
+}
 
-    /// Lowercase ASCII words stem to lowercase ASCII.
-    #[test]
-    fn porter_stem_preserves_ascii(word in "[a-z]{1,16}") {
+/// Lowercase ASCII words stem to lowercase ASCII.
+#[test]
+fn porter_stem_preserves_ascii() {
+    for (case, mut rng) in cases(0x0300_0000_0000, CASES) {
+        let word = class_string(&mut rng, LOWER, 1, 16);
         let stemmed = stem(&word);
-        prop_assert!(stemmed.bytes().all(|b| b.is_ascii_lowercase()));
-        prop_assert!(!stemmed.is_empty());
+        assert!(
+            stemmed.bytes().all(|b| b.is_ascii_lowercase()),
+            "case {case}: {word:?} stemmed to {stemmed:?}"
+        );
+        assert!(
+            !stemmed.is_empty(),
+            "case {case}: {word:?} stemmed to nothing"
+        );
     }
+}
 
-    /// Tokenization yields lowercase alphanumeric tokens only, and
-    /// display normalization is idempotent.
-    #[test]
-    fn tokenize_and_normalize_shape(label in ".{0,48}") {
+/// Tokenization yields lowercase alphanumeric tokens only, and display
+/// normalization is idempotent.
+#[test]
+fn tokenize_and_normalize_shape() {
+    for (case, mut rng) in cases(0x0400_0000_0000, CASES) {
+        let label = arbitrary_string(&mut rng, 48);
         for token in tokenize(&label) {
-            prop_assert!(!token.is_empty());
-            prop_assert!(token.chars().all(|c| c.is_ascii_alphanumeric()));
-            prop_assert!(!token.chars().any(|c| c.is_ascii_uppercase()));
+            assert!(!token.is_empty(), "case {case}: {label:?}");
+            assert!(
+                token.chars().all(|c| c.is_ascii_alphanumeric()),
+                "case {case}: {label:?} gave token {token:?}"
+            );
+            assert!(
+                !token.chars().any(|c| c.is_ascii_uppercase()),
+                "case {case}: {label:?} gave token {token:?}"
+            );
         }
         let display = display_normalize(&label);
-        prop_assert_eq!(display_normalize(&display), display.clone());
+        assert_eq!(
+            display_normalize(&display),
+            display,
+            "case {case}: {label:?}"
+        );
     }
+}
 
-    /// Definition 1 relations are antisymmetric under flip: computing in
-    /// the opposite order yields the flipped relation.
-    #[test]
-    fn relations_flip_symmetry(a in "[A-Za-z ]{1,20}", b in "[A-Za-z ]{1,20}") {
-        let lexicon = Lexicon::builtin();
+/// Definition 1 relations are antisymmetric under flip: computing in the
+/// opposite order yields the flipped relation.
+#[test]
+fn relations_flip_symmetry() {
+    let lexicon = Lexicon::builtin();
+    for (case, mut rng) in cases(0x0500_0000_0000, CASES) {
+        let a = class_string(&mut rng, LETTERS_AND_SPACE, 1, 20);
+        let b = class_string(&mut rng, LETTERS_AND_SPACE, 1, 20);
         let ta = LabelText::new(&a, &lexicon);
         let tb = LabelText::new(&b, &lexicon);
         let ab = relate(&ta, &tb, &lexicon);
         let ba = relate(&tb, &ta, &lexicon);
-        prop_assert_eq!(ab.flip(), ba);
+        assert_eq!(ab.flip(), ba, "case {case}: {a:?} vs {b:?}");
     }
+}
 
-    /// A label always relates to itself at the string-equal level (unless
-    /// empty).
-    #[test]
-    fn relations_reflexive(a in "[A-Za-z ]{1,20}") {
-        let lexicon = Lexicon::builtin();
+/// A label always relates to itself at the string-equal level (unless
+/// empty).
+#[test]
+fn relations_reflexive() {
+    let lexicon = Lexicon::builtin();
+    for (case, mut rng) in cases(0x0600_0000_0000, CASES) {
+        let a = class_string(&mut rng, LETTERS_AND_SPACE, 1, 20);
         let ta = LabelText::new(&a, &lexicon);
-        let rel = relate(&ta, &ta, &lexicon);
-        if ta.is_empty() {
-            prop_assert_eq!(rel, qi_core::LabelRelation::Unrelated);
+        let expected = if ta.is_empty() {
+            qi_core::LabelRelation::Unrelated
         } else {
-            prop_assert_eq!(rel, qi_core::LabelRelation::StringEqual);
-        }
+            qi_core::LabelRelation::StringEqual
+        };
+        assert_eq!(relate(&ta, &ta, &lexicon), expected, "case {case}: {a:?}");
     }
+}
 
-    /// The memoizing context agrees with the direct computation.
-    #[test]
-    fn ctx_matches_direct(a in "[A-Za-z ]{1,16}", b in "[A-Za-z ]{1,16}") {
-        let lexicon = Lexicon::builtin();
+/// The memoizing context agrees with the direct computation.
+#[test]
+fn ctx_matches_direct() {
+    let lexicon = Lexicon::builtin();
+    for (case, mut rng) in cases(0x0700_0000_0000, CASES) {
+        let a = class_string(&mut rng, LETTERS_AND_SPACE, 1, 16);
+        let b = class_string(&mut rng, LETTERS_AND_SPACE, 1, 16);
         let ctx = NamingCtx::new(&lexicon);
         let direct = relate(
             &LabelText::new(&a, &lexicon),
             &LabelText::new(&b, &lexicon),
             &lexicon,
         );
-        prop_assert_eq!(ctx.relate(&a, &b), direct);
-        prop_assert_eq!(ctx.relate(&a, &b), direct); // cached path
+        assert_eq!(ctx.relate(&a, &b), direct, "case {case}: {a:?} vs {b:?}");
+        assert_eq!(
+            ctx.relate(&a, &b),
+            direct,
+            "case {case}: cached {a:?} vs {b:?}"
+        );
     }
 }
 
-proptest! {
-    /// Histogram quantiles against a sorted-vector oracle on random u64
-    /// samples: the estimate is always ≥ the true order statistic, and
-    /// both fall in the same log-linear bucket (bounded relative error).
-    /// Samples derive from a seeded SplitMix64 stream so the shim only
-    /// has to generate `(seed, len, q)` — it has no `collection::vec`.
-    #[test]
-    fn histogram_quantiles_match_sorted_oracle(
-        seed in any::<u64>(),
-        len in 1usize..64,
-        q in 0.0f64..1.0,
-    ) {
-        use qi_runtime::histogram::{bucket_index, bucket_upper};
+/// Histogram quantiles against a sorted-vector oracle on random u64
+/// samples: the estimate is always ≥ the true order statistic, and both
+/// fall in the same log-linear bucket (bounded relative error).
+#[test]
+fn histogram_quantiles_match_sorted_oracle() {
+    use qi_runtime::histogram::{bucket_index, bucket_upper};
 
-        let mut rng = qi_runtime::SplitMix64::new(seed);
+    for (case, mut rng) in cases(0x0800_0000_0000, CASES) {
+        let len = 1 + rng.gen_range(63);
+        let q = rng.next_f64();
         // Mix magnitudes: tiny values, mid-range, and full-width u64s,
         // so both the linear low buckets and log high buckets are hit.
         let samples: Vec<u64> = (0..len)
@@ -126,10 +247,10 @@ proptest! {
 
         let mut sorted = samples.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(data.count(), len as u64, "count");
-        prop_assert_eq!(data.max, *sorted.last().unwrap(), "max");
+        assert_eq!(data.count(), len as u64, "case {case}: count");
+        assert_eq!(data.max, *sorted.last().unwrap(), "case {case}: max");
         let sum: u64 = samples.iter().fold(0u64, |acc, &v| acc.wrapping_add(v));
-        prop_assert_eq!(data.sum, sum, "sum");
+        assert_eq!(data.sum, sum, "case {case}: sum");
 
         // The oracle order statistic: the same "smallest value with
         // rank ≥ ceil(q·count)" definition the histogram implements,
@@ -137,158 +258,142 @@ proptest! {
         let rank = ((q * len as f64).ceil() as usize).clamp(1, len);
         let truth = sorted[rank - 1];
         let estimate = data.quantile(q);
-        prop_assert!(
+        assert!(
             estimate >= truth,
-            "q={} estimate {} < true order statistic {}",
-            q, estimate, truth
+            "case {case}: q={q} estimate {estimate} < true order statistic {truth}"
         );
-        prop_assert_eq!(
+        assert_eq!(
             estimate,
             bucket_upper(bucket_index(truth)).min(data.max),
-            "estimate must be the truth's own bucket upper bound (clamped to max)"
+            "case {case}: estimate must be the truth's own bucket upper bound (clamped to max)"
         );
 
         // Merging two disjoint halves reproduces the whole.
         let left = qi_runtime::Histogram::new();
         let right = qi_runtime::Histogram::new();
         for (i, &value) in samples.iter().enumerate() {
-            if i % 2 == 0 { left.record(value) } else { right.record(value) }
+            if i % 2 == 0 {
+                left.record(value)
+            } else {
+                right.record(value)
+            }
         }
         left.absorb(&right.data());
-        prop_assert_eq!(left.data(), data, "absorb of a split must equal the whole");
+        assert_eq!(
+            left.data(),
+            data,
+            "case {case}: absorb of a split must equal the whole"
+        );
     }
 }
 
-/// Strategy for small synthetic domain configurations.
-fn synth_config() -> impl Strategy<Value = SynthConfig> {
-    (
-        any::<u64>(),
-        3usize..10,
-        4usize..16,
-        1usize..5,
-        0.3f64..0.9,
-        0.0f64..0.4,
-    )
-        .prop_map(
-            |(seed, interfaces, concepts, groups, coverage, unlabeled)| SynthConfig {
-                seed,
-                interfaces,
-                concepts,
-                groups,
-                coverage,
-                unlabeled_prob: unlabeled,
-                group_label_prob: 0.7,
-            },
-        )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Merge invariants on random domains: every cluster appears as
-    /// exactly one integrated leaf, the tree validates, and the partition
-    /// classes cover the clusters disjointly.
-    #[test]
-    fn merge_invariants(config in synth_config()) {
-        let synth = SynthDomain::generate(config);
+/// Merge invariants on random domains: every cluster appears as exactly
+/// one integrated leaf, the tree validates, and the partition classes
+/// cover the clusters disjointly.
+#[test]
+fn merge_invariants() {
+    for config in synth_configs(0x0900_0000_0000) {
+        let synth = SynthDomain::generate(config.clone());
         let prepared = synth.domain.prepare();
         prepared.mapping.validate(&prepared.schemas).unwrap();
         prepared.integrated.tree.validate().unwrap();
         let leaves = prepared.integrated.tree.leaves().count();
-        prop_assert_eq!(leaves, prepared.mapping.len());
+        assert_eq!(leaves, prepared.mapping.len(), "{config:?}");
         // Each cluster maps to exactly one leaf.
         for cluster in &prepared.mapping.clusters {
-            prop_assert!(prepared.integrated.leaf_of_cluster(cluster.id).is_some());
+            assert!(
+                prepared.integrated.leaf_of_cluster(cluster.id).is_some(),
+                "{config:?}: cluster {:?} has no leaf",
+                cluster.id
+            );
         }
         // Partition classes are disjoint and complete.
         let partition = prepared.integrated.partition();
         let grouped: usize = partition.groups.iter().map(|g| g.clusters.len()).sum();
-        prop_assert_eq!(
+        assert_eq!(
             grouped + partition.root.len() + partition.isolated.len(),
-            prepared.mapping.len()
+            prepared.mapping.len(),
+            "{config:?}"
         );
     }
+}
 
-    /// Grouping constraint: fields grouped together on EVERY source that
-    /// carries both stay together in the integrated interface whenever
-    /// their group's bag survives (they are never split to the root if a
-    /// source grouped them and no conflicting evidence exists). Weak form:
-    /// the merge never *loses* leaves and never duplicates them.
-    #[test]
-    fn merge_preserves_leaf_multiplicity(config in synth_config()) {
-        let synth = SynthDomain::generate(config);
+/// The merge never loses leaves and never duplicates them: walking the
+/// integrated tree meets every cluster at most once.
+#[test]
+fn merge_preserves_leaf_multiplicity() {
+    for config in synth_configs(0x0a00_0000_0000) {
+        let synth = SynthDomain::generate(config.clone());
         let prepared = synth.domain.prepare();
         let mut seen = std::collections::BTreeSet::new();
         for leaf in prepared.integrated.tree.descendant_leaves(NodeId::ROOT) {
             let cluster = prepared.integrated.cluster_of_leaf(leaf).unwrap();
-            prop_assert!(seen.insert(cluster), "cluster duplicated");
+            assert!(seen.insert(cluster), "{config:?}: cluster duplicated");
         }
     }
+}
 
-    /// Naming invariants on random domains: assigned field labels come
-    /// from the cluster's own members; the report classification exists;
-    /// label assignment is deterministic.
-    #[test]
-    fn naming_invariants(config in synth_config()) {
-        let synth = SynthDomain::generate(config);
+/// Naming invariants on random domains: assigned field labels come from
+/// the cluster's own members; the report classification exists; label
+/// assignment is deterministic.
+#[test]
+fn naming_invariants() {
+    let lexicon = Lexicon::builtin();
+    let labeler = Labeler::new(&lexicon, NamingPolicy::default());
+    for config in synth_configs(0x0b00_0000_0000) {
+        let synth = SynthDomain::generate(config.clone());
         let prepared = synth.domain.prepare();
-        let lexicon = Lexicon::builtin();
-        let labeler = Labeler::new(&lexicon, NamingPolicy::default());
         let a = labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated);
         let b = labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated);
-        prop_assert_eq!(a.tree.clone(), b.tree.clone(), "nondeterministic labeling");
-        prop_assert!(a.report.class.is_some());
+        assert_eq!(a.tree, b.tree, "{config:?}: nondeterministic labeling");
+        assert!(a.report.class.is_some(), "{config:?}");
         for leaf in a.tree.leaves() {
             let Some(label) = &leaf.label else { continue };
             let cluster = a.leaf_cluster[&leaf.id];
             let members = &prepared.mapping.cluster(cluster).members;
-            let sourced = members.iter().any(|m| {
-                prepared.schemas[m.schema].node(m.node).label.as_ref() == Some(label)
-            });
-            prop_assert!(sourced, "label {:?} not sourced from its cluster", label);
-        }
-    }
-
-    /// FldAcc is 100% whenever every cluster has at least one labeled
-    /// member (the synthetic generator guarantees it).
-    #[test]
-    fn synthetic_fields_all_labeled(config in synth_config()) {
-        let synth = SynthDomain::generate(config);
-        let prepared = synth.domain.prepare();
-        let lexicon = Lexicon::builtin();
-        let labeler = Labeler::new(&lexicon, NamingPolicy::default());
-        let labeled = labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated);
-        for leaf in labeled.tree.leaves() {
-            prop_assert!(
-                leaf.label.is_some(),
-                "cluster {} unlabeled despite labeled members",
-                prepared.mapping.cluster(labeled.leaf_cluster[&leaf.id]).concept
+            let sourced = members
+                .iter()
+                .any(|m| prepared.schemas[m.schema].node(m.node).label.as_ref() == Some(label));
+            assert!(
+                sourced,
+                "{config:?}: label {label:?} not sourced from its cluster"
             );
         }
     }
 }
 
-/// Replay the committed regression corpus explicitly. The real crate
-/// replays `properties.proptest-regressions` from the recorded hashes
-/// before generating novel cases; the shim cannot reconstruct inputs
-/// from a hash, so instead it parses the shrunken `SynthConfig`
-/// literals out of the file's comments and runs every invariant-bearing
-/// property on each — the corpus keeps biting either way.
+/// FldAcc is 100% whenever every cluster has at least one labeled member
+/// (the synthetic generator guarantees it).
+#[test]
+fn synthetic_fields_all_labeled() {
+    let lexicon = Lexicon::builtin();
+    let labeler = Labeler::new(&lexicon, NamingPolicy::default());
+    for config in synth_configs(0x0c00_0000_0000) {
+        let synth = SynthDomain::generate(config.clone());
+        let prepared = synth.domain.prepare();
+        let labeled = labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated);
+        for leaf in labeled.tree.leaves() {
+            assert!(
+                leaf.label.is_some(),
+                "{config:?}: cluster {} unlabeled despite labeled members",
+                prepared
+                    .mapping
+                    .cluster(labeled.leaf_cluster[&leaf.id])
+                    .concept
+            );
+        }
+    }
+}
+
+/// The regression corpus on its own, through merge validation, leaf
+/// count, deterministic labeling, report classification and full field
+/// coverage — so a regression case fails under a name of its own.
 #[test]
 fn regression_corpus_replays() {
-    let corpus = include_str!("properties.proptest-regressions");
-    let cases = proptest::regressions::parse(corpus, "SynthConfig");
-    assert!(!cases.is_empty(), "regression corpus lost its cases");
-    for case in &cases {
-        let config = SynthConfig {
-            seed: case.parse("seed"),
-            interfaces: case.parse("interfaces"),
-            concepts: case.parse("concepts"),
-            groups: case.parse("groups"),
-            coverage: case.parse("coverage"),
-            unlabeled_prob: case.parse("unlabeled_prob"),
-            group_label_prob: case.parse("group_label_prob"),
-        };
+    assert!(!REGRESSIONS.is_empty(), "regression corpus lost its cases");
+    let lexicon = Lexicon::builtin();
+    let labeler = Labeler::new(&lexicon, NamingPolicy::default());
+    for config in REGRESSIONS {
         let synth = SynthDomain::generate(config.clone());
         let prepared = synth.domain.prepare();
         prepared.mapping.validate(&prepared.schemas).unwrap();
@@ -298,8 +403,6 @@ fn regression_corpus_replays() {
             prepared.mapping.len(),
             "{config:?}"
         );
-        let lexicon = Lexicon::builtin();
-        let labeler = Labeler::new(&lexicon, NamingPolicy::default());
         let a = labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated);
         let b = labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated);
         assert_eq!(a.tree, b.tree, "nondeterministic labeling on {config:?}");
