@@ -6,11 +6,14 @@
 //! tuples without null components (on the columns the partition covers)
 //! are the *tuple-solutions*, and those that already existed verbatim in
 //! the group relation are *candidate solutions*.
+//!
+//! Both run on the rows of an [`InternedRelation`]: label ids, with
+//! consistency read from its bitmasks.
 
-use crate::consistency::{rows_consistent, ConsistencyLevel};
+use crate::consistency::ConsistencyLevel;
 use crate::ctx::NamingCtx;
+use crate::kernel::{bits, InternedRelation, RowIndex};
 use crate::partition::TuplePartition;
-use qi_mapping::GroupRelation;
 use std::collections::BTreeSet;
 
 /// A consistent naming solution for a set of cluster columns.
@@ -31,13 +34,11 @@ pub struct TupleSolution {
     pub frequency: usize,
 }
 
-/// `Combine(r, s)`: non-null components of `r`, plus `s`'s where `r` is
-/// null (Definition 3).
-pub fn combine(r: &[Option<String>], s: &[Option<String>]) -> Vec<Option<String>> {
-    r.iter()
-        .zip(s)
-        .map(|(a, b)| a.clone().or_else(|| b.clone()))
-        .collect()
+/// `Combine(r, s)` on interned rows: non-null components of `r`, plus
+/// `s`'s where `r` is null (Definition 3). Writes into `out`.
+pub(crate) fn combine(r: &[u32], s: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(r.iter().zip(s).map(|(&a, &b)| if a != 0 { a } else { b }));
 }
 
 /// Safety valve for `Combine*`: the paper's operator is exponential in
@@ -45,214 +46,305 @@ pub fn combine(r: &[Option<String>], s: &[Option<String>]) -> Vec<Option<String>
 /// enumeration is capped to keep worst-case inputs bounded.
 pub const MAX_STATES: usize = 4096;
 
-/// Enumerate the tuple-solutions derivable from a partition with
-/// `Combine*` (Definition 4), complete on the partition's covered columns.
-///
-/// Solutions are deduplicated by label vector. The search explores
-/// combinations breadth-first from every member tuple, only combining
-/// pairs that are consistent at `level` (Definition 3 requires the
-/// operands to be consistent).
-pub fn enumerate_solutions(
-    relation: &GroupRelation,
+/// Rows derived by `Combine` from a partition's member tuples, each with
+/// the step that produced it, and which of them are tuple-solutions.
+pub(crate) struct Derivation {
+    width: usize,
+    /// Row-major label ids, one row per state.
+    rows: Vec<u32>,
+    /// Per state: the state it was combined from (`u32::MAX` for a member
+    /// tuple taken as is) and the tuple combined in.
+    steps: Vec<(u32, u32)>,
+    /// States that are tuple-solutions, in output order.
+    solutions: Vec<usize>,
+    /// Built by the greedy construction: a solution is a candidate iff it
+    /// is a single source tuple. (Under `Combine*` a candidate is any
+    /// solution equal to a member tuple.)
+    greedy: bool,
+}
+
+impl Derivation {
+    fn new(width: usize, greedy: bool) -> Self {
+        Derivation {
+            width,
+            rows: Vec::new(),
+            steps: Vec::new(),
+            solutions: Vec::new(),
+            greedy,
+        }
+    }
+
+    fn push(&mut self, row: &[u32], from: u32, tuple: usize) -> usize {
+        self.rows.extend_from_slice(row);
+        self.steps.push((from, tuple as u32));
+        self.steps.len() - 1
+    }
+
+    /// The tuple-solution states, in output order.
+    pub(crate) fn solutions(&self) -> &[usize] {
+        &self.solutions
+    }
+
+    /// State `s`'s label ids.
+    pub(crate) fn row(&self, s: usize) -> &[u32] {
+        &self.rows[s * self.width..(s + 1) * self.width]
+    }
+
+    /// The relation tuples whose components state `s` combines.
+    fn used(&self, mut s: usize) -> BTreeSet<usize> {
+        let mut used = BTreeSet::new();
+        loop {
+            let (from, tuple) = self.steps[s];
+            used.insert(tuple as usize);
+            if from == u32::MAX {
+                return used;
+            }
+            s = from as usize;
+        }
+    }
+
+    /// Materialize state `s` as a [`TupleSolution`].
+    pub(crate) fn solution(
+        &self,
+        s: usize,
+        relation: &mut InternedRelation<'_>,
+        partition: &TuplePartition,
+        ctx: &NamingCtx<'_>,
+    ) -> TupleSolution {
+        let row = self.row(s);
+        let frequency = relation.frequency(row);
+        let is_candidate = if self.greedy {
+            self.steps[s].0 == u32::MAX
+        } else {
+            frequency > 0 && partition.tuples.iter().any(|&t| relation.row(t) == row)
+        };
+        TupleSolution {
+            labels: relation.labels_of(row),
+            used_tuples: self.used(s),
+            is_candidate,
+            expressiveness: relation.expressiveness(row, ctx),
+            frequency,
+        }
+    }
+
+    /// Materialize every tuple-solution.
+    pub(crate) fn all_solutions(
+        &self,
+        relation: &mut InternedRelation<'_>,
+        partition: &TuplePartition,
+        ctx: &NamingCtx<'_>,
+    ) -> Vec<TupleSolution> {
+        self.solutions
+            .iter()
+            .map(|&s| self.solution(s, relation, partition, ctx))
+            .collect()
+    }
+}
+
+fn member_mask(relation: &InternedRelation<'_>, partition: &TuplePartition) -> Vec<u64> {
+    let mut mask = vec![0u64; relation.words()];
+    for &t in &partition.tuples {
+        mask[t / 64] |= 1 << (t % 64);
+    }
+    mask
+}
+
+fn complete(row: &[u32], partition: &TuplePartition) -> bool {
+    partition.covered.iter().all(|&c| row[c] != 0)
+}
+
+/// Into `out`, the member tuples a row can be combined with at `level`:
+/// those that add information (non-null where the row is null) and are
+/// consistent with the row, as a bitmask. `scratch` is working space.
+fn extensions(
+    relation: &mut InternedRelation<'_>,
+    row: &[u32],
+    members: &[u64],
+    level: ConsistencyLevel,
+    ctx: &NamingCtx<'_>,
+    out: &mut Vec<u64>,
+    scratch: &mut Vec<u64>,
+) {
+    out.clear();
+    out.resize(members.len(), 0);
+    for (c, &id) in row.iter().enumerate() {
+        if id == 0 {
+            relation.or_nonnull(c, out);
+        }
+    }
+    scratch.clear();
+    scratch.resize(members.len(), 0);
+    relation.or_consistent(level, row, ctx, scratch);
+    for ((a, c), m) in out.iter_mut().zip(scratch.iter()).zip(members) {
+        *a &= c & m;
+    }
+}
+
+/// `Combine*` over a partition (Definition 4): every row derivable from
+/// the member tuples, explored breadth-first from each member tuple and
+/// deduplicated by row, only combining operands consistent at `level`
+/// (Definition 3 requires it). The solutions are the states complete on
+/// the partition's covered columns. Records the explored states (and
+/// whether [`MAX_STATES`] cut the search) in `ctx`.
+pub(crate) fn combine_star(
+    relation: &mut InternedRelation<'_>,
     partition: &TuplePartition,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
-) -> Vec<TupleSolution> {
-    #[derive(Clone)]
-    struct State {
-        labels: Vec<Option<String>>,
-        used: BTreeSet<usize>,
-    }
-    let member_tuples: Vec<usize> = partition.tuples.clone();
-    let mut states: Vec<State> = Vec::new();
-    let mut seen: BTreeSet<Vec<Option<String>>> = BTreeSet::new();
-    for &t in &member_tuples {
-        let labels = relation.tuples[t].labels.clone();
-        if seen.insert(labels.clone()) {
-            states.push(State {
-                labels,
-                used: BTreeSet::from([t]),
-            });
+) -> Derivation {
+    let width = relation.width();
+    let members = member_mask(relation, partition);
+    let mut out = Derivation::new(width, false);
+    let mut seen = RowIndex::default();
+    for &t in &partition.tuples {
+        if seen.insert(&mut out.rows, width, relation.row(t)).is_some() {
+            out.steps.push((u32::MAX, t as u32));
         }
     }
-    let mut frontier: Vec<usize> = (0..states.len()).collect();
-    while !frontier.is_empty() && states.len() < MAX_STATES {
+    let mut frontier: Vec<usize> = (0..out.steps.len()).collect();
+    let (mut state, mut combined) = (Vec::with_capacity(width), Vec::with_capacity(width));
+    let (mut candidates, mut scratch) = (Vec::new(), Vec::new());
+    while !frontier.is_empty() && out.steps.len() < MAX_STATES {
         let mut next = Vec::new();
         for &si in &frontier {
-            for &t in &member_tuples {
-                let state = &states[si];
-                let other = &relation.tuples[t].labels;
-                // Must add information and be consistent with the state.
-                let adds = state
-                    .labels
-                    .iter()
-                    .zip(other)
-                    .any(|(a, b)| a.is_none() && b.is_some());
-                if !adds || !rows_consistent(&state.labels, other, level, ctx) {
-                    continue;
-                }
-                let combined = combine(&state.labels, other);
-                if seen.insert(combined.clone()) {
-                    let mut used = state.used.clone();
-                    used.insert(t);
-                    states.push(State {
-                        labels: combined,
-                        used,
-                    });
-                    next.push(states.len() - 1);
-                    if states.len() >= MAX_STATES {
+            state.clear();
+            state.extend_from_slice(out.row(si));
+            extensions(
+                relation,
+                &state,
+                &members,
+                level,
+                ctx,
+                &mut candidates,
+                &mut scratch,
+            );
+            for t in bits(&candidates) {
+                combine(&state, relation.row(t), &mut combined);
+                if seen.insert(&mut out.rows, width, &combined).is_some() {
+                    out.steps.push((si as u32, t as u32));
+                    next.push(out.steps.len() - 1);
+                    if out.steps.len() >= MAX_STATES {
                         break;
                     }
                 }
             }
-            if states.len() >= MAX_STATES {
+            if out.steps.len() >= MAX_STATES {
                 break;
             }
         }
         frontier = next;
     }
-    // Keep the states complete on the covered columns.
-    let mut solutions: Vec<TupleSolution> = Vec::new();
-    for state in states {
-        let complete = partition
-            .covered
-            .iter()
-            .all(|&col| state.labels[col].is_some());
-        if !complete {
-            continue;
-        }
-        let is_candidate = member_tuples
-            .iter()
-            .any(|&t| relation.tuples[t].labels == state.labels);
-        let frequency = relation
-            .tuples
-            .iter()
-            .filter(|t| t.labels == state.labels)
-            .count();
-        let expressiveness = tuple_expressiveness(&state.labels, ctx);
-        solutions.push(TupleSolution {
-            labels: state.labels,
-            used_tuples: state.used,
-            is_candidate,
-            expressiveness,
-            frequency,
-        });
-    }
-    solutions
+    ctx.record_combine(out.steps.len(), out.steps.len() >= MAX_STATES);
+    out.solutions = (0..out.steps.len())
+        .filter(|&s| complete(out.row(s), partition))
+        .collect();
+    out
 }
 
-/// Several greedy solutions, seeded from each of the widest member tuples
-/// (deduplicated by label vector). Gives the ranking stage alternatives
-/// to choose from even when exhaustive enumeration is off the table.
-pub fn greedy_solutions(
-    relation: &GroupRelation,
+/// Enumerate the tuple-solutions derivable from a partition with
+/// `Combine*` (Definition 4), complete on the partition's covered
+/// columns, in derivation order.
+pub fn enumerate_solutions(
+    relation: &mut InternedRelation<'_>,
     partition: &TuplePartition,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
 ) -> Vec<TupleSolution> {
+    combine_star(relation, partition, level, ctx).all_solutions(relation, partition, ctx)
+}
+
+/// Several greedy solutions, seeded from each of the widest member tuples
+/// (deduplicated by row). Gives the ranking stage alternatives to choose
+/// from even when exhaustive enumeration is off the table.
+pub(crate) fn greedy_derivation(
+    relation: &mut InternedRelation<'_>,
+    partition: &TuplePartition,
+    level: ConsistencyLevel,
+    ctx: &NamingCtx<'_>,
+) -> Derivation {
     const MAX_SEEDS: usize = 8;
+    let non_null = |t: usize| relation.row(t).iter().filter(|&&id| id != 0).count();
     let mut seeds: Vec<usize> = partition.tuples.clone();
-    seeds.sort_by_key(|&t| (usize::MAX - relation.tuples[t].non_null_count(), t));
+    seeds.sort_by_key(|&t| (usize::MAX - non_null(t), t));
     seeds.truncate(MAX_SEEDS);
-    let mut out: Vec<TupleSolution> = Vec::new();
-    let mut seen: BTreeSet<Vec<Option<String>>> = BTreeSet::new();
+    let members = member_mask(relation, partition);
+    let mut out = Derivation::new(relation.width(), true);
+    let mut seen: Vec<u32> = Vec::new();
+    let mut seen_index = RowIndex::default();
     for seed in seeds {
-        if let Some(solution) = greedy_from(relation, partition, level, ctx, seed) {
-            if seen.insert(solution.labels.clone()) {
-                out.push(solution);
+        if let Some(s) = greedy_from(relation, partition, &members, level, ctx, seed, &mut out) {
+            if seen_index
+                .insert(&mut seen, out.width, out.row(s))
+                .is_some()
+            {
+                out.solutions.push(s);
             }
         }
     }
     out
 }
 
+/// [`greedy_derivation`], materialized.
+pub fn greedy_solutions(
+    relation: &mut InternedRelation<'_>,
+    partition: &TuplePartition,
+    level: ConsistencyLevel,
+    ctx: &NamingCtx<'_>,
+) -> Vec<TupleSolution> {
+    greedy_derivation(relation, partition, level, ctx).all_solutions(relation, partition, ctx)
+}
+
 /// Greedy linear-time solution for a partition (§4.2.1: "if the time to
 /// retrieve a consistent solution is an issue then one can always be
 /// found in linear time by applying the Combine operator along a spanning
-/// tree of the connected component"). Starts from the widest tuple and
-/// repeatedly combines in the consistent tuple that fills the most nulls.
-/// Used when the exhaustive `Combine*` enumeration exceeds its state cap
-/// without producing a complete tuple (wide root groups).
-pub fn greedy_solution(
-    relation: &GroupRelation,
-    partition: &TuplePartition,
-    level: ConsistencyLevel,
-    ctx: &NamingCtx<'_>,
-) -> Option<TupleSolution> {
-    // Seed: the member tuple with the most non-null components
-    // (ties: lowest index, i.e. source order).
-    let seed = partition
-        .tuples
-        .iter()
-        .copied()
-        .max_by_key(|&t| (relation.tuples[t].non_null_count(), usize::MAX - t))?;
-    greedy_from(relation, partition, level, ctx, seed)
-}
-
-/// Greedy construction starting from a specific seed tuple.
+/// tree of the connected component"). Starts from `seed` and repeatedly
+/// combines in the consistent member tuple that fills the most nulls
+/// (ties: the lowest tuple index). Appends its steps to `out`; returns the
+/// final state when it is complete on the covered columns.
 fn greedy_from(
-    relation: &GroupRelation,
+    relation: &mut InternedRelation<'_>,
     partition: &TuplePartition,
+    members: &[u64],
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
     seed: usize,
-) -> Option<TupleSolution> {
-    let mut remaining: Vec<usize> = partition
-        .tuples
-        .iter()
-        .copied()
-        .filter(|&t| t != seed)
-        .collect();
-    let mut labels = relation.tuples[seed].labels.clone();
-    let mut used = BTreeSet::from([seed]);
-    loop {
-        let complete = partition.covered.iter().all(|&col| labels[col].is_some());
-        if complete {
-            break;
-        }
+    out: &mut Derivation,
+) -> Option<usize> {
+    let mut remaining = members.to_vec();
+    remaining[seed / 64] &= !(1 << (seed % 64));
+    let mut labels = relation.row(seed).to_vec();
+    let mut state = out.push(&labels, u32::MAX, seed);
+    let mut combined = Vec::with_capacity(labels.len());
+    let (mut candidates, mut scratch) = (Vec::new(), Vec::new());
+    while !complete(&labels, partition) {
         // Best consistent extension: adds the most nulls.
+        extensions(
+            relation,
+            &labels,
+            &remaining,
+            level,
+            ctx,
+            &mut candidates,
+            &mut scratch,
+        );
         let mut best: Option<(usize, usize)> = None; // (gain, tuple)
-        for &t in &remaining {
-            let other = &relation.tuples[t].labels;
+        for t in bits(&candidates) {
             let gain = labels
                 .iter()
-                .zip(other)
-                .filter(|(a, b)| a.is_none() && b.is_some())
+                .zip(relation.row(t))
+                .filter(|(&a, &b)| a == 0 && b != 0)
                 .count();
-            if gain == 0 || !rows_consistent(&labels, other, level, ctx) {
-                continue;
-            }
-            if best.is_none_or(|(g, bt)| (gain, usize::MAX - t) > (g, usize::MAX - bt)) {
+            if best.is_none_or(|(g, _)| gain > g) {
                 best = Some((gain, t));
             }
         }
-        match best {
-            Some((_, t)) => {
-                labels = combine(&labels, &relation.tuples[t].labels);
-                used.insert(t);
-                remaining.retain(|&x| x != t);
-            }
-            None => break, // no consistent extension left
-        }
+        let (_, t) = best?; // no consistent extension left
+        combine(&labels, relation.row(t), &mut combined);
+        std::mem::swap(&mut labels, &mut combined);
+        state = out.push(&labels, state as u32, t);
+        remaining[t / 64] &= !(1 << (t % 64));
     }
-    let complete = partition.covered.iter().all(|&col| labels[col].is_some());
-    if !complete {
-        return None;
-    }
-    let is_candidate = used.len() == 1;
-    let frequency = relation
-        .tuples
-        .iter()
-        .filter(|t| t.labels == labels)
-        .count();
-    let expressiveness = tuple_expressiveness(&labels, ctx);
-    Some(TupleSolution {
-        labels,
-        used_tuples: used,
-        is_candidate,
-        expressiveness,
-        frequency,
-    })
+    Some(state)
 }
 
 /// Distinct content words across the non-null labels of a row (§4.2.1).
@@ -271,7 +363,7 @@ mod tests {
     use super::*;
     use crate::partition::partition_tuples;
     use qi_lexicon::Lexicon;
-    use qi_mapping::ClusterId;
+    use qi_mapping::{ClusterId, GroupRelation};
 
     fn cids(n: u32) -> Vec<ClusterId> {
         (0..n).map(ClusterId).collect()
@@ -279,20 +371,10 @@ mod tests {
 
     #[test]
     fn combine_overlays() {
-        let r = vec![
-            Some("Seniors".to_string()),
-            Some("Adults".to_string()),
-            None,
-        ];
-        let s = vec![None, Some("Adult".to_string()), Some("Infants".to_string())];
-        assert_eq!(
-            combine(&r, &s),
-            vec![
-                Some("Seniors".to_string()),
-                Some("Adults".to_string()), // r wins where both non-null
-                Some("Infants".to_string()),
-            ]
-        );
+        // (Seniors, Adults, ∅) ⊕ (∅, Adult, Infants), as column-local ids.
+        let mut out = Vec::new();
+        combine(&[1, 1, 0], &[0, 2, 1], &mut out);
+        assert_eq!(out, vec![1, 1, 1], "r wins where both are non-null");
     }
 
     /// §4.1: Combine(british, economytravel) = (Seniors, Adults, Children,
@@ -314,7 +396,8 @@ mod tests {
         );
         let result = partition_tuples(&relation, ConsistencyLevel::String, &ctx);
         let full = &result.partitions[result.full[0]];
-        let solutions = enumerate_solutions(&relation, full, ConsistencyLevel::String, &ctx);
+        let mut interned = InternedRelation::new(&relation, &ctx);
+        let solutions = enumerate_solutions(&mut interned, full, ConsistencyLevel::String, &ctx);
         let expected: Vec<Option<String>> = ["Seniors", "Adults", "Children", "Infants"]
             .iter()
             .map(|s| Some(s.to_string()))
@@ -342,7 +425,8 @@ mod tests {
         let result = partition_tuples(&relation, ConsistencyLevel::String, &ctx);
         assert!(result.has_full_cover());
         let full = &result.partitions[result.full[0]];
-        let solutions = enumerate_solutions(&relation, full, ConsistencyLevel::String, &ctx);
+        let mut interned = InternedRelation::new(&relation, &ctx);
+        let solutions = enumerate_solutions(&mut interned, full, ConsistencyLevel::String, &ctx);
         let full_solution = solutions
             .iter()
             .find(|s| s.labels.iter().all(Option::is_some))
@@ -392,7 +476,8 @@ mod tests {
             .iter()
             .find(|p| p.covered.contains(&0))
             .unwrap();
-        let solutions = enumerate_solutions(&relation, p, ConsistencyLevel::String, &ctx);
+        let mut interned = InternedRelation::new(&relation, &ctx);
+        let solutions = enumerate_solutions(&mut interned, p, ConsistencyLevel::String, &ctx);
         // The solution is complete on columns {0,1} and null on column 2.
         assert!(solutions
             .iter()

@@ -7,9 +7,11 @@
 //! failing that, synonymy (§4.1, "the general directions of the
 //! algorithm").
 
-use crate::ctx::NamingCtx;
+//!
+//! Consistency itself is evaluated on interned relations: see
+//! [`crate::kernel::InternedRelation::consistent`].
+
 use crate::relations::LabelRelation;
-use qi_mapping::GroupTuple;
 
 /// Consistency level of Definition 2, in relaxation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -55,48 +57,27 @@ impl std::fmt::Display for ConsistencyLevel {
     }
 }
 
-/// Definition 2: two tuples are consistent at `level` if some shared
-/// cluster column carries labels related at that level.
-pub fn tuples_consistent(
-    a: &GroupTuple,
-    b: &GroupTuple,
-    level: ConsistencyLevel,
-    ctx: &NamingCtx<'_>,
-) -> bool {
-    a.labels
-        .iter()
-        .zip(&b.labels)
-        .any(|(la, lb)| match (la, lb) {
-            (Some(la), Some(lb)) => level.admits(ctx.relate(la, lb)),
-            _ => false,
-        })
-}
-
-/// Consistency of label rows expressed as slices of options — used on
-/// combined (in-progress) tuples that no longer correspond to a single
-/// schema.
-pub fn rows_consistent(
-    a: &[Option<String>],
-    b: &[Option<String>],
-    level: ConsistencyLevel,
-    ctx: &NamingCtx<'_>,
-) -> bool {
-    a.iter().zip(b).any(|(la, lb)| match (la, lb) {
-        (Some(la), Some(lb)) => level.admits(ctx.relate(la, lb)),
-        _ => false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::NamingCtx;
+    use crate::kernel::InternedRelation;
     use qi_lexicon::Lexicon;
+    use qi_mapping::{ClusterId, GroupRelation};
 
-    fn tuple(schema: usize, labels: &[Option<&str>]) -> GroupTuple {
-        GroupTuple {
-            schema,
-            labels: labels.iter().map(|l| l.map(str::to_string)).collect(),
-        }
+    /// Definition 2 on a two-tuple relation.
+    fn tuples_consistent(
+        a: &[Option<&str>],
+        b: &[Option<&str>],
+        level: ConsistencyLevel,
+        ctx: &NamingCtx<'_>,
+    ) -> bool {
+        let clusters: Vec<ClusterId> = (0..a.len() as u32).map(ClusterId).collect();
+        let relation = GroupRelation::from_rows(&clusters, &[a.to_vec(), b.to_vec()]);
+        let mut interned = InternedRelation::new(&relation, ctx);
+        let forward = interned.consistent(0, 1, level, ctx);
+        assert_eq!(forward, interned.consistent(1, 0, level, ctx), "symmetric");
+        forward
     }
 
     #[test]
@@ -124,14 +105,8 @@ mod tests {
     fn table2_string_level() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let british = tuple(
-            3,
-            &[Some("Seniors"), Some("Adults"), Some("Children"), None],
-        );
-        let economy = tuple(
-            4,
-            &[None, Some("Adults"), Some("Children"), Some("Infants")],
-        );
+        let british = [Some("Seniors"), Some("Adults"), Some("Children"), None];
+        let economy = [None, Some("Adults"), Some("Children"), Some("Infants")];
         assert!(tuples_consistent(
             &british,
             &economy,
@@ -140,8 +115,8 @@ mod tests {
         ));
         // aa vs airtravel share no label (aa: Adults/Children; airtravel
         // after expansion: all nulls — modeled here with distinct labels).
-        let aa = tuple(0, &[None, Some("Adults"), Some("Children"), None]);
-        let airfareplanet = tuple(1, &[None, Some("Adult"), Some("Child"), Some("Infant")]);
+        let aa = [None, Some("Adults"), Some("Children"), None];
+        let airfareplanet = [None, Some("Adult"), Some("Child"), Some("Infant")];
         assert!(!tuples_consistent(
             &aa,
             &airfareplanet,
@@ -163,18 +138,12 @@ mod tests {
     fn table4_equality_level() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let alldest = tuple(
-            2,
-            &[None, Some("Class of Ticket"), Some("Preferred Airline")],
-        );
-        let cheap = tuple(
-            3,
-            &[
-                Some("Max. Number of Stops"),
-                None,
-                Some("Airline Preference"),
-            ],
-        );
+        let alldest = [None, Some("Class of Ticket"), Some("Preferred Airline")];
+        let cheap = [
+            Some("Max. Number of Stops"),
+            None,
+            Some("Airline Preference"),
+        ];
         assert!(!tuples_consistent(
             &alldest,
             &cheap,
@@ -193,8 +162,8 @@ mod tests {
     fn synonymy_level() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let a = tuple(0, &[Some("Area of Study"), None]);
-        let b = tuple(1, &[Some("Field of Work"), Some("Company")]);
+        let a = [Some("Area of Study"), None];
+        let b = [Some("Field of Work"), Some("Company")];
         assert!(!tuples_consistent(&a, &b, ConsistencyLevel::Equality, &ctx));
         assert!(tuples_consistent(&a, &b, ConsistencyLevel::Synonymy, &ctx));
     }
@@ -205,8 +174,8 @@ mod tests {
         let ctx = NamingCtx::new(&lex);
         // Table 3: {State, City} rows vs {Zip, Distance} rows share no
         // column.
-        let a = tuple(0, &[Some("State"), Some("City"), None, None]);
-        let b = tuple(1, &[None, None, Some("Zip Code"), Some("Distance")]);
+        let a = [Some("State"), Some("City"), None, None];
+        let b = [None, None, Some("Zip Code"), Some("Distance")];
         for level in ConsistencyLevel::LADDER {
             assert!(!tuples_consistent(&a, &b, level, &ctx));
         }

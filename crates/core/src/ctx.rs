@@ -11,10 +11,12 @@
 //! and the context is `Sync`: one context serves a whole domain run,
 //! including phase-1 group naming fanned out across threads.
 
+use crate::consistency::ConsistencyLevel;
 use crate::relations::{relate, LabelRelation};
 use qi_lexicon::Lexicon;
 use qi_runtime::{CacheStats, Interner, ShardedCache, Symbol};
 use qi_text::LabelText;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The carryable memo state of a naming context: the label interner plus
@@ -49,6 +51,10 @@ impl std::fmt::Debug for NamingMemo {
 pub struct NamingCtx<'a> {
     lexicon: &'a Lexicon,
     memo: Arc<NamingMemo>,
+    /// `Combine*` states explored by this run.
+    combine_states: AtomicU64,
+    /// `Combine*` enumerations of this run that reached the state cap.
+    combine_capped: AtomicU64,
 }
 
 impl<'a> NamingCtx<'a> {
@@ -60,7 +66,12 @@ impl<'a> NamingCtx<'a> {
     /// Create a context sharing an existing (possibly pre-warmed) memo.
     /// New labels seen by this run are added to the shared memo.
     pub fn with_memo(lexicon: &'a Lexicon, memo: Arc<NamingMemo>) -> Self {
-        NamingCtx { lexicon, memo }
+        NamingCtx {
+            lexicon,
+            memo,
+            combine_states: AtomicU64::new(0),
+            combine_capped: AtomicU64::new(0),
+        }
     }
 
     /// The context's memo state, for carrying into a later run.
@@ -116,6 +127,25 @@ impl<'a> NamingCtx<'a> {
         self.memo.relations.insert((a, b), r);
         self.memo.relations.insert((b, a), r.flip());
         r
+    }
+
+    /// Does the Definition 1 relation between two interned labels satisfy
+    /// `level` (Definition 2)? Equal to `level.admits(self.relate_sym(a,
+    /// b))`. `relate` tries string equality, then word equality, before
+    /// it consults the lexicon, so below synonymy the normalized texts
+    /// decide alone and neither the relation memo nor the lexicon is
+    /// touched. A label relates to itself unless it normalizes to nothing.
+    pub fn admits_sym(&self, level: ConsistencyLevel, a: Symbol, b: Symbol) -> bool {
+        if a == b {
+            return !self.text_sym(a).is_empty();
+        }
+        if level == ConsistencyLevel::Synonymy {
+            return level.admits(self.relate_sym(a, b));
+        }
+        let (ta, tb) = (self.text_sym(a), self.text_sym(b));
+        !ta.is_empty()
+            && !tb.is_empty()
+            && (ta.string_equal(&tb) || (level == ConsistencyLevel::Equality && ta.word_equal(&tb)))
     }
 
     /// `a` and `b` have identical display forms.
@@ -200,6 +230,23 @@ impl<'a> NamingCtx<'a> {
         ]
     }
 
+    /// Count one `Combine*` enumeration of `states` states, `capped` when
+    /// it stopped at [`crate::combine::MAX_STATES`].
+    pub(crate) fn record_combine(&self, states: usize, capped: bool) {
+        self.combine_states
+            .fetch_add(states as u64, Ordering::Relaxed);
+        self.combine_capped
+            .fetch_add(u64::from(capped), Ordering::Relaxed);
+    }
+
+    /// `(states explored, enumerations capped)` by `Combine*` in this run.
+    pub fn combine_stats(&self) -> (u64, u64) {
+        (
+            self.combine_states.load(Ordering::Relaxed),
+            self.combine_capped.load(Ordering::Relaxed),
+        )
+    }
+
     /// Enable or disable the context's memo-caches (benchmarks measure
     /// the uncached pipeline through this).
     pub fn set_cache_enabled(&self, enabled: bool) {
@@ -260,6 +307,39 @@ mod tests {
         assert!(ctx.at_least_as_general("Class", "Flight Class"));
         assert!(!ctx.at_least_as_general("Flight Class", "Class"));
         assert_eq!(ctx.expressiveness("Max. Number of Stops"), 3);
+    }
+
+    #[test]
+    fn admits_agrees_with_relate_at_every_level() {
+        let lex = Lexicon::builtin();
+        let ctx = NamingCtx::new(&lex);
+        let labels = [
+            "Adults",
+            "adults",
+            "Adult",
+            "Type of Job",
+            "Job Type",
+            "Employment Type",
+            "Area of Study",
+            "Field of Work",
+            "Class",
+            "Class of Ticket",
+            "of",
+            "",
+            "?",
+        ];
+        for a in labels {
+            for b in labels {
+                let (sa, sb) = (ctx.sym(a), ctx.sym(b));
+                for level in ConsistencyLevel::LADDER {
+                    assert_eq!(
+                        ctx.admits_sym(level, sa, sb),
+                        level.admits(ctx.relate_sym(sa, sb)),
+                        "{a:?} vs {b:?} at {level}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,452 @@
+//! The interned naming kernel: a group relation as rows of label ids.
+//!
+//! `name_group` compares the same few labels over and over — every pair
+//! of tuples at every consistency level, and every `Combine*` state
+//! against every member tuple. [`InternedRelation`] interns the relation
+//! once per naming run so that all of that work is integer work:
+//!
+//! * every label becomes a column-local `u32` id built from the exact
+//!   label string (`0` = null), so Definition 3's `Combine` and row
+//!   equality compare ids, and `Adults`/`adults` stay distinct;
+//! * Definition 2 consistency becomes bitmask algebra. For a level, a
+//!   column and a label id, the *admit mask* holds the tuples whose label
+//!   in that column relates to the id's label at that level. It is filled
+//!   from [`NamingCtx::admits_sym`] on first use, once per distinct label
+//!   pair of the column; the tuples consistent with a row are the OR of
+//!   the admit masks of its non-null labels;
+//! * one table counts how often each distinct row occurs in the relation
+//!   (§4.2.1's *frequency*), and each label's content-word stems are
+//!   interned once for *expressiveness*.
+
+use crate::consistency::ConsistencyLevel;
+use crate::ctx::NamingCtx;
+use qi_mapping::GroupRelation;
+use qi_runtime::Symbol;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Iterate the set bits of a bitmask, ascending.
+pub(crate) fn bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some(w * 64 + bit)
+        })
+    })
+}
+
+fn or_into(into: &mut [u64], mask: &[u64]) {
+    for (a, b) in into.iter_mut().zip(mask) {
+        *a |= b;
+    }
+}
+
+fn hash_row(row: &[u32]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &id in row {
+        h = (h.rotate_left(5) ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    h
+}
+
+/// Passes a precomputed row hash through unchanged.
+#[derive(Default)]
+struct RowHash(u64);
+
+impl Hasher for RowHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("row hashes are written as u64")
+    }
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// A hash index over the rows of an arena of `width`-id rows, for
+/// dedup and lookup without a per-row allocation. Row `i` of the arena
+/// is `arena[i * width..(i + 1) * width]`; every row is registered in
+/// arena order.
+#[derive(Debug, Default)]
+pub(crate) struct RowIndex {
+    heads: HashMap<u64, u32, BuildHasherDefault<RowHash>>,
+    /// Next arena row with the same hash (`u32::MAX` ends the chain).
+    next: Vec<u32>,
+}
+
+impl RowIndex {
+    /// The arena index of a row equal to `row`, if registered.
+    pub(crate) fn find(&self, arena: &[u32], width: usize, row: &[u32]) -> Option<usize> {
+        self.find_hashed(arena, width, row, hash_row(row))
+    }
+
+    fn find_hashed(&self, arena: &[u32], width: usize, row: &[u32], hash: u64) -> Option<usize> {
+        let mut at = *self.heads.get(&hash)?;
+        while at != u32::MAX {
+            let i = at as usize;
+            if &arena[i * width..(i + 1) * width] == row {
+                return Some(i);
+            }
+            at = self.next[i];
+        }
+        None
+    }
+
+    /// Append `row` to the arena and register it, unless an equal row is
+    /// already there. Returns the new row's index when it was added.
+    pub(crate) fn insert(
+        &mut self,
+        arena: &mut Vec<u32>,
+        width: usize,
+        row: &[u32],
+    ) -> Option<usize> {
+        let hash = hash_row(row);
+        if self.find_hashed(arena, width, row, hash).is_some() {
+            return None;
+        }
+        let i = self.next.len();
+        let head = self.heads.entry(hash).or_insert(u32::MAX);
+        self.next.push(*head);
+        *head = i as u32;
+        arena.extend_from_slice(row);
+        Some(i)
+    }
+}
+
+/// A group relation interned for one naming run (see the module docs).
+pub struct InternedRelation<'r> {
+    n: usize,
+    width: usize,
+    /// Bitmask length in 64-bit words (one bit per relation tuple).
+    words: usize,
+    /// Row-major label ids, `n × width`.
+    rows: Vec<u32>,
+    /// Column `c`'s ids `1..` occupy slots `slot_base[c]..slot_base[c + 1]`.
+    slot_base: Vec<usize>,
+    /// Per slot: the label spelling.
+    labels: Vec<&'r str>,
+    /// Per slot: the label's symbol in the naming context.
+    syms: Vec<Symbol>,
+    /// Per slot: the tuples carrying the label (bitmask).
+    carriers: Vec<u64>,
+    /// Per column: the tuples with a non-null label (bitmask).
+    nonnull: Vec<u64>,
+    /// Distinct rows (an arena indexed by `distinct_index`) and how often
+    /// each occurs in the relation.
+    distinct: Vec<u32>,
+    distinct_index: RowIndex,
+    counts: Vec<usize>,
+    /// Per consistency level: admit masks per slot, and which are filled.
+    admit: [Vec<u64>; 3],
+    filled: [Vec<bool>; 3],
+    /// Per slot: relation-local ids of the label's content-word stems.
+    stems: Vec<Option<Box<[u32]>>>,
+    stem_ids: HashMap<String, u32>,
+    /// Scratch for collecting a row's stem ids.
+    stem_scratch: Vec<u32>,
+}
+
+impl<'r> InternedRelation<'r> {
+    /// Intern `relation`'s labels against `ctx`.
+    pub fn new(relation: &'r GroupRelation, ctx: &NamingCtx<'_>) -> Self {
+        let n = relation.tuples.len();
+        let width = relation.width();
+        let words = n.div_ceil(64);
+        let mut rows = vec![0u32; n * width];
+        let mut slot_base = Vec::with_capacity(width + 1);
+        let mut labels: Vec<&'r str> = Vec::new();
+        let mut column_ids: HashMap<&'r str, u32> = HashMap::new();
+        for c in 0..width {
+            slot_base.push(labels.len());
+            column_ids.clear();
+            for (t, tuple) in relation.tuples.iter().enumerate() {
+                if let Some(label) = tuple.labels[c].as_deref() {
+                    let next = column_ids.len() as u32 + 1;
+                    let id = *column_ids.entry(label).or_insert_with(|| {
+                        labels.push(label);
+                        next
+                    });
+                    rows[t * width + c] = id;
+                }
+            }
+        }
+        slot_base.push(labels.len());
+        let slots = labels.len();
+        let syms = labels.iter().map(|l| ctx.sym(l)).collect();
+        let mut carriers = vec![0u64; slots * words];
+        let mut nonnull = vec![0u64; width * words];
+        for t in 0..n {
+            for c in 0..width {
+                let id = rows[t * width + c];
+                if id != 0 {
+                    let slot = slot_base[c] + id as usize - 1;
+                    carriers[slot * words + t / 64] |= 1 << (t % 64);
+                    nonnull[c * words + t / 64] |= 1 << (t % 64);
+                }
+            }
+        }
+        let mut distinct = Vec::new();
+        let mut distinct_index = RowIndex::default();
+        let mut counts: Vec<usize> = Vec::new();
+        for t in 0..n {
+            let row = &rows[t * width..(t + 1) * width];
+            match distinct_index.find(&distinct, width, row) {
+                Some(i) => counts[i] += 1,
+                None => {
+                    distinct_index.insert(&mut distinct, width, row);
+                    counts.push(1);
+                }
+            }
+        }
+        InternedRelation {
+            n,
+            width,
+            words,
+            rows,
+            slot_base,
+            labels,
+            syms,
+            carriers,
+            nonnull,
+            distinct,
+            distinct_index,
+            counts,
+            admit: Default::default(),
+            filled: Default::default(),
+            stems: vec![None; slots],
+            stem_ids: HashMap::new(),
+            stem_scratch: Vec::new(),
+        }
+    }
+
+    /// Number of tuples.
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Number of columns.
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Bitmask length in words.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Tuple `t`'s label ids.
+    pub fn row(&self, t: usize) -> &[u32] {
+        &self.rows[t * self.width..(t + 1) * self.width]
+    }
+
+    /// The spelling of label `id` in column `c` (`None` for null).
+    pub(crate) fn label(&self, c: usize, id: u32) -> Option<&'r str> {
+        (id != 0).then(|| self.labels[self.slot_base[c] + id as usize - 1])
+    }
+
+    /// A row of ids back as label strings.
+    pub(crate) fn labels_of(&self, row: &[u32]) -> Vec<Option<String>> {
+        row.iter()
+            .enumerate()
+            .map(|(c, &id)| self.label(c, id).map(str::to_string))
+            .collect()
+    }
+
+    /// OR into `into` the tuples with a non-null label in column `c`.
+    pub(crate) fn or_nonnull(&self, c: usize, into: &mut [u64]) {
+        or_into(into, &self.nonnull[c * self.words..(c + 1) * self.words]);
+    }
+
+    /// OR into `into` the tuples whose column-`c` label relates to label
+    /// `id` at `level` (the admit mask, filled on first use).
+    pub(crate) fn or_admit(
+        &mut self,
+        level: ConsistencyLevel,
+        c: usize,
+        id: u32,
+        ctx: &NamingCtx<'_>,
+        into: &mut [u64],
+    ) {
+        let words = self.words;
+        let (base, end) = (self.slot_base[c], self.slot_base[c + 1]);
+        let slot = base + id as usize - 1;
+        let l = level as usize;
+        if self.filled[l].is_empty() {
+            self.filled[l] = vec![false; self.labels.len()];
+            self.admit[l] = vec![0; self.labels.len() * words];
+        }
+        if !self.filled[l][slot] {
+            for other in base..end {
+                if ctx.admits_sym(level, self.syms[slot], self.syms[other]) {
+                    let (mask, carriers) = (&mut self.admit[l], &self.carriers);
+                    or_into(
+                        &mut mask[slot * words..(slot + 1) * words],
+                        &carriers[other * words..(other + 1) * words],
+                    );
+                }
+            }
+            self.filled[l][slot] = true;
+        }
+        or_into(into, &self.admit[l][slot * words..(slot + 1) * words]);
+    }
+
+    /// OR into `into` the tuples consistent with `row` at `level`
+    /// (Definition 2: some column where both are non-null and related).
+    pub(crate) fn or_consistent(
+        &mut self,
+        level: ConsistencyLevel,
+        row: &[u32],
+        ctx: &NamingCtx<'_>,
+        into: &mut [u64],
+    ) {
+        for (c, &id) in row.iter().enumerate() {
+            if id != 0 {
+                self.or_admit(level, c, id, ctx, into);
+            }
+        }
+    }
+
+    /// Definition 2: are tuples `a` and `b` consistent at `level`?
+    #[cfg(test)]
+    pub(crate) fn consistent(
+        &mut self,
+        a: usize,
+        b: usize,
+        level: ConsistencyLevel,
+        ctx: &NamingCtx<'_>,
+    ) -> bool {
+        let mut mask = vec![0u64; self.words];
+        let row = self.row(a).to_vec();
+        self.or_consistent(level, &row, ctx, &mut mask);
+        mask[b / 64] & (1 << (b % 64)) != 0
+    }
+
+    /// How many tuples of the relation equal `row` verbatim.
+    pub fn frequency(&self, row: &[u32]) -> usize {
+        self.distinct_index
+            .find(&self.distinct, self.width, row)
+            .map_or(0, |i| self.counts[i])
+    }
+
+    /// Distinct content words across the non-null labels of `row`
+    /// (§4.2.1's expressiveness).
+    pub(crate) fn expressiveness(&mut self, row: &[u32], ctx: &NamingCtx<'_>) -> usize {
+        let mut ids = std::mem::take(&mut self.stem_scratch);
+        ids.clear();
+        for (c, &id) in row.iter().enumerate() {
+            if id == 0 {
+                continue;
+            }
+            let slot = self.slot_base[c] + id as usize - 1;
+            if self.stems[slot].is_none() {
+                let text = ctx.text_sym(self.syms[slot]);
+                let stems = text
+                    .words
+                    .iter()
+                    .map(|w| {
+                        let next = self.stem_ids.len() as u32;
+                        *self.stem_ids.entry(w.stem.clone()).or_insert(next)
+                    })
+                    .collect();
+                self.stems[slot] = Some(stems);
+            }
+            ids.extend_from_slice(self.stems[slot].as_deref().unwrap_or_default());
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        let distinct = ids.len();
+        self.stem_scratch = ids;
+        distinct
+    }
+
+    /// Order two rows as their label vectors (`Vec<Option<String>>`)
+    /// would order: column by column, null first, then by spelling.
+    pub(crate) fn cmp_rows(&self, a: &[u32], b: &[u32]) -> Ordering {
+        for (c, (&x, &y)) in a.iter().zip(b).enumerate() {
+            if x != y {
+                return self.label(c, x).cmp(&self.label(c, y));
+            }
+        }
+        Ordering::Equal
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qi_lexicon::Lexicon;
+    use qi_mapping::ClusterId;
+
+    fn relation(rows: &[Vec<Option<&str>>]) -> GroupRelation {
+        let width = rows.first().map_or(0, Vec::len) as u32;
+        let clusters: Vec<ClusterId> = (0..width).map(ClusterId).collect();
+        GroupRelation::from_rows(&clusters, rows)
+    }
+
+    #[test]
+    fn ids_are_column_local_and_case_exact() {
+        let lex = Lexicon::builtin();
+        let ctx = NamingCtx::new(&lex);
+        let r = relation(&[
+            vec![Some("Adults"), Some("Adults")],
+            vec![Some("adults"), None],
+            vec![Some("Adults"), Some("Children")],
+        ]);
+        let rel = InternedRelation::new(&r, &ctx);
+        assert_eq!(rel.row(0), &[1, 1]);
+        assert_eq!(rel.row(1), &[2, 0]);
+        assert_eq!(rel.row(2), &[1, 2]);
+        assert_eq!(rel.label(0, 2), Some("adults"));
+        assert_eq!(rel.label(1, 0), None);
+        assert_eq!(rel.frequency(&[1, 1]), 1);
+        assert_eq!(rel.frequency(&[1, 0]), 0);
+        assert_eq!(
+            rel.labels_of(&[2, 0]),
+            vec![Some("adults".to_string()), None]
+        );
+    }
+
+    #[test]
+    fn masks_span_several_words() {
+        let lex = Lexicon::builtin();
+        let ctx = NamingCtx::new(&lex);
+        let rows: Vec<Vec<Option<&str>>> = (0..150)
+            .map(|i| {
+                if i % 3 == 0 {
+                    vec![Some("Make"), None]
+                } else {
+                    vec![None, Some("Model")]
+                }
+            })
+            .collect();
+        let r = relation(&rows);
+        let mut rel = InternedRelation::new(&r, &ctx);
+        assert_eq!(rel.words(), 3);
+        let mut mask = vec![0u64; rel.words()];
+        rel.or_admit(ConsistencyLevel::String, 0, 1, &ctx, &mut mask);
+        let members: Vec<usize> = bits(&mask).collect();
+        assert_eq!(members, (0..150).filter(|i| i % 3 == 0).collect::<Vec<_>>());
+        assert!(rel.consistent(0, 147, ConsistencyLevel::String, &ctx));
+        assert!(!rel.consistent(0, 148, ConsistencyLevel::Synonymy, &ctx));
+    }
+
+    #[test]
+    fn rows_order_like_label_vectors() {
+        let lex = Lexicon::builtin();
+        let ctx = NamingCtx::new(&lex);
+        let r = relation(&[vec![Some("b"), Some("x")], vec![Some("a"), None]]);
+        let rel = InternedRelation::new(&r, &ctx);
+        // Id order is first-seen order, not spelling order.
+        assert_eq!(rel.cmp_rows(rel.row(0), rel.row(1)), Ordering::Greater);
+        assert_eq!(rel.cmp_rows(&[1, 0], &[1, 1]), Ordering::Less);
+        assert_eq!(rel.cmp_rows(rel.row(0), rel.row(0)), Ordering::Equal);
+    }
+}

@@ -454,11 +454,8 @@ impl<'a> Labeler<'a> {
         // ---------- Phase 3a: assign group-field labels ----------------------
         let phase_span = self.telemetry.timed("label.phase3.groups");
         for group in &groups {
-            let best = group.naming.best();
-            let labels: Vec<Option<String>> = match best {
-                Some(solution) => solution.labels.clone(),
-                None => vec![None; group.clusters.len()],
-            };
+            let best = &group.naming.best;
+            let labels: Vec<Option<String>> = best.labels.clone();
             for (leaf, label) in group.leaves.iter().zip(&labels) {
                 tree.set_label(*leaf, label.clone());
             }
@@ -489,7 +486,7 @@ impl<'a> Labeler<'a> {
                 level: group.naming.level,
                 consistent: group.naming.consistent,
                 labels,
-                conflict_repaired: best.and_then(|s| s.conflict_repaired),
+                conflict_repaired: best.conflict_repaired,
                 leaves: group.leaves.clone(),
                 column_options,
             });
@@ -731,6 +728,9 @@ impl<'a> Labeler<'a> {
             report.unlabeled_internal_with_candidates as u64,
         );
         telemetry.add("labeler.unlabeled_fields", report.unlabeled_fields as u64);
+        let (states, capped) = ctx.combine_stats();
+        telemetry.add("labeler.combine.states", states);
+        telemetry.add("labeler.combine.capped", capped);
         // Only the per-run naming-ctx caches belong to this labeler; the
         // shared lexicon/stemmer caches are recorded as per-domain deltas
         // by the eval runner to avoid double-counting across runs.
@@ -745,9 +745,7 @@ impl<'a> Labeler<'a> {
 /// the partition that produced the solution (schemas supplying no tuple
 /// are vacuously consistent).
 fn candidate_consistent_with_group(candidate: &CandidateLabel, group: &GroupWork) -> bool {
-    let Some(solution) = group.naming.best() else {
-        return true;
-    };
+    let solution = &group.naming.best;
     if !group.naming.consistent {
         // Partially consistent solutions span partitions; full Definition
         // 6 consistency is unattainable (the node can only be weakly

@@ -6,8 +6,9 @@
 //! assembled by `Combine*`; the union of the members' non-null columns is
 //! the set of clusters the partition can name (Proposition 1).
 
-use crate::consistency::{tuples_consistent, ConsistencyLevel};
+use crate::consistency::ConsistencyLevel;
 use crate::ctx::NamingCtx;
+use crate::kernel::{bits, InternedRelation};
 use qi_mapping::GroupRelation;
 use std::collections::BTreeSet;
 
@@ -59,7 +60,7 @@ pub fn partition_tuples(
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
 ) -> PartitionResult {
-    let comp = components(relation, level, ctx);
+    let comp = components(&mut InternedRelation::new(relation, ctx), level, ctx);
     result_from_components(relation, level, &comp)
 }
 
@@ -96,43 +97,54 @@ fn canonicalize(parent: &mut Vec<usize>) -> Vec<usize> {
     comp
 }
 
+/// Union tuple `t` with every tuple consistent with it at `level`.
+fn union_neighbours(
+    relation: &mut InternedRelation<'_>,
+    parent: &mut Vec<usize>,
+    t: usize,
+    level: ConsistencyLevel,
+    ctx: &NamingCtx<'_>,
+) {
+    let mut neighbours = vec![0u64; relation.words()];
+    let row = relation.row(t).to_vec();
+    relation.or_consistent(level, &row, ctx, &mut neighbours);
+    for u in bits(&neighbours) {
+        let ru = find(parent, u);
+        let rt = find(parent, t);
+        if ru != rt {
+            parent[ru] = rt;
+        }
+    }
+}
+
 /// The canonical component ids of a partitioning: `comp[i]` is the
 /// smallest tuple index in tuple `i`'s connected component. This is the
 /// carryable form of a partitioning — [`extend_components`] grows it by
-/// one appended tuple without redoing the O(n²) pairwise closure.
+/// one appended tuple without redoing the pairwise closure.
 pub fn components(
-    relation: &GroupRelation,
+    relation: &mut InternedRelation<'_>,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
 ) -> Vec<usize> {
-    let n = relation.tuples.len();
+    let n = relation.len();
     let mut parent: Vec<usize> = (0..n).collect();
     for i in 0..n {
-        for j in (i + 1)..n {
-            if tuples_consistent(&relation.tuples[i], &relation.tuples[j], level, ctx) {
-                let ri = find(&mut parent, i);
-                let rj = find(&mut parent, j);
-                if ri != rj {
-                    parent[ri] = rj;
-                }
-            }
-        }
+        union_neighbours(relation, &mut parent, i, level, ctx);
     }
     canonicalize(&mut parent)
 }
 
 /// Extend cached [`components`] of a relation's first `n-1` tuples to
-/// cover an appended last tuple, in O(n) consistency checks instead of
-/// O(n²): edges among the old tuples are untouched by an append (their
-/// labels on shared columns are what they always were), so only the new
-/// tuple's edges need computing.
+/// cover an appended last tuple: edges among the old tuples are untouched
+/// by an append (their labels on shared columns are what they always
+/// were), so only the new tuple's edges need computing.
 pub fn extend_components(
-    relation: &GroupRelation,
+    relation: &mut InternedRelation<'_>,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
     seed: &[usize],
 ) -> Vec<usize> {
-    let n = relation.tuples.len();
+    let n = relation.len();
     debug_assert_eq!(
         seed.len() + 1,
         n,
@@ -140,16 +152,7 @@ pub fn extend_components(
     );
     let mut parent: Vec<usize> = (0..n).collect();
     parent[..n - 1].copy_from_slice(seed);
-    let appended = &relation.tuples[n - 1];
-    for t in 0..n - 1 {
-        if tuples_consistent(appended, &relation.tuples[t], level, ctx) {
-            let rt = find(&mut parent, t);
-            let rn = find(&mut parent, n - 1);
-            if rt != rn {
-                parent[rt] = rn;
-            }
-        }
-    }
+    union_neighbours(relation, &mut parent, n - 1, level, ctx);
     canonicalize(&mut parent)
 }
 

@@ -1,25 +1,31 @@
 //! Naming the fields of a group (§4.1–§4.3).
 //!
-//! `name_group` walks the relaxation ladder of Definition 2: at each
-//! consistency level it partitions the group relation (§4.1.1); as soon as
-//! some partition covers every (coverable) cluster it extracts all
-//! tuple-solutions with `Combine*`, ranks them (§4.2.1: expressiveness,
-//! then frequency — or the most-general baseline ordering), repairs
-//! homonym conflicts (§4.2.3) and reports a *consistent* naming. If no
-//! level produces a covering partition, the greedy concatenation of
-//! §4.2.2 builds a *partially consistent* naming instead.
+//! `name_group` interns the group relation once ([`InternedRelation`])
+//! and walks the relaxation ladder of Definition 2: at each consistency
+//! level it partitions the group relation (§4.1.1); as soon as some
+//! partition covers every (coverable) cluster it derives the
+//! tuple-solutions with `Combine*`, keeps the best one (§4.2.1:
+//! expressiveness, then frequency — or the most-general baseline
+//! ordering), repairs its homonym conflicts (§4.2.3) and reports a
+//! *consistent* naming. If no level produces a covering partition, the
+//! greedy concatenation of §4.2.2 builds a *partially consistent* naming
+//! instead.
 
-use crate::combine::{enumerate_solutions, greedy_solutions, tuple_expressiveness, TupleSolution};
+use crate::combine::{
+    combine_star, greedy_derivation, tuple_expressiveness, Derivation, TupleSolution,
+};
 use crate::conflicts::repair_conflicts;
 use crate::consistency::ConsistencyLevel;
 use crate::ctx::NamingCtx;
+use crate::kernel::InternedRelation;
 use crate::partition::{components, extend_components, result_from_components, TuplePartition};
 use crate::policy::{LabelSelection, NamingPolicy};
 use qi_mapping::GroupRelation;
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// One ranked naming alternative for a group.
+/// The chosen naming solution for a group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupSolution {
     /// Labels per cluster column (`None` = no source ever labels it).
@@ -42,9 +48,8 @@ pub struct GroupSolution {
 /// The naming outcome for one group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupNaming {
-    /// Alternatives, best first. Non-empty whenever the relation has at
-    /// least one tuple.
-    pub alternatives: Vec<GroupSolution>,
+    /// The best-ranked solution (all-null for a relation without tuples).
+    pub best: GroupSolution,
     /// Level at which consistency was achieved; `None` for partially
     /// consistent outcomes.
     pub level: Option<ConsistencyLevel>,
@@ -52,56 +57,34 @@ pub struct GroupNaming {
     pub consistent: bool,
 }
 
-impl GroupNaming {
-    /// The best alternative, if any.
-    pub fn best(&self) -> Option<&GroupSolution> {
-        self.alternatives.first()
+/// §4.2.1's ranking of two solutions by `(expressiveness, frequency)`
+/// keys, then by labels: `Less` when `a` ranks before `b`.
+fn rank_order(
+    selection: LabelSelection,
+    (ea, fa): (usize, usize),
+    (eb, fb): (usize, usize),
+    labels: impl FnOnce() -> Ordering,
+) -> Ordering {
+    match selection {
+        LabelSelection::MostDescriptive => eb.cmp(&ea).then(fb.cmp(&fa)).then_with(labels),
+        LabelSelection::MostGeneral => fb.cmp(&fa).then(ea.cmp(&eb)).then_with(labels),
     }
 }
 
-/// The index `rank` would sort first, without materializing the sort:
-/// first-encountered minimum under the same comparator (ties keep the
-/// earlier solution, matching the stable sort).
+/// The index of the best-ranked solution: the first-encountered minimum
+/// under [`rank_order`].
 fn best_of(solutions: &[TupleSolution], selection: LabelSelection) -> Option<usize> {
-    let cmp = |a: &TupleSolution, b: &TupleSolution| match selection {
-        LabelSelection::MostDescriptive => b
-            .expressiveness
-            .cmp(&a.expressiveness)
-            .then(b.frequency.cmp(&a.frequency))
-            .then(a.labels.cmp(&b.labels)),
-        LabelSelection::MostGeneral => b
-            .frequency
-            .cmp(&a.frequency)
-            .then(a.expressiveness.cmp(&b.expressiveness))
-            .then(a.labels.cmp(&b.labels)),
-    };
+    let key = |s: &TupleSolution| (s.expressiveness, s.frequency);
     let mut best: Option<usize> = None;
     for (i, s) in solutions.iter().enumerate() {
-        match best {
-            Some(b) if cmp(s, &solutions[b]).is_lt() => best = Some(i),
-            None => best = Some(i),
-            _ => {}
+        let b = best.map(|b| &solutions[b]);
+        if b.is_none_or(|b| {
+            rank_order(selection, key(s), key(b), || s.labels.cmp(&b.labels)).is_lt()
+        }) {
+            best = Some(i);
         }
     }
     best
-}
-
-/// Order solutions per the policy's selection strategy.
-fn rank(solutions: &mut [GroupSolution], selection: LabelSelection) {
-    match selection {
-        LabelSelection::MostDescriptive => solutions.sort_by(|a, b| {
-            b.expressiveness
-                .cmp(&a.expressiveness)
-                .then(b.frequency.cmp(&a.frequency))
-                .then(a.labels.cmp(&b.labels))
-        }),
-        LabelSelection::MostGeneral => solutions.sort_by(|a, b| {
-            b.frequency
-                .cmp(&a.frequency)
-                .then(a.expressiveness.cmp(&b.expressiveness))
-                .then(a.labels.cmp(&b.labels))
-        }),
-    }
 }
 
 /// Solutions of one partition: the exhaustive `Combine*` enumeration for
@@ -112,11 +95,11 @@ fn rank(solutions: &mut [GroupSolution], selection: LabelSelection) {
 /// paper accepts partially consistent solutions for (§4), so a single
 /// greedy solution is adequate there.
 fn partition_solutions(
-    relation: &GroupRelation,
+    relation: &mut InternedRelation<'_>,
     partition: &TuplePartition,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
-) -> Vec<TupleSolution> {
+) -> Derivation {
     const MAX_EXHAUSTIVE_TUPLES: usize = 12;
     const MAX_EXHAUSTIVE_WIDTH: usize = 8;
     const ALWAYS_EXHAUSTIVE_WIDTH: usize = 6;
@@ -124,12 +107,12 @@ fn partition_solutions(
         || (partition.tuples.len() <= MAX_EXHAUSTIVE_TUPLES
             && partition.covered.len() <= MAX_EXHAUSTIVE_WIDTH)
     {
-        let solutions = enumerate_solutions(relation, partition, level, ctx);
-        if !solutions.is_empty() {
-            return solutions;
+        let derived = combine_star(relation, partition, level, ctx);
+        if !derived.solutions().is_empty() {
+            return derived;
         }
     }
-    greedy_solutions(relation, partition, level, ctx)
+    greedy_derivation(relation, partition, level, ctx)
 }
 
 fn to_group_solution(solution: TupleSolution, partition_tuples: Vec<usize>) -> GroupSolution {
@@ -142,6 +125,52 @@ fn to_group_solution(solution: TupleSolution, partition_tuples: Vec<usize>) -> G
         is_candidate: solution.is_candidate,
         conflict_repaired: None,
     }
+}
+
+/// The best-ranked solution across the covering partitions at one level
+/// (`None` when none of them yields a complete tuple). Only the winner is
+/// materialized; ties keep the earlier solution, in partition order and
+/// then derivation order.
+fn best_consistent(
+    relation: &mut InternedRelation<'_>,
+    partitions: &[&TuplePartition],
+    level: ConsistencyLevel,
+    ctx: &NamingCtx<'_>,
+    selection: LabelSelection,
+) -> Option<GroupSolution> {
+    // (rank key, label ids, materialized solution) of the best so far.
+    let mut best: Option<((usize, usize), Vec<u32>, GroupSolution)> = None;
+    for partition in partitions {
+        let derived = partition_solutions(relation, partition, level, ctx);
+        let mut winner: Option<((usize, usize), usize)> = None;
+        for &s in derived.solutions() {
+            let row = derived.row(s);
+            let key = (relation.expressiveness(row, ctx), relation.frequency(row));
+            let beats = |(other_key, other_row): ((usize, usize), &[u32])| {
+                rank_order(selection, key, other_key, || {
+                    relation.cmp_rows(row, other_row)
+                })
+                .is_lt()
+            };
+            let leads = match (winner, &best) {
+                (Some((k, w)), _) => beats((k, derived.row(w))),
+                (None, Some((k, r, _))) => beats((*k, r)),
+                (None, None) => true,
+            };
+            if leads {
+                winner = Some((key, s));
+            }
+        }
+        if let Some((key, s)) = winner {
+            let solution = derived.solution(s, relation, partition, ctx);
+            best = Some((
+                key,
+                derived.row(s).to_vec(),
+                to_group_solution(solution, partition.tuples.clone()),
+            ));
+        }
+    }
+    best.map(|(_, _, solution)| solution)
 }
 
 /// Solutions of one partition at one level, in partition-tuple form —
@@ -266,19 +295,20 @@ fn name_group_impl(
     capture: bool,
     seed: Option<&ExtendSeed<'_>>,
 ) -> (GroupNaming, Option<GroupNamingState>) {
+    let null_solution = || GroupSolution {
+        labels: vec![None; relation.width()],
+        used_tuples: BTreeSet::new(),
+        partition_tuples: Vec::new(),
+        expressiveness: 0,
+        frequency: 0,
+        is_candidate: false,
+        conflict_repaired: None,
+    };
     if relation.tuples.is_empty() {
         // Nothing is labeled anywhere: the group keeps null labels.
         return (
             GroupNaming {
-                alternatives: vec![GroupSolution {
-                    labels: vec![None; relation.width()],
-                    used_tuples: BTreeSet::new(),
-                    partition_tuples: Vec::new(),
-                    expressiveness: 0,
-                    frequency: 0,
-                    is_candidate: false,
-                    conflict_repaired: None,
-                }],
+                best: null_solution(),
                 level: None,
                 consistent: false,
             },
@@ -286,14 +316,15 @@ fn name_group_impl(
         );
     }
     let n = relation.tuples.len();
+    let mut interned = InternedRelation::new(relation, ctx);
     // Components at a level: seeded extension when the previous run
-    // partitioned at this level (O(n) new-tuple edges), full O(n²)
-    // closure otherwise.
-    let comps_for = |level: ConsistencyLevel| -> Vec<usize> {
+    // partitioned at this level (only the new tuple's edges), the full
+    // pairwise closure otherwise.
+    let comps_for = |interned: &mut InternedRelation<'_>, level: ConsistencyLevel| {
         if let Some(seed) = seed {
             if let Some((_, old)) = seed.old.levels.iter().find(|(l, _)| *l == level) {
                 if seed.appended && old.len() + 1 == n {
-                    return extend_components(relation, level, ctx, old);
+                    return extend_components(interned, level, ctx, old);
                 }
                 if !seed.appended && old.len() == n {
                     // No appended tuple: the component structure is
@@ -302,50 +333,34 @@ fn name_group_impl(
                 }
             }
         }
-        components(relation, level, ctx)
+        components(interned, level, ctx)
     };
     let mut visited: Vec<(ConsistencyLevel, Vec<usize>)> = Vec::new();
     for level in policy.levels() {
-        let comps = comps_for(level);
+        let comps = comps_for(&mut interned, level);
         let result = result_from_components(relation, level, &comps);
         visited.push((level, comps));
         if !result.has_full_cover() {
             continue;
         }
-        let mut alternatives: Vec<GroupSolution> = Vec::new();
-        // Dedup on interned label symbols: equality matches exact-string
-        // dedup, but each key is a handful of u32s instead of cloned
-        // Strings.
-        let mut seen: BTreeSet<Vec<Option<qi_runtime::Symbol>>> = BTreeSet::new();
-        for &pi in &result.full {
-            let partition = &result.partitions[pi];
-            for solution in partition_solutions(relation, partition, level, ctx) {
-                let key: Vec<Option<qi_runtime::Symbol>> = solution
-                    .labels
-                    .iter()
-                    .map(|l| l.as_deref().map(|s| ctx.sym(s)))
-                    .collect();
-                if seen.insert(key) {
-                    alternatives.push(to_group_solution(solution, partition.tuples.clone()));
-                }
-            }
-        }
-        if alternatives.is_empty() {
+        let full: Vec<&TuplePartition> = result
+            .full
+            .iter()
+            .map(|&pi| &result.partitions[pi])
+            .collect();
+        let Some(mut best) = best_consistent(&mut interned, &full, level, ctx, policy.selection)
+        else {
             // A covering partition whose Combine* closure still cannot
             // produce a complete tuple (possible when the connecting
             // tuples disagree) — fall through to the next level.
             continue;
-        }
-        rank(&mut alternatives, policy.selection);
+        };
         if policy.repair_conflicts {
-            for alternative in &mut alternatives {
-                alternative.conflict_repaired =
-                    repair_conflicts(&mut alternative.labels, relation, ctx);
-            }
+            best.conflict_repaired = repair_conflicts(&mut best.labels, relation, ctx);
         }
         return (
             GroupNaming {
-                alternatives,
+                best,
                 level: Some(level),
                 consistent: true,
             },
@@ -362,7 +377,7 @@ fn name_group_impl(
     let result = match visited.iter().find(|(l, _)| *l == max_level) {
         Some((_, comps)) => result_from_components(relation, max_level, comps),
         None => {
-            let comps = comps_for(max_level);
+            let comps = comps_for(&mut interned, max_level);
             let result = result_from_components(relation, max_level, &comps);
             visited.push((max_level, comps));
             result
@@ -394,7 +409,10 @@ fn name_group_impl(
                         .collect(),
                 )
             }
-            None => Arc::new(partition_solutions(relation, partition, max_level, ctx)),
+            None => {
+                let derived = partition_solutions(&mut interned, partition, max_level, ctx);
+                Arc::new(derived.all_solutions(&mut interned, partition, ctx))
+            }
         };
         if capture {
             captured.push(PartitionSolutions {
@@ -422,15 +440,7 @@ fn name_group_impl(
     let per_partition: Vec<GroupSolution> = keyed.into_iter().map(|(_, s)| s).collect();
     let mut merged: GroupSolution = match per_partition.first() {
         Some(first) => first.clone(),
-        None => GroupSolution {
-            labels: vec![None; relation.width()],
-            used_tuples: BTreeSet::new(),
-            partition_tuples: Vec::new(),
-            expressiveness: 0,
-            frequency: 0,
-            is_candidate: false,
-            conflict_repaired: None,
-        },
+        None => null_solution(),
     };
     merged.partition_tuples = Vec::new(); // spans partitions
     for other in per_partition.iter().skip(1) {
@@ -456,7 +466,7 @@ fn name_group_impl(
     }
     (
         GroupNaming {
-            alternatives: vec![merged],
+            best: merged,
             level: None,
             consistent: false,
         },
@@ -506,7 +516,7 @@ mod tests {
         assert!(naming.consistent);
         assert_eq!(naming.level, Some(ConsistencyLevel::String));
         assert_eq!(
-            labels(naming.best().unwrap()),
+            labels(&naming.best),
             vec!["Seniors", "Adults", "Children", "Infants"]
         );
     }
@@ -529,7 +539,7 @@ mod tests {
         let naming = name_group(&relation, &ctx, &NamingPolicy::default());
         assert!(!naming.consistent);
         assert_eq!(naming.level, None);
-        let best = naming.best().unwrap();
+        let best = &naming.best;
         assert_eq!(best.labels[0].as_deref(), Some("State"));
         assert_eq!(best.labels[1].as_deref(), Some("City"));
         assert!(best.labels[2].is_some());
@@ -564,7 +574,7 @@ mod tests {
         let naming = name_group(&relation, &ctx, &NamingPolicy::default());
         assert!(naming.consistent);
         assert_eq!(naming.level, Some(ConsistencyLevel::Equality));
-        let best = naming.best().unwrap();
+        let best = &naming.best;
         assert_eq!(best.labels[0].as_deref(), Some("Max. Number of Stops"));
         assert_eq!(best.labels[1].as_deref(), Some("Class of Ticket"));
     }
@@ -583,11 +593,11 @@ mod tests {
         );
         let descriptive = name_group(&relation, &ctx, &NamingPolicy::default());
         assert_eq!(
-            labels(descriptive.best().unwrap()),
+            labels(&descriptive.best),
             vec!["Vehicle Make", "Vehicle Model"]
         );
         let general = name_group(&relation, &ctx, &NamingPolicy::most_general_baseline());
-        assert_eq!(labels(general.best().unwrap()), vec!["Make", "Model"]);
+        assert_eq!(labels(&general.best), vec!["Make", "Model"]);
     }
 
     #[test]
@@ -621,7 +631,7 @@ mod tests {
         let relation = GroupRelation::from_rows(&cids(3), &[]);
         let naming = name_group(&relation, &ctx, &NamingPolicy::default());
         assert!(!naming.consistent);
-        assert_eq!(naming.best().unwrap().labels, vec![None, None, None]);
+        assert_eq!(naming.best.labels, vec![None, None, None]);
     }
 
     #[test]
@@ -638,7 +648,7 @@ mod tests {
         );
         let naming = name_group(&relation, &ctx, &NamingPolicy::default());
         assert!(naming.consistent);
-        let best = naming.best().unwrap();
+        let best = &naming.best;
         assert_eq!(best.labels[2], None);
     }
 
@@ -658,7 +668,7 @@ mod tests {
         );
         let naming = name_group(&relation, &ctx, &NamingPolicy::default());
         assert!(naming.consistent);
-        let best = naming.best().unwrap();
+        let best = &naming.best;
         assert_eq!(best.labels[1].as_deref(), Some("Employment Type"));
         assert_eq!(best.conflict_repaired, None, "no conflict left to repair");
     }
@@ -687,7 +697,7 @@ mod tests {
         };
         let naming = name_group(&relation, &ctx, &policy);
         assert!(naming.consistent);
-        let best = naming.best().unwrap();
+        let best = &naming.best;
         assert_eq!(best.conflict_repaired, Some(true));
         assert_eq!(best.labels[1].as_deref(), Some("Employment Type"));
     }

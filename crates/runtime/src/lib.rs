@@ -31,6 +31,8 @@
 //!   cumulative registry);
 //! * [`JobQueue`] — a bounded close-aware job queue for long-lived
 //!   worker pools (the HTTP server's reactor/worker handoff);
+//! * [`sync`] — poison-recovering `Mutex`/`RwLock` guards, so a
+//!   panicking holder cannot disable a lock for the life of a process;
 //! * [`netpoll`] — level-triggered `poll(2)` readiness polling and a
 //!   self-wake channel (the HTTP reactor's only platform primitive).
 
@@ -45,6 +47,7 @@ pub mod memory;
 pub mod netpoll;
 pub mod pool;
 pub mod rng;
+pub mod sync;
 pub mod telemetry;
 pub mod timeseries;
 

@@ -2028,6 +2028,47 @@ mod tests {
         assert!(text.contains("\"rolling\":{"), "{text}");
     }
 
+    /// A panic while holding the store's locks must not disable the
+    /// server: reads, ingests and reloads keep answering afterwards.
+    #[test]
+    fn requests_succeed_after_a_lock_holder_panics() {
+        let store = auto_store();
+        let telemetry = Telemetry::off();
+        let config = ServerConfig::default();
+        let observe = Observe::off();
+        let send =
+            |req: &Request| handle(req, &store, &telemetry, &telemetry, &config, &observe, 0);
+        let path = std::env::temp_dir().join(format!("qi-poison-{}.snap", std::process::id()));
+        crate::snapshot::write_snapshot(&path, &store.snapshot()).unwrap();
+
+        store.poison_locks();
+        assert_eq!(
+            send(&request("GET", "/domains/auto/labels", b"")).status,
+            200
+        );
+        let body = b"interface extra\n- Make\n- Model\n";
+        let ingest = send(&request("POST", "/domains/auto/interfaces", body));
+        assert_eq!(
+            ingest.status,
+            200,
+            "{:?}",
+            String::from_utf8_lossy(&ingest.body)
+        );
+        let reload = send(&request(
+            "POST",
+            "/admin/reload",
+            path.to_string_lossy().as_bytes(),
+        ));
+        assert_eq!(
+            reload.status,
+            200,
+            "{:?}",
+            String::from_utf8_lossy(&reload.body)
+        );
+        assert_eq!(send(&request("GET", "/domains/auto/tree", b"")).status, 200);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn reload_without_a_path_is_a_client_error() {
         let store = auto_store();

@@ -28,11 +28,15 @@ use crate::artifact::{ingest_interface, slug_of, DomainArtifact};
 use crate::snapshot::{fnv1a, Snapshot};
 use qi_core::NamingPolicy;
 use qi_lexicon::Lexicon;
+// Every critical section below is one whole-value update (an insert, a
+// swap, a retain or a clear), so a lock poisoned by a panicking holder
+// still guards valid data and its guard is recovered.
+use qi_runtime::sync::{lock, read, write};
 use qi_runtime::{Category, Severity, Telemetry};
 use qi_schema::SchemaTree;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// One immutable rendered response, pinned to the artifact version it
 /// was rendered from.
@@ -113,7 +117,7 @@ impl Store {
 
     /// The naming policy every artifact was (and will be) built under.
     pub fn policy(&self) -> NamingPolicy {
-        *self.policy.read().unwrap()
+        *read(&self.policy)
     }
 
     /// The lexicon the artifacts were normalized against — query
@@ -124,22 +128,22 @@ impl Store {
 
     /// Slugs of all served domains, sorted.
     pub fn slugs(&self) -> Vec<String> {
-        self.domains.read().unwrap().keys().cloned().collect()
+        read(&self.domains).keys().cloned().collect()
     }
 
     /// The current artifact of a domain, by slug or display name.
     pub fn get(&self, domain: &str) -> Option<Arc<DomainArtifact>> {
-        self.domains.read().unwrap().get(&slug_of(domain)).cloned()
+        read(&self.domains).get(&slug_of(domain)).cloned()
     }
 
     /// Number of served domains.
     pub fn len(&self) -> usize {
-        self.domains.read().unwrap().len()
+        read(&self.domains).len()
     }
 
     /// True when no domain is served.
     pub fn is_empty(&self) -> bool {
-        self.domains.read().unwrap().is_empty()
+        read(&self.domains).is_empty()
     }
 
     /// The corpus-wide version: bumped after every successful ingest.
@@ -158,9 +162,7 @@ impl Store {
         endpoint: &'static str,
         version: u64,
     ) -> Option<Arc<CacheEntry>> {
-        self.cache
-            .read()
-            .unwrap()
+        read(&self.cache)
             .get(&(slug.to_string(), endpoint))
             .filter(|entry| entry.version == version)
             .cloned()
@@ -176,10 +178,7 @@ impl Store {
         entry: CacheEntry,
     ) -> Arc<CacheEntry> {
         let entry = Arc::new(entry);
-        self.cache
-            .write()
-            .unwrap()
-            .insert((slug, endpoint), Arc::clone(&entry));
+        write(&self.cache).insert((slug, endpoint), Arc::clone(&entry));
         entry
     }
 
@@ -190,10 +189,7 @@ impl Store {
     /// store generation before inserting — stale generations never hit
     /// anyway (version validation), this just stops them accumulating.
     pub fn prune_cached(&self, endpoint: &'static str, current: u64) {
-        self.cache
-            .write()
-            .unwrap()
-            .retain(|(_, e), entry| *e != endpoint || entry.version == current);
+        write(&self.cache).retain(|(_, e), entry| *e != endpoint || entry.version == current);
     }
 
     /// Add an interface to a domain: re-cluster, re-merge and re-label
@@ -212,14 +208,11 @@ impl Store {
         interface: SchemaTree,
         telemetry: &Telemetry,
     ) -> Option<Arc<DomainArtifact>> {
-        let _serialized = self
-            .ingest_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialized = lock(&self.ingest_lock);
         let slug = slug_of(domain);
         // Clone the current base under a brief read lock; the expensive
         // rebuild below runs with no lock held, so readers keep going.
-        let base = self.domains.read().unwrap().get(&slug)?.clone();
+        let base = read(&self.domains).get(&slug)?.clone();
         let policy = self.policy();
         let rebuilt = Arc::new(ingest_interface(
             &base,
@@ -228,10 +221,7 @@ impl Store {
             policy,
             telemetry,
         ));
-        self.domains
-            .write()
-            .unwrap()
-            .insert(slug.clone(), Arc::clone(&rebuilt));
+        write(&self.domains).insert(slug.clone(), Arc::clone(&rebuilt));
         // The bump must happen after the swap: a reader that sees the
         // new generation is then guaranteed to also see the new map.
         self.generation.fetch_add(1, Ordering::AcqRel);
@@ -239,7 +229,7 @@ impl Store {
         // those; other domains' entries stay valid. The corpus-level
         // `/domains` entry is keyed by generation, so the bump above
         // already retired it without an explicit eviction.
-        let mut cache = self.cache.write().unwrap();
+        let mut cache = write(&self.cache);
         let before = cache.len();
         cache.retain(|(s, _), _| *s != slug);
         let dropped = (before - cache.len()) as u64;
@@ -267,15 +257,9 @@ impl Store {
     /// never validate against a post-reload artifact it was not
     /// rendered from.
     pub fn reload(&self, snapshot: Snapshot, telemetry: &Telemetry) -> usize {
-        let _serialized = self
-            .ingest_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialized = lock(&self.ingest_lock);
         let Snapshot { policy, domains } = snapshot;
-        let floor = self
-            .domains
-            .read()
-            .unwrap()
+        let floor = read(&self.domains)
             .values()
             .map(|a| a.version)
             .max()
@@ -288,12 +272,12 @@ impl Store {
                 (artifact.slug(), Arc::new(artifact))
             })
             .collect();
-        *self.policy.write().unwrap() = policy;
-        *self.domains.write().unwrap() = map;
+        *write(&self.policy) = policy;
+        *write(&self.domains) = map;
         // Bump after the swap, as in ingest: a reader that observes the
         // new generation is guaranteed to also observe the new map.
         self.generation.fetch_add(1, Ordering::AcqRel);
-        let mut cache = self.cache.write().unwrap();
+        let mut cache = write(&self.cache);
         let dropped = cache.len() as u64;
         cache.clear();
         drop(cache);
@@ -308,10 +292,7 @@ impl Store {
 
     /// Capture the current state as a snapshot value (for persistence).
     pub fn snapshot(&self) -> Snapshot {
-        let domains = self
-            .domains
-            .read()
-            .unwrap()
+        let domains = read(&self.domains)
             .values()
             .map(|a| (**a).clone())
             .collect();
@@ -319,6 +300,26 @@ impl Store {
             policy: self.policy(),
             domains,
         }
+    }
+}
+
+#[cfg(test)]
+impl Store {
+    /// Fault injection: poison every lock of the store from a thread that
+    /// panics while holding them all.
+    pub(crate) fn poison_locks(&self) {
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _ingest = lock(&self.ingest_lock);
+                let _policy = write(&self.policy);
+                let _domains = write(&self.domains);
+                let _cache = write(&self.cache);
+                panic!("injected fault: a store lock holder panics");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(self.ingest_lock.is_poisoned() && self.domains.is_poisoned());
+        assert!(self.policy.is_poisoned() && self.cache.is_poisoned());
     }
 }
 
@@ -350,16 +351,9 @@ mod tests {
     }
 
     #[test]
-    fn ingest_and_reload_recover_a_poisoned_ingest_lock() {
+    fn ingest_and_reload_recover_poisoned_locks() {
         let store = auto_store();
-        std::thread::scope(|scope| {
-            let rebuild = scope.spawn(|| {
-                let _held = store.ingest_lock.lock().unwrap();
-                panic!("rebuild panicked while serialized");
-            });
-            assert!(rebuild.join().is_err());
-        });
-        assert!(store.ingest_lock.is_poisoned());
+        store.poison_locks();
         let before = store.get("auto").unwrap().interfaces();
         let extra = qi_schema::text_format::parse("interface extra\n- Make\n").unwrap();
         let after = store

@@ -25,6 +25,10 @@ cargo test -q --test matcher_props drift_corpora_indexed_equals_naive_across_rat
 # drift corpus with the fuzzy tier on (the benchmark pipeline's shape).
 # Release mode keeps the naive reference to a few seconds.
 cargo test -q --release --test matcher_props -- --ignored
+# Full-budget naming-kernel equivalence: the interned Combine*,
+# partitioning and best-only group naming equal the String-row oracle
+# on 1,500 random group relations, plus larger and state-capped ones.
+cargo test -q --release --test naming_kernel_props -- --ignored
 cargo clippy --all-targets --all-features -- -D warnings
 cargo fmt --check
 

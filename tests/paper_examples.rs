@@ -91,8 +91,7 @@ fn table2_group_relation_rows() {
     assert!(naming.consistent);
     assert_eq!(naming.level, Some(ConsistencyLevel::String));
     let labels: Vec<&str> = naming
-        .best()
-        .unwrap()
+        .best
         .labels
         .iter()
         .map(|l| l.as_deref().unwrap())
