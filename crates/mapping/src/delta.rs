@@ -1,78 +1,208 @@
 //! Incremental (delta) clustering: append one new interface to an
 //! existing matcher-derived mapping without re-scoring the old corpus.
 //!
-//! The full matcher processes accepted pairs in ascending `(i, j)` order
-//! over the concatenated field list. When exactly one interface is
-//! appended, three structural facts make a targeted update equivalent to
-//! the full re-run:
+//! # Exact replay
 //!
-//! 1. New–new pairs are never scored (all new fields share the appended
-//!    schema, and same-schema pairs are skipped), so the new fields can
-//!    only attach to *old* components.
-//! 2. Old–old pairs score identically, so the old partition re-forms
-//!    exactly — provided the base mapping was itself produced by the
-//!    matcher under the same configuration (callers must guarantee this).
-//! 3. Every component holds at most one field per schema, so any two
-//!    fragments of one final cluster are schema-disjoint at all times;
-//!    attaching a new field early can never block a later old–old union
-//!    (the appended schema occurs in no old fragment).
+//! The indexed engine ([`crate::index`]) merges every accepted field
+//! pair `(i, j)`, `i < j`, in ascending order through a schema-bitset
+//! union-find; its output is a function of that pair sequence alone. A
+//! [`MatchCarry`] keeps the sequence (the *pair log*) from the run that
+//! produced the mapping, together with the engine's own distinct-label
+//! state. Appending one interface changes the sequence in exactly one
+//! way:
 //!
-//! Hence, writing `S(n)` for the set of old clusters containing at least
-//! one accepted match partner of new field `n`: when every `S(n)` has at
-//! most one element and no two new fields share the same target cluster,
-//! the full re-run's output is exactly the old partition with each `n`
-//! appended to its `S(n)` cluster (or appended as a fresh singleton when
-//! `S(n)` is empty). The two guarded cases — a new field *bridging* two
-//! old clusters, and two new fields landing in one cluster (where merge
-//! order and the same-schema clash interact) — conservatively fall back
-//! to the full matcher; [`DeltaOutcome::Fallback`] reports which guard
-//! fired. Candidates come from the same posting families the indexed
-//! engine uses (interned stems, synset ids, fuzzy signatures), built over
-//! the *old* fields only and probed with the new fields.
+//! 1. Old–old verdicts are unchanged: the predicate is pure and an old
+//!    field's label key is unchanged, so the old pairs are the log.
+//! 2. New–new pairs are never scored (all new fields share the appended
+//!    schema, and same-schema pairs are skipped).
+//! 3. Every other pair is `(i, n)` with `i` old and `n` new, judged in
+//!    the orientation `(label(i), label(n))`, because the appended schema
+//!    comes last.
+//!
+//! So the delta matcher normalizes only the new labels, scores each new
+//! *distinct* label against the old distinct labels its postings reach
+//! (the same exhaustive blocking as the batch engine, or every old label
+//! where signature blocking is unsound), expands the accepted label
+//! pairs to field pairs `(i, n)`, merges them into the log and replays
+//! the union-find over it. The replay *is* the full matcher's merge
+//! sequence, so its partition is the full re-run's by construction —
+//! including whatever the same-schema clash check decides when two new
+//! fields reach one cluster, or a new field reaches two.
+//!
+//! # The one residual guard
+//!
+//! The replayed partition is exact, but downstream state (merge folds,
+//! the labeler's cache) can only be *extended*: it assumes every old
+//! cluster survives with its members. So the outcome is
+//! [`DeltaOutcome::Incremental`] exactly when the replayed partition
+//! restricted to the old fields equals the base — each new field then
+//! either joined one old cluster or stands alone — and
+//! [`FallbackReason::Bridge`] when the append changed the old partition
+//! (a new field united two old clusters, or its early union made a
+//! later old union clash). [`FallbackReason::BaseMismatch`] reports a
+//! base that is not the carry's partition.
 
-use crate::cluster::{ClusterId, FieldRef, Mapping};
-use crate::index::{prefix_blocking_sound, signature_chars};
-use crate::matcher::{collect_fields, emit_clusters, labels_match_with, MatcherConfig};
-use qi_lexicon::{Lexicon, SynsetId};
+use crate::cluster::{Cluster, ClusterId, FieldRef, Mapping};
+use crate::index::{
+    blocking_sound, indexed_run, label_key, max_stem_chars, pack, unpack, FuzzyMemo, LabelTable,
+    Postings, Prepared, SchemaUnionFind, NO_LABEL,
+};
+use crate::matcher::{cluster_numbering, collect_fields, emit_clusters, MatchStats, MatcherConfig};
+use qi_lexicon::Lexicon;
 use qi_schema::{NodeId, SchemaTree};
+use qi_text::LabelText;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
-/// Carryable matcher state: the normalized fields of an already-matched
-/// corpus plus the candidate postings over them. Both are pure functions
-/// of `(schemas, lexicon, config)`, so a caller that holds the carry from
-/// the previous match skips re-normalizing every old label on the next
-/// append — the dominant cost of [`delta_match`] on a grown corpus.
+/// The indexed engine's state after matching a corpus, kept so the next
+/// append replays it instead of re-matching: the fields, each field's
+/// distinct label and cluster, the pair log, and the distinct labels in
+/// prepared form with their postings.
+///
+/// Every piece is shared through an `Arc` and only ever extended, so an
+/// append copies the flat per-field arrays and the log, not the labels.
+/// Distinct labels live in a chain of [`Prepared`] tables, one per
+/// append that brought new labels; a table merges into its predecessor
+/// once it holds at least half as many labels. That keeps the chain
+/// logarithmic in the appends, and copies each label O(log n) times
+/// over a carry's life.
 #[derive(Debug, Clone)]
 pub struct MatchCarry {
     config: MatcherConfig,
     /// Number of schemas the carry covers (`fields` spans exactly these).
     schema_count: usize,
-    fields: Vec<(FieldRef, Option<qi_text::LabelText>)>,
-    postings: OldPostings,
+    /// Every field, in matcher order.
+    fields: Arc<[FieldRef]>,
+    /// Per field: its distinct label id, or `NO_LABEL`.
+    label_of: Arc<[u32]>,
+    /// Per field: its cluster's index in the matcher's mapping.
+    cluster_of: Arc<[u32]>,
+    clusters: usize,
+    /// Every accepted field pair `(i, j)`, `i < j`, packed, ascending:
+    /// the union-find's merge sequence.
+    log: Arc<[u64]>,
+    /// The distinct labels, oldest table first.
+    pieces: Vec<Arc<Piece>>,
+    /// Longest stem in the corpus, for the blocking-soundness check.
+    max_stem_chars: usize,
+}
+
+/// One table of a carry's distinct labels, with its postings and label
+/// keys.
+#[derive(Debug, Clone)]
+struct Piece {
+    prepared: Prepared<'static>,
+    postings: Postings,
+    by_key: HashMap<String, u32>,
+}
+
+impl Piece {
+    fn new(prepared: Prepared<'static>, by_key: HashMap<String, u32>) -> Self {
+        Piece {
+            postings: Postings::new(&prepared),
+            prepared,
+            by_key,
+        }
+    }
+
+    fn labels(&self) -> usize {
+        self.prepared.label_ids().len()
+    }
+
+    fn absorb(&mut self, next: &Piece) {
+        self.prepared.absorb(&next.prepared);
+        self.postings.absorb(&next.postings);
+        self.by_key
+            .extend(next.by_key.iter().map(|(k, &v)| (k.clone(), v)));
+    }
+}
+
+/// A carry's pieces read as one label table.
+struct Chain<'a>(&'a [Arc<Piece>]);
+
+impl LabelTable for Chain<'_> {
+    fn word_table(&self, w: u32) -> &Prepared<'_> {
+        self.0
+            .iter()
+            .rev()
+            .map(|p| &p.prepared)
+            .find(|t| t.word_base() <= w)
+            .expect("word id within the chain")
+    }
+
+    fn label_table(&self, l: u32) -> &Prepared<'_> {
+        self.0
+            .iter()
+            .rev()
+            .map(|p| &p.prepared)
+            .find(|t| t.label_ids().start <= l)
+            .expect("label id within the chain")
+    }
 }
 
 impl MatchCarry {
-    /// Derive the carry for a corpus from scratch.
+    /// Derive the carry for a corpus from scratch (one matcher run).
     pub fn build(schemas: &[SchemaTree], lexicon: &Lexicon, config: MatcherConfig) -> Self {
-        let fields = collect_fields(schemas, lexicon);
-        let postings = OldPostings::build(&fields, lexicon, config);
-        MatchCarry {
-            config,
-            schema_count: schemas.len(),
-            fields,
-            postings,
-        }
+        match_with_carry(schemas, lexicon, config).1
     }
+
+    fn label_count(&self) -> u32 {
+        self.pieces.last().map_or(0, |p| p.prepared.label_end())
+    }
+
+    /// Whether `base` is this carry's mapping: the same clusters in the
+    /// same order, each listing its members in field order.
+    fn partition_is(&self, base: &Mapping) -> bool {
+        if base.clusters.len() != self.clusters {
+            return false;
+        }
+        let mut seen = vec![0usize; self.clusters];
+        for (field, &k) in self.fields.iter().zip(self.cluster_of.iter()) {
+            let k = k as usize;
+            if base.clusters[k].members.get(seen[k]) != Some(field) {
+                return false;
+            }
+            seen[k] += 1;
+        }
+        base.clusters
+            .iter()
+            .zip(&seen)
+            .all(|(c, &n)| c.members.len() == n)
+    }
+}
+
+/// Match `schemas` like [`crate::match_by_labels_with`] (the same
+/// mapping) and keep the run's state as the carry for the next append.
+pub fn match_with_carry(
+    schemas: &[SchemaTree],
+    lexicon: &Lexicon,
+    config: MatcherConfig,
+) -> (Mapping, MatchCarry) {
+    let fields = collect_fields(schemas, lexicon);
+    let run = indexed_run(&fields, lexicon, config, &mut MatchStats::default(), true);
+    let mapping = emit_clusters(&fields, &run.roots);
+    let (cluster_of, clusters) = cluster_numbering(&run.roots);
+    let carry = MatchCarry {
+        config,
+        schema_count: schemas.len(),
+        fields: fields.iter().map(|(f, _)| *f).collect(),
+        label_of: run.label_of.into(),
+        cluster_of: cluster_of.into(),
+        clusters,
+        log: run.log.into(),
+        pieces: vec![Arc::new(Piece::new(run.prepared.into_owned(), run.by_key))],
+        max_stem_chars: max_stem_chars(fields.iter().filter_map(|(_, l)| l.as_ref())),
+    };
+    (mapping, carry)
 }
 
 /// Result of attempting a delta update.
 #[derive(Debug, Clone)]
 pub enum DeltaOutcome {
-    /// The append was structurally simple; `mapping` is bit-identical to
-    /// what a full re-match of all schemas would produce. Boxed: the
-    /// carried matcher state dwarfs the fallback variant.
+    /// The old partition survived the append; `mapping` is bit-identical
+    /// to what a full re-match of all schemas would produce.
     Incremental(Box<DeltaMapping>),
-    /// A guard fired — the caller must run the full matcher.
+    /// The caller must run the full matcher.
     Fallback(FallbackReason),
 }
 
@@ -84,9 +214,11 @@ pub struct DeltaMapping {
     pub mapping: Mapping,
     /// Old clusters that gained a member from the new interface.
     pub dirty: BTreeSet<ClusterId>,
-    /// Candidate pairs scored (the work the delta path actually did).
+    /// Predicate evaluations: `(old, new)` pairs of distinct labels
+    /// scored (a new field sharing an old label's key needs no score
+    /// against it).
     pub pairs_scored: u64,
-    /// Pairs the match predicate accepted.
+    /// Accepted field pairs `(old, new)` merged into the pair log.
     pub pairs_accepted: u64,
     /// Matcher carry covering the appended corpus, for the next append.
     pub carry: MatchCarry,
@@ -95,16 +227,10 @@ pub struct DeltaMapping {
 /// Why the delta path refused and a full rebuild is required.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackReason {
-    /// The base mapping does not cover exactly the old schemas' fields —
-    /// it was not produced by the matcher over this corpus.
+    /// The base mapping is not the matcher's mapping of the old schemas.
     BaseMismatch,
-    /// A new field matched members of two distinct old clusters; whether
-    /// they merge depends on clash state the delta tracker does not
-    /// replay.
+    /// The append changed the partition of the old fields.
     Bridge,
-    /// Two new fields attached to the same old cluster; the same-schema
-    /// clash makes the outcome order-dependent.
-    SharedJoin,
 }
 
 impl FallbackReason {
@@ -113,16 +239,14 @@ impl FallbackReason {
         match self {
             FallbackReason::BaseMismatch => "base_mismatch",
             FallbackReason::Bridge => "bridge",
-            FallbackReason::SharedJoin => "shared_join",
         }
     }
 }
 
 /// Append the last schema of `schemas` to `base` (the matcher output for
 /// `schemas[..len-1]` under `config`). Returns the updated mapping or a
-/// fallback verdict. The caller is responsible for guaranteeing that
-/// `base` really is matcher output under the same `config`; the only
-/// internally detectable violation is field-coverage mismatch.
+/// fallback verdict. Without a carry this first re-matches the old
+/// schemas to build one.
 pub fn delta_match(
     schemas: &[SchemaTree],
     base: &Mapping,
@@ -134,9 +258,9 @@ pub fn delta_match(
 
 /// [`delta_match`] with an optional [`MatchCarry`] from the previous
 /// match over `schemas[..len-1]`. A valid carry (same config, covering
-/// exactly the old schemas) skips re-normalizing the old corpus and
-/// rebuilding its postings; the carry's provenance is a caller contract,
-/// like `base` itself. A successful outcome includes the updated carry
+/// exactly the old schemas) is replayed instead of re-matching the old
+/// corpus; the carry's provenance is a caller contract (it must come
+/// from these schemas). A successful outcome includes the updated carry
 /// for the next append.
 pub fn delta_match_carried(
     schemas: &[SchemaTree],
@@ -146,245 +270,217 @@ pub fn delta_match_carried(
     carry: Option<&MatchCarry>,
 ) -> DeltaOutcome {
     let new_schema = schemas.len() - 1;
-    let carry = carry.filter(|c| c.config == config && c.schema_count == new_schema);
-    let (fields, old_len) = match carry {
-        Some(c) => {
-            let mut fields = c.fields.clone();
-            let old_len = fields.len();
-            let tree = &schemas[new_schema];
-            for leaf in tree.descendant_leaves(NodeId::ROOT) {
-                let label = tree
-                    .node(leaf)
-                    .label
-                    .as_deref()
-                    .map(|raw| qi_text::LabelText::new(raw, lexicon));
-                fields.push((FieldRef::new(new_schema, leaf), label));
-            }
-            (fields, old_len)
-        }
+    let built;
+    let carry = match carry.filter(|c| c.config == config && c.schema_count == new_schema) {
+        Some(carry) => carry,
         None => {
-            let fields = collect_fields(schemas, lexicon);
-            let old_len = fields
-                .iter()
-                .take_while(|(f, _)| f.schema < new_schema)
-                .count();
-            (fields, old_len)
+            built = MatchCarry::build(&schemas[..new_schema], lexicon, config);
+            &built
         }
     };
-
-    // Old field → (field index, cluster). A base that does not cover the
-    // old fields exactly was not produced over this corpus.
-    let mut index_of: HashMap<FieldRef, usize> = HashMap::with_capacity(old_len);
-    for (i, (field, _)) in fields[..old_len].iter().enumerate() {
-        index_of.insert(*field, i);
-    }
-    let mut cluster_of: Vec<Option<ClusterId>> = vec![None; old_len];
-    let mut first_member: Vec<usize> = Vec::with_capacity(base.clusters.len());
-    let mut covered = 0usize;
-    for cluster in &base.clusters {
-        let mut first: Option<usize> = None;
-        for member in &cluster.members {
-            let Some(&i) = index_of.get(member) else {
-                return DeltaOutcome::Fallback(FallbackReason::BaseMismatch);
-            };
-            if cluster_of[i].is_some() {
-                return DeltaOutcome::Fallback(FallbackReason::BaseMismatch);
-            }
-            cluster_of[i] = Some(cluster.id);
-            first = Some(first.map_or(i, |f: usize| f.min(i)));
-            covered += 1;
-        }
-        let Some(first) = first else {
-            return DeltaOutcome::Fallback(FallbackReason::BaseMismatch);
-        };
-        first_member.push(first);
-    }
-    if covered != old_len {
+    if !carry.partition_is(base) {
         return DeltaOutcome::Fallback(FallbackReason::BaseMismatch);
     }
+    carry.append(&schemas[new_schema], base, lexicon)
+}
 
-    // Candidate old partners per new field. In the regime where fuzzy
-    // signature blocking is unsound the full matcher streams all pairs;
-    // the delta equivalent is scoring every labeled old field (still
-    // O(old) per new field, not O(old²)).
-    let labeled = |idx: usize| {
-        fields[idx]
-            .1
-            .as_ref()
-            .is_some_and(|l| !l.is_empty())
-            .then_some(idx)
-    };
-    let universal = config.fuzzy && !prefix_blocking_sound(&fields, config);
-    let built: Option<OldPostings> = (!universal && carry.is_none())
-        .then(|| OldPostings::build(&fields[..old_len], lexicon, config));
-    let postings: Option<&OldPostings> = if universal {
-        None
-    } else {
-        carry.map(|c| &c.postings).or(built.as_ref())
-    };
+impl MatchCarry {
+    /// Append `tree` as schema `self.schema_count` to `base` (this
+    /// carry's mapping).
+    fn append(&self, tree: &SchemaTree, base: &Mapping, lexicon: &Lexicon) -> DeltaOutcome {
+        let schema = self.schema_count;
+        let old_len = self.fields.len();
+        let old_labels = self.label_count();
+        let new_fields: Vec<(FieldRef, Option<LabelText>)> = tree
+            .descendant_leaves(NodeId::ROOT)
+            .into_iter()
+            .map(|leaf| {
+                let label = tree.node(leaf).label.as_deref();
+                let label = label.map(|raw| LabelText::new(raw, lexicon));
+                (FieldRef::new(schema, leaf), label)
+            })
+            .collect();
 
-    let mut pairs_scored = 0u64;
-    let mut pairs_accepted = 0u64;
-    // Target old cluster per new field (None = fresh singleton).
-    let mut joins: Vec<Option<ClusterId>> = vec![None; fields.len() - old_len];
-    let mut taken: HashMap<ClusterId, usize> = HashMap::new();
-    for n in old_len..fields.len() {
-        let Some(label_n) = fields[n].1.as_ref().filter(|l| !l.is_empty()) else {
-            continue;
-        };
-        let candidates: Vec<usize> = match postings {
-            Some(postings) => postings.probe(label_n, lexicon, config),
-            None => (0..old_len).filter_map(labeled).collect(),
-        };
-        let mut targets: BTreeSet<ClusterId> = BTreeSet::new();
-        for i in candidates {
-            let label_i = fields[i].1.as_ref().expect("candidates are labeled");
-            pairs_scored += 1;
-            if labels_match_with(label_i, label_n, lexicon, config) {
-                pairs_accepted += 1;
-                targets.insert(cluster_of[i].expect("old fields are covered"));
-            }
+        // A new field takes the id of the old label sharing its key, or
+        // a fresh id prepared in a new piece.
+        let mut label_of: Vec<u32> = Vec::with_capacity(old_len + new_fields.len());
+        label_of.extend_from_slice(&self.label_of);
+        let mut by_key: HashMap<String, u32> = HashMap::new();
+        let mut fresh: Vec<&LabelText> = Vec::new();
+        for (_, label) in &new_fields {
+            let id = match label.as_ref().filter(|l| !l.is_empty()) {
+                None => NO_LABEL,
+                Some(label) => {
+                    let key = label_key(label);
+                    let known = self.pieces.iter().find_map(|p| p.by_key.get(&key).copied());
+                    known.unwrap_or_else(|| {
+                        *by_key.entry(key).or_insert_with(|| {
+                            fresh.push(label);
+                            old_labels + fresh.len() as u32 - 1
+                        })
+                    })
+                }
+            };
+            label_of.push(id);
         }
-        if targets.len() > 1 {
-            return DeltaOutcome::Fallback(FallbackReason::Bridge);
+        let mut pieces = self.pieces.clone();
+        if !fresh.is_empty() {
+            let parents: Vec<&Prepared> = self.pieces.iter().map(|p| &p.prepared).collect();
+            let prepared = Prepared::new(&parents, &fresh, lexicon, self.config);
+            pieces.push(Arc::new(Piece::new(prepared.into_owned(), by_key)));
         }
-        if let Some(&target) = targets.iter().next() {
-            if taken.insert(target, n).is_some() {
-                return DeltaOutcome::Fallback(FallbackReason::SharedJoin);
-            }
-            joins[n - old_len] = Some(target);
-        }
-    }
+        let chain = Chain(&pieces);
 
-    // Re-emit through the matcher's own cluster emitter so ordering and
-    // concept naming are identical to the full run by construction.
-    let roots: Vec<usize> = (0..fields.len())
-        .map(|i| {
-            if i < old_len {
-                first_member[cluster_of[i].expect("covered").index()]
+        // Score each new distinct label against the old ones it can
+        // match, in the (old, new) orientation.
+        let max_stem = self.max_stem_chars.max(max_stem_chars(
+            new_fields.iter().filter_map(|(_, l)| l.as_ref()),
+        ));
+        let universal = self.config.fuzzy && !blocking_sound(max_stem, self.config);
+        let mut probes: Vec<u32> = label_of[old_len..]
+            .iter()
+            .copied()
+            .filter(|&l| l != NO_LABEL)
+            .collect();
+        probes.sort_unstable();
+        probes.dedup();
+        let mut memo = FuzzyMemo::default();
+        let mut pairs_scored = 0u64;
+        let mut hits: Vec<u32> = Vec::new();
+        let mut accepts: HashMap<u32, Vec<u32>> = HashMap::with_capacity(probes.len());
+        for &p in &probes {
+            hits.clear();
+            if universal {
+                hits.extend(0..old_labels);
             } else {
-                match joins[i - old_len] {
-                    Some(target) => first_member[target.index()],
-                    None => i,
+                for piece in &self.pieces {
+                    piece.postings.probe(&chain, p, &mut hits);
+                }
+                hits.sort_unstable();
+                hits.dedup();
+            }
+            // A label shared with old fields accepts them unscored.
+            let mut accepted: Vec<u32> = (p < old_labels).then_some(p).into_iter().collect();
+            for &a in &hits {
+                if a == p || a >= old_labels {
+                    continue;
+                }
+                pairs_scored += 1;
+                if chain.tier(a, p, &mut memo).is_some() {
+                    accepted.push(a);
                 }
             }
-        })
-        .collect();
-    let mapping = emit_clusters(&fields, &roots);
-    let dirty: BTreeSet<ClusterId> = joins.iter().flatten().copied().collect();
-    // The carry for the next append: this corpus's fields, postings
-    // extended by the new fields (old indices are unchanged by the
-    // append, and new indices are larger than every posted one, so
-    // extending preserves the sorted-unique invariant).
-    let mut next_postings = match (carry, built) {
-        (Some(c), _) => c.postings.clone(),
-        (None, Some(b)) => b,
-        (None, None) => OldPostings::build(&fields[..old_len], lexicon, config),
-    };
-    next_postings.extend(&fields[old_len..], old_len, lexicon, config);
-    DeltaOutcome::Incremental(Box::new(DeltaMapping {
-        mapping,
-        dirty,
-        pairs_scored,
-        pairs_accepted,
-        carry: MatchCarry {
-            config,
-            schema_count: schemas.len(),
-            fields,
-            postings: next_postings,
-        },
-    }))
-}
+            accepts.insert(p, accepted);
+        }
 
-/// Inverted postings over the old fields, mirroring the index families
-/// of the full engine: stems, synset ids, and (fuzzy tier) signature
-/// characters. Probing a new label yields a deduplicated superset of its
-/// accepting partners — the same exhaustiveness argument as
-/// [`crate::index`], restricted to old×new pairs.
-#[derive(Debug, Clone)]
-struct OldPostings {
-    stems: HashMap<String, Vec<usize>>,
-    synsets: HashMap<SynsetId, Vec<usize>>,
-    fuzzy: HashMap<char, Vec<usize>>,
-}
-
-impl OldPostings {
-    fn build(
-        old_fields: &[(FieldRef, Option<qi_text::LabelText>)],
-        lexicon: &Lexicon,
-        config: MatcherConfig,
-    ) -> Self {
-        let mut postings = OldPostings {
-            stems: HashMap::new(),
-            synsets: HashMap::new(),
-            fuzzy: HashMap::new(),
-        };
-        postings.extend(old_fields, 0, lexicon, config);
-        postings
-    }
-
-    /// Post fields starting at index `offset`. Indices must arrive in
-    /// ascending order across calls — each posting list stays sorted and
-    /// deduplicated because a field only ever appends its own index.
-    fn extend(
-        &mut self,
-        fields: &[(FieldRef, Option<qi_text::LabelText>)],
-        offset: usize,
-        lexicon: &Lexicon,
-        config: MatcherConfig,
-    ) {
-        let push_unique = |list: &mut Vec<usize>, i: usize| {
-            if list.last() != Some(&i) {
-                list.push(i);
-            }
-        };
-        for (k, (_, label)) in fields.iter().enumerate() {
-            let i = offset + k;
-            let Some(label) = label else { continue };
-            if label.is_empty() {
-                continue;
-            }
-            for word in &label.words {
-                push_unique(self.stems.entry(word.stem.clone()).or_default(), i);
-                for sid in lexicon.resolve(&word.lemma) {
-                    push_unique(self.synsets.entry(sid).or_default(), i);
-                }
-                if config.fuzzy {
-                    for c in signature_chars(&word.stem, &word.lemma) {
-                        push_unique(self.fuzzy.entry(c).or_default(), i);
-                    }
-                }
+        // Expand to field pairs (i, n): each old label's new partners,
+        // then one pass over the old fields in order.
+        let mut partners: Vec<Vec<u32>> = vec![Vec::new(); old_labels as usize];
+        for (n, &p) in label_of.iter().enumerate().skip(old_len) {
+            for &a in accepts.get(&p).into_iter().flatten() {
+                partners[a as usize].push(n as u32);
             }
         }
-    }
-
-    fn probe(
-        &self,
-        label: &qi_text::LabelText,
-        lexicon: &Lexicon,
-        config: MatcherConfig,
-    ) -> Vec<usize> {
-        let mut hits: Vec<usize> = Vec::new();
-        for word in &label.words {
-            if let Some(list) = self.stems.get(&word.stem) {
-                hits.extend_from_slice(list);
-            }
-            for sid in lexicon.resolve(&word.lemma) {
-                if let Some(list) = self.synsets.get(&sid) {
-                    hits.extend_from_slice(list);
-                }
-            }
-            if config.fuzzy {
-                for c in signature_chars(&word.stem, &word.lemma) {
-                    if let Some(list) = self.fuzzy.get(&c) {
-                        hits.extend_from_slice(list);
-                    }
-                }
+        let mut log: Vec<u64> = Vec::with_capacity(self.log.len() + 64);
+        log.extend_from_slice(&self.log);
+        for (i, &l) in label_of[..old_len].iter().enumerate() {
+            if l != NO_LABEL {
+                log.extend(partners[l as usize].iter().map(|&n| pack(i as u32, n)));
             }
         }
-        hits.sort_unstable();
-        hits.dedup();
-        hits
+        let pairs_accepted = (log.len() - self.log.len()) as u64;
+        // Two sorted runs: the stable sort merges them in linear time.
+        log.sort();
+
+        let schemas = self.fields.iter().chain(new_fields.iter().map(|(f, _)| f));
+        let mut uf = SchemaUnionFind::new(schemas.map(|f| f.schema), schema + 1);
+        for &packed in &log {
+            let (i, j) = unpack(packed);
+            uf.merge(i, j);
+        }
+
+        // The old partition must have survived: old cluster k ↔ one root.
+        let mut cluster_at = vec![u32::MAX; label_of.len()];
+        let mut root_of = vec![usize::MAX; self.clusters];
+        for (i, &k) in self.cluster_of.iter().enumerate() {
+            let root = uf.find(i);
+            match (cluster_at[root], root_of[k as usize]) {
+                (u32::MAX, usize::MAX) => {
+                    cluster_at[root] = k;
+                    root_of[k as usize] = root;
+                }
+                (at, of) if at == k && of == root => {}
+                _ => return DeltaOutcome::Fallback(FallbackReason::Bridge),
+            }
+        }
+
+        // Each new field joined the old cluster of its root, or stands
+        // alone (two new fields share a schema, so never a component).
+        let mut mapping = base.clone();
+        let mut dirty = BTreeSet::new();
+        let mut cluster_of: Vec<u32> = Vec::with_capacity(label_of.len());
+        cluster_of.extend_from_slice(&self.cluster_of);
+        for (k, (field, label)) in new_fields.iter().enumerate() {
+            let id = match cluster_at[uf.find(old_len + k)] {
+                u32::MAX => {
+                    let id = ClusterId(mapping.clusters.len() as u32);
+                    let concept = match label {
+                        Some(label) => label.display.clone(),
+                        None => format!("unlabeled_{}", id.0),
+                    };
+                    mapping.clusters.push(Cluster {
+                        id,
+                        concept,
+                        members: vec![*field],
+                    });
+                    id
+                }
+                old => {
+                    mapping.clusters[old as usize].members.push(*field);
+                    dirty.insert(ClusterId(old));
+                    ClusterId(old)
+                }
+            };
+            cluster_of.push(id.0);
+        }
+
+        compact(&mut pieces);
+        let carry = MatchCarry {
+            config: self.config,
+            schema_count: schema + 1,
+            fields: self
+                .fields
+                .iter()
+                .chain(new_fields.iter().map(|(f, _)| f))
+                .copied()
+                .collect(),
+            label_of: label_of.into(),
+            cluster_of: cluster_of.into(),
+            clusters: mapping.clusters.len(),
+            log: log.into(),
+            pieces,
+            max_stem_chars: max_stem,
+        };
+        DeltaOutcome::Incremental(Box::new(DeltaMapping {
+            mapping,
+            dirty,
+            pairs_scored,
+            pairs_accepted,
+            carry,
+        }))
+    }
+}
+
+/// Merge the newest piece into its predecessor while it holds at least
+/// half as many labels, copying the predecessor only if it is shared.
+fn compact(pieces: &mut Vec<Arc<Piece>>) {
+    while let [.., older, newer] = pieces.as_slice() {
+        if newer.labels() * 2 < older.labels() {
+            break;
+        }
+        let newer = pieces.pop().expect("two pieces");
+        let older = pieces.last_mut().expect("two pieces");
+        Arc::make_mut(older).absorb(&newer);
     }
 }
 
@@ -446,39 +542,81 @@ mod tests {
     }
 
     #[test]
-    fn bridge_falls_back() {
+    fn clash_blocked_bridge_is_incremental() {
         // Schema `a` holds Make and Brand apart (same-schema clash), so
-        // the base has two clusters a new `Manufacturer` field would
-        // bridge.
+        // a new `Manufacturer` matching both joins Make's cluster first
+        // and the clash keeps Brand out: the old partition survives.
         let schemas = vec![
             SchemaTree::build("a", vec![leaf("Make"), leaf("Brand")]).unwrap(),
             SchemaTree::build("b", vec![leaf("Price")]).unwrap(),
         ];
+        let extra = SchemaTree::build("c", vec![leaf("Manufacturer")]).unwrap();
+        assert_incremental_equals_full(schemas, extra);
+    }
+
+    #[test]
+    fn shared_join_is_incremental() {
+        // Two new same-schema fields both match the Model cluster; the
+        // replay lets the first join and the clash keeps the second a
+        // singleton, exactly as the full run does.
+        let schemas = vec![
+            SchemaTree::build("a", vec![leaf("Model")]).unwrap(),
+            SchemaTree::build("b", vec![leaf("Model")]).unwrap(),
+        ];
+        let extra = SchemaTree::build("c", vec![leaf("Model"), leaf("model:")]).unwrap();
+        assert_incremental_equals_full(schemas, extra);
+    }
+
+    #[test]
+    fn bridge_between_old_clusters_falls_back() {
+        // `Work` is a synonym of both `Job` and `Study`, which are not
+        // synonyms of each other: the new field unites two
+        // schema-disjoint old clusters, changing the old partition.
+        let schemas = vec![
+            SchemaTree::build("a", vec![leaf("Job")]).unwrap(),
+            SchemaTree::build("b", vec![leaf("Study")]).unwrap(),
+        ];
         let lexicon = Lexicon::builtin();
         let base = match_by_labels(&schemas, &lexicon);
+        assert_eq!(base.len(), 2);
         let mut all = schemas;
-        all.push(SchemaTree::build("c", vec![leaf("Manufacturer")]).unwrap());
+        all.push(SchemaTree::build("c", vec![leaf("Work")]).unwrap());
+        assert_eq!(match_by_labels(&all, &lexicon).len(), 1);
         match delta_match(&all, &base, &lexicon, MatcherConfig::default()) {
             DeltaOutcome::Fallback(FallbackReason::Bridge) => {}
             other => panic!("expected bridge fallback, got {other:?}"),
         }
     }
 
+    /// The carry chains: each step's carry replays the next append,
+    /// and a carry built by the full run agrees with the chained one.
     #[test]
-    fn shared_join_falls_back() {
-        // Two new same-schema fields both match the Model cluster; merge
-        // order and the clash check make the outcome order-dependent.
-        let schemas = vec![
-            SchemaTree::build("a", vec![leaf("Model")]).unwrap(),
-            SchemaTree::build("b", vec![leaf("Model")]).unwrap(),
-        ];
+    fn chained_carries_match_full_reruns() {
         let lexicon = Lexicon::builtin();
-        let base = match_by_labels(&schemas, &lexicon);
-        let mut all = schemas;
-        all.push(SchemaTree::build("c", vec![leaf("Model"), leaf("model:")]).unwrap());
-        match delta_match(&all, &base, &lexicon, MatcherConfig::default()) {
-            DeltaOutcome::Fallback(FallbackReason::SharedJoin) => {}
-            other => panic!("expected shared-join fallback, got {other:?}"),
+        let config = MatcherConfig::default();
+        let mut schemas = base_corpus();
+        let (mut mapping, mut carry) = match_with_carry(&schemas, &lexicon, config);
+        let extras = [
+            vec![leaf("Make"), leaf("Makes"), leaf("Colour")],
+            vec![leaf("Brand"), leaf("Color"), unlabeled_leaf()],
+            vec![leaf("Zip"), leaf("Model"), leaf("Mileage")],
+            vec![leaf("Odometer"), leaf("Price"), leaf("Cost")],
+        ];
+        for (k, fields) in extras.into_iter().enumerate() {
+            schemas.push(SchemaTree::build(&format!("x{k}"), fields).unwrap());
+            let full = match_by_labels_with(&schemas, &lexicon, config);
+            match delta_match_carried(&schemas, &mapping, &lexicon, config, Some(&carry)) {
+                DeltaOutcome::Incremental(delta) => {
+                    assert_eq!(delta.mapping, full, "step {k}");
+                    mapping = delta.mapping;
+                    carry = delta.carry;
+                }
+                DeltaOutcome::Fallback(reason) => {
+                    assert_eq!(reason, FallbackReason::Bridge, "step {k}");
+                    (mapping, carry) = match_with_carry(&schemas, &lexicon, config);
+                    assert_eq!(mapping, full, "step {k}");
+                }
+            }
         }
     }
 

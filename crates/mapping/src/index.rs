@@ -36,7 +36,8 @@
 //!    order*, exactly the order the naive double loop visits matching
 //!    pairs. The union-find therefore evolves through the same state
 //!    sequence and the output clusters are equal to the naive path's,
-//!    regardless of worker count.
+//!    regardless of worker count. On request the run records that
+//!    sequence (the *pair log*), which [`crate::delta`] replays.
 //!
 //! The predicate is not symmetric: `match_tier_with(a, b)` asks whether
 //! every word of `a` finds a partner in `b`, and the naive loop judges
@@ -79,6 +80,7 @@ use crate::matcher::{fuzzy_token_match, MatchStats, MatchTier, MatcherConfig};
 use qi_lexicon::{Lexicon, SynsetId};
 use qi_runtime::{parallel_map, resolve_threads};
 use qi_text::{ContentWord, LabelText};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -95,36 +97,54 @@ const SCORING_CHUNK: usize = 1024;
 /// keeping blocks large enough to fan out on the pool.
 const BLOCK_PAIRS: usize = 1 << 16;
 
-/// `Groups::of_field` entry of a field without a non-empty label.
-const NO_LABEL: u32 = u32::MAX;
+/// Label id of a field without a non-empty label.
+pub(crate) const NO_LABEL: u32 = u32::MAX;
 
 type Field = (FieldRef, Option<LabelText>);
 
-fn pack(i: u32, j: u32) -> u64 {
+pub(crate) fn pack(i: u32, j: u32) -> u64 {
     ((i as u64) << 32) | j as u64
 }
 
-fn unpack(packed: u64) -> (usize, usize) {
+pub(crate) fn unpack(packed: u64) -> (usize, usize) {
     ((packed >> 32) as usize, (packed & 0xFFFF_FFFF) as usize)
+}
+
+/// What one indexed run computed, for callers that keep its state
+/// (the delta matcher's carry).
+pub(crate) struct IndexedRun<'a> {
+    /// Union-find root of every field.
+    pub roots: Vec<usize>,
+    /// Each field's distinct label id, or [`NO_LABEL`].
+    pub label_of: Vec<u32>,
+    /// Label key → distinct label id.
+    pub by_key: HashMap<String, u32>,
+    /// The distinct labels in scoring form.
+    pub prepared: Prepared<'a>,
+    /// Every accepted field pair `(i, j)`, `i < j`, packed, in merge
+    /// order; empty unless requested.
+    pub log: Vec<u64>,
 }
 
 /// Compute the connected components of the match graph without
 /// materializing it: group fields by label key, prepare the distinct
 /// labels, generate candidate label pairs from postings, score them (in
 /// parallel when worthwhile), and merge the accepted field pairs in
-/// deterministic order. Returns the union-find root of every field.
-/// `fields` must be in schema order, as [`crate::matcher::collect_fields`]
-/// emits them. Pair volumes and index shape are accumulated into `stats`
-/// (plain local counters — no telemetry calls on this path).
-pub(crate) fn indexed_components(
-    fields: &[Field],
+/// deterministic order. `fields` must be in schema order, as
+/// [`crate::matcher::collect_fields`] emits them. Pair volumes and index
+/// shape are accumulated into `stats` (plain local counters — no
+/// telemetry calls on this path). The run's state is returned for
+/// callers that keep it; with `record`, that includes the pair log.
+pub(crate) fn indexed_run<'a>(
+    fields: &'a [Field],
     lexicon: &Lexicon,
     config: MatcherConfig,
     stats: &mut MatchStats,
-) -> Vec<usize> {
+    record: bool,
+) -> IndexedRun<'a> {
     debug_assert!(fields.windows(2).all(|w| w[0].0.schema <= w[1].0.schema));
     let groups = Groups::new(fields);
-    let prepared = Prepared::new(&groups.labels, lexicon, config);
+    let prepared = Prepared::new(&[], &groups.labels, lexicon, config);
     // Same-key field pairs are decided without scoring.
     let same_key: u64 = (0..groups.len()).map(|g| groups.self_pairs(g)).sum();
     stats.pairs_generated += same_key;
@@ -134,15 +154,29 @@ pub(crate) fn indexed_components(
         score_all_label_pairs_streaming(&groups, &prepared, config, stats)
     } else {
         let mut directed = Vec::new();
-        for packed in candidate_label_pairs(&groups, &prepared, config, stats) {
+        for packed in candidate_label_pairs(&groups, &prepared, stats) {
             push_orientations(&groups, packed, &mut directed, stats);
         }
         score_directed(&prepared, &directed, config, stats)
     };
     let schema_count = fields.iter().map(|(f, _)| f.schema + 1).max().unwrap_or(0);
-    let mut uf = SchemaUnionFind::new(fields, schema_count);
-    merge_accepted(fields, &groups, accepted, &mut uf, stats);
-    (0..fields.len()).map(|i| uf.find(i)).collect()
+    let mut uf = SchemaUnionFind::new(fields.iter().map(|(f, _)| f.schema), schema_count);
+    let mut log = Vec::new();
+    merge_accepted(
+        fields,
+        &groups,
+        accepted,
+        &mut uf,
+        stats,
+        record.then_some(&mut log),
+    );
+    IndexedRun {
+        roots: (0..fields.len()).map(|i| uf.find(i)).collect(),
+        label_of: groups.of_field,
+        by_key: groups.by_key,
+        prepared,
+        log,
+    }
 }
 
 /// Fields grouped by label key (the ASCII-lowercased display form).
@@ -156,16 +190,18 @@ struct Groups<'a> {
     schemas: Vec<Vec<(u32, u32)>>,
     /// Each field's group, or [`NO_LABEL`].
     of_field: Vec<u32>,
+    /// Label key → group.
+    by_key: HashMap<String, u32>,
 }
 
 impl<'a> Groups<'a> {
     fn new(fields: &'a [Field]) -> Self {
-        let mut by_key: HashMap<String, u32> = HashMap::new();
         let mut groups = Groups {
             labels: Vec::new(),
             members: Vec::new(),
             schemas: Vec::new(),
             of_field: Vec::with_capacity(fields.len()),
+            by_key: HashMap::new(),
         };
         for (i, (field, label)) in fields.iter().enumerate() {
             let Some(label) = label.as_ref().filter(|l| !l.is_empty()) else {
@@ -173,9 +209,7 @@ impl<'a> Groups<'a> {
                 continue;
             };
             let next = groups.labels.len() as u32;
-            let g = *by_key
-                .entry(label.display.to_ascii_lowercase())
-                .or_insert(next);
+            let g = *groups.by_key.entry(label_key(label)).or_insert(next);
             if g == next {
                 groups.labels.push(label);
                 groups.members.push(Vec::new());
@@ -236,101 +270,238 @@ impl<'a> Groups<'a> {
     }
 }
 
-/// The distinct labels in scoring form. Words are identified by lemma:
-/// a word's stem, synsets and fuzzy verdicts are all functions of it.
-struct Prepared<'a> {
+/// The grouping key of a non-empty label: its ASCII-lowercased display.
+pub(crate) fn label_key(label: &LabelText) -> String {
+    label.display.to_ascii_lowercase()
+}
+
+/// Distinct labels in scoring form. Words are identified by lemma: a
+/// word's stem, synsets and fuzzy verdicts are all functions of it.
+///
+/// Ids are global. A table holds the words from `word_base` and the
+/// labels from `label_base` on, so a later table can extend an earlier
+/// one without copying it: the delta matcher's carry is a chain of
+/// tables ([`LabelTable`] resolves an id to its table). Key ids must
+/// agree across a chain, so a table resolves stems against its parents
+/// first; word ids need not (a lemma repeated in a later table only
+/// costs a fuzzy-memo miss). The batch engine uses one table from 0.
+#[derive(Debug, Clone)]
+pub(crate) struct Prepared<'a> {
+    word_base: u32,
+    label_base: u32,
     /// Per word: its interned stem (the content-word key).
     word_key: Vec<u32>,
     /// Per word: its sorted, deduplicated synset ids.
     word_synsets: Vec<Vec<SynsetId>>,
     /// Per word: the content word, for the fuzzy tier.
-    word: Vec<&'a ContentWord>,
+    word: Vec<Cow<'a, ContentWord>>,
     /// Per label: its word ids, in label order.
     label_words: Vec<Vec<u32>>,
     /// Per label: its sorted, deduplicated key ids.
     label_keys: Vec<Vec<u32>>,
-    /// Distinct keys, i.e. stem posting lists.
-    key_count: usize,
+    /// Distinct keys in this table and its parents.
+    key_count: u32,
+    /// Stem → key id of this table's words; filled by
+    /// [`Prepared::into_owned`] for tables that later ones extend.
+    stems: HashMap<String, u32>,
     config: MatcherConfig,
 }
 
 impl<'a> Prepared<'a> {
-    fn new(labels: &[&'a LabelText], lexicon: &Lexicon, config: MatcherConfig) -> Self {
+    /// Prepare `labels` as the labels following `parents` (a chain,
+    /// oldest first).
+    pub(crate) fn new(
+        parents: &[&Prepared<'_>],
+        labels: &[&'a LabelText],
+        lexicon: &Lexicon,
+        config: MatcherConfig,
+    ) -> Self {
+        let (word_base, label_base, key_base) = parents
+            .last()
+            .map_or((0, 0, 0), |p| (p.word_end(), p.label_end(), p.key_count));
         let mut stems: HashMap<&str, u32> = HashMap::new();
         let mut lemmas: HashMap<&str, u32> = HashMap::new();
         let mut prepared = Prepared {
+            word_base,
+            label_base,
             word_key: Vec::new(),
             word_synsets: Vec::new(),
             word: Vec::new(),
             label_words: Vec::with_capacity(labels.len()),
             label_keys: Vec::with_capacity(labels.len()),
-            key_count: 0,
+            key_count: key_base,
+            stems: HashMap::new(),
             config,
         };
         for label in labels {
             let mut words = Vec::with_capacity(label.words.len());
+            let mut keys = Vec::with_capacity(label.words.len());
             for cw in &label.words {
-                let id = match lemmas.get(cw.lemma.as_str()) {
-                    Some(&id) => id,
+                let local = match lemmas.get(cw.lemma.as_str()) {
+                    Some(&local) => local,
                     None => {
-                        let id = prepared.word.len() as u32;
-                        lemmas.insert(&cw.lemma, id);
-                        let next_key = stems.len() as u32;
-                        prepared
-                            .word_key
-                            .push(*stems.entry(cw.key()).or_insert(next_key));
+                        let local = prepared.word.len() as u32;
+                        lemmas.insert(&cw.lemma, local);
+                        let known = stems.get(cw.key()).copied().or_else(|| {
+                            parents.iter().find_map(|p| p.stems.get(cw.key()).copied())
+                        });
+                        let key = known.unwrap_or_else(|| {
+                            prepared.key_count += 1;
+                            prepared.key_count - 1
+                        });
+                        stems.insert(cw.key(), key);
+                        prepared.word_key.push(key);
                         let mut synsets = lexicon.resolve(&cw.lemma);
                         synsets.sort_unstable();
                         synsets.dedup();
                         prepared.word_synsets.push(synsets);
-                        prepared.word.push(cw);
-                        id
+                        prepared.word.push(Cow::Borrowed(cw));
+                        local
                     }
                 };
-                words.push(id);
+                words.push(word_base + local);
+                keys.push(prepared.word_key[local as usize]);
             }
-            let mut keys: Vec<u32> = words
-                .iter()
-                .map(|&w| prepared.word_key[w as usize])
-                .collect();
             keys.sort_unstable();
             keys.dedup();
             prepared.label_words.push(words);
             prepared.label_keys.push(keys);
         }
-        prepared.key_count = stems.len();
         prepared
+    }
+
+    /// Detach from the labels this table was prepared from, indexing its
+    /// stems so a later table can extend it.
+    pub(crate) fn into_owned(self) -> Prepared<'static> {
+        let mut stems = self.stems;
+        for (word, &key) in self.word.iter().zip(&self.word_key) {
+            if !stems.contains_key(word.key()) {
+                stems.insert(word.key().to_string(), key);
+            }
+        }
+        Prepared {
+            word_base: self.word_base,
+            label_base: self.label_base,
+            word_key: self.word_key,
+            word_synsets: self.word_synsets,
+            word: self
+                .word
+                .into_iter()
+                .map(|w| Cow::Owned(w.into_owned()))
+                .collect(),
+            label_words: self.label_words,
+            label_keys: self.label_keys,
+            key_count: self.key_count,
+            stems,
+            config: self.config,
+        }
+    }
+
+    /// Append `next`, the table that extends this one.
+    pub(crate) fn absorb(&mut self, next: &Prepared<'static>) {
+        debug_assert_eq!(
+            (self.word_end(), self.label_end()),
+            (next.word_base, next.label_base)
+        );
+        self.word_key.extend_from_slice(&next.word_key);
+        self.word_synsets.extend(next.word_synsets.iter().cloned());
+        self.word.extend(next.word.iter().cloned());
+        self.label_words.extend(next.label_words.iter().cloned());
+        self.label_keys.extend(next.label_keys.iter().cloned());
+        self.key_count = next.key_count;
+        for (stem, &key) in &next.stems {
+            self.stems.entry(stem.clone()).or_insert(key);
+        }
+    }
+
+    /// One past this table's last label id.
+    pub(crate) fn label_end(&self) -> u32 {
+        self.label_base + self.label_words.len() as u32
+    }
+
+    pub(crate) fn word_base(&self) -> u32 {
+        self.word_base
+    }
+
+    fn word_end(&self) -> u32 {
+        self.word_base + self.word.len() as u32
+    }
+
+    /// This table's label ids.
+    pub(crate) fn label_ids(&self) -> std::ops::Range<u32> {
+        self.label_base..self.label_end()
+    }
+}
+
+/// Prepared labels addressed by global id: one [`Prepared`] table, or a
+/// chain of them.
+pub(crate) trait LabelTable {
+    /// The table holding word `w`.
+    fn word_table(&self, w: u32) -> &Prepared<'_>;
+    /// The table holding label `l`.
+    fn label_table(&self, l: u32) -> &Prepared<'_>;
+
+    fn word_key(&self, w: u32) -> u32 {
+        let t = self.word_table(w);
+        t.word_key[(w - t.word_base) as usize]
+    }
+
+    fn word_synsets(&self, w: u32) -> &[SynsetId] {
+        let t = self.word_table(w);
+        &t.word_synsets[(w - t.word_base) as usize]
+    }
+
+    fn word(&self, w: u32) -> &ContentWord {
+        let t = self.word_table(w);
+        &t.word[(w - t.word_base) as usize]
+    }
+
+    fn label_words(&self, l: u32) -> &[u32] {
+        let t = self.label_table(l);
+        &t.label_words[(l - t.label_base) as usize]
+    }
+
+    fn label_keys(&self, l: u32) -> &[u32] {
+        let t = self.label_table(l);
+        &t.label_keys[(l - t.label_base) as usize]
     }
 
     /// [`crate::matcher::match_tier_with`] on the representatives of
     /// distinct labels `a` and `b` (whose keys differ, so they are never
     /// string-equal), evaluated on the prepared form: the same checks in
     /// the same order, so the same verdict and tier.
-    fn tier(&self, a: usize, b: usize, memo: &mut FuzzyMemo) -> Option<MatchTier> {
-        if self.label_keys[a] == self.label_keys[b] {
+    fn tier(&self, a: u32, b: u32, memo: &mut FuzzyMemo) -> Option<MatchTier> {
+        if self.label_keys(a) == self.label_keys(b) {
             return Some(MatchTier::WordSet);
         }
-        let (words_a, words_b) = (&self.label_words[a], &self.label_words[b]);
+        let (words_a, words_b) = (self.label_words(a), self.label_words(b));
         if words_a.len() != words_b.len() {
             return None;
         }
+        let config = self.label_table(a).config;
         let mut needed_synonym = false;
         let mut needed_fuzzy = false;
         for &x in words_a {
-            let key = self.word_key[x as usize];
-            if words_b.iter().any(|&y| self.word_key[y as usize] == key) {
+            let key = self.word_key(x);
+            if words_b.iter().any(|&y| self.word_key(y) == key) {
                 continue;
             }
-            let synsets = &self.word_synsets[x as usize];
+            let synsets = self.word_synsets(x);
             if !synsets.is_empty()
                 && words_b
                     .iter()
-                    .any(|&y| intersects(synsets, &self.word_synsets[y as usize]))
+                    .any(|&y| intersects(synsets, self.word_synsets(y)))
             {
                 needed_synonym = true;
                 continue;
             }
-            if self.config.fuzzy && words_b.iter().any(|&y| memo.fuzzy(self, x, y)) {
+            if config.fuzzy
+                && words_b.iter().any(|&y| {
+                    memo.fuzzy(x, y, || {
+                        fuzzy_token_match(self.word(x), self.word(y), config)
+                    })
+                })
+            {
                 needed_fuzzy = true;
                 continue;
             }
@@ -346,26 +517,30 @@ impl<'a> Prepared<'a> {
     }
 }
 
+impl LabelTable for Prepared<'_> {
+    fn word_table(&self, _: u32) -> &Prepared<'_> {
+        self
+    }
+
+    fn label_table(&self, _: u32) -> &Prepared<'_> {
+        self
+    }
+}
+
 /// Word-pair fuzzy verdicts of one scoring run. The fuzzy tier is
 /// symmetric (abbreviation is tried both ways, edit distance is
 /// symmetric), so a pair is keyed by its unordered word ids.
 #[derive(Default)]
-struct FuzzyMemo {
+pub(crate) struct FuzzyMemo {
     verdicts: HashMap<u64, bool>,
 }
 
 impl FuzzyMemo {
-    fn fuzzy(&mut self, prepared: &Prepared, x: u32, y: u32) -> bool {
+    fn fuzzy(&mut self, x: u32, y: u32, verdict: impl FnOnce() -> bool) -> bool {
         *self
             .verdicts
             .entry(pack(x.min(y), x.max(y)))
-            .or_insert_with(|| {
-                fuzzy_token_match(
-                    prepared.word[x as usize],
-                    prepared.word[y as usize],
-                    prepared.config,
-                )
-            })
+            .or_insert_with(verdict)
     }
 }
 
@@ -382,6 +557,97 @@ fn intersects(a: &[SynsetId], b: &[SynsetId]) -> bool {
     false
 }
 
+/// Inverted postings over the labels of one [`Prepared`] table: interned
+/// stem keys, synset ids and, under the fuzzy tier, signature
+/// characters. Every matching pair of distinct labels shares a posting
+/// (see the module docs), so probing is exhaustive wherever
+/// [`blocking_sound`] holds.
+#[derive(Debug, Clone)]
+pub(crate) struct Postings {
+    stems: HashMap<u32, Vec<u32>>,
+    synsets: HashMap<SynsetId, Vec<u32>>,
+    fuzzy: HashMap<char, Vec<u32>>,
+}
+
+impl Postings {
+    pub(crate) fn new(prepared: &Prepared<'_>) -> Self {
+        let mut postings = Postings {
+            stems: HashMap::new(),
+            synsets: HashMap::new(),
+            fuzzy: HashMap::new(),
+        };
+        let push_unique = |list: &mut Vec<u32>, l: u32| {
+            // Labels are posted in id order, so duplicates from one
+            // label's words are always adjacent.
+            if list.last() != Some(&l) {
+                list.push(l);
+            }
+        };
+        for l in prepared.label_ids() {
+            for &w in prepared.label_words(l) {
+                push_unique(postings.stems.entry(prepared.word_key(w)).or_default(), l);
+                for &sid in prepared.word_synsets(w) {
+                    push_unique(postings.synsets.entry(sid).or_default(), l);
+                }
+                if prepared.config.fuzzy {
+                    let word = prepared.word(w);
+                    for c in signature_chars(&word.stem, &word.lemma) {
+                        push_unique(postings.fuzzy.entry(c).or_default(), l);
+                    }
+                }
+            }
+        }
+        postings
+    }
+
+    fn lists(&self) -> impl Iterator<Item = &Vec<u32>> {
+        self.stems
+            .values()
+            .chain(self.synsets.values())
+            .chain(self.fuzzy.values())
+    }
+
+    /// Append `next`, whose labels all follow this one's.
+    pub(crate) fn absorb(&mut self, next: &Postings) {
+        for (key, list) in &next.stems {
+            self.stems.entry(*key).or_default().extend_from_slice(list);
+        }
+        for (sid, list) in &next.synsets {
+            self.synsets
+                .entry(*sid)
+                .or_default()
+                .extend_from_slice(list);
+        }
+        for (c, list) in &next.fuzzy {
+            self.fuzzy.entry(*c).or_default().extend_from_slice(list);
+        }
+    }
+
+    /// Push every posted label sharing a posting with label `l` of
+    /// `table` (with repeats).
+    pub(crate) fn probe<T: LabelTable + ?Sized>(&self, table: &T, l: u32, hits: &mut Vec<u32>) {
+        let fuzzy = table.label_table(l).config.fuzzy;
+        for &w in table.label_words(l) {
+            if let Some(list) = self.stems.get(&table.word_key(w)) {
+                hits.extend_from_slice(list);
+            }
+            for sid in table.word_synsets(w) {
+                if let Some(list) = self.synsets.get(sid) {
+                    hits.extend_from_slice(list);
+                }
+            }
+            if fuzzy {
+                let word = table.word(w);
+                for c in signature_chars(&word.stem, &word.lemma) {
+                    if let Some(list) = self.fuzzy.get(&c) {
+                        hits.extend_from_slice(list);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Build the inverted postings over distinct labels and emit the
 /// deduplicated candidate pairs `(a, b)`, `a < b`, that have a
 /// cross-schema field pair. Callers must have established that signature
@@ -390,55 +656,21 @@ fn intersects(a: &[SynsetId], b: &[SynsetId]) -> bool {
 /// [`score_all_label_pairs_streaming`] instead.
 fn candidate_label_pairs(
     groups: &Groups,
-    prepared: &Prepared,
-    config: MatcherConfig,
+    prepared: &Prepared<'_>,
     stats: &mut MatchStats,
 ) -> Vec<u64> {
-    let mut stem_postings: Vec<Vec<u32>> = vec![Vec::new(); prepared.key_count];
-    let mut synset_postings: HashMap<SynsetId, Vec<u32>> = HashMap::new();
-    let mut fuzzy_postings: HashMap<char, Vec<u32>> = HashMap::new();
-
-    let push_unique = |list: &mut Vec<u32>, g: u32| {
-        // Posting lists grow in label order, so duplicates from one
-        // label's words are always adjacent.
-        if list.last() != Some(&g) {
-            list.push(g);
-        }
-    };
-    for (g, words) in prepared.label_words.iter().enumerate() {
-        let g = g as u32;
-        for &w in words {
-            let w = w as usize;
-            push_unique(&mut stem_postings[prepared.word_key[w] as usize], g);
-            for &sid in &prepared.word_synsets[w] {
-                push_unique(synset_postings.entry(sid).or_default(), g);
-            }
-            if config.fuzzy {
-                let word = prepared.word[w];
-                for c in signature_chars(&word.stem, &word.lemma) {
-                    push_unique(fuzzy_postings.entry(c).or_default(), g);
-                }
-            }
-        }
-    }
-
-    stats.stem_buckets = stem_postings.len() as u64;
-    stats.synset_buckets = synset_postings.len() as u64;
-    stats.fuzzy_buckets = fuzzy_postings.len() as u64;
-    stats.max_bucket_size = stem_postings
-        .iter()
-        .chain(synset_postings.values())
-        .chain(fuzzy_postings.values())
+    let postings = Postings::new(prepared);
+    stats.stem_buckets = postings.stems.len() as u64;
+    stats.synset_buckets = postings.synsets.len() as u64;
+    stats.fuzzy_buckets = postings.fuzzy.len() as u64;
+    stats.max_bucket_size = postings
+        .lists()
         .map(|list| list.len() as u64)
         .max()
         .unwrap_or(0);
 
     let mut pairs: Vec<u64> = Vec::new();
-    for list in stem_postings
-        .iter()
-        .chain(synset_postings.values())
-        .chain(fuzzy_postings.values())
-    {
+    for list in postings.lists() {
         for (x, &a) in list.iter().enumerate() {
             for &b in &list[x + 1..] {
                 if groups.needs(a as usize, b as usize) || groups.needs(b as usize, a as usize) {
@@ -476,7 +708,7 @@ fn push_orientations(groups: &Groups, packed: u64, out: &mut Vec<u64>, stats: &m
 /// fixed-size block; only accepted pairs are kept.
 fn score_all_label_pairs_streaming(
     groups: &Groups,
-    prepared: &Prepared,
+    prepared: &Prepared<'_>,
     config: MatcherConfig,
     stats: &mut MatchStats,
 ) -> Vec<(u64, MatchTier)> {
@@ -507,7 +739,7 @@ fn score_all_label_pairs_streaming(
 /// fan out on the bounded pool in chunks, each with its own fuzzy memo;
 /// the output is in input order either way.
 fn score_directed(
-    prepared: &Prepared,
+    prepared: &Prepared<'_>,
     directed: &[u64],
     config: MatcherConfig,
     stats: &mut MatchStats,
@@ -519,7 +751,9 @@ fn score_directed(
             .iter()
             .filter_map(|&packed| {
                 let (a, b) = unpack(packed);
-                prepared.tier(a, b, &mut memo).map(|tier| (packed, tier))
+                prepared
+                    .tier(a as u32, b as u32, &mut memo)
+                    .map(|tier| (packed, tier))
             })
             .collect::<Vec<_>>()
     };
@@ -536,13 +770,15 @@ fn score_directed(
 /// Expand accepted label pairs (plus every group with itself, as
 /// [`MatchTier::String`]) to their cross-schema field pairs `(i, j)`,
 /// `i < j`, and merge them in ascending `(i, j)` order — the naive
-/// loop's order — counting each accept under its pair's tier.
+/// loop's order — counting each accept under its pair's tier, and
+/// appending each pair to `log` when one is given.
 fn merge_accepted(
     fields: &[Field],
     groups: &Groups,
     mut accepted: Vec<(u64, MatchTier)>,
     uf: &mut SchemaUnionFind,
     stats: &mut MatchStats,
+    mut log: Option<&mut Vec<u64>>,
 ) {
     accepted.sort_unstable_by_key(|&(packed, _)| packed);
     let mut row: Vec<(u32, MatchTier)> = Vec::new();
@@ -570,6 +806,9 @@ fn merge_accepted(
             );
         }
         row.sort_unstable_by_key(|&(j, _)| j);
+        if let Some(log) = log.as_deref_mut() {
+            log.extend(row.iter().map(|&(j, _)| pack(i as u32, j)));
+        }
         for &(j, tier) in &row {
             stats.count_accept(tier);
             if uf.merge(i, j as usize) {
@@ -580,8 +819,35 @@ fn merge_accepted(
 }
 
 /// True when first/second-character buckets are an exhaustive blocking
-/// for the fuzzy Levenshtein predicate: threshold positive and every
-/// acceptable pair within edit distance 1.
+/// for the fuzzy Levenshtein predicate over `fields` (see
+/// [`blocking_sound`]).
+pub(crate) fn prefix_blocking_sound(fields: &[Field], config: MatcherConfig) -> bool {
+    blocking_sound(
+        max_stem_chars(fields.iter().filter_map(|(_, l)| l.as_ref())),
+        config,
+    )
+}
+
+/// The longest content-word stem of `labels`, in characters.
+pub(crate) fn max_stem_chars<'l>(labels: impl IntoIterator<Item = &'l LabelText>) -> usize {
+    labels
+        .into_iter()
+        .flat_map(|l| l.words.iter())
+        .map(|w| {
+            if w.stem.is_ascii() {
+                w.stem.len()
+            } else {
+                w.stem.chars().count()
+            }
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// True when first/second-character buckets are an exhaustive blocking
+/// for the fuzzy Levenshtein predicate on stems of at most
+/// `max_stem_chars` characters: threshold positive and every acceptable
+/// pair within edit distance 1.
 ///
 /// Whether a distance-2 pair can be accepted is decided with the *same*
 /// floating-point expression `normalized_levenshtein` acceptance uses —
@@ -593,26 +859,13 @@ fn merge_accepted(
 /// blocking sound and silently drop the match. Division is monotone, so
 /// if no stem length admits an accepted distance-2 pair, no distance ≥ 2
 /// pair is accepted at all.
-pub(crate) fn prefix_blocking_sound(fields: &[Field], config: MatcherConfig) -> bool {
+pub(crate) fn blocking_sound(max_stem_chars: usize, config: MatcherConfig) -> bool {
     if config.min_similarity <= 0.0 {
         // Distance-1 substitutions between single-character stems score
         // 0.0 and share no signature bucket, so a non-positive threshold
         // is never bucket-blockable.
         return false;
     }
-    let max_stem_chars = fields
-        .iter()
-        .filter_map(|(_, l)| l.as_ref())
-        .flat_map(|l| l.words.iter())
-        .map(|w| {
-            if w.stem.is_ascii() {
-                w.stem.len()
-            } else {
-                w.stem.chars().count()
-            }
-        })
-        .max()
-        .unwrap_or(0);
     !(2..=max_stem_chars).any(|len| 1.0 - 2.0 / (len as f64) >= config.min_similarity)
 }
 
@@ -633,7 +886,7 @@ pub(crate) fn signature_chars(stem: &str, lemma: &str) -> impl Iterator<Item = c
 /// Union-find whose roots carry a schema bitset, turning the
 /// same-schema clash check from an O(n) membership scan into an
 /// O(words) bitwise AND.
-struct SchemaUnionFind {
+pub(crate) struct SchemaUnionFind {
     parent: Vec<u32>,
     /// Row-major `n × words` bitset storage; only root rows are kept
     /// current.
@@ -642,20 +895,24 @@ struct SchemaUnionFind {
 }
 
 impl SchemaUnionFind {
-    fn new(fields: &[Field], schema_count: usize) -> Self {
+    /// One singleton per element of `schemas` (each element's schema
+    /// index, below `schema_count`).
+    pub(crate) fn new(schemas: impl Iterator<Item = usize>, schema_count: usize) -> Self {
         let words = schema_count.div_ceil(64).max(1);
-        let mut bits = vec![0u64; fields.len() * words];
-        for (i, (field, _)) in fields.iter().enumerate() {
-            bits[i * words + field.schema / 64] |= 1u64 << (field.schema % 64);
+        let mut bits = Vec::with_capacity(schemas.size_hint().0 * words);
+        for schema in schemas {
+            let row = bits.len();
+            bits.resize(row + words, 0u64);
+            bits[row + schema / 64] |= 1u64 << (schema % 64);
         }
         SchemaUnionFind {
-            parent: (0..fields.len() as u32).collect(),
+            parent: (0..(bits.len() / words) as u32).collect(),
             bits,
             words,
         }
     }
 
-    fn find(&mut self, x: usize) -> usize {
+    pub(crate) fn find(&mut self, x: usize) -> usize {
         let mut root = x;
         while self.parent[root] as usize != root {
             root = self.parent[root] as usize;
@@ -674,7 +931,7 @@ impl SchemaUnionFind {
     /// Mirrors the naive merge exactly: same no-op on equal roots, same
     /// clash predicate, same root orientation (`root(i) → root(j)`).
     /// Returns whether two components were actually united.
-    fn merge(&mut self, i: usize, j: usize) -> bool {
+    pub(crate) fn merge(&mut self, i: usize, j: usize) -> bool {
         let ri = self.find(i);
         let rj = self.find(j);
         if ri == rj {
@@ -810,14 +1067,14 @@ mod tests {
                         min_similarity,
                         ..MatcherConfig::default()
                     };
-                    let prepared = Prepared::new(&groups.labels, &lexicon, config);
+                    let prepared = Prepared::new(&[], &groups.labels, &lexicon, config);
                     let mut memo = FuzzyMemo::default();
                     for a in 0..groups.len() {
                         for b in (0..groups.len()).filter(|&b| b != a) {
                             let (la, lb) = (groups.labels[a], groups.labels[b]);
                             let expected = match_tier_with(la, lb, &lexicon, config);
                             assert_eq!(
-                                prepared.tier(a, b, &mut memo),
+                                prepared.tier(a as u32, b as u32, &mut memo),
                                 expected,
                                 "{:?} vs {:?} at {config:?}",
                                 la.raw,
@@ -845,7 +1102,7 @@ mod tests {
             (FieldRef::new(1, qi_schema::NodeId::ROOT), None),
             (FieldRef::new(0, qi_schema::NodeId::ROOT), None),
         ];
-        let mut uf = SchemaUnionFind::new(&fields, 2);
+        let mut uf = SchemaUnionFind::new(fields.iter().map(|(f, _)| f.schema), 2);
         uf.merge(0, 1);
         assert_eq!(uf.find(0), uf.find(1));
         uf.merge(1, 2);
@@ -861,7 +1118,7 @@ mod tests {
         let fields: Vec<Field> = (0..130)
             .map(|s| (FieldRef::new(s, qi_schema::NodeId::ROOT), None))
             .collect();
-        let mut uf = SchemaUnionFind::new(&fields, 130);
+        let mut uf = SchemaUnionFind::new(fields.iter().map(|(f, _)| f.schema), 130);
         for i in 1..130 {
             uf.merge(0, i);
         }

@@ -28,7 +28,8 @@ pub use cluster::{
     expand_one_to_many, Cluster, ClusterId, ExpansionOutcome, FieldRef, Mapping, MappingError,
 };
 pub use delta::{
-    delta_match, delta_match_carried, DeltaMapping, DeltaOutcome, FallbackReason, MatchCarry,
+    delta_match, delta_match_carried, match_with_carry, DeltaMapping, DeltaOutcome, FallbackReason,
+    MatchCarry,
 };
 pub use integrated::{ClusterClass, ClusterPartition, GroupId, Integrated, IntegratedGroup};
 pub use matcher::{

@@ -21,11 +21,11 @@
 //! [`Mapping`]s, which the test suite asserts on randomized corpora.
 
 use crate::cluster::{FieldRef, Mapping};
-use crate::index::indexed_components;
+use crate::index::indexed_run;
 use qi_lexicon::Lexicon;
 use qi_schema::{NodeId, SchemaTree};
 use qi_text::{normalized_levenshtein, prefix_abbreviation, ContentWord, LabelText};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Matcher configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -374,7 +374,7 @@ pub fn match_by_labels_stats(
     let roots = if config.naive {
         naive_components(&fields, lexicon, config, &mut stats)
     } else {
-        indexed_components(&fields, lexicon, config, &mut stats)
+        indexed_run(&fields, lexicon, config, &mut stats, false).roots
     };
     (emit_clusters(&fields, &roots), stats)
 }
@@ -454,18 +454,17 @@ fn naive_components(
 
 /// Emit clusters in first-member order: the partition (and the concept
 /// naming) depends only on which fields share a root, so both engines
-/// funnel through this one function.
+/// and the delta matcher funnel through this numbering.
 pub(crate) fn emit_clusters(fields: &[(FieldRef, Option<LabelText>)], roots: &[usize]) -> Mapping {
-    let mut pos_of: HashMap<usize, usize> = HashMap::new();
-    let mut members: Vec<Vec<FieldRef>> = Vec::new();
-    let mut first_label: Vec<Option<&LabelText>> = Vec::new();
-    for (&root, (field, label)) in roots.iter().zip(fields) {
-        let pos = *pos_of.entry(root).or_insert_with(|| {
-            members.push(Vec::new());
-            first_label.push(label.as_ref());
-            members.len() - 1
-        });
-        members[pos].push(*field);
+    let (cluster_of, count) = cluster_numbering(roots);
+    let mut members: Vec<Vec<FieldRef>> = vec![Vec::new(); count];
+    let mut first_label: Vec<Option<&LabelText>> = vec![None; count];
+    for (&k, (field, label)) in cluster_of.iter().zip(fields) {
+        let k = k as usize;
+        if members[k].is_empty() {
+            first_label[k] = label.as_ref();
+        }
+        members[k].push(*field);
     }
     Mapping::from_clusters(members.into_iter().enumerate().map(|(i, m)| {
         let concept = first_label[i]
@@ -473,6 +472,25 @@ pub(crate) fn emit_clusters(fields: &[(FieldRef, Option<LabelText>)], roots: &[u
             .unwrap_or_else(|| format!("unlabeled_{i}"));
         (concept, m)
     }))
+}
+
+/// Number the components of `roots` (union-find roots, each below
+/// `roots.len()`) in order of their first field: each field's cluster
+/// index, and the cluster count.
+pub(crate) fn cluster_numbering(roots: &[usize]) -> (Vec<u32>, usize) {
+    let mut number = vec![u32::MAX; roots.len()];
+    let mut count = 0u32;
+    let cluster_of = roots
+        .iter()
+        .map(|&root| {
+            if number[root] == u32::MAX {
+                number[root] = count;
+                count += 1;
+            }
+            number[root]
+        })
+        .collect();
+    (cluster_of, count as usize)
 }
 
 #[cfg(test)]

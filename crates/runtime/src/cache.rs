@@ -7,6 +7,7 @@
 //! effectiveness observable (`BENCH_core.json` reports them), and the
 //! whole cache can be disabled to measure the uncached pipeline.
 
+use crate::sync;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
@@ -122,11 +123,7 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
             return None;
         }
         let shard = &self.shards[self.shard_of(key)];
-        let found = shard
-            .read()
-            .expect("cache shard poisoned")
-            .get(key)
-            .cloned();
+        let found = sync::read(shard).get(key).cloned();
         match found {
             Some(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -144,10 +141,7 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         if !self.is_enabled() {
             return;
         }
-        self.shards[self.shard_of(&key)]
-            .write()
-            .expect("cache shard poisoned")
-            .insert(key, value);
+        sync::write(&self.shards[self.shard_of(&key)]).insert(key, value);
     }
 
     /// Memoize `compute`: return the cached value or compute-and-store.
@@ -173,18 +167,14 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.read().expect("cache shard poisoned").len())
-                .sum(),
+            entries: self.shards.iter().map(|s| sync::read(s).len()).sum(),
         }
     }
 
     /// Drop every entry and reset the counters.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.write().expect("cache shard poisoned").clear();
+            sync::write(shard).clear();
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -195,6 +185,28 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// Every shard operation is one whole map call, so a panic while a
+    /// shard is held leaves it valid and the cache keeps working.
+    #[test]
+    fn cache_survives_poisoned_shards() {
+        let cache: ShardedCache<u32, u32> = ShardedCache::new(2);
+        cache.insert(1, 10);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guards: Vec<_> = cache.shards.iter().map(|s| s.write().unwrap()).collect();
+                panic!("holder panics with every shard locked");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(cache.shards.iter().all(|s| s.is_poisoned()));
+        assert_eq!(cache.get(&1), Some(10));
+        cache.insert(2, 20);
+        assert_eq!(cache.get_or_insert_with(2, || 0), 20);
+        assert_eq!(cache.stats().entries, 2);
+        cache.clear();
+        assert_eq!(cache.stats().entries, 0);
+    }
 
     #[test]
     fn memoizes_and_counts() {

@@ -33,6 +33,7 @@
 //! streams.
 
 use crate::json::Obj;
+use crate::sync;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -331,7 +332,7 @@ impl EventRecorder {
             }
         }
         let fields = fields();
-        let mut ring = inner.ring.lock().expect("event ring poisoned");
+        let mut ring = sync::lock(&inner.ring);
         let seq = ring.next_seq;
         ring.next_seq += 1;
         ring.buf.push_back(Event {
@@ -365,7 +366,7 @@ impl EventRecorder {
         let Some(inner) = &self.inner else {
             return EventsPage::default();
         };
-        let ring = inner.ring.lock().expect("event ring poisoned");
+        let ring = sync::lock(&inner.ring);
         let mut page = EventsPage {
             events: Vec::new(),
             next_seq: since,
@@ -389,9 +390,9 @@ impl EventRecorder {
 
     /// Highest sequence number assigned so far (0 when none).
     pub fn last_seq(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |inner| {
-            inner.ring.lock().expect("event ring poisoned").next_seq - 1
-        })
+        self.inner
+            .as_ref()
+            .map_or(0, |inner| sync::lock(&inner.ring).next_seq - 1)
     }
 }
 
@@ -405,6 +406,26 @@ mod tests {
                 vec![("i", FieldValue::U64(i))]
             });
         }
+    }
+
+    /// The recorder must keep recording after a panic poisons its ring
+    /// (the panic event itself is one of the things it records).
+    #[test]
+    fn recorder_survives_a_poisoned_ring() {
+        let rec = EventRecorder::new(8);
+        emit_n(&rec, 2);
+        let inner = rec.inner.as_ref().expect("enabled recorder");
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _ring = inner.ring.lock().unwrap();
+                panic!("holder panics with the ring locked");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(inner.ring.is_poisoned());
+        emit_n(&rec, 3);
+        assert_eq!(rec.last_seq(), 5);
+        assert_eq!(rec.events_since(0, None, 100).events.len(), 5);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! `Arc<str>` leases so public APIs can hold cheap shared references to
 //! the canonical spelling.
 
+use crate::sync;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
@@ -38,16 +39,10 @@ impl Interner {
 
     /// Intern `text`, returning its (new or existing) symbol.
     pub fn intern(&self, text: &str) -> Symbol {
-        if let Some(&sym) = self
-            .inner
-            .read()
-            .expect("interner poisoned")
-            .index
-            .get(text)
-        {
+        if let Some(&sym) = sync::read(&self.inner).index.get(text) {
             return sym;
         }
-        let mut inner = self.inner.write().expect("interner poisoned");
+        let mut inner = sync::write(&self.inner);
         // Double-check: another thread may have interned between locks.
         if let Some(&sym) = inner.index.get(text) {
             return sym;
@@ -61,12 +56,7 @@ impl Interner {
 
     /// The symbol of `text` if it was interned before.
     pub fn lookup(&self, text: &str) -> Option<Symbol> {
-        self.inner
-            .read()
-            .expect("interner poisoned")
-            .index
-            .get(text)
-            .copied()
+        sync::read(&self.inner).index.get(text).copied()
     }
 
     /// A shared lease on the canonical spelling of `sym`.
@@ -74,12 +64,12 @@ impl Interner {
     /// # Panics
     /// Panics if `sym` did not come from this interner.
     pub fn resolve(&self, sym: Symbol) -> Arc<str> {
-        Arc::clone(&self.inner.read().expect("interner poisoned").arena[sym.0 as usize])
+        Arc::clone(&sync::read(&self.inner).arena[sym.0 as usize])
     }
 
     /// Number of distinct strings interned.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("interner poisoned").arena.len()
+        sync::read(&self.inner).arena.len()
     }
 
     /// True when nothing has been interned yet.
@@ -91,6 +81,27 @@ impl Interner {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A panic while the interner is held leaves the arena and index in
+    /// step (an intern pushes to both or neither), so it keeps working.
+    #[test]
+    fn interner_survives_a_poisoned_lock() {
+        let interner = Interner::new();
+        let a = interner.intern("Make");
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = interner.inner.write().unwrap();
+                panic!("holder panics with the interner locked");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(interner.inner.is_poisoned());
+        assert_eq!(interner.intern("Make"), a);
+        let b = interner.intern("Model");
+        assert_eq!(interner.lookup("Model"), Some(b));
+        assert_eq!(&*interner.resolve(b), "Model");
+        assert_eq!(interner.len(), 2);
+    }
 
     #[test]
     fn interning_is_idempotent() {

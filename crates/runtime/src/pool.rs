@@ -8,10 +8,11 @@
 //! ([`parallel_try_map`]) so one poisoned domain cannot sink a corpus
 //! run.
 
+use crate::sync;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Upper bound on worker count: evaluation items (domains, groups) are
 /// coarse, so more threads than this only adds scheduling noise.
@@ -95,13 +96,13 @@ where
                     break;
                 }
                 let result = guarded_call(i, &items[i]);
-                slots.lock().expect("result slots poisoned")[i] = Some(result);
+                sync::lock(&slots)[i] = Some(result);
             });
         }
     });
     slots
         .into_inner()
-        .expect("result slots poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .map(|slot| slot.expect("worker skipped an item"))
         .collect()
@@ -148,7 +149,7 @@ impl<T> JobQueue<T> {
     /// Enqueue a job without blocking. Returns the job back when the
     /// queue is full (shed load) or closed (shutting down).
     pub fn push(&self, job: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("job queue poisoned");
+        let mut state = sync::lock(&self.state);
         if state.closed || state.items.len() >= self.capacity {
             return Err(job);
         }
@@ -162,7 +163,7 @@ impl<T> JobQueue<T> {
     /// `None` means the queue was closed and fully drained — the
     /// consumer should exit.
     pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("job queue poisoned");
+        let mut state = sync::lock(&self.state);
         loop {
             if let Some(job) = state.items.pop_front() {
                 return Some(job);
@@ -170,25 +171,28 @@ impl<T> JobQueue<T> {
             if state.closed {
                 return None;
             }
-            state = self.ready.wait(state).expect("job queue poisoned");
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Close the queue: further pushes fail, consumers drain what is
     /// left and then observe `None`.
     pub fn close(&self) {
-        self.state.lock().expect("job queue poisoned").closed = true;
+        sync::lock(&self.state).closed = true;
         self.ready.notify_all();
     }
 
     /// Whether [`JobQueue::close`] was called.
     pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("job queue poisoned").closed
+        sync::lock(&self.state).closed
     }
 
     /// Number of jobs currently waiting.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("job queue poisoned").items.len()
+        sync::lock(&self.state).items.len()
     }
 
     /// True when no job is waiting.
@@ -200,6 +204,30 @@ impl<T> JobQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every queue operation is one whole `VecDeque` call or flag store,
+    /// so a panic while the queue is held leaves it valid: producers and
+    /// consumers keep going.
+    #[test]
+    fn job_queue_survives_a_poisoned_lock() {
+        let queue: JobQueue<u32> = JobQueue::bounded(4);
+        queue.push(1).unwrap();
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _state = queue.state.lock().unwrap();
+                panic!("holder panics with the queue locked");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(queue.state.is_poisoned());
+        queue.push(2).unwrap();
+        assert_eq!(queue.len(), 2);
+        assert_eq!(queue.pop(), Some(1));
+        queue.close();
+        assert!(queue.is_closed());
+        assert_eq!(queue.pop(), Some(2));
+        assert_eq!(queue.pop(), None);
+    }
 
     #[test]
     fn maps_in_order() {

@@ -4,7 +4,7 @@
 use qi_core::{ConsistencyClass, Labeler, LiUsage, NamingPolicy, RelabelCache, RelabelDelta};
 use qi_datasets::Domain;
 use qi_lexicon::Lexicon;
-use qi_mapping::{ClusterId, DeltaOutcome, FallbackReason, Mapping, MatcherConfig};
+use qi_mapping::{ClusterId, DeltaOutcome, FallbackReason, Mapping, MatchCarry, MatcherConfig};
 use qi_merge::MergeState;
 use qi_runtime::{Category, Interner, Severity, Telemetry};
 use qi_schema::{NodeId, SchemaTree};
@@ -70,7 +70,7 @@ pub struct DomainArtifact {
 pub struct DeltaState {
     merge_state: MergeState,
     relabel_cache: RelabelCache,
-    match_carry: qi_mapping::MatchCarry,
+    match_carry: MatchCarry,
 }
 
 impl DomainArtifact {
@@ -112,49 +112,57 @@ pub fn build_artifact(
     policy: NamingPolicy,
     telemetry: &Telemetry,
 ) -> DomainArtifact {
-    build_artifact_with(domain, lexicon, policy, telemetry, false)
+    build_artifact_with(domain, lexicon, policy, telemetry, None)
 }
 
 /// [`build_artifact`], optionally capturing the incremental-ingest carry
-/// state. Capture is only sound when `domain.mapping` is label-matcher
-/// output under the default configuration — ground-truth corpus builds
-/// must not capture.
+/// state around `match_carry`, the matcher carry of the run that produced
+/// `domain.mapping` (so capture is only possible for matcher output —
+/// ground-truth corpus builds never capture). A capturing build is an
+/// ingest, and times its stages under `serve.ingest.*`.
 fn build_artifact_with(
     domain: &Domain,
     lexicon: &Lexicon,
     policy: NamingPolicy,
     telemetry: &Telemetry,
-    capture_delta: bool,
+    match_carry: Option<MatchCarry>,
 ) -> DomainArtifact {
     let span = telemetry.timed("serve.build_artifact");
+    let ingest = match_carry.is_some();
+    let stage = |name| ingest.then(|| telemetry.span(name));
+    let merge = stage("serve.ingest.merge");
     let prepared = domain.prepare();
+    let merge_state = ingest.then(|| MergeState::capture(&prepared.schemas, &prepared.mapping));
+    drop(merge);
     let labeler = Labeler::new(lexicon, policy).with_telemetry(telemetry.clone());
-    let (labeled, delta) = if capture_delta {
-        let merge_state = MergeState::capture(&prepared.schemas, &prepared.mapping);
-        let match_carry =
-            qi_mapping::MatchCarry::build(&prepared.schemas, lexicon, MatcherConfig::default());
-        let (labeled, relabel_cache) = labeler.label_with(
-            &prepared.schemas,
-            &prepared.mapping,
-            &prepared.integrated,
-            None,
-        );
-        (
-            labeled,
-            Some(Arc::new(DeltaState {
+    let label = stage("serve.ingest.label");
+    let (labeled, delta) = match match_carry.zip(merge_state) {
+        Some((match_carry, merge_state)) => {
+            let (labeled, relabel_cache) = labeler.label_with(
+                &prepared.schemas,
+                &prepared.mapping,
+                &prepared.integrated,
+                None,
+            );
+            let state = DeltaState {
                 merge_state,
                 relabel_cache,
                 match_carry,
-            })),
-        )
-    } else {
-        (
+            };
+            (labeled, Some(Arc::new(state)))
+        }
+        None => (
             labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated),
             None,
-        )
+        ),
     };
+    drop(label);
+    let provenance = stage("serve.ingest.provenance");
     let decisions = qi_core::provenance::decisions(&labeled, &policy);
+    drop(provenance);
+    let sidecar_span = stage("serve.ingest.sidecar");
     let (symbols, normalized) = sidecar(&domain.schemas, lexicon, None);
+    drop(sidecar_span);
     drop(span);
 
     DomainArtifact {
@@ -245,11 +253,11 @@ pub fn build_corpus_artifacts(
 /// recomputed, and the labeler replays every phase-1 result whose inputs
 /// the append did not touch. The result is byte-identical (through the
 /// snapshot encoding) to a full rebuild; any structural change the delta
-/// tracker does not support — a bridge between old clusters, two new
-/// fields landing in one cluster, an unexpected 1:m expansion — falls
-/// back to the full path automatically. Either way the rebuild touches
-/// *only* this domain — callers swap the result in behind the store's
-/// lock while readers keep serving the old artifact.
+/// tracker does not support — an append that changes the old clusters,
+/// an unexpected 1:m expansion — falls back to the full path
+/// automatically. Either way the rebuild touches *only* this domain —
+/// callers swap the result in behind the store's lock while readers keep
+/// serving the old artifact.
 pub fn ingest_interface(
     artifact: &DomainArtifact,
     interface: SchemaTree,
@@ -279,7 +287,8 @@ pub fn ingest_interface(
 /// label-similarity matcher, re-merge and re-label. Public so the
 /// equivalence tests and the ingest bench can force it; [`ingest_interface`]
 /// uses it as the fallback. The rebuilt artifact captures fresh delta
-/// carry state, so the *next* ingest takes the incremental path.
+/// carry state from the same matcher run, so the *next* ingest takes the
+/// incremental path.
 pub fn ingest_interface_full(
     artifact: &DomainArtifact,
     interface: SchemaTree,
@@ -289,13 +298,16 @@ pub fn ingest_interface_full(
 ) -> DomainArtifact {
     let mut schemas = artifact.schemas.clone();
     schemas.push(interface);
-    let mapping = qi_mapping::match_by_labels(&schemas, lexicon);
+    let span = telemetry.span("serve.ingest.match");
+    let (mapping, carry) =
+        qi_mapping::match_with_carry(&schemas, lexicon, MatcherConfig::default());
+    drop(span);
     let domain = Domain {
         name: artifact.name.clone(),
         schemas,
         mapping,
     };
-    let mut rebuilt = build_artifact_with(&domain, lexicon, policy, telemetry, true);
+    let mut rebuilt = build_artifact_with(&domain, lexicon, policy, telemetry, Some(carry));
     rebuilt.version = artifact.version + 1;
     rebuilt
 }
@@ -314,14 +326,16 @@ fn try_delta_ingest(
     let span = telemetry.timed("serve.ingest.delta_path");
     let mut schemas = artifact.schemas.clone();
     schemas.push(interface.clone());
-    let config = MatcherConfig::default();
-    let delta = match qi_mapping::delta_match_carried(
+    let matching = telemetry.span("serve.ingest.match");
+    let outcome = qi_mapping::delta_match_carried(
         &schemas,
         &artifact.mapping,
         lexicon,
-        config,
+        MatcherConfig::default(),
         Some(&state.match_carry),
-    ) {
+    );
+    drop(matching);
+    let delta = match outcome {
         DeltaOutcome::Incremental(delta) => delta,
         DeltaOutcome::Fallback(reason) => {
             telemetry.add(fallback_counter(reason), 1);
@@ -340,6 +354,7 @@ fn try_delta_ingest(
         }
     };
     telemetry.add("serve.ingest.pairs_scored", delta.pairs_scored);
+    let merge = telemetry.span("serve.ingest.merge");
     // Matcher output is 1:1, so the 1:m expansion must be an identity;
     // anything else is a structural change the tracker does not model.
     let mut mapping = delta.mapping;
@@ -378,14 +393,20 @@ fn try_delta_ingest(
         new_clusters,
         new_schema: schemas.len() - 1,
     };
+    drop(merge);
     let labeler = Labeler::new(lexicon, policy).with_telemetry(telemetry.clone());
+    let label = telemetry.span("serve.ingest.label");
     let (labeled, relabel_cache) = labeler.label_with(
         &schemas,
         &mapping,
         &integrated,
         Some((&state.relabel_cache, &reuse)),
     );
+    drop(label);
+    let provenance = telemetry.span("serve.ingest.provenance");
     let decisions = qi_core::provenance::decisions(&labeled, &policy);
+    drop(provenance);
+    let sidecar_span = telemetry.span("serve.ingest.sidecar");
     let (symbols, normalized) = sidecar(
         &schemas,
         lexicon,
@@ -395,6 +416,7 @@ fn try_delta_ingest(
             artifact.schemas.len(),
         )),
     );
+    drop(sidecar_span);
     drop(span);
     Some(DomainArtifact {
         name: artifact.name.clone(),
@@ -423,7 +445,6 @@ fn fallback_counter(reason: FallbackReason) -> &'static str {
     match reason {
         FallbackReason::BaseMismatch => "serve.ingest.fallback.base_mismatch",
         FallbackReason::Bridge => "serve.ingest.fallback.bridge",
-        FallbackReason::SharedJoin => "serve.ingest.fallback.shared_join",
     }
 }
 

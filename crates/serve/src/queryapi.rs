@@ -233,7 +233,7 @@ mod tests {
         (artifacts, lexicon)
     }
 
-    fn sorted<'a>(artifacts: &'a [DomainArtifact]) -> Vec<&'a DomainArtifact> {
+    fn sorted(artifacts: &[DomainArtifact]) -> Vec<&DomainArtifact> {
         let mut refs: Vec<&DomainArtifact> = artifacts.iter().collect();
         refs.sort_by_key(|a| a.slug());
         refs

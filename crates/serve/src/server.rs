@@ -54,7 +54,7 @@ use qi_query::Cursor;
 use qi_runtime::json::{Arr, Obj};
 use qi_runtime::netpoll::{self, PollFd, Waker};
 use qi_runtime::{
-    resolve_threads, Category, EventRecorder, JobQueue, Severity, Telemetry, TimeSeries,
+    resolve_threads, sync, Category, EventRecorder, JobQueue, Severity, Telemetry, TimeSeries,
 };
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -226,6 +226,22 @@ struct Done {
     close: bool,
     /// The handler asked the whole server to stop (admin shutdown).
     shutdown: bool,
+}
+
+/// Finished jobs on their way from the workers to the reactor. A worker
+/// that panics mid-push leaves the queue whole (a `Vec::push` either
+/// lands or not), so the lock is taken regardless of poisoning.
+#[derive(Default)]
+struct Completions(Mutex<Vec<Done>>);
+
+impl Completions {
+    fn push(&self, done: Done) {
+        sync::lock(&self.0).push(done);
+    }
+
+    fn take(&self) -> Vec<Done> {
+        std::mem::take(&mut *sync::lock(&self.0))
+    }
 }
 
 /// A configured, not-yet-started server.
@@ -467,7 +483,7 @@ fn run(
     // head-of-line block every cached read behind it.
     let workers = resolve_threads(config.threads).max(2);
     let queue: JobQueue<Job> = JobQueue::bounded(config.queue_depth);
-    let completions: Mutex<Vec<Done>> = Mutex::new(Vec::new());
+    let completions = Completions::default();
     let next_id = AtomicU64::new(1);
     telemetry.gauge("serve.workers", workers as u64);
     // Pre-register the connection counters so a scrape sees the full
@@ -511,10 +527,7 @@ fn run(
                         &observe,
                         depth,
                     );
-                    completions
-                        .lock()
-                        .expect("completion queue poisoned")
-                        .push(done);
+                    completions.push(done);
                     waker.wake();
                 }
             });
@@ -555,7 +568,7 @@ struct Reactor<'a> {
     /// Shared read scratch buffer.
     scratch: Vec<u8>,
     queue: &'a JobQueue<Job>,
-    completions: &'a Mutex<Vec<Done>>,
+    completions: &'a Completions,
     next_id: &'a AtomicU64,
     telemetry: &'a Telemetry,
     config: &'a ServerConfig,
@@ -960,8 +973,7 @@ impl Reactor<'_> {
     /// Move worker completions into their connections' write buffers
     /// and push bytes opportunistically.
     fn apply_completions(&mut self) {
-        let done: Vec<Done> =
-            std::mem::take(&mut *self.completions.lock().expect("completion queue poisoned"));
+        let done = self.completions.take();
         let mut touched: Vec<usize> = Vec::new();
         for done in done {
             if done.shutdown {
@@ -989,6 +1001,16 @@ impl Reactor<'_> {
         for slot in touched {
             if self.conn_writable(slot) == Disposition::Drop {
                 self.remove(slot);
+                continue;
+            }
+            // Requests buffered while the connection sat at the in-flight
+            // cap get no new readable event; parse them now that this
+            // batch freed slots.
+            let freed = self.conns[slot].as_ref().is_some_and(|conn| {
+                !conn.input.is_empty() && conn.inflight + conn.pending.len() < MAX_INFLIGHT_PER_CONN
+            });
+            if freed {
+                self.parse_and_dispatch(slot);
             }
         }
         // The admin handler may have just requested shutdown; apply it
@@ -2026,6 +2048,34 @@ mod tests {
         let text = String::from_utf8(status.body.to_vec()).unwrap();
         assert!(text.contains("\"queue_depth\":0"), "{text}");
         assert!(text.contains("\"rolling\":{"), "{text}");
+    }
+
+    /// A worker panicking while it holds the completion queue must not
+    /// stop the reactor from collecting later completions.
+    #[test]
+    fn completion_queue_survives_a_poisoned_lock() {
+        let completions = Completions::default();
+        let done = |seq| Done {
+            token: 0,
+            generation: 0,
+            seq,
+            bytes: b"ok".to_vec(),
+            close: false,
+            shutdown: false,
+        };
+        completions.push(done(0));
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _queue = completions.0.lock().unwrap();
+                panic!("worker panics with the completion queue locked");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(completions.0.is_poisoned());
+        completions.push(done(1));
+        let seqs: Vec<u64> = completions.take().iter().map(|d| d.seq).collect();
+        assert_eq!(seqs, [0, 1]);
+        assert!(completions.take().is_empty());
     }
 
     /// A panic while holding the store's locks must not disable the

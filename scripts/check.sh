@@ -29,7 +29,7 @@ cargo test -q --release --test matcher_props -- --ignored
 # partitioning and best-only group naming equal the String-row oracle
 # on 1,500 random group relations, plus larger and state-capped ones.
 cargo test -q --release --test naming_kernel_props -- --ignored
-cargo clippy --all-targets --all-features -- -D warnings
+cargo clippy --workspace --all-targets --all-features -- -D warnings
 cargo fmt --check
 
 # Telemetry-overhead guard: the disabled-mode pipeline must not pay for

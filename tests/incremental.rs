@@ -8,10 +8,12 @@
 //! The label pool is engineered to exercise every delta outcome: exact
 //! joins into existing clusters, morphological variants accepted by the
 //! stem/synonym tiers, novel labels that become new singletons, and
-//! colliding pairs (`Make` + `Makes` in one interface) that trip the
-//! shared-join guard and fall back to a full rebuild. Equivalence is a
-//! theorem for the guarded delta path and trivial for the fallback
-//! path, so it must hold on *every* step regardless of which path ran.
+//! colliding pairs (`Make` + `Makes` in one interface) that the delta
+//! matcher's replay resolves through the same-schema clash, as the full
+//! matcher does. Equivalence is a theorem for the delta path and
+//! trivial for the fallback path (an append that changes the old
+//! clusters), so it must hold on *every* step regardless of which path
+//! ran.
 //!
 //! `scripts/check.sh` runs this suite as its incremental-equivalence
 //! stage.
@@ -186,7 +188,6 @@ fn drifted_interface_ingest_matches_full_rebuild() {
             "serve.ingest.fallback.expansion",
             "serve.ingest.fallback.base_mismatch",
             "serve.ingest.fallback.bridge",
-            "serve.ingest.fallback.shared_join",
         ];
         for (name, &count) in &counters {
             if name.starts_with("serve.ingest.fallback.") {
@@ -223,34 +224,75 @@ fn guard_fallbacks_still_match_full_rebuild() {
     let lexicon = Lexicon::builtin();
     let policy = NamingPolicy::default();
     let telemetry = Telemetry::new();
-    let base = build_artifact(&qi_datasets::auto::domain(), &lexicon, policy, &telemetry);
+    let counter = |name: &str| {
+        let counters = telemetry.snapshot().counters;
+        counters.get(name).copied().unwrap_or(0)
+    };
+    let fallbacks = || {
+        let counters = telemetry.snapshot().counters;
+        counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("serve.ingest.fallback."))
+            .map(|(_, &n)| n)
+            .sum::<u64>()
+    };
+
+    // `Work` is a synonym of both `Job` and `Study`, which are not
+    // synonyms of each other, so an interface with a `Work` field unites
+    // two old clusters: the partition changes, the delta path must refuse
+    // and fall back, and the result must still equal the full rebuild
+    // bit for bit.
+    let parse = |text: &str| qi_schema::text_format::parse(text).unwrap();
+    let schemas = vec![
+        parse("interface a\n- Job\n- Salary\n"),
+        parse("interface b\n- Study\n- Salary\n"),
+    ];
+    let domain = qi_datasets::Domain {
+        name: "Bridged".to_string(),
+        mapping: qi_mapping::match_by_labels(&schemas, &lexicon),
+        schemas,
+    };
+    let base = build_artifact(&domain, &lexicon, policy, &telemetry);
     // Warm up: the first ingest always rebuilds fully and captures the
     // delta carry state for the next one.
     let warm = ingest_interface(
         &base,
-        qi_schema::text_format::parse("interface warm\n- Color\n- Price\n").unwrap(),
+        parse("interface warm\n- Salary\n- City\n"),
         &lexicon,
         policy,
         &telemetry,
     );
     assert!(warm.delta.is_some());
+    let bridge = parse("interface bridge\n- Work\n- City\n");
+    let incremental = ingest_interface(&warm, bridge.clone(), &lexicon, policy, &telemetry);
+    let full = ingest_interface_full(&warm, bridge, &lexicon, policy, &telemetry);
+    assert_eq!(
+        snapshot_bytes(policy, &incremental),
+        snapshot_bytes(policy, &full)
+    );
+    assert!(fallbacks() >= 1, "no fallback recorded");
+    assert_eq!(counter("serve.ingest.fallback.bridge"), fallbacks());
 
     // Two fields of one interface matching the same existing cluster
-    // (`Make` exactly, `Makes` via stemming) trip the shared-join
-    // guard: the delta path must refuse and fall back, and the result
-    // must still equal the full rebuild bit for bit.
-    let tricky = qi_schema::text_format::parse("interface tricky\n- Make\n- Makes\n").unwrap();
+    // (`Make` exactly, `Makes` via stemming) used to need a guard; the
+    // replay resolves the clash exactly, so this now takes the delta
+    // path and still equals the full rebuild.
+    let base = build_artifact(&qi_datasets::auto::domain(), &lexicon, policy, &telemetry);
+    let warm = ingest_interface(
+        &base,
+        parse("interface warm\n- Color\n- Price\n"),
+        &lexicon,
+        policy,
+        &telemetry,
+    );
+    let (deltas, before) = (counter("serve.ingest.delta"), fallbacks());
+    let tricky = parse("interface tricky\n- Make\n- Makes\n");
     let incremental = ingest_interface(&warm, tricky.clone(), &lexicon, policy, &telemetry);
     let full = ingest_interface_full(&warm, tricky, &lexicon, policy, &telemetry);
     assert_eq!(
         snapshot_bytes(policy, &incremental),
         snapshot_bytes(policy, &full)
     );
-    let counters = telemetry.snapshot().counters;
-    let fallbacks: u64 = counters
-        .iter()
-        .filter(|(name, _)| name.starts_with("serve.ingest.fallback."))
-        .map(|(_, &n)| n)
-        .sum();
-    assert!(fallbacks >= 1, "no fallback recorded: {counters:?}");
+    assert_eq!(counter("serve.ingest.delta"), deltas + 1);
+    assert_eq!(fallbacks(), before);
 }

@@ -2,7 +2,7 @@
 //! (driven by the in-repo [`SplitMix64`] PRNG, so they run under the
 //! default `cargo test -q`, like `tests/properties.rs`).
 //!
-//! Three invariants:
+//! Four invariants:
 //!
 //! 1. **Engine equivalence** — the indexed candidate-generation engine
 //!    produces the *identical* `Mapping` (cluster ids, concepts, member
@@ -18,11 +18,17 @@
 //!    with multi-sense synonymy the greedy merge order is load-bearing —
 //!    different schema orders can legitimately resolve clashes
 //!    differently.)
+//! 4. **Exact delta replay** — appending schemas one at a time through
+//!    `delta_match_carried`, chaining each returned carry, gives the full
+//!    re-match's mapping at every incremental step, and falls back only
+//!    when the append changed the old partition.
 
 use qi_datasets::{generate_drift_corpus, replicate_schemas, DriftConfig};
 use qi_lexicon::Lexicon;
 use qi_mapping::matcher::{match_by_labels_stats, match_by_labels_with, MatcherConfig};
-use qi_mapping::Mapping;
+use qi_mapping::{
+    delta_match_carried, match_with_carry, DeltaOutcome, FallbackReason, FieldRef, Mapping,
+};
 use qi_runtime::SplitMix64;
 use qi_schema::spec::{leaf, unlabeled_leaf, NodeSpec};
 use qi_schema::SchemaTree;
@@ -605,4 +611,108 @@ fn full_size_drift_corpus_indexed_equals_naive() {
     for domain in &corpus {
         assert_engines_agree(&domain.schemas, &lexicon, config, &domain.name);
     }
+}
+
+/// Labels the delta sweep adds to [`LABEL_POOL`]: synonyms that bridge
+/// two old clusters (`Work` ~ `Job`, `Study`; `Fare` ~ `Ticket`,
+/// `Price`), stem variants that send two new fields of one schema to
+/// one cluster (`Makes`, `Models`), and 10-character twins that push
+/// the fuzzy tier past sound signature blocking at 0.8.
+const DELTA_EXTRA: &[&str] = &[
+    "Job",
+    "Study",
+    "Work",
+    "Ticket",
+    "Fare",
+    "Makes",
+    "Models",
+    "departure1",
+    "departvre1",
+    "abcdefghij",
+    "abcdefghxy",
+];
+
+/// A mapping's clusters restricted to the fields of the first
+/// `schemas` schemas, empty clusters dropped.
+fn restricted(mapping: &Mapping, schemas: usize) -> Vec<Vec<FieldRef>> {
+    mapping
+        .clusters
+        .iter()
+        .map(|c| {
+            c.members
+                .iter()
+                .copied()
+                .filter(|m| m.schema < schemas)
+                .collect::<Vec<_>>()
+        })
+        .filter(|members| !members.is_empty())
+        .collect()
+}
+
+#[test]
+fn delta_chain_equals_full_rematch() {
+    let lexicon = Lexicon::builtin();
+    let pool: Vec<&str> = LABEL_POOL.iter().chain(DELTA_EXTRA).copied().collect();
+    let fuzzy = |min_similarity| MatcherConfig {
+        fuzzy: true,
+        min_similarity,
+        ..MatcherConfig::default()
+    };
+    // Strict, fuzzy, fuzzy on the 0.8 boundary (sound until a
+    // 10-character stem arrives), and fuzzy with unsound blocking.
+    let configs = [
+        MatcherConfig::default(),
+        fuzzy(0.85),
+        fuzzy(0.8),
+        fuzzy(0.3),
+    ];
+    let (mut incremental, mut bridges) = (0u32, 0u32);
+    for seed in 0..12u64 {
+        for (c, &config) in configs.iter().enumerate() {
+            let mut rng = SplitMix64::new(0xDE17_A000 ^ (seed << 4) ^ c as u64);
+            let mut schema = |s: usize| {
+                let n_fields = 1 + rng.gen_range(8);
+                let specs: Vec<NodeSpec> = (0..n_fields)
+                    .map(|_| {
+                        if rng.gen_bool(0.1) {
+                            unlabeled_leaf()
+                        } else {
+                            leaf(pool[rng.gen_range(pool.len())])
+                        }
+                    })
+                    .collect();
+                SchemaTree::build(&format!("schema-{s}"), specs).unwrap()
+            };
+            let mut schemas = vec![schema(0), schema(1)];
+            let (mut mapping, mut carry) = match_with_carry(&schemas, &lexicon, config);
+            assert_eq!(mapping, cluster(&schemas, &lexicon, config));
+            for step in 2..12 {
+                schemas.push(schema(step));
+                let full = cluster(&schemas, &lexicon, config);
+                let context = format!("seed={seed} config={config:?} step={step}");
+                match delta_match_carried(&schemas, &mapping, &lexicon, config, Some(&carry)) {
+                    DeltaOutcome::Incremental(delta) => {
+                        assert_eq!(delta.mapping, full, "{context}");
+                        incremental += 1;
+                        mapping = delta.mapping;
+                        carry = delta.carry;
+                    }
+                    DeltaOutcome::Fallback(reason) => {
+                        assert_eq!(reason, FallbackReason::Bridge, "{context}");
+                        assert_ne!(
+                            restricted(&full, step),
+                            restricted(&mapping, step),
+                            "{context}: fell back although the old partition survived"
+                        );
+                        bridges += 1;
+                        (mapping, carry) = match_with_carry(&schemas, &lexicon, config);
+                        assert_eq!(mapping, full, "{context}");
+                    }
+                }
+            }
+        }
+    }
+    // Both outcomes must occur, or the sweep stopped exercising one.
+    assert!(incremental >= 200, "only {incremental} incremental steps");
+    assert!(bridges >= 5, "only {bridges} bridge fallbacks");
 }

@@ -10,7 +10,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn auto_store() -> Arc<Store> {
     let lexicon = Lexicon::builtin();
@@ -518,6 +518,52 @@ fn pipelined_requests_answer_in_order_on_one_socket() {
         counter_in(&metrics, "serve.conn.pipelined") >= 1,
         "{metrics}"
     );
+}
+
+/// More pipelined requests than the per-connection in-flight cap: the
+/// surplus waits in the input buffer, and every completion batch must
+/// dispatch more of it, since no further bytes arrive to wake the
+/// connection. Alternating `Accept` headers make the order observable.
+#[test]
+fn a_thousand_pipelined_requests_all_answer_in_order() {
+    const REQUESTS: usize = 1000;
+    let handle = start(auto_store(), ServerConfig::default());
+    let mut client = KeepAliveClient::connect(handle.addr());
+    let mut writer = client.stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let mut raw = Vec::new();
+        for i in 0..REQUESTS {
+            let accept = if i % 2 == 0 { "text/plain" } else { "*/*" };
+            raw.extend_from_slice(
+                format!("GET /healthz HTTP/1.1\r\nhost: t\r\naccept: {accept}\r\n\r\n").as_bytes(),
+            );
+        }
+        writer.write_all(&raw).expect("sending pipelined requests");
+    });
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut last_id = 0u64;
+    for i in 0..REQUESTS {
+        let (status, headers, body) = client.response();
+        assert_eq!(status, 200, "response {i}");
+        if i % 2 == 0 {
+            assert_eq!(body, "ok\n", "response {i} out of order");
+        } else {
+            assert!(
+                body.starts_with("{\"status\":\"ok\""),
+                "response {i}: {body}"
+            );
+        }
+        let id: u64 = header(&headers, "x-qi-request-id")
+            .and_then(|v| v.parse().ok())
+            .expect("request id");
+        assert!(
+            i == 0 || id > last_id,
+            "response {i}: id {id} after {last_id}"
+        );
+        last_id = id;
+        assert!(Instant::now() < deadline, "stalled after {i} responses");
+    }
+    sender.join().unwrap();
 }
 
 #[test]
