@@ -17,8 +17,8 @@ pub enum LabelSelection {
 
 /// Configuration of a naming run.
 ///
-/// The defaults reproduce the paper; the other settings are the ablation
-/// axes benchmarked in `qi-bench`:
+/// The defaults reproduce the paper; the other settings are ablation
+/// axes (`qi_eval::ablation`, `cargo run -p qi-eval --bin ablation`):
 ///
 /// * `max_level` — how far down the relaxation ladder of Definition 2 the
 ///   group-naming search may go (ablation B);

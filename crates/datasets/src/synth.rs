@@ -268,8 +268,8 @@ pub fn generate_ladder(equality_groups: usize, synonymy_groups: usize) -> Domain
 /// ceiling the drift benchmarks compare against is built from
 /// *verbatim* clones — what naive corpus scaling would actually
 /// produce, where every surface repeats and per-occurrence lookups hit
-/// on all but the first copy (see `qi-bench`'s cloned-ceiling probe
-/// and `tests/drift.rs`). This split is deliberate: perturbing the
+/// on all but the first copy (see
+/// `tests/drift.rs::verbatim_clones_are_the_cache_ceiling_drift_sits_below`). This split is deliberate: perturbing the
 /// suffixes here to make replicas cache-friendly would break the
 /// disjoint-vocabulary property the scaling stages rely on.
 pub fn replicate_schemas(schemas: &[SchemaTree], k: usize) -> Vec<SchemaTree> {

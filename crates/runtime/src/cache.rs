@@ -4,8 +4,9 @@
 //! serialize every transitive-hypernymy query behind: keys are routed to
 //! one of N independent `RwLock<HashMap>` shards by hash, so readers on
 //! different shards never contend. Hit/miss counters make cache
-//! effectiveness observable (`BENCH_core.json` reports them), and the
-//! whole cache can be disabled to measure the uncached pipeline.
+//! effectiveness observable (`/metrics` and the benchmark's
+//! `*_hit_ratio` metrics report them), and the whole cache can be
+//! disabled to measure the uncached pipeline.
 
 use crate::sync;
 use std::borrow::Borrow;

@@ -1,12 +1,11 @@
 //! Process memory audit via `/proc/self/status`.
 //!
-//! The 1000× pipeline runs are memory-bound long before they are
-//! CPU-bound if sharding ever regresses to materializing the whole
-//! corpus' prepared artifacts at once, so the bench harness samples the
-//! kernel's own high-water mark (`VmHWM`, peak resident set) and the
-//! current resident set (`VmRSS`) and reports both in `BENCH_core.json`,
-//! where `bench.sh` gates growth against the committed reference.
-//! Std-only: the numbers come from parsing the procfs status file, which
+//! Large pipeline runs are memory-bound long before they are CPU-bound
+//! if sharding ever regresses to materializing the whole corpus'
+//! prepared artifacts at once, so the kernel's own high-water mark
+//! (`VmHWM`, peak resident set) and the current resident set (`VmRSS`)
+//! are sampled here. The benchmark reports the high-water mark as
+//! `peak_rss_mib`, an end-to-end metric with a bound. Std-only: the numbers come from parsing the procfs status file, which
 //! exists on every Linux the project targets; other platforms get `None`
 //! and the callers report the sample as unavailable rather than lying.
 

@@ -20,9 +20,11 @@
 //!
 //! [`artifact`] defines the unit both layers exchange: one domain's
 //! fully built serving state, and [`store`] holds the live artifact map
-//! behind an `RwLock`.
+//! behind an `RwLock`. [`client`] is the matching response reader that
+//! `qi fetch`, `qi top` and the socket tests share.
 
 pub mod artifact;
+pub mod client;
 pub mod http;
 pub mod queryapi;
 pub mod server;

@@ -23,6 +23,7 @@
 //! label-similarity matcher.
 
 use qi::{Lexicon, NamingPolicy};
+use qi_serve::client::Connection;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -916,7 +917,7 @@ fn cmd_fetch(args: &[String]) -> Result<(), String> {
     // the request line. Bytes already legal in a target (including `%`,
     // so pre-encoded urls pass through untouched) are copied verbatim.
     let path = encode_target(&path);
-    use std::io::{Read, Write};
+    use std::io::Read;
     let body = match (body_path, data) {
         (Some(_), Some(_)) => return Err("--body and --data are mutually exclusive".to_string()),
         (Some("-"), None) => {
@@ -941,11 +942,11 @@ fn cmd_fetch(args: &[String]) -> Result<(), String> {
     let etag_header = etag
         .map(|tag| format!("if-none-match: {tag}\r\n"))
         .unwrap_or_default();
-    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let persistence = if keep_alive { "keep-alive" } else { "close" };
     let request = {
         let mut request = format!(
             "{method} {path} HTTP/1.1\r\nhost: {hostport}\r\n{accept_header}{etag_header}\
-             content-length: {}\r\nconnection: {connection}\r\n\r\n",
+             content-length: {}\r\nconnection: {persistence}\r\n\r\n",
             body.len()
         )
         .into_bytes();
@@ -953,80 +954,56 @@ fn cmd_fetch(args: &[String]) -> Result<(), String> {
         request
     };
 
-    let timeout = Some(std::time::Duration::from_secs(10));
-    let connect = || -> Result<std::net::TcpStream, String> {
-        let stream = std::net::TcpStream::connect(hostport)
-            .map_err(|e| format!("connecting to {hostport}: {e}"))?;
-        let _ = stream.set_read_timeout(timeout);
-        let _ = stream.set_write_timeout(timeout);
-        Ok(stream)
+    let timeout = std::time::Duration::from_secs(10);
+    let connect = || {
+        Connection::connect(hostport, timeout).map_err(|e| format!("connecting to {hostport}: {e}"))
     };
 
     // One persistent connection with --keep-alive, one per request
-    // without. In keep-alive mode responses are framed by their
-    // `content-length` (the socket stays open, so EOF never delimits),
-    // and a response claiming `connection: close` fails the probe: the
-    // whole point of the flag is asserting the server reuses the
-    // connection.
-    let mut stream = if keep_alive { Some(connect()?) } else { None };
-    let mut buffered: Vec<u8> = Vec::new();
+    // without. Either way responses are framed by their
+    // `content-length`. In keep-alive mode a response claiming
+    // `connection: close` fails the probe: the whole point of the flag
+    // is asserting the server reuses the connection.
+    let mut persistent = if keep_alive { Some(connect()?) } else { None };
     for _ in 0..repeat {
-        let (head, payload) = if keep_alive {
-            let stream = stream.as_mut().expect("keep-alive stream");
-            stream
-                .write_all(&request)
-                .map_err(|e| format!("sending request: {e}"))?;
-            read_framed_response(stream, &mut buffered)?
-        } else {
-            let mut stream = connect()?;
-            stream
-                .write_all(&request)
-                .map_err(|e| format!("sending request: {e}"))?;
-            let mut raw = Vec::new();
-            stream
-                .read_to_end(&mut raw)
-                .map_err(|e| format!("reading response: {e}"))?;
-            let head_end = raw
-                .windows(4)
-                .position(|w| w == b"\r\n\r\n")
-                .ok_or("malformed response (no header terminator)")?;
-            (
-                String::from_utf8_lossy(&raw[..head_end]).into_owned(),
-                raw[head_end + 4..].to_vec(),
-            )
+        let mut fresh = None;
+        let connection = match persistent.as_mut() {
+            Some(connection) => connection,
+            None => fresh.insert(connect()?),
         };
-        let status: u16 = head
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("malformed status line {:?}", head.lines().next()))?;
+        connection
+            .send(&request)
+            .map_err(|e| format!("sending request: {e}"))?;
+        let response = connection.read_response().map_err(|e| e.to_string())?;
         if keep_alive
-            && header_value(&head, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
+            && response
+                .header("connection")
+                .is_some_and(|v| v.eq_ignore_ascii_case("close"))
         {
             return Err(format!(
                 "--keep-alive: server answered `connection: close` ({})",
-                head.lines().next().unwrap_or("")
+                response.status_line()
             ));
         }
         if include {
-            println!("{head}");
+            println!("{}", response.head);
         }
-        print!("{}", String::from_utf8_lossy(&payload));
-        if !payload.ends_with(b"\n") && !payload.is_empty() {
+        print!("{}", response.text());
+        if !response.body.ends_with(b"\n") && !response.body.is_empty() {
             println!();
         }
         // `304 Not Modified` is the cache-validation success path: the
         // client's `--etag` still names the server's bytes, so there is
         // no body to print. Announce it so scripts can assert on it.
-        if status == 304 {
-            eprintln!("{}", head.lines().next().unwrap_or(""));
+        if response.status == 304 {
+            eprintln!("{}", response.status_line());
             continue;
         }
-        if !(200..300).contains(&status) {
+        if !(200..300).contains(&response.status) {
             // Surface the server's own status line before failing, so
             // scripts see *why* the probe was refused.
-            eprintln!("{}", head.lines().next().unwrap_or(""));
-            return Err(format!("{method} {url} -> {status}"));
+            eprintln!("{}", response.status_line());
+            return Err(format!("{method} {url} -> {}", response.status));
         }
     }
     Ok(())
@@ -1048,53 +1025,6 @@ fn encode_target(target: &str) -> String {
         }
     }
     out
-}
-
-/// First value of a response header (case-insensitive name match).
-fn header_value<'a>(head: &'a str, name: &str) -> Option<&'a str> {
-    head.lines().skip(1).find_map(|line| {
-        let (n, v) = line.split_once(':')?;
-        n.trim().eq_ignore_ascii_case(name).then(|| v.trim())
-    })
-}
-
-/// Read one `content-length`-framed response off a persistent
-/// connection; surplus (pipelined) bytes stay in `buffered`.
-fn read_framed_response(
-    stream: &mut std::net::TcpStream,
-    buffered: &mut Vec<u8>,
-) -> Result<(String, Vec<u8>), String> {
-    use std::io::Read;
-    let mut chunk = [0u8; 16 * 1024];
-    let head_end = loop {
-        if let Some(pos) = buffered.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| format!("reading response: {e}"))?;
-        if n == 0 {
-            return Err("connection closed mid-response".to_string());
-        }
-        buffered.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buffered[..head_end - 4]).into_owned();
-    let length: usize = header_value(&head, "content-length")
-        .map(|v| v.parse().map_err(|e| format!("bad content-length: {e}")))
-        .transpose()?
-        .unwrap_or(0);
-    while buffered.len() < head_end + length {
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| format!("reading response: {e}"))?;
-        if n == 0 {
-            return Err("connection closed mid-body".to_string());
-        }
-        buffered.extend_from_slice(&chunk[..n]);
-    }
-    let payload = buffered[head_end..head_end + length].to_vec();
-    buffered.drain(..head_end + length);
-    Ok((head, payload))
 }
 
 /// `qi top`: a refreshing terminal dashboard over `/metrics/history`.
@@ -1151,33 +1081,24 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
         .trim_end_matches('/');
 
     use std::io::Write;
-    let timeout = Some(std::time::Duration::from_secs(10));
-    let mut stream = std::net::TcpStream::connect(hostport)
+    let mut connection = Connection::connect(hostport, std::time::Duration::from_secs(10))
         .map_err(|e| format!("connecting to {hostport}: {e}"))?;
-    let _ = stream.set_read_timeout(timeout);
-    let _ = stream.set_write_timeout(timeout);
     let request = format!(
         "GET /metrics/history?windows={windows} HTTP/1.1\r\nhost: {hostport}\r\n\
          content-length: 0\r\nconnection: keep-alive\r\n\r\n"
     )
     .into_bytes();
 
-    let mut buffered: Vec<u8> = Vec::new();
     let mut refreshed = 0u64;
     loop {
-        stream
-            .write_all(&request)
+        connection
+            .send(&request)
             .map_err(|e| format!("sending request: {e}"))?;
-        let (head, payload) = read_framed_response(&mut stream, &mut buffered)?;
-        let status: u16 = head
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("malformed status line {:?}", head.lines().next()))?;
-        if status != 200 {
-            return Err(format!("GET /metrics/history -> {status}"));
+        let response = connection.read_response().map_err(|e| e.to_string())?;
+        if response.status != 200 {
+            return Err(format!("GET /metrics/history -> {}", response.status));
         }
-        let text = std::str::from_utf8(&payload)
+        let text = std::str::from_utf8(&response.body)
             .map_err(|_| "history payload is not UTF-8".to_string())?;
         let doc = qi_runtime::json::parse(text).map_err(|e| format!("parsing history: {e}"))?;
         let rendered = render_top(hostport, &doc);

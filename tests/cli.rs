@@ -154,9 +154,9 @@ fn explain_names_the_fired_rule_and_rejected_candidates() {
     assert!(stderr.contains("no node path"), "{stderr}");
 }
 
-#[test]
-fn fetch_reports_http_errors_with_a_nonzero_exit() {
-    // A live in-process server backs the probe, like `qi serve` would.
+/// A live in-process server over the auto domain, like `qi serve` would
+/// run, for the client subcommands to probe.
+fn serve_auto() -> qi_serve::ServerHandle {
     let lexicon = qi_lexicon::Lexicon::builtin();
     let telemetry = qi_runtime::Telemetry::new();
     let artifact = qi_serve::build_artifact(
@@ -171,10 +171,14 @@ fn fetch_reports_http_errors_with_a_nonzero_exit() {
         qi_core::NamingPolicy::default(),
         telemetry.clone(),
     ));
-    let mut handle =
-        qi_serve::Server::with_config(store, telemetry, qi_serve::ServerConfig::default())
-            .start()
-            .expect("starting test server");
+    qi_serve::Server::with_config(store, telemetry, qi_serve::ServerConfig::default())
+        .start()
+        .expect("starting test server")
+}
+
+#[test]
+fn fetch_reports_http_errors_with_a_nonzero_exit() {
+    let mut handle = serve_auto();
     let addr = handle.addr();
 
     // 2xx: body on stdout, quiet stderr, success exit.
@@ -197,6 +201,38 @@ fn fetch_reports_http_errors_with_a_nonzero_exit() {
     assert!(!ok, "a 404 probe must fail");
     assert!(stderr.contains("HTTP/1.1 404"), "{stderr}");
     assert!(stderr.contains("-> 404"), "{stderr}");
+
+    handle.shutdown();
+}
+
+#[test]
+fn keep_alive_fetch_and_top_print_one_result_per_request() {
+    let mut handle = serve_auto();
+    let addr = handle.addr();
+
+    // --keep-alive sends every repeat over one socket and prints each body.
+    let (stdout, stderr, ok) = qi(&[
+        "fetch",
+        "--keep-alive",
+        "--repeat",
+        "3",
+        &format!("http://{addr}/healthz"),
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    assert_eq!(stdout.matches("\"status\":\"ok\"").count(), 3, "{stdout}");
+
+    // `qi top --raw` prints one summary line per refresh.
+    let (stdout, stderr, ok) = qi(&[
+        "top",
+        "--raw",
+        "--iterations",
+        "2",
+        "--interval-ms",
+        "50",
+        &addr.to_string(),
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    assert_eq!(stdout.lines().count(), 2, "{stdout}");
 
     handle.shutdown();
 }

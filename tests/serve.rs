@@ -5,6 +5,7 @@
 use qi_core::NamingPolicy;
 use qi_lexicon::Lexicon;
 use qi_runtime::Telemetry;
+use qi_serve::client::{Connection, Response};
 use qi_serve::{build_artifact, Server, ServerConfig, Store};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -38,30 +39,19 @@ fn start(store: Arc<Store>, config: ServerConfig) -> qi_serve::ServerHandle {
 /// Raw one-shot HTTP exchange; returns (status, headers, body). Header
 /// names come back lowercased for case-insensitive lookups.
 fn exchange_full(addr: SocketAddr, raw: &[u8]) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connecting to test server");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream.write_all(raw).expect("sending request");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("reading response");
-    let text = String::from_utf8_lossy(&response);
-    let status = text
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    let headers = head
-        .lines()
-        .skip(1)
-        .filter_map(|line| line.split_once(": "))
+    let mut connection =
+        Connection::connect(addr, Duration::from_secs(10)).expect("connecting to test server");
+    connection.send(raw).expect("sending request");
+    parts(connection.read_response().expect("reading response"))
+}
+
+/// A framed response as (status, lowercased headers, body).
+fn parts(response: Response) -> (u16, Vec<(String, String)>, String) {
+    let headers = response
+        .headers()
         .map(|(name, value)| (name.to_ascii_lowercase(), value.to_string()))
         .collect();
-    (status, headers, body)
+    (response.status, headers, response.text())
 }
 
 /// Raw one-shot HTTP exchange; returns (status, body).
@@ -391,28 +381,23 @@ fn explain_endpoint_serves_decision_provenance() {
     assert_eq!(status, 404);
 }
 
-/// A persistent connection that reads content-length-framed responses
-/// one at a time, keeping any pipelined surplus buffered for the next
-/// read.
+/// A persistent connection: raw requests out, responses back one at a
+/// time as (status, headers, body), with any pipelined surplus kept
+/// buffered for the next read.
 struct KeepAliveClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
+    connection: Connection,
 }
 
 impl KeepAliveClient {
     fn connect(addr: SocketAddr) -> KeepAliveClient {
-        let stream = TcpStream::connect(addr).expect("connecting to test server");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
         KeepAliveClient {
-            stream,
-            buf: Vec::new(),
+            connection: Connection::connect(addr, Duration::from_secs(10))
+                .expect("connecting to test server"),
         }
     }
 
     fn send(&mut self, raw: &[u8]) {
-        self.stream.write_all(raw).expect("sending request");
+        self.connection.send(raw).expect("sending request");
     }
 
     fn get(&mut self, path: &str) {
@@ -421,44 +406,12 @@ impl KeepAliveClient {
 
     /// Read exactly one response; panics on EOF mid-response.
     fn response(&mut self) -> (u16, Vec<(String, String)>, String) {
-        let mut chunk = [0u8; 4096];
-        let head_end = loop {
-            if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos + 4;
-            }
-            let n = self.stream.read(&mut chunk).expect("reading response");
-            assert!(n > 0, "peer closed mid-head");
-            self.buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = String::from_utf8_lossy(&self.buf[..head_end]).to_string();
-        let status = head
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        let headers: Vec<(String, String)> = head
-            .lines()
-            .skip(1)
-            .filter_map(|line| line.split_once(": "))
-            .map(|(name, value)| (name.to_ascii_lowercase(), value.to_string()))
-            .collect();
-        let length: usize = header(&headers, "content-length")
-            .map(|v| v.parse().expect("numeric content-length"))
-            .unwrap_or(0);
-        while self.buf.len() < head_end + length {
-            let n = self.stream.read(&mut chunk).expect("reading response");
-            assert!(n > 0, "peer closed mid-body");
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-        let body = String::from_utf8_lossy(&self.buf[head_end..head_end + length]).to_string();
-        self.buf.drain(..head_end + length);
-        (status, headers, body)
+        parts(self.connection.read_response().expect("reading response"))
     }
 
     /// The connection reached EOF (with nothing buffered).
     fn at_eof(&mut self) -> bool {
-        let mut probe = [0u8; 64];
-        self.buf.is_empty() && matches!(self.stream.read(&mut probe), Ok(0))
+        self.connection.at_eof()
     }
 }
 
@@ -529,7 +482,7 @@ fn a_thousand_pipelined_requests_all_answer_in_order() {
     const REQUESTS: usize = 1000;
     let handle = start(auto_store(), ServerConfig::default());
     let mut client = KeepAliveClient::connect(handle.addr());
-    let mut writer = client.stream.try_clone().unwrap();
+    let mut writer = client.connection.stream().try_clone().unwrap();
     let sender = std::thread::spawn(move || {
         let mut raw = Vec::new();
         for i in 0..REQUESTS {

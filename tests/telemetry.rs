@@ -18,14 +18,22 @@
 //!    byte, and the Chrome-trace rendering is byte-identical across
 //!    runs (ISSUE 5). Regenerate goldens with
 //!    `UPDATE_GOLDEN=1 cargo test --test telemetry`.
+//! 6. **Overhead guard** (`#[ignore]`d, release only) — the matcher
+//!    stage with telemetry off stays within 5 % of a fixed reference,
+//!    and the full observability plane stays within 5 % of off. Run it
+//!    as `cargo test -q --release --test telemetry -- --ignored
+//!    --test-threads=1`.
 
 use std::sync::Mutex;
+use std::time::Instant;
 
 use qi_core::NamingPolicy;
 use qi_eval::{evaluate_corpus_with, Panel, RunConfig};
 use qi_lexicon::Lexicon;
 use qi_mapping::{match_by_labels_stats, MatcherConfig};
-use qi_runtime::{MetricsSnapshot, TelemetryMode};
+use qi_runtime::{
+    Category, EventRecorder, MetricsSnapshot, Severity, Telemetry, TelemetryMode, TimeSeries,
+};
 
 /// The Porter stem cache is process-global and these tests both reset
 /// it and assert on deltas attributed from it, so they must not overlap
@@ -288,4 +296,114 @@ fn chrome_trace_is_byte_identical_across_deterministic_runs() {
         first, second,
         "deterministic runs must render identical Chrome traces"
     );
+}
+
+/// Reference median of the telemetry-off `cluster` stage, in ms: the
+/// seven-domain matcher timing the repository committed before the
+/// perfbench benchmark replaced its stage-timing harness (runs 6.019,
+/// 4.533, 4.200, 3.535 and 4.001 ms; EXPERIMENTS.md, "Telemetry
+/// overhead"). It is a fixed constant, never re-recorded, so a slower
+/// disabled path cannot move its own reference.
+const CLUSTER_REFERENCE_MS: f64 = 4.200;
+
+/// Whether `value` exceeds `base` by more than 5 % *and* by more than
+/// 0.5 ms. The absolute floor keeps single-core jitter on a
+/// few-millisecond stage from reading as a regression.
+fn exceeds(value: f64, base: f64) -> bool {
+    let over = value - base;
+    over > base * 0.05 && over > 0.5
+}
+
+fn median_ms(runs: &mut [f64]) -> f64 {
+    runs.sort_by(f64::total_cmp);
+    let mid = runs.len() / 2;
+    if runs.len() % 2 == 1 {
+        runs[mid]
+    } else {
+        (runs[mid - 1] + runs[mid]) / 2.0
+    }
+}
+
+/// One timed `cluster` pass in ms: the label matcher against ground
+/// truth in every builtin domain, with one event emit and one
+/// time-series probe per domain inside the timed region (pointer checks
+/// when the recorder and series are off).
+fn cluster_pass(
+    domains: &[qi_datasets::Domain],
+    lexicon: &Lexicon,
+    telemetry: &Telemetry,
+    series: &TimeSeries,
+) -> f64 {
+    let start = Instant::now();
+    for domain in domains {
+        std::hint::black_box(qi_eval::matcher_eval::evaluate_matcher(domain, lexicon));
+        telemetry.event(
+            Severity::Debug,
+            Category::Ingest,
+            "bench.cluster.domain",
+            || vec![("domain", domain.name.as_str().into())],
+        );
+        series.maybe_tick(telemetry);
+    }
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// The disabled pipeline must not pay for instrumentation it does not
+/// use, and the live observability plane (registry, flight recorder and
+/// a 100 ms time series) must stay cheap. Telemetry off, on and observe
+/// each get one discarded warm-up pass, then three measured passes,
+/// interleaved so a drifting CPU clock hits every mode alike.
+#[test]
+#[ignore = "timing guard: run in release with --ignored --test-threads=1"]
+fn telemetry_overhead_stays_within_five_percent() {
+    let _guard = lock();
+    let lexicon = Lexicon::builtin();
+    let domains = qi_datasets::all_domains();
+    let modes = [
+        ("telemetry off", Telemetry::off(), TimeSeries::off()),
+        ("telemetry on", Telemetry::new(), TimeSeries::off()),
+        (
+            "observe on",
+            Telemetry::new().attach_events(EventRecorder::new(4096)),
+            TimeSeries::new(100_000_000, 64),
+        ),
+    ];
+    for (_, telemetry, series) in &modes {
+        cluster_pass(&domains, &lexicon, telemetry, series);
+    }
+    let mut runs = vec![Vec::new(); modes.len()];
+    for _ in 0..3 {
+        for ((_, telemetry, series), runs) in modes.iter().zip(&mut runs) {
+            runs.push(cluster_pass(&domains, &lexicon, telemetry, series));
+        }
+    }
+    let [off, on, observe] = [0, 1, 2].map(|i| median_ms(&mut runs[i]));
+
+    println!(
+        "{:<10} {:>14} {:>13} {:>13} {:>14}",
+        "stage", modes[0].0, modes[1].0, modes[2].0, "committed ref"
+    );
+    println!(
+        "{:<10} {off:>11.3} ms {on:>10.3} ms {observe:>10.3} ms {CLUSTER_REFERENCE_MS:>11.3} ms",
+        "cluster"
+    );
+    let recorder_seq = modes[2].1.events().last_seq();
+    assert!(
+        recorder_seq > 0,
+        "the observe run recorded no events, so it did not measure a live plane"
+    );
+    let mut failures = Vec::new();
+    if exceeds(off, CLUSTER_REFERENCE_MS) {
+        failures.push(format!(
+            "telemetry-off cluster median {off:.3} ms exceeds the committed reference \
+             {CLUSTER_REFERENCE_MS:.3} ms by more than 5 % and 0.5 ms"
+        ));
+    }
+    if exceeds(observe, off) {
+        failures.push(format!(
+            "observe-on cluster median {observe:.3} ms exceeds the telemetry-off run \
+             {off:.3} ms by more than 5 % and 0.5 ms"
+        ));
+    }
+    assert!(failures.is_empty(), "{}", failures.join("; "));
 }
