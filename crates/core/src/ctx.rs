@@ -246,13 +246,6 @@ impl<'a> NamingCtx<'a> {
             self.combine_capped.load(Ordering::Relaxed),
         )
     }
-
-    /// Enable or disable the context's memo-caches (benchmarks measure
-    /// the uncached pipeline through this).
-    pub fn set_cache_enabled(&self, enabled: bool) {
-        self.memo.texts.set_enabled(enabled);
-        self.memo.relations.set_enabled(enabled);
-    }
 }
 
 #[cfg(test)]

@@ -97,30 +97,8 @@ fn canonicalize(parent: &mut Vec<usize>) -> Vec<usize> {
     comp
 }
 
-/// Union tuple `t` with every tuple consistent with it at `level`.
-fn union_neighbours(
-    relation: &mut InternedRelation<'_>,
-    parent: &mut Vec<usize>,
-    t: usize,
-    level: ConsistencyLevel,
-    ctx: &NamingCtx<'_>,
-) {
-    let mut neighbours = vec![0u64; relation.words()];
-    let row = relation.row(t).to_vec();
-    relation.or_consistent(level, &row, ctx, &mut neighbours);
-    for u in bits(&neighbours) {
-        let ru = find(parent, u);
-        let rt = find(parent, t);
-        if ru != rt {
-            parent[ru] = rt;
-        }
-    }
-}
-
 /// The canonical component ids of a partitioning: `comp[i]` is the
-/// smallest tuple index in tuple `i`'s connected component. This is the
-/// carryable form of a partitioning — [`extend_components`] grows it by
-/// one appended tuple without redoing the pairwise closure.
+/// smallest tuple index in tuple `i`'s connected component.
 pub fn components(
     relation: &mut InternedRelation<'_>,
     level: ConsistencyLevel,
@@ -128,31 +106,20 @@ pub fn components(
 ) -> Vec<usize> {
     let n = relation.len();
     let mut parent: Vec<usize> = (0..n).collect();
-    for i in 0..n {
-        union_neighbours(relation, &mut parent, i, level, ctx);
+    let mut neighbours = vec![0u64; relation.words()];
+    for t in 0..n {
+        // Union tuple `t` with every tuple consistent with it at `level`.
+        neighbours.fill(0);
+        let row = relation.row(t).to_vec();
+        relation.or_consistent(level, &row, ctx, &mut neighbours);
+        for u in bits(&neighbours) {
+            let ru = find(&mut parent, u);
+            let rt = find(&mut parent, t);
+            if ru != rt {
+                parent[ru] = rt;
+            }
+        }
     }
-    canonicalize(&mut parent)
-}
-
-/// Extend cached [`components`] of a relation's first `n-1` tuples to
-/// cover an appended last tuple: edges among the old tuples are untouched
-/// by an append (their labels on shared columns are what they always
-/// were), so only the new tuple's edges need computing.
-pub fn extend_components(
-    relation: &mut InternedRelation<'_>,
-    level: ConsistencyLevel,
-    ctx: &NamingCtx<'_>,
-    seed: &[usize],
-) -> Vec<usize> {
-    let n = relation.len();
-    debug_assert_eq!(
-        seed.len() + 1,
-        n,
-        "seed must cover all but the appended tuple"
-    );
-    let mut parent: Vec<usize> = (0..n).collect();
-    parent[..n - 1].copy_from_slice(seed);
-    union_neighbours(relation, &mut parent, n - 1, level, ctx);
     canonicalize(&mut parent)
 }
 

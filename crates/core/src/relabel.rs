@@ -22,8 +22,13 @@
 //! clusters that gained a member) and — for internal nodes — no potential
 //! label of the appended schema has its bag inside `x`. Keys mentioning a
 //! newly created cluster miss naturally: new cluster ids did not exist in
-//! the previous run. Phases 2 and 3 re-run in full; they are cheap tree
-//! walks over phase-1 output.
+//! the previous run. An entry that is not valid is recomputed from
+//! scratch exactly as a batch run computes it — a touched group is
+//! rebuilt by `GroupRelation::build` and named by
+//! [`crate::solution::name_group`] — over the carried [`NamingMemo`], so
+//! its label normalizations and pairwise relations are mostly memo hits.
+//! Phases 2 and 3 re-run in full; they are cheap tree walks over phase-1
+//! output.
 //!
 //! Labels are cached as plain `String`s, not interned symbols: the naming
 //! context (and its symbol table) lives only for one run, so reused
@@ -32,7 +37,7 @@
 use crate::ctx::NamingMemo;
 use crate::internal::CandidateLabel;
 use crate::report::{InferenceRule, LiUsage};
-use crate::solution::{GroupNaming, GroupNamingState};
+use crate::solution::GroupNaming;
 use qi_mapping::{ClusterId, GroupRelation};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -43,9 +48,6 @@ use std::sync::Arc;
 pub struct RelabelDelta {
     /// Old clusters that gained a member from the appended interface.
     pub dirty: BTreeSet<ClusterId>,
-    /// Clusters created by the appended interface (every member is a
-    /// field of the new schema).
-    pub new_clusters: BTreeSet<ClusterId>,
     /// Index of the appended schema.
     pub new_schema: usize,
 }
@@ -92,10 +94,6 @@ impl RelabelCache {
 pub(crate) struct CachedGroup {
     pub relation: GroupRelation,
     pub naming: GroupNaming,
-    /// The run's partitioning + per-partition solutions, so a later
-    /// append can extend the naming instead of recomputing it
-    /// ([`crate::solution::extend_group_naming`]).
-    pub state: GroupNamingState,
 }
 
 #[derive(Debug, Clone)]

@@ -18,12 +18,11 @@ use crate::conflicts::repair_conflicts;
 use crate::consistency::ConsistencyLevel;
 use crate::ctx::NamingCtx;
 use crate::kernel::InternedRelation;
-use crate::partition::{components, extend_components, result_from_components, TuplePartition};
+use crate::partition::{components, result_from_components, TuplePartition};
 use crate::policy::{LabelSelection, NamingPolicy};
 use qi_mapping::GroupRelation;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 /// The chosen naming solution for a group.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,128 +172,12 @@ fn best_consistent(
     best.map(|(_, _, solution)| solution)
 }
 
-/// Solutions of one partition at one level, in partition-tuple form —
-/// the carryable half of the partially-consistent path. Keyed by the
-/// member tuple set: an append that leaves a partition's members
-/// untouched leaves its `Combine*` output untouched too (modulo column
-/// padding), so the enumeration can be replayed instead of redone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionSolutions {
-    /// Member tuple indices of the partition, ascending.
-    pub tuples: Vec<usize>,
-    /// Raw `Combine*` / greedy output for the partition, pre-ranking.
-    /// Shared, so capturing a run's state never deep-copies the
-    /// solution lists.
-    pub solutions: Arc<Vec<TupleSolution>>,
-}
-
-/// The reusable internals of one `name_group` run over a relation.
-///
-/// `levels` carries the canonical connected-component ids per visited
-/// consistency level ([`components`]); appending one tuple only *merges*
-/// components (an edge between old tuples never appears or disappears),
-/// so [`extend_group_naming`] re-derives each level in O(n) instead of
-/// O(n²). `partial` carries the per-partition solutions of the
-/// partially-consistent path, reused verbatim for partitions the append
-/// did not touch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GroupNamingState {
-    /// `(level, canonical component id per tuple)` for every level the
-    /// run partitioned at, in ladder order.
-    pub levels: Vec<(ConsistencyLevel, Vec<usize>)>,
-    /// Per-partition solutions at the final level, when the run took the
-    /// partially-consistent path (partition order).
-    pub partial: Option<Vec<PartitionSolutions>>,
-}
-
-/// How an extension run may reuse a prior run's state.
-struct ExtendSeed<'s> {
-    old: &'s GroupNamingState,
-    /// True when the new relation has one tuple appended after the old
-    /// ones (false when the new schema labeled nothing in this group).
-    appended: bool,
-    /// Old column index → new column index.
-    column_map: &'s [usize],
-}
-
-/// Replay a cached solution against a column-remapped relation: labels
-/// move through `column_map` (new columns stay null — no old tuple
-/// labels them), and the verbatim-occurrence frequency picks up the
-/// appended tuple iff it equals the solution. Everything else —
-/// contributing tuples, candidacy, expressiveness — is append-invariant.
-fn remap_solution(
-    solution: &TupleSolution,
-    relation: &GroupRelation,
-    column_map: &[usize],
-    appended: bool,
-) -> TupleSolution {
-    let mut labels: Vec<Option<String>> = vec![None; relation.width()];
-    for (old_col, &new_col) in column_map.iter().enumerate() {
-        labels[new_col] = solution.labels[old_col].clone();
-    }
-    let mut frequency = solution.frequency;
-    if appended && relation.tuples[relation.tuples.len() - 1].labels == labels {
-        frequency += 1;
-    }
-    TupleSolution {
-        labels,
-        used_tuples: solution.used_tuples.clone(),
-        is_candidate: solution.is_candidate,
-        expressiveness: solution.expressiveness,
-        frequency,
-    }
-}
-
 /// Name the fields of one group (§4.1–§4.3).
 pub fn name_group(
     relation: &GroupRelation,
     ctx: &NamingCtx<'_>,
     policy: &NamingPolicy,
 ) -> GroupNaming {
-    name_group_impl(relation, ctx, policy, false, None).0
-}
-
-/// [`name_group`], also capturing the run's reusable internals for a
-/// later [`extend_group_naming`].
-pub fn name_group_stateful(
-    relation: &GroupRelation,
-    ctx: &NamingCtx<'_>,
-    policy: &NamingPolicy,
-) -> (GroupNaming, GroupNamingState) {
-    let (naming, state) = name_group_impl(relation, ctx, policy, true, None);
-    (naming, state.expect("stateful run captures state"))
-}
-
-/// Re-run `name_group` over a relation extended from a previous run —
-/// same tuples in the same order (columns possibly remapped through
-/// `column_map`, new columns null everywhere), plus at most one appended
-/// tuple — reusing the previous run's partitioning and per-partition
-/// solutions. Produces output identical to [`name_group`] from scratch:
-/// component extension and solution replay are exact, not approximate.
-pub fn extend_group_naming(
-    relation: &GroupRelation,
-    old: &GroupNamingState,
-    appended: bool,
-    column_map: &[usize],
-    ctx: &NamingCtx<'_>,
-    policy: &NamingPolicy,
-) -> (GroupNaming, GroupNamingState) {
-    let seed = ExtendSeed {
-        old,
-        appended,
-        column_map,
-    };
-    let (naming, state) = name_group_impl(relation, ctx, policy, true, Some(&seed));
-    (naming, state.expect("stateful run captures state"))
-}
-
-fn name_group_impl(
-    relation: &GroupRelation,
-    ctx: &NamingCtx<'_>,
-    policy: &NamingPolicy,
-    capture: bool,
-    seed: Option<&ExtendSeed<'_>>,
-) -> (GroupNaming, Option<GroupNamingState>) {
     let null_solution = || GroupSolution {
         labels: vec![None; relation.width()],
         used_tuples: BTreeSet::new(),
@@ -306,40 +189,18 @@ fn name_group_impl(
     };
     if relation.tuples.is_empty() {
         // Nothing is labeled anywhere: the group keeps null labels.
-        return (
-            GroupNaming {
-                best: null_solution(),
-                level: None,
-                consistent: false,
-            },
-            capture.then(GroupNamingState::default),
-        );
+        return GroupNaming {
+            best: null_solution(),
+            level: None,
+            consistent: false,
+        };
     }
-    let n = relation.tuples.len();
     let mut interned = InternedRelation::new(relation, ctx);
-    // Components at a level: seeded extension when the previous run
-    // partitioned at this level (only the new tuple's edges), the full
-    // pairwise closure otherwise.
-    let comps_for = |interned: &mut InternedRelation<'_>, level: ConsistencyLevel| {
-        if let Some(seed) = seed {
-            if let Some((_, old)) = seed.old.levels.iter().find(|(l, _)| *l == level) {
-                if seed.appended && old.len() + 1 == n {
-                    return extend_components(interned, level, ctx, old);
-                }
-                if !seed.appended && old.len() == n {
-                    // No appended tuple: the component structure is
-                    // untouched by column padding.
-                    return old.clone();
-                }
-            }
-        }
-        components(interned, level, ctx)
-    };
-    let mut visited: Vec<(ConsistencyLevel, Vec<usize>)> = Vec::new();
+    let mut last: Option<(ConsistencyLevel, Vec<usize>)> = None;
     for level in policy.levels() {
-        let comps = comps_for(&mut interned, level);
+        let comps = components(&mut interned, level, ctx);
         let result = result_from_components(relation, level, &comps);
-        visited.push((level, comps));
+        last = Some((level, comps));
         if !result.has_full_cover() {
             continue;
         }
@@ -358,73 +219,30 @@ fn name_group_impl(
         if policy.repair_conflicts {
             best.conflict_repaired = repair_conflicts(&mut best.labels, relation, ctx);
         }
-        return (
-            GroupNaming {
-                best,
-                level: Some(level),
-                consistent: true,
-            },
-            capture.then_some(GroupNamingState {
-                levels: visited,
-                partial: None,
-            }),
-        );
+        return GroupNaming {
+            best,
+            level: Some(level),
+            consistent: true,
+        };
     }
     // Partially consistent solution (§4.2.2).
     let max_level = *policy.levels().last().unwrap_or(&ConsistencyLevel::String);
     // The ladder normally ends at max_level, so its partitioning is
     // already in hand; recompute only under a non-standard ladder.
-    let result = match visited.iter().find(|(l, _)| *l == max_level) {
-        Some((_, comps)) => result_from_components(relation, max_level, comps),
-        None => {
-            let comps = comps_for(&mut interned, max_level);
-            let result = result_from_components(relation, max_level, &comps);
-            visited.push((max_level, comps));
-            result
-        }
+    let comps = match last {
+        Some((level, comps)) if level == max_level => comps,
+        _ => components(&mut interned, max_level, ctx),
     };
-    // Cached per-partition solutions from the previous run, keyed by
-    // member tuple set. A current partition with the same members as an
-    // old one was untouched by the append (the appended tuple has index
-    // n-1, beyond any old member), so its solutions replay via remap.
-    let reusable: Option<HashMap<&[usize], &PartitionSolutions>> = seed.and_then(|s| {
-        s.old
-            .partial
-            .as_ref()
-            .map(|ps| ps.iter().map(|p| (p.tuples.as_slice(), p)).collect())
-    });
-    let mut captured: Vec<PartitionSolutions> = Vec::new();
+    let result = result_from_components(relation, max_level, &comps);
     let mut per_partition: Vec<GroupSolution> = Vec::new();
     for partition in &result.partitions {
-        let raw: Arc<Vec<TupleSolution>> = match reusable
-            .as_ref()
-            .and_then(|m| m.get(partition.tuples.as_slice()))
-        {
-            Some(old) => {
-                let s = seed.expect("reusable implies seed");
-                Arc::new(
-                    old.solutions
-                        .iter()
-                        .map(|sol| remap_solution(sol, relation, s.column_map, s.appended))
-                        .collect(),
-                )
-            }
-            None => {
-                let derived = partition_solutions(&mut interned, partition, max_level, ctx);
-                Arc::new(derived.all_solutions(&mut interned, partition, ctx))
-            }
-        };
-        if capture {
-            captured.push(PartitionSolutions {
-                tuples: partition.tuples.clone(),
-                solutions: Arc::clone(&raw),
-            });
-        }
+        let derived = partition_solutions(&mut interned, partition, max_level, ctx);
+        let mut raw = derived.all_solutions(&mut interned, partition, ctx);
         // Only the top-ranked solution of a partition feeds the greedy
         // concatenation — select it directly instead of sorting all.
         if let Some(best) = best_of(&raw, policy.selection) {
             per_partition.push(to_group_solution(
-                raw[best].clone(),
+                raw.swap_remove(best),
                 partition.tuples.clone(),
             ));
         }
@@ -464,17 +282,11 @@ fn name_group_impl(
     if policy.repair_conflicts {
         merged.conflict_repaired = repair_conflicts(&mut merged.labels, relation, ctx);
     }
-    (
-        GroupNaming {
-            best: merged,
-            level: None,
-            consistent: false,
-        },
-        capture.then_some(GroupNamingState {
-            levels: visited,
-            partial: Some(captured),
-        }),
-    )
+    GroupNaming {
+        best: merged,
+        level: None,
+        consistent: false,
+    }
 }
 
 #[cfg(test)]

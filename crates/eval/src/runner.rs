@@ -22,9 +22,6 @@ pub struct RunConfig {
     /// oversubscription; with one worker the labeler itself fans phase-1
     /// group naming out over this many threads.
     pub threads: usize,
-    /// Naming-context memo-caches on (default) or off (benchmark
-    /// baseline).
-    pub cache: bool,
     /// Telemetry collection mode. `Off` (the default) skips all metric
     /// recording at the cost of one pointer check per boundary; the
     /// other modes attach a [`MetricsSnapshot`] to every
@@ -37,7 +34,6 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             threads: 0,
-            cache: true,
             telemetry: TelemetryMode::Off,
         }
     }
@@ -111,7 +107,6 @@ pub fn evaluate_domain_with(
     drop(prepare_span);
     let labeler = Labeler::new(lexicon, policy)
         .with_threads(config.threads)
-        .with_cache(config.cache)
         .with_telemetry(telemetry.clone());
     let label_span = telemetry.span("eval.domain.label");
     let labeled = labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated);
@@ -283,35 +278,6 @@ mod tests {
             format!("{:?}", parallel.li_usage),
             format!("{:?}", sequential.li_usage)
         );
-    }
-
-    /// Disabling the memo-caches must not change any result either.
-    #[test]
-    fn cache_off_matches_cache_on() {
-        let domains = vec![qi_datasets::auto::domain(), qi_datasets::job::domain()];
-        let lexicon = Lexicon::builtin();
-        let on = evaluate_corpus_with(
-            &domains,
-            &lexicon,
-            NamingPolicy::default(),
-            Panel::default(),
-            RunConfig {
-                threads: 1,
-                ..RunConfig::default()
-            },
-        );
-        let off = evaluate_corpus_with(
-            &domains,
-            &lexicon,
-            NamingPolicy::default(),
-            Panel::default(),
-            RunConfig {
-                threads: 1,
-                cache: false,
-                ..RunConfig::default()
-            },
-        );
-        assert_eq!(format!("{:?}", on.domains), format!("{:?}", off.domains));
     }
 
     /// A domain that panics mid-pipeline is reported in `failed`; the

@@ -130,14 +130,6 @@ impl Lexicon {
         morphy::reduce(token, |candidate| self.is_lemma(candidate))
     }
 
-    /// Enable or disable the lexicon's memo-caches (hypernymy and
-    /// base-form). Benchmarks disable them to measure the raw pipeline.
-    pub fn set_cache_enabled(&self, enabled: bool) {
-        self.hypernym_cache.set_enabled(enabled);
-        self.base_form_cache.set_enabled(enabled);
-        self.resolve_cache.set_enabled(enabled);
-    }
-
     /// Aggregated hit/miss counters of the lexicon's memo-caches.
     pub fn cache_stats(&self) -> CacheStats {
         self.hypernym_cache

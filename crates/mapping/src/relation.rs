@@ -98,103 +98,6 @@ impl GroupRelation {
         }
     }
 
-    /// Extend this relation — built for a previous run's cluster list —
-    /// to the grown cluster list after one interface was appended,
-    /// without re-reading any old schema. Equals
-    /// [`GroupRelation::build`]`(clusters, mapping, schemas)` exactly,
-    /// under the append-delta contract (old clusters gain members only
-    /// from `new_schema`; `new_clusters` have members only in it).
-    ///
-    /// Returns `(relation, column_map, appended)` where `column_map`
-    /// maps this relation's columns to the new relation's, and
-    /// `appended` reports whether the new schema contributed a (non-all-
-    /// null) tuple — appended last, matching `build`'s schema-order
-    /// iteration. Returns `None` when the inputs don't fit the contract
-    /// (caller falls back to a full `build`): old columns missing from
-    /// `clusters`, or a "new" cluster with members outside `new_schema`.
-    pub fn extend_for_append(
-        &self,
-        clusters: &[ClusterId],
-        mapping: &Mapping,
-        schemas: &[SchemaTree],
-        new_schema: usize,
-        new_clusters: &std::collections::BTreeSet<ClusterId>,
-    ) -> Option<(GroupRelation, Vec<usize>, bool)> {
-        // Old columns may appear in any order in the new cluster list —
-        // the appended interface can permute the integrated tree's leaf
-        // order — so match them by identity, not position.
-        let old_pos: std::collections::HashMap<ClusterId, usize> = self
-            .clusters
-            .iter()
-            .enumerate()
-            .map(|(i, &cid)| (cid, i))
-            .collect();
-        let mut column_map: Vec<usize> = vec![usize::MAX; self.clusters.len()];
-        let mut matched = 0usize;
-        for (column, &cid) in clusters.iter().enumerate() {
-            if new_clusters.contains(&cid) {
-                // A column born with the appended interface: no old
-                // schema may reach it, or old tuples would change.
-                if mapping
-                    .cluster(cid)
-                    .members
-                    .iter()
-                    .any(|m| m.schema != new_schema)
-                {
-                    return None;
-                }
-            } else {
-                let Some(&old_col) = old_pos.get(&cid) else {
-                    return None; // a pre-existing column we never had
-                };
-                column_map[old_col] = column;
-                matched += 1;
-            }
-        }
-        if matched != self.clusters.len() {
-            return None; // an old column vanished — not an append
-        }
-        let width = clusters.len();
-        let mut tuples: Vec<GroupTuple> = self
-            .tuples
-            .iter()
-            .map(|t| {
-                let mut labels: Vec<Option<String>> = vec![None; width];
-                for (old_col, &new_col) in column_map.iter().enumerate() {
-                    labels[new_col] = t.labels[old_col].clone();
-                }
-                GroupTuple {
-                    schema: t.schema,
-                    labels,
-                }
-            })
-            .collect();
-        let labels: Vec<Option<String>> = clusters
-            .iter()
-            .map(|&cid| {
-                mapping
-                    .cluster(cid)
-                    .member_of(new_schema)
-                    .and_then(|field| schemas[new_schema].node(field.node).label.clone())
-            })
-            .collect();
-        let appended = labels.iter().any(Option::is_some);
-        if appended {
-            tuples.push(GroupTuple {
-                schema: new_schema,
-                labels,
-            });
-        }
-        Some((
-            GroupRelation {
-                clusters: clusters.to_vec(),
-                tuples,
-            },
-            column_map,
-            appended,
-        ))
-    }
-
     /// Number of clusters (columns).
     pub fn width(&self) -> usize {
         self.clusters.len()

@@ -5,14 +5,13 @@
 //! one of N independent `RwLock<HashMap>` shards by hash, so readers on
 //! different shards never contend. Hit/miss counters make cache
 //! effectiveness observable (`/metrics` and the benchmark's
-//! `*_hit_ratio` metrics report them), and the whole cache can be
-//! disabled to measure the uncached pipeline.
+//! `*_hit_ratio` metrics report them).
 
 use crate::sync;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 /// Snapshot of a cache's counters.
@@ -20,7 +19,7 @@ use std::sync::RwLock;
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to compute (or found the cache disabled).
+    /// Lookups that had to compute.
     pub misses: u64,
     /// Entries currently stored across all shards.
     pub entries: usize,
@@ -66,7 +65,6 @@ pub struct ShardedCache<K, V> {
     hasher: RandomState,
     hits: AtomicU64,
     misses: AtomicU64,
-    enabled: AtomicBool,
 }
 
 /// Default shard count: enough stripes that a 16-thread evaluation run
@@ -93,23 +91,11 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
             hasher: RandomState::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
         }
     }
 
     fn shard_of<Q: Hash + ?Sized>(&self, key: &Q) -> usize {
         (self.hasher.hash_one(key) as usize) & (self.shards.len() - 1)
-    }
-
-    /// Turn memoization on or off. Disabling does not clear stored
-    /// entries; lookups simply miss and inserts are dropped.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether memoization is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Look up `key` (borrowed form allowed, like `HashMap::get`),
@@ -119,10 +105,6 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        if !self.is_enabled() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
         let shard = &self.shards[self.shard_of(key)];
         let found = sync::read(shard).get(key).cloned();
         match found {
@@ -137,11 +119,8 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         }
     }
 
-    /// Store `key → value` (no-op while disabled).
+    /// Store `key → value`.
     pub fn insert(&self, key: K, value: V) {
-        if !self.is_enabled() {
-            return;
-        }
         sync::write(&self.shards[self.shard_of(&key)]).insert(key, value);
     }
 
@@ -228,25 +207,6 @@ mod tests {
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.entries, 2);
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disabled_cache_always_computes() {
-        let cache: ShardedCache<u32, u32> = ShardedCache::new(4);
-        cache.set_enabled(false);
-        let computed = AtomicUsize::new(0);
-        for _ in 0..3 {
-            let v = cache.get_or_insert_with(7, || {
-                computed.fetch_add(1, Ordering::Relaxed);
-                49
-            });
-            assert_eq!(v, 49);
-        }
-        assert_eq!(computed.load(Ordering::Relaxed), 3);
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 3);
-        assert_eq!(stats.entries, 0);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! paths run through, built exclusively on `std`:
 //!
 //! * [`ShardedCache`] — an N-way lock-striped concurrent memo-cache with
-//!   hit/miss counters and a global enable switch (so benchmarks can
-//!   measure the uncached pipeline);
+//!   hit/miss counters;
 //! * [`Interner`] — an append-only string arena mapping labels to dense
 //!   [`Symbol`]s, with `Arc<str>` leases for the public API, turning label
 //!   equality into integer equality;

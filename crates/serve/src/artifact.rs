@@ -377,20 +377,8 @@ fn try_delta_ingest(
     let mut merge_state = state.merge_state.clone();
     merge_state.extend(&schemas, &mapping);
     let integrated = merge_state.finish(&schemas, &mapping);
-    // Clusters born with the appended interface: ids absent from the
-    // pre-ingest mapping. The labeler uses these to recover a touched
-    // group's previous cache key (its columns minus the new ones).
-    let old_ids: std::collections::BTreeSet<qi_mapping::ClusterId> =
-        artifact.mapping.clusters.iter().map(|c| c.id).collect();
-    let new_clusters = mapping
-        .clusters
-        .iter()
-        .map(|c| c.id)
-        .filter(|id| !old_ids.contains(id))
-        .collect();
     let reuse = RelabelDelta {
         dirty: delta.dirty,
-        new_clusters,
         new_schema: schemas.len() - 1,
     };
     drop(merge);

@@ -23,12 +23,6 @@ fn stem_cache() -> &'static ShardedCache<String, String> {
     CACHE.get_or_init(ShardedCache::default)
 }
 
-/// Enable or disable the process-wide stem memo-cache (benchmarks use
-/// this to time the uncached pipeline).
-pub fn set_stem_cache_enabled(enabled: bool) {
-    stem_cache().set_enabled(enabled);
-}
-
 /// Hit/miss counters of the stem memo-cache.
 pub fn stem_cache_stats() -> CacheStats {
     stem_cache().stats()

@@ -8,11 +8,6 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test -q --workspace
-# Incremental-equivalence stage: the delta-ingest suite runs in the
-# debug profile, where its debug_assert guards compare every extended
-# group naming against a from-scratch rebuild — any divergence between
-# the incremental and full paths fails here, not in production.
-cargo test -q --test incremental
 # Drift-equivalence stage: seeded drift corpora must be byte-stable
 # (corpus, snapshot and metrics documents), both matcher engines must
 # agree on them tier for tier, and the drift cache-hit rate must sit

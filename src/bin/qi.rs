@@ -499,7 +499,6 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
     let config = qi_eval::RunConfig {
         threads,
         telemetry: telemetry_mode(metrics_path.or(trace_path), deterministic),
-        ..qi_eval::RunConfig::default()
     };
     let run_corpus = || {
         qi_eval::evaluate_corpus_with(

@@ -63,7 +63,6 @@ fn seven_domain_document(mode: TelemetryMode) -> MetricsSnapshot {
         RunConfig {
             threads: 1,
             telemetry: mode,
-            ..RunConfig::default()
         },
     );
     assert!(result.failed.is_empty(), "{:?}", result.failed);
