@@ -28,10 +28,10 @@ use std::sync::Arc;
 /// ever compared for *equality* (dedup sets, ancestor-label checks);
 /// every ranking tie-break in the pipeline orders by spelling, so the
 /// numeric symbol ids a carried interner hands out are output-neutral.
-/// The incremental ingest path threads one memo through successive
-/// relabel runs ([`crate::RelabelCache`]), which is where most of a
-/// small append's cost would otherwise go: re-stemming and re-relating
-/// the same few hundred domain labels from scratch.
+/// The incremental ingest path carries one memo per domain from each
+/// labeling run into the next ([`crate::Labeler::with_memo`]), which is
+/// where most of a small append's cost would otherwise go: re-stemming
+/// and re-relating the same few hundred domain labels from scratch.
 #[derive(Default)]
 pub struct NamingMemo {
     interner: Interner,
@@ -51,6 +51,9 @@ impl std::fmt::Debug for NamingMemo {
 pub struct NamingCtx<'a> {
     lexicon: &'a Lexicon,
     memo: Arc<NamingMemo>,
+    /// The memo's `(relations, texts)` counters when this context was
+    /// created, so the reported hit/miss counts are this run's alone.
+    start: [CacheStats; 2],
     /// `Combine*` states explored by this run.
     combine_states: AtomicU64,
     /// `Combine*` enumerations of this run that reached the state cap.
@@ -68,15 +71,11 @@ impl<'a> NamingCtx<'a> {
     pub fn with_memo(lexicon: &'a Lexicon, memo: Arc<NamingMemo>) -> Self {
         NamingCtx {
             lexicon,
+            start: [memo.relations.stats(), memo.texts.stats()],
             memo,
             combine_states: AtomicU64::new(0),
             combine_capped: AtomicU64::new(0),
         }
-    }
-
-    /// The context's memo state, for carrying into a later run.
-    pub fn memo(&self) -> Arc<NamingMemo> {
-        Arc::clone(&self.memo)
     }
 
     /// The lexicon in use.
@@ -218,15 +217,24 @@ impl<'a> NamingCtx<'a> {
     /// Aggregated hit/miss counters of the context's memo-caches
     /// (normalized texts + pairwise relations).
     pub fn cache_stats(&self) -> CacheStats {
-        self.memo.texts.stats().merge(&self.memo.relations.stats())
+        let [relations, texts] = self.named_cache_stats();
+        texts.1.merge(&relations.1)
     }
 
-    /// Per-cache hit/miss counters, keyed by stable cache names
-    /// (`naming.texts`, `naming.relations`) for the telemetry registry.
+    /// Per-cache hit/miss counters since this context was created, keyed
+    /// by stable cache names (`naming.texts`, `naming.relations`) for the
+    /// telemetry registry. `entries` is the memo's current size, carried
+    /// entries included.
     pub fn named_cache_stats(&self) -> [(&'static str, CacheStats); 2] {
         [
-            ("naming.relations", self.memo.relations.stats()),
-            ("naming.texts", self.memo.texts.stats()),
+            (
+                "naming.relations",
+                self.memo.relations.stats().delta_since(&self.start[0]),
+            ),
+            (
+                "naming.texts",
+                self.memo.texts.stats().delta_since(&self.start[1]),
+            ),
         ]
     }
 
@@ -333,6 +341,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A context over a carried memo counts only its own lookups: the
+    /// labels the first run normalized are hits for the second.
+    #[test]
+    fn carried_memo_stats_count_this_run_only() {
+        let lex = Lexicon::builtin();
+        let memo = Arc::new(NamingMemo::default());
+        let first = NamingCtx::with_memo(&lex, Arc::clone(&memo));
+        first.text("Zip Code");
+        first.text("City");
+        let second = NamingCtx::with_memo(&lex, memo);
+        second.text("Zip Code");
+        second.text("State");
+        let [_, (_, texts)] = second.named_cache_stats();
+        assert_eq!((texts.hits, texts.misses, texts.entries), (1, 1, 3));
     }
 
     #[test]

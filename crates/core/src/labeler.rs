@@ -13,19 +13,17 @@
 //!   and — for full consistency — be consistent with the solutions chosen
 //!   for their descendant groups (Definitions 6–7).
 
-use crate::ctx::NamingCtx;
+use crate::ctx::{NamingCtx, NamingMemo};
 use crate::internal::{self, CandidateLabel, ClusterInfo, PotentialLabel};
 use crate::isolated::{label_isolated_cluster, LabelOccurrence};
 use crate::policy::NamingPolicy;
-use crate::relabel::{
-    CachedGroup, CachedInternal, CachedIsolated, RelabelCache, RelabelDelta, StoredCandidate,
-};
-use crate::report::{ConsistencyClass, GroupOutcome, LiUsage, NamingReport};
+use crate::report::{ConsistencyClass, GroupOutcome, NamingReport};
 use crate::solution::{name_group, GroupNaming};
 use qi_lexicon::Lexicon;
 use qi_mapping::{ClusterId, GroupRelation, Integrated, Mapping};
 use qi_schema::{NodeId, SchemaTree};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The naming algorithm, configured once per domain run.
 pub struct Labeler<'a> {
@@ -40,6 +38,9 @@ pub struct Labeler<'a> {
     /// naming-cache stats. The default disabled handle costs one pointer
     /// check per phase boundary — nothing inside the phase loops.
     telemetry: qi_runtime::Telemetry,
+    /// Naming memo the run's [`NamingCtx`] starts from and adds to; a
+    /// fresh one per run when unset.
+    memo: Option<Arc<NamingMemo>>,
 }
 
 /// The labeled integrated interface plus the full naming report.
@@ -92,6 +93,7 @@ impl<'a> Labeler<'a> {
             policy,
             threads: 1,
             telemetry: qi_runtime::Telemetry::off(),
+            memo: None,
         }
     }
 
@@ -111,6 +113,16 @@ impl<'a> Labeler<'a> {
         self
     }
 
+    /// Run over `memo` instead of a fresh naming memo. The memo is
+    /// output-neutral (see [`NamingMemo`]); an incremental ingest carries
+    /// one per domain so a relabel of the grown domain finds most label
+    /// normalizations and pairwise relations already computed. Labels
+    /// the run sees for the first time are added to it.
+    pub fn with_memo(mut self, memo: Arc<NamingMemo>) -> Self {
+        self.memo = Some(memo);
+        self
+    }
+
     /// The active policy.
     pub fn policy(&self) -> &NamingPolicy {
         &self.policy
@@ -127,48 +139,9 @@ impl<'a> Labeler<'a> {
         mapping: &Mapping,
         integrated: &Integrated,
     ) -> LabeledInterface {
-        self.run(schemas, mapping, integrated, None, false).0
-    }
-
-    /// Run the naming algorithm while capturing reusable phase-1 state,
-    /// optionally seeding it from a previous run.
-    ///
-    /// `reuse` is the cache of the previous run plus the delta the
-    /// incremental matcher reported for the appended interface. Entries
-    /// whose inputs the delta touched are recomputed from scratch, as
-    /// [`Labeler::label`] computes them, over the carried naming memo;
-    /// everything else is replayed verbatim. With `reuse = None` this is
-    /// a batch run that merely records the cache. The labeled output is
-    /// identical to [`Labeler::label`] either way — the equivalence tests
-    /// in `tests/incremental.rs` compare the two paths byte-for-byte
-    /// through the snapshot encoding.
-    pub fn label_with(
-        &self,
-        schemas: &[SchemaTree],
-        mapping: &Mapping,
-        integrated: &Integrated,
-        reuse: Option<(&RelabelCache, &RelabelDelta)>,
-    ) -> (LabeledInterface, RelabelCache) {
-        let (labeled, cache) = self.run(schemas, mapping, integrated, reuse, true);
-        (labeled, cache.expect("capture was requested"))
-    }
-
-    fn run(
-        &self,
-        schemas: &[SchemaTree],
-        mapping: &Mapping,
-        integrated: &Integrated,
-        reuse: Option<(&RelabelCache, &RelabelDelta)>,
-        capture: bool,
-    ) -> (LabeledInterface, Option<RelabelCache>) {
         let run_span = self.telemetry.timed("label");
-        // A delta run inherits the previous run's naming memo: interning,
-        // normalization and pairwise relations are pure functions of the
-        // lexicon and the label strings, so the carried state is
-        // output-neutral and saves re-deriving the whole domain's labels
-        // to rename a few groups.
-        let ctx = match reuse {
-            Some((cache, _)) => NamingCtx::with_memo(self.lexicon, cache.memo()),
+        let ctx = match &self.memo {
+            Some(memo) => NamingCtx::with_memo(self.lexicon, Arc::clone(memo)),
             None => NamingCtx::new(self.lexicon),
         };
         let mut report = NamingReport::default();
@@ -192,81 +165,35 @@ impl<'a> Labeler<'a> {
             specs.push((clusters, leaves, None));
         }
         let phase_span = self.telemetry.timed("label.phase1.groups");
-        // (group, replayed from the cache?) in input order.
-        let group_results: Vec<(GroupWork, bool)> =
+        let groups: Vec<GroupWork> =
             qi_runtime::parallel_map(&specs, self.threads, |_, (clusters, leaves, parent)| {
-                let work = |relation, naming| GroupWork {
+                let relation = GroupRelation::build(clusters, mapping, schemas);
+                let naming = name_group(&relation, &ctx, &self.policy);
+                GroupWork {
                     clusters: clusters.clone(),
                     leaves: leaves.clone(),
                     parent: *parent,
                     relation,
                     naming,
-                };
-                // A cached group replays when its column set is untouched:
-                // no dirty cluster, and no new cluster (new ids miss the
-                // key lookup). The appended schema then contributes only
-                // an all-null tuple, which the relation builder omits — so
-                // relation and naming are unchanged. Every other group is
-                // built and named from scratch.
-                let hit = reuse
-                    .filter(|(_, delta)| delta.clean(clusters))
-                    .and_then(|(cache, _)| cache.groups.get(clusters));
-                match hit {
-                    Some(hit) => (work(hit.relation.clone(), hit.naming.clone()), true),
-                    None => {
-                        let relation = GroupRelation::build(clusters, mapping, schemas);
-                        let naming = name_group(&relation, &ctx, &self.policy);
-                        (work(relation, naming), false)
-                    }
                 }
             });
-        let groups_reused = group_results.iter().filter(|(_, hit)| *hit).count();
-        let groups_renamed = group_results.len() - groups_reused;
-        let groups: Vec<GroupWork> = group_results.into_iter().map(|(g, _)| g).collect();
         drop(phase_span);
 
         // ---------- Phase 1b: isolated clusters ------------------------------
         let phase_span = self.telemetry.timed("label.phase1.isolated");
-        let mut isolated_store: HashMap<ClusterId, CachedIsolated> = HashMap::new();
-        let mut isolated_reused = 0usize;
         for &(leaf, cluster) in &partition.isolated {
-            // An isolated election reads only the cluster's own members,
-            // so a clean cluster replays verbatim (LI usage included).
-            let cached = reuse.and_then(|(cache, delta)| {
-                (!delta.dirty.contains(&cluster))
-                    .then(|| cache.isolated.get(&cluster))
-                    .flatten()
-            });
-            let entry = match cached {
-                Some(hit) => {
-                    isolated_reused += 1;
-                    hit.clone()
-                }
-                None => {
-                    let occurrences = isolated_occurrences(schemas, mapping, cluster);
-                    let mut usage = LiUsage::default();
-                    let chosen =
-                        label_isolated_cluster(&occurrences, &ctx, &self.policy, &mut usage);
-                    CachedIsolated {
-                        chosen,
-                        occurrences: occurrences
-                            .iter()
-                            .map(|o| (o.label.clone(), o.frequency))
-                            .collect(),
-                        usage,
-                    }
-                }
-            };
-            report.li_usage.merge(&entry.usage);
+            let occurrences = isolated_occurrences(schemas, mapping, cluster);
+            let chosen =
+                label_isolated_cluster(&occurrences, &ctx, &self.policy, &mut report.li_usage);
             report.isolated.push(crate::report::IsolatedOutcome {
                 leaf,
-                chosen: entry.chosen.clone(),
-                occurrences: entry.occurrences.clone(),
+                chosen: chosen.clone(),
+                occurrences: occurrences
+                    .iter()
+                    .map(|o| (o.label.clone(), o.frequency))
+                    .collect(),
             });
-            tree.set_label(leaf, entry.chosen.clone());
-            if capture {
-                isolated_store.insert(cluster, entry);
-            }
+            tree.set_label(leaf, chosen);
         }
         drop(phase_span);
 
@@ -274,21 +201,6 @@ impl<'a> Labeler<'a> {
         let phase_span = self.telemetry.timed("label.phase1.candidates");
         let potentials = collect_potentials(schemas, mapping);
         let info = collect_cluster_info(schemas, mapping);
-        // Bags of the appended schema's potential labels: a cached
-        // candidate set over coverage `x` stays valid only if none of
-        // these is contained in `x` (contained bags join the candidate
-        // classes and the LI5 extension; everything else is filtered on
-        // `bag ⊆ x` before it can influence the result).
-        let new_bags: Vec<&BTreeSet<ClusterId>> = match reuse {
-            Some((_, delta)) => potentials
-                .iter()
-                .filter(|p| p.schema == delta.new_schema)
-                .map(|p| &p.bag)
-                .collect(),
-            None => Vec::new(),
-        };
-        let mut internal_store: HashMap<Vec<ClusterId>, CachedInternal> = HashMap::new();
-        let mut internal_reused = 0usize;
         let mut internal_candidates: BTreeMap<NodeId, Vec<CandidateLabel>> = BTreeMap::new();
         let mut node_clusters: BTreeMap<NodeId, BTreeSet<ClusterId>> = BTreeMap::new();
         for internal in integrated.tree.internal_nodes() {
@@ -298,45 +210,8 @@ impl<'a> Labeler<'a> {
                 .into_iter()
                 .filter_map(|l| integrated.cluster_of_leaf(l))
                 .collect();
-            let key: Vec<ClusterId> = x.iter().copied().collect();
-            let cached = reuse.and_then(|(cache, delta)| {
-                let valid = delta.clean(&key) && new_bags.iter().all(|bag| !bag.is_subset(&x));
-                valid.then(|| cache.internal.get(&key)).flatten()
-            });
-            let candidates = match cached {
-                Some(hit) => {
-                    internal_reused += 1;
-                    report.li_usage.merge(&hit.usage);
-                    let candidates: Vec<CandidateLabel> = hit
-                        .candidates
-                        .iter()
-                        .map(|s| s.to_candidate(&ctx))
-                        .collect();
-                    if capture {
-                        internal_store.insert(key, hit.clone());
-                    }
-                    candidates
-                }
-                None => {
-                    let mut usage = LiUsage::default();
-                    let candidates =
-                        internal::find_candidates(&x, &potentials, &info, &ctx, &mut usage);
-                    report.li_usage.merge(&usage);
-                    if capture {
-                        internal_store.insert(
-                            key,
-                            CachedInternal {
-                                candidates: candidates
-                                    .iter()
-                                    .map(StoredCandidate::from_candidate)
-                                    .collect(),
-                                usage,
-                            },
-                        );
-                    }
-                    candidates
-                }
-            };
+            let candidates =
+                internal::find_candidates(&x, &potentials, &info, &ctx, &mut report.li_usage);
             node_clusters.insert(internal.id, x);
             internal_candidates.insert(internal.id, candidates);
         }
@@ -538,48 +413,14 @@ impl<'a> Labeler<'a> {
         report.naming_cache = ctx.cache_stats();
         drop(run_span);
         self.record_telemetry(&report, &ctx);
-        if self.telemetry.is_enabled() && reuse.is_some() {
-            // `labeler.extend.groups` counts the groups a delta run named
-            // from scratch; the benchmark's `core.groups_reused_share`
-            // reads it under that name.
-            self.telemetry
-                .add("labeler.reuse.groups", groups_reused as u64);
-            self.telemetry
-                .add("labeler.extend.groups", groups_renamed as u64);
-            self.telemetry
-                .add("labeler.reuse.isolated", isolated_reused as u64);
-            self.telemetry
-                .add("labeler.reuse.internal", internal_reused as u64);
+
+        LabeledInterface {
+            tree,
+            leaf_cluster: integrated.leaf_cluster.clone(),
+            report,
+            internal_candidates,
+            internal_decisions: decisions,
         }
-
-        let cache = capture.then(|| RelabelCache {
-            groups: groups
-                .into_iter()
-                .map(|g| {
-                    (
-                        g.clusters,
-                        CachedGroup {
-                            relation: g.relation,
-                            naming: g.naming,
-                        },
-                    )
-                })
-                .collect(),
-            internal: internal_store,
-            isolated: isolated_store,
-            memo: ctx.memo(),
-        });
-
-        (
-            LabeledInterface {
-                tree,
-                leaf_cluster: integrated.leaf_cluster.clone(),
-                report,
-                internal_candidates,
-                internal_decisions: decisions,
-            },
-            cache,
-        )
     }
 
     /// Copy the run's counters and cache stats into the registry. One
@@ -1011,13 +852,12 @@ mod tests {
             .any(|d| d.chosen.is_some() && d.def6_consistent));
     }
 
-    /// `label_with` under cache reuse produces exactly what a batch
-    /// `label` over the grown domain produces (everything except the
-    /// naming-cache hit/miss statistics, which legitimately differ).
+    /// A run over the memo a base run warmed produces exactly what a
+    /// cold batch `label` over the grown domain produces, and finds most
+    /// label normalizations already in the memo.
     #[test]
-    fn label_with_reuse_matches_batch_relabel() {
+    fn carried_memo_run_matches_batch_relabel() {
         let lexicon = Lexicon::builtin();
-        let labeler = Labeler::new(&lexicon, NamingPolicy::default());
         let mut schemas = vec![
             SchemaTree::build(
                 "a",
@@ -1040,7 +880,10 @@ mod tests {
         ];
         let base_mapping = qi_mapping::match_by_labels(&schemas, &lexicon);
         let base_integrated = qi_merge::merge(&schemas, &base_mapping);
-        let (_, cache) = labeler.label_with(&schemas, &base_mapping, &base_integrated, None);
+        let memo = Arc::new(NamingMemo::default());
+        Labeler::new(&lexicon, NamingPolicy::default())
+            .with_memo(Arc::clone(&memo))
+            .label(&schemas, &base_mapping, &base_integrated);
 
         schemas.push(
             SchemaTree::build(
@@ -1055,20 +898,15 @@ mod tests {
             other => panic!("expected incremental append, got {other:?}"),
         };
         let integrated = qi_merge::merge(&schemas, &delta.mapping);
-        let batch = labeler.label(&schemas, &delta.mapping, &integrated);
-        let reuse_delta = crate::relabel::RelabelDelta {
-            dirty: delta.dirty.clone(),
-            new_schema: schemas.len() - 1,
-        };
-        let telemetry = qi_runtime::Telemetry::new();
-        let (incremental, next_cache) = Labeler::new(&lexicon, NamingPolicy::default())
-            .with_telemetry(telemetry.clone())
-            .label_with(
-                &schemas,
-                &delta.mapping,
-                &integrated,
-                Some((&cache, &reuse_delta)),
-            );
+        let cold_telemetry = qi_runtime::Telemetry::new();
+        let batch = Labeler::new(&lexicon, NamingPolicy::default())
+            .with_telemetry(cold_telemetry.clone())
+            .label(&schemas, &delta.mapping, &integrated);
+        let warm_telemetry = qi_runtime::Telemetry::new();
+        let incremental = Labeler::new(&lexicon, NamingPolicy::default())
+            .with_telemetry(warm_telemetry.clone())
+            .with_memo(memo)
+            .label(&schemas, &delta.mapping, &integrated);
         assert_eq!(incremental.tree, batch.tree);
         assert_eq!(incremental.leaf_cluster, batch.leaf_cluster);
         assert_eq!(incremental.internal_decisions, batch.internal_decisions);
@@ -1084,18 +922,13 @@ mod tests {
             incremental.report.labeled_internal,
             batch.report.labeled_internal
         );
-        // The replay path fired, and every other group was re-named.
-        let counters = telemetry.snapshot().counters;
-        let reused = counters["labeler.reuse.groups"];
-        assert!(reused >= 1, "no group replayed: {counters:?}");
-        assert_eq!(
-            reused + counters["labeler.extend.groups"],
-            incremental.report.groups.len() as u64
-        );
-        // The captured cache covers the grown domain.
-        let (groups, internal, isolated) = next_cache.sizes();
-        assert!(groups > 0 || isolated > 0);
-        assert!(internal > 0 || integrated.tree.internal_nodes().count() == 0);
+        // The carried memo was really used: the warm run normalizes
+        // fewer labels from scratch than the cold one.
+        let misses = |telemetry: &qi_runtime::Telemetry| {
+            telemetry.snapshot().counters["cache.naming.texts.misses"]
+        };
+        let (warm, cold) = (misses(&warm_telemetry), misses(&cold_telemetry));
+        assert!(warm < cold, "warm run missed {warm}, cold run {cold}");
     }
 
     #[test]

@@ -81,16 +81,14 @@ pub mod labeler;
 pub mod partition;
 pub mod policy;
 pub mod provenance;
-pub mod relabel;
 pub mod relations;
 pub mod report;
 pub mod solution;
 
 pub use consistency::ConsistencyLevel;
-pub use ctx::NamingCtx;
+pub use ctx::{NamingCtx, NamingMemo};
 pub use labeler::{InternalDecision, LabeledInterface, Labeler};
 pub use policy::{LabelSelection, NamingPolicy};
 pub use provenance::{DecisionCandidate, LabelDecision};
-pub use relabel::{RelabelCache, RelabelDelta};
 pub use relations::LabelRelation;
 pub use report::{ConsistencyClass, InferenceRule, LiUsage, NamingReport};

@@ -18,7 +18,7 @@ pub enum LabelSelection {
 /// Configuration of a naming run.
 ///
 /// The defaults reproduce the paper; the other settings are ablation
-/// axes (`qi_eval::ablation`, `cargo run -p qi-eval --bin ablation`):
+/// axes (`qi_eval::ablation`, `qi eval ablation`):
 ///
 /// * `max_level` — how far down the relaxation ladder of Definition 2 the
 ///   group-naming search may go (ablation B);

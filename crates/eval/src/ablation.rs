@@ -175,6 +175,82 @@ pub fn ladder_sweep(domain: &Domain, lexicon: &Lexicon) -> Vec<LadderPoint> {
         .collect()
 }
 
+/// The four ablation reports (A, B, B′, C) over the builtin corpus, as
+/// `qi eval ablation` prints them.
+pub fn render_report(lexicon: &Lexicon) -> String {
+    use std::fmt::Write;
+    let domains = qi_datasets::all_domains();
+    let mut out = String::new();
+    let ladder = |out: &mut String, domain: &Domain| {
+        for point in ladder_sweep(domain, lexicon) {
+            let _ = writeln!(
+                out,
+                "{:<12} cap={:<9} consistent groups {:>2}/{:<2}",
+                point.domain, point.cap, point.consistent_groups, point.total_groups
+            );
+        }
+    };
+    out.push_str("== Ablation A: most-descriptive (paper) vs most-general ([12]) ==\n");
+    for domain in &domains {
+        let cmp = compare_policies(
+            domain,
+            lexicon,
+            ("descriptive", NamingPolicy::default()),
+            ("general", NamingPolicy::most_general_baseline()),
+        );
+        let _ = writeln!(
+            out,
+            "{:<12} fields changed {:>2}/{:<2}  internal changed {:>2}  expressiveness {:.2} vs {:.2}  class {} vs {}",
+            cmp.domain,
+            cmp.differing_fields,
+            cmp.total_fields,
+            cmp.differing_internal,
+            cmp.left_expressiveness,
+            cmp.right_expressiveness,
+            cmp.classes.0,
+            cmp.classes.1
+        );
+    }
+    out.push_str("\n   e.g. the exact Real Estate label changes:\n");
+    if let Some(re) = domains.iter().find(|d| d.name == "Real Estate") {
+        for difference in policy_label_diff(
+            re,
+            lexicon,
+            NamingPolicy::default(),
+            NamingPolicy::most_general_baseline(),
+        ) {
+            let _ = writeln!(out, "     {difference}");
+        }
+    }
+    out.push_str("\n== Ablation B: consistency-level ladder (Definition 2) ==\n");
+    for domain in &domains {
+        ladder(&mut out, domain);
+    }
+    out.push_str("\n== Ablation B': the ladder on a purpose-built domain ==\n");
+    out.push_str("   (3 equality-level groups + 3 synonymy-level groups;\n");
+    out.push_str("    no group is solvable by plain string comparison)\n");
+    ladder(&mut out, &qi_datasets::generate_ladder(3, 3));
+    out.push_str("\n== Ablation C: instance rules (LI6/LI7) on vs off ==\n");
+    let instances_off = NamingPolicy {
+        use_instances: false,
+        ..NamingPolicy::default()
+    };
+    for domain in &domains {
+        let cmp = compare_policies(
+            domain,
+            lexicon,
+            ("instances on", NamingPolicy::default()),
+            ("instances off", instances_off),
+        );
+        let _ = writeln!(
+            out,
+            "{:<12} fields changed {:>2}/{:<2}  internal changed {:>2}",
+            cmp.domain, cmp.differing_fields, cmp.total_fields, cmp.differing_internal
+        );
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

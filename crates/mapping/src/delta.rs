@@ -31,9 +31,9 @@
 //!
 //! # The one residual guard
 //!
-//! The replayed partition is exact, but downstream state (merge folds,
-//! the labeler's cache) can only be *extended*: it assumes every old
-//! cluster survives with its members. So the outcome is
+//! The replayed partition is exact, but downstream state (the merge
+//! folds) can only be *extended*: it assumes every old cluster survives
+//! with its members. So the outcome is
 //! [`DeltaOutcome::Incremental`] exactly when the replayed partition
 //! restricted to the old fields equals the base — each new field then
 //! either joined one old cluster or stands alone — and
@@ -51,7 +51,7 @@ use crate::matcher::{cluster_numbering, collect_fields, emit_clusters, MatchStat
 use qi_lexicon::Lexicon;
 use qi_schema::{NodeId, SchemaTree};
 use qi_text::LabelText;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The indexed engine's state after matching a corpus, kept so the next
@@ -212,8 +212,6 @@ pub struct DeltaMapping {
     /// The complete new mapping (old clusters with appended members,
     /// then new singletons in field order).
     pub mapping: Mapping,
-    /// Old clusters that gained a member from the new interface.
-    pub dirty: BTreeSet<ClusterId>,
     /// Predicate evaluations: `(old, new)` pairs of distinct labels
     /// scored (a new field sharing an old label's key needs no score
     /// against it).
@@ -417,7 +415,6 @@ impl MatchCarry {
         // Each new field joined the old cluster of its root, or stands
         // alone (two new fields share a schema, so never a component).
         let mut mapping = base.clone();
-        let mut dirty = BTreeSet::new();
         let mut cluster_of: Vec<u32> = Vec::with_capacity(label_of.len());
         cluster_of.extend_from_slice(&self.cluster_of);
         for (k, (field, label)) in new_fields.iter().enumerate() {
@@ -437,7 +434,6 @@ impl MatchCarry {
                 }
                 old => {
                     mapping.clusters[old as usize].members.push(*field);
-                    dirty.insert(ClusterId(old));
                     ClusterId(old)
                 }
             };
@@ -463,7 +459,6 @@ impl MatchCarry {
         };
         DeltaOutcome::Incremental(Box::new(DeltaMapping {
             mapping,
-            dirty,
             pairs_scored,
             pairs_accepted,
             carry,
@@ -512,9 +507,6 @@ mod tests {
         match delta_match(&all, &base, &lexicon, config) {
             DeltaOutcome::Incremental(delta) => {
                 assert_eq!(delta.mapping, full, "delta must match the full re-run");
-                for &c in &delta.dirty {
-                    assert!(c.index() < base.len(), "dirty ids are old clusters");
-                }
             }
             DeltaOutcome::Fallback(reason) => panic!("unexpected fallback: {reason:?}"),
         }

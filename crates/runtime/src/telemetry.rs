@@ -315,17 +315,6 @@ impl Telemetry {
         }
     }
 
-    /// Open a histogram-only timer: the elapsed nanoseconds are
-    /// recorded into the named histogram when the guard drops.
-    pub fn time_histogram(&self, name: &str) -> HistogramGuard {
-        HistogramGuard {
-            active: self.inner.as_ref().map(|inner| {
-                let histogram = Inner::entry(&inner.histograms, name);
-                (Arc::clone(inner), histogram, inner.clock.now_ns())
-            }),
-        }
-    }
-
     /// Open a combined timer: one clock-read pair feeds both the span
     /// accumulator *and* a same-named latency histogram, so the
     /// hierarchical breakdown and the distribution stay consistent.
@@ -467,21 +456,6 @@ impl Drop for SpanGuard {
             let elapsed = inner.clock.now_ns().saturating_sub(start);
             accum.total_ns.fetch_add(elapsed, Ordering::Relaxed);
             accum.count.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Scope guard of [`Telemetry::time_histogram`]; records the elapsed
-/// nanoseconds into the histogram on drop.
-#[must_use = "dropping the guard immediately records a zero-length observation"]
-pub struct HistogramGuard {
-    active: Option<(Arc<Inner>, Arc<Histogram>, u64)>,
-}
-
-impl Drop for HistogramGuard {
-    fn drop(&mut self) {
-        if let Some((inner, histogram, start)) = self.active.take() {
-            histogram.record(inner.clock.now_ns().saturating_sub(start));
         }
     }
 }
@@ -734,7 +708,6 @@ mod tests {
         let counter = tel.counter("c");
         counter.incr();
         drop(tel.span("span"));
-        drop(tel.time_histogram("span"));
         drop(tel.timed("span"));
         tel.absorb(&Telemetry::deterministic().snapshot());
         let snapshot = tel.snapshot();
@@ -856,7 +829,6 @@ mod tests {
         for _ in 0..3 {
             drop(tel.timed("stage"));
         }
-        drop(tel.time_histogram("solo"));
         let snapshot = tel.snapshot();
         let span = snapshot.spans["stage"];
         let hist = &snapshot.histograms["stage"];
@@ -866,9 +838,6 @@ mod tests {
         // span's accumulated total.
         assert_eq!(hist.sum, span.total_ns);
         assert_eq!(hist.max, FAKE_CLOCK_STEP_NS);
-        // time_histogram records no span.
-        assert!(!snapshot.spans.contains_key("solo"));
-        assert_eq!(snapshot.histograms["solo"].count(), 1);
     }
 
     #[test]

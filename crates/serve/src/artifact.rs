@@ -1,7 +1,7 @@
 //! The per-domain serving artifact: everything the pipeline computed for
 //! one domain, in the form the server reads and the snapshot persists.
 
-use qi_core::{ConsistencyClass, Labeler, LiUsage, NamingPolicy, RelabelCache, RelabelDelta};
+use qi_core::{ConsistencyClass, Labeler, LiUsage, NamingMemo, NamingPolicy};
 use qi_datasets::Domain;
 use qi_lexicon::Lexicon;
 use qi_mapping::{ClusterId, DeltaOutcome, FallbackReason, Mapping, MatchCarry, MatcherConfig};
@@ -64,12 +64,13 @@ pub struct DomainArtifact {
     pub delta: Option<Arc<DeltaState>>,
 }
 
-/// Everything an incremental ingest replays instead of recomputing: the
-/// merge folds and the phase-1 labeling cache of the previous build.
+/// What an incremental ingest carries over from the previous build: the
+/// matcher's state, the merge folds, and the naming memo the labeler
+/// warmed. The labeler itself re-runs in full over the memo.
 #[derive(Debug, Clone)]
 pub struct DeltaState {
     merge_state: MergeState,
-    relabel_cache: RelabelCache,
+    memo: Arc<NamingMemo>,
     match_carry: MatchCarry,
 }
 
@@ -134,29 +135,22 @@ fn build_artifact_with(
     let prepared = domain.prepare();
     let merge_state = ingest.then(|| MergeState::capture(&prepared.schemas, &prepared.mapping));
     drop(merge);
-    let labeler = Labeler::new(lexicon, policy).with_telemetry(telemetry.clone());
+    let memo = Arc::new(NamingMemo::default());
+    let labeler = Labeler::new(lexicon, policy)
+        .with_telemetry(telemetry.clone())
+        .with_memo(Arc::clone(&memo));
     let label = stage("serve.ingest.label");
-    let (labeled, delta) = match match_carry.zip(merge_state) {
-        Some((match_carry, merge_state)) => {
-            let (labeled, relabel_cache) = labeler.label_with(
-                &prepared.schemas,
-                &prepared.mapping,
-                &prepared.integrated,
-                None,
-            );
-            let state = DeltaState {
-                merge_state,
-                relabel_cache,
-                match_carry,
-            };
-            (labeled, Some(Arc::new(state)))
-        }
-        None => (
-            labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated),
-            None,
-        ),
-    };
+    let labeled = labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated);
     drop(label);
+    let delta = match_carry
+        .zip(merge_state)
+        .map(|(match_carry, merge_state)| {
+            Arc::new(DeltaState {
+                merge_state,
+                memo,
+                match_carry,
+            })
+        });
     let provenance = stage("serve.ingest.provenance");
     let decisions = qi_core::provenance::decisions(&labeled, &policy);
     drop(provenance);
@@ -250,8 +244,9 @@ pub fn build_corpus_artifacts(
 /// When the artifact carries [`DeltaState`] (its mapping is matcher
 /// output), the delta path runs: the new interface's fields are scored
 /// against old clusters only, the merge folds are extended rather than
-/// recomputed, and the labeler replays every phase-1 result whose inputs
-/// the append did not touch. The result is byte-identical (through the
+/// recomputed, and the labeler re-runs over the domain's carried naming
+/// memo, so only labels it has never seen are normalized and related
+/// from scratch. The result is byte-identical (through the
 /// snapshot encoding) to a full rebuild; any structural change the delta
 /// tracker does not support — an append that changes the old clusters,
 /// an unexpected 1:m expansion — falls back to the full path
@@ -377,19 +372,12 @@ fn try_delta_ingest(
     let mut merge_state = state.merge_state.clone();
     merge_state.extend(&schemas, &mapping);
     let integrated = merge_state.finish(&schemas, &mapping);
-    let reuse = RelabelDelta {
-        dirty: delta.dirty,
-        new_schema: schemas.len() - 1,
-    };
     drop(merge);
-    let labeler = Labeler::new(lexicon, policy).with_telemetry(telemetry.clone());
+    let labeler = Labeler::new(lexicon, policy)
+        .with_telemetry(telemetry.clone())
+        .with_memo(Arc::clone(&state.memo));
     let label = telemetry.span("serve.ingest.label");
-    let (labeled, relabel_cache) = labeler.label_with(
-        &schemas,
-        &mapping,
-        &integrated,
-        Some((&state.relabel_cache, &reuse)),
-    );
+    let labeled = labeler.label(&schemas, &mapping, &integrated);
     drop(label);
     let provenance = telemetry.span("serve.ingest.provenance");
     let decisions = qi_core::provenance::decisions(&labeled, &policy);
@@ -422,7 +410,7 @@ fn try_delta_ingest(
         version: artifact.version + 1,
         delta: Some(Arc::new(DeltaState {
             merge_state,
-            relabel_cache,
+            memo: Arc::clone(&state.memo),
             match_carry: delta.carry,
         })),
     })

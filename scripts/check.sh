@@ -7,14 +7,14 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
-cargo test -q --workspace
-# Drift-equivalence stage: seeded drift corpora must be byte-stable
+# The workspace tests include the drift-equivalence tests (all of
+# tests/drift.rs, and drift_corpora_indexed_equals_naive_across_rates in
+# tests/matcher_props.rs): seeded drift corpora must be byte-stable
 # (corpus, snapshot and metrics documents), both matcher engines must
 # agree on them tier for tier, and the drift cache-hit rate must sit
-# materially below the verbatim-clone ceiling. The benchmark's
-# pipeline_drift workload runs the same corpus check at full size.
-cargo test -q --test drift
-cargo test -q --test matcher_props drift_corpora_indexed_equals_naive_across_rates
+# materially below the verbatim-clone ceiling. The benchmark's pipeline_drift
+# workload runs the same corpus check at full size.
+cargo test -q --workspace
 # Full-size engine equivalence: indexed == naive, outcome and tier
 # counters included, on every domain of a 100-domain x 20-interface
 # drift corpus with the fuzzy tier on (the benchmark pipeline's shape).

@@ -14,7 +14,7 @@
 //!                                 builtin lexicon as text files
 //! qi synth [--drift] [opts]       generate a synthetic (cloned or
 //!                                 realistic-drift) corpus
-//! qi eval table6|figure10|matcher|ablation-ladder
+//! qi eval table6|figure10|matcher|ablation|ablation-ladder
 //!                                 regenerate evaluation artifacts
 //! ```
 //!
@@ -85,7 +85,7 @@ usage:
       --report                    run the matcher and print per-tier
                                   accepts + the morphology cache rate
   qi eval <artifact> [opts]       table6 | table6-json | figure10 |
-                                  matcher | ablation-ladder
+                                  matcher | ablation | ablation-ladder
       --metrics <file>            write corpus-run metrics as JSON
       --trace-out <file>          write a Chrome trace_event JSON file
       --deterministic-timers      virtual span clock (byte-stable output)
@@ -455,7 +455,7 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
 
 fn cmd_eval(args: &[String]) -> Result<(), String> {
     let usage =
-        "usage: qi eval <table6|table6-json|figure10|matcher|ablation-ladder> [--metrics <file>] \
+        "usage: qi eval <table6|table6-json|figure10|matcher|ablation|ablation-ladder> [--metrics <file>] \
          [--trace-out <file>] [--deterministic-timers] [--threads <n>]";
     let mut artifact: Option<&str> = None;
     let mut metrics_path: Option<&str> = None;
@@ -550,6 +550,10 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
                 .map(|d| qi_eval::matcher_eval::evaluate_matcher(d, &lexicon))
                 .collect();
             print!("{}", qi_eval::matcher_eval::render(&reports));
+            emit(&qi_runtime::MetricsSnapshot::default())?;
+        }
+        "ablation" => {
+            print!("{}", qi_eval::ablation::render_report(&lexicon));
             emit(&qi_runtime::MetricsSnapshot::default())?;
         }
         "ablation-ladder" => {

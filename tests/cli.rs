@@ -126,6 +126,20 @@ fn eval_ladder_shows_progression() {
 }
 
 #[test]
+fn eval_ablation_prints_all_four_reports() {
+    let (stdout, stderr, ok) = qi(&["eval", "ablation"]);
+    assert!(ok, "stderr: {stderr}");
+    for header in [
+        "== Ablation A: most-descriptive (paper) vs most-general ([12]) ==",
+        "== Ablation B: consistency-level ladder (Definition 2) ==",
+        "== Ablation B': the ladder on a purpose-built domain ==",
+        "== Ablation C: instance rules (LI6/LI7) on vs off ==",
+    ] {
+        assert!(stdout.contains(header), "missing {header:?} in {stdout}");
+    }
+}
+
+#[test]
 fn explain_names_the_fired_rule_and_rejected_candidates() {
     // Unfiltered: every decision of the Auto domain, one per node.
     let (stdout, stderr, ok) = qi(&["explain", "auto"]);

@@ -1,7 +1,7 @@
 //! Incremental-ingest equivalence property: replaying a randomized
 //! ingest sequence through the delta path ([`ingest_interface`], which
 //! scores only the new interface against existing clusters, extends the
-//! merge and relabels only dirty nodes) must produce artifacts
+//! merge and relabels over the carried naming memo) must produce artifacts
 //! byte-identical — through the snapshot encoding — to forcing a full
 //! rebuild ([`ingest_interface_full`]) at every step.
 //!
@@ -15,8 +15,7 @@
 //! clusters), so it must hold on *every* step regardless of which path
 //! ran.
 //!
-//! `scripts/check.sh` runs this suite as its incremental-equivalence
-//! stage.
+//! The suite runs in debug in every `cargo test`.
 
 use qi_core::NamingPolicy;
 use qi_lexicon::Lexicon;
