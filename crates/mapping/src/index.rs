@@ -26,8 +26,11 @@
 //!    land in the same posting list without pairwise `are_synonyms`
 //!    probes), and, under the fuzzy tier, first/second character
 //!    signature buckets covering the abbreviation and
-//!    bounded-Levenshtein predicates. Only labels sharing at least one
-//!    posting are ever compared.
+//!    bounded-Levenshtein predicates. The rule is conjunctive and
+//!    directed: orientation `(a, b)` is scored only when *every* word of
+//!    `a` shares a posting with some word of `b`. Per word, the labels
+//!    its postings reach form a bitset; a label's candidates are the AND
+//!    of its words' bitsets.
 //! 4. **Schema-aware union-find** — each root carries a schema bitset
 //!    (`words × u64`); the clash check becomes a bitwise AND over
 //!    `words` machine words and unions OR the bitsets together.
@@ -49,14 +52,17 @@
 //!
 //! [`crate::matcher::labels_match_with`] accepts a pair only if (a) the
 //! display strings are ASCII-case-equal, (b) the content-word key sets
-//! are equal, or (c) word counts agree and every word of one label
-//! matches a word of the other via stem equality, synonymy, or the fuzzy
-//! tier. Case (a) is the shared label key. Cases (b) and (c) both
-//! require at least one word-level connection, which the postings cover:
+//! are equal, or (c) word counts agree and every word of `a` matches a
+//! word of `b` via stem equality, synonymy, or the fuzzy tier. Case (a)
+//! is the shared label key. In case (b) every word of `a` has a word of
+//! `b` with its key; in case (c) every word of `a` has a key, synonym or
+//! fuzzy partner in `b`. Each such partner shares a posting with it:
 //! stem-equal words share a stem posting; synonymous words resolve to
 //! intersecting synset id sets and share a synset posting; fuzzy
-//! connections share a signature bucket (see below). Hence every
-//! matching pair of distinct labels co-occurs in some posting list.
+//! partners share a signature bucket (see below). So in every accepted
+//! orientation `(a, b)`, every word of `a` shares a posting with some
+//! word of `b`, which is the candidate rule. A non-empty label has at
+//! least one content word, so the rule is never vacuous.
 //!
 //! The fuzzy signature posts each content word under the first **and**
 //! second characters of its stem and lemma. Abbreviations preserve the
@@ -96,6 +102,10 @@ const SCORING_CHUNK: usize = 1024;
 /// regime; caps peak candidate memory at `BLOCK_PAIRS × 8` bytes while
 /// keeping blocks large enough to fan out on the pool.
 const BLOCK_PAIRS: usize = 1 << 16;
+
+/// Candidate labels per column block of [`candidate_label_pairs`]; caps
+/// each word's reach bitset at 512 bytes.
+const BLOCK_LABELS: usize = 4096;
 
 /// Label id of a field without a non-empty label.
 pub(crate) const NO_LABEL: u32 = u32::MAX;
@@ -153,10 +163,7 @@ pub(crate) fn indexed_run<'a>(
         stats.streaming_fallback = true;
         score_all_label_pairs_streaming(&groups, &prepared, config, stats)
     } else {
-        let mut directed = Vec::new();
-        for packed in candidate_label_pairs(&groups, &prepared, stats) {
-            push_orientations(&groups, packed, &mut directed, stats);
-        }
+        let directed = candidate_label_pairs(&groups, &prepared, stats);
         score_directed(&prepared, &directed, config, stats)
     };
     let schema_count = fields.iter().map(|(f, _)| f.schema + 1).max().unwrap_or(0);
@@ -240,23 +247,21 @@ impl<'a> Groups<'a> {
         (n * n - same) / 2
     }
 
-    /// Cross-schema field pairs between groups `a` and `b`.
-    fn cross_pairs(&self, a: usize, b: usize) -> u64 {
-        let (ha, hb) = (&self.schemas[a], &self.schemas[b]);
-        let total = self.members[a].len() as u64 * self.members[b].len() as u64;
-        let (mut x, mut y, mut same) = (0, 0, 0u64);
-        while x < ha.len() && y < hb.len() {
-            match ha[x].0.cmp(&hb[y].0) {
-                Ordering::Less => x += 1,
-                Ordering::Greater => y += 1,
-                Ordering::Equal => {
-                    same += ha[x].1 as u64 * hb[y].1 as u64;
-                    x += 1;
-                    y += 1;
-                }
+    /// Field pairs `(i, j)`, `i < j`, of different schemas with `i` in
+    /// group `a` and `j` in group `b`: the field pairs whose verdict is
+    /// the orientation `(a, b)`'s. Fields are in schema order, so these
+    /// are the pairs whose `i` has the smaller schema.
+    fn directed_pairs(&self, a: usize, b: usize) -> u64 {
+        let ha = &self.schemas[a];
+        let (mut x, mut before, mut total) = (0, 0u64, 0u64);
+        for &(schema, count) in &self.schemas[b] {
+            while x < ha.len() && ha[x].0 < schema {
+                before += ha[x].1 as u64;
+                x += 1;
             }
+            total += before * count as u64;
         }
-        total - same
+        total
     }
 
     /// Whether some field pair `(i, j)`, `i < j`, of different schemas
@@ -623,36 +628,49 @@ impl Postings {
         }
     }
 
+    /// The posting lists word `w` of `table` is posted in: its stem
+    /// key's, its synsets' and, under the fuzzy tier, its signature
+    /// characters'.
+    fn word_lists<'s, T: LabelTable + ?Sized>(
+        &'s self,
+        table: &'s T,
+        w: u32,
+    ) -> impl Iterator<Item = &'s Vec<u32>> + 's {
+        let word = table.word(w);
+        let fuzzy = table.word_table(w).config.fuzzy;
+        let signature = signature_chars(&word.stem, &word.lemma).filter(move |_| fuzzy);
+        self.stems
+            .get(&table.word_key(w))
+            .into_iter()
+            .chain(
+                table
+                    .word_synsets(w)
+                    .iter()
+                    .filter_map(|sid| self.synsets.get(sid)),
+            )
+            .chain(signature.filter_map(|c| self.fuzzy.get(&c)))
+    }
+
     /// Push every posted label sharing a posting with label `l` of
     /// `table` (with repeats).
     pub(crate) fn probe<T: LabelTable + ?Sized>(&self, table: &T, l: u32, hits: &mut Vec<u32>) {
-        let fuzzy = table.label_table(l).config.fuzzy;
         for &w in table.label_words(l) {
-            if let Some(list) = self.stems.get(&table.word_key(w)) {
+            for list in self.word_lists(table, w) {
                 hits.extend_from_slice(list);
-            }
-            for sid in table.word_synsets(w) {
-                if let Some(list) = self.synsets.get(sid) {
-                    hits.extend_from_slice(list);
-                }
-            }
-            if fuzzy {
-                let word = table.word(w);
-                for c in signature_chars(&word.stem, &word.lemma) {
-                    if let Some(list) = self.fuzzy.get(&c) {
-                        hits.extend_from_slice(list);
-                    }
-                }
             }
         }
     }
 }
 
 /// Build the inverted postings over distinct labels and emit the
-/// deduplicated candidate pairs `(a, b)`, `a < b`, that have a
-/// cross-schema field pair. Callers must have established that signature
-/// blocking is exhaustive ([`prefix_blocking_sound`]) before relying on
-/// this under `config.fuzzy`; the universal regime goes through
+/// directed candidates `(a, b)`: [`Groups::needs`] holds and every word
+/// of `a` shares a posting with some word of `b`. Per word, the labels it
+/// reaches through its postings form a bitset; a label's candidates are
+/// the AND of its words' bitsets. Columns are taken [`BLOCK_LABELS`] at a
+/// time, so the bitsets cost at most `words × BLOCK_LABELS / 8` bytes.
+/// Callers must have established that signature blocking is exhaustive
+/// ([`prefix_blocking_sound`]) before relying on this under
+/// `config.fuzzy`; the universal regime goes through
 /// [`score_all_label_pairs_streaming`] instead.
 fn candidate_label_pairs(
     groups: &Groups,
@@ -669,35 +687,55 @@ fn candidate_label_pairs(
         .max()
         .unwrap_or(0);
 
-    let mut pairs: Vec<u64> = Vec::new();
-    for list in postings.lists() {
-        for (x, &a) in list.iter().enumerate() {
-            for &b in &list[x + 1..] {
-                if groups.needs(a as usize, b as usize) || groups.needs(b as usize, a as usize) {
-                    pairs.push(pack(a, b));
+    let labels = groups.len();
+    let row = labels.min(BLOCK_LABELS).div_ceil(64);
+    let mut reach = vec![0u64; prepared.word.len() * row];
+    let mut both = vec![0u64; row];
+    let mut directed = Vec::new();
+    for start in (0..labels).step_by(BLOCK_LABELS) {
+        let end = (start + BLOCK_LABELS).min(labels);
+        reach.fill(0);
+        for (w, bits) in reach.chunks_exact_mut(row).enumerate() {
+            for list in postings.word_lists(prepared, w as u32) {
+                let from = list.partition_point(|&l| (l as usize) < start);
+                for &l in list[from..].iter().take_while(|&&l| (l as usize) < end) {
+                    let col = l as usize - start;
+                    bits[col / 64] |= 1 << (col % 64);
+                }
+            }
+        }
+        for a in 0..labels {
+            // A non-empty label has at least one content word.
+            let Some((&first, rest)) = prepared.label_words(a as u32).split_first() else {
+                continue;
+            };
+            both.copy_from_slice(&reach[first as usize * row..][..row]);
+            for &w in rest {
+                let bits = &reach[w as usize * row..][..row];
+                both.iter_mut().zip(bits).for_each(|(x, y)| *x &= y);
+            }
+            for (k, mut bits) in both.iter().copied().enumerate() {
+                while bits != 0 {
+                    let b = start + k * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if b != a {
+                        push_directed(groups, a, b, &mut directed, stats);
+                    }
                 }
             }
         }
     }
-    // Labels sharing several postings appear once per shared posting.
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
+    directed
 }
 
-/// Push `(a, b)` and/or `(b, a)` for the unordered candidate `packed`,
-/// each when some field pair needs it, and count the cross-schema field
-/// pairs the candidate decides.
-fn push_orientations(groups: &Groups, packed: u64, out: &mut Vec<u64>, stats: &mut MatchStats) {
-    let (a, b) = unpack(packed);
-    let field_pairs = groups.cross_pairs(a, b);
-    stats.pairs_generated += field_pairs;
-    stats.pairs_scored += field_pairs;
+/// Push the directed label pair `(a, b)` if some field pair needs it,
+/// counting the cross-schema field pairs whose verdict it decides.
+fn push_directed(groups: &Groups, a: usize, b: usize, out: &mut Vec<u64>, stats: &mut MatchStats) {
     if groups.needs(a, b) {
+        let field_pairs = groups.directed_pairs(a, b);
+        stats.pairs_generated += field_pairs;
+        stats.pairs_scored += field_pairs;
         out.push(pack(a as u32, b as u32));
-    }
-    if groups.needs(b, a) {
-        out.push(pack(b as u32, a as u32));
     }
 }
 
@@ -715,11 +753,8 @@ fn score_all_label_pairs_streaming(
     let mut accepted = Vec::new();
     let mut block: Vec<u64> = Vec::with_capacity(BLOCK_PAIRS + 1);
     for a in 0..groups.len() {
-        for b in (a + 1)..groups.len() {
-            if !groups.needs(a, b) && !groups.needs(b, a) {
-                continue;
-            }
-            push_orientations(groups, pack(a as u32, b as u32), &mut block, stats);
+        for b in (0..groups.len()).filter(|&b| b != a) {
+            push_directed(groups, a, b, &mut block, stats);
             if block.len() >= BLOCK_PAIRS {
                 stats.streaming_blocks += 1;
                 accepted.extend(score_directed(prepared, &block, config, stats));
@@ -1034,7 +1069,8 @@ mod tests {
         assert_eq!(groups.of_field[4], NO_LABEL, "empty display is unlabeled");
         // Zip group: schemas {0: 2, 1: 1, 2: 1} -> 2 + 2 + 1 cross pairs.
         assert_eq!(groups.self_pairs(0), 5);
-        assert_eq!(groups.cross_pairs(0, 1), 3);
+        assert_eq!(groups.directed_pairs(0, 1), 3);
+        assert_eq!(groups.directed_pairs(1, 0), 0);
         // City (schema 2) never precedes a zip field of another schema.
         assert!(groups.needs(0, 1));
         assert!(!groups.needs(1, 0));
@@ -1091,6 +1127,84 @@ mod tests {
         // Every tier but String (distinct labels never share a key) is
         // exercised, or the corpus degenerated.
         assert!(tiers[1..].iter().all(|&n| n > 0), "tier counts {tiers:?}");
+    }
+
+    /// The conjunctive candidate list is exhaustive: on drift corpora,
+    /// wherever signature blocking is sound, every ordered pair of
+    /// distinct labels that `Prepared::tier` accepts and some field pair
+    /// needs is a candidate. It is also a subset of the disjunctive list
+    /// (label pairs sharing any posting).
+    #[test]
+    fn conjunctive_candidates_cover_every_accepted_pair() {
+        let lexicon = Lexicon::builtin();
+        let corpus = generate_drift_corpus(
+            &DriftConfig {
+                seed: 0x5EED_0020,
+                domains: 4,
+                interfaces: 10,
+                ..DriftConfig::default()
+            },
+            &lexicon,
+        );
+        let (mut accepted, mut fuzzy_runs) = (0, 0);
+        for domain in &corpus {
+            let fields = collect_fields(&domain.schemas, &lexicon);
+            let groups = Groups::new(&fields);
+            for min_similarity in [0.85, 0.8] {
+                for fuzzy in [false, true] {
+                    let config = MatcherConfig {
+                        fuzzy,
+                        min_similarity,
+                        ..MatcherConfig::default()
+                    };
+                    if fuzzy && !prefix_blocking_sound(&fields, config) {
+                        continue;
+                    }
+                    fuzzy_runs += fuzzy as usize;
+                    let prepared = Prepared::new(&[], &groups.labels, &lexicon, config);
+                    let mut stats = MatchStats::default();
+                    let candidates = candidate_label_pairs(&groups, &prepared, &mut stats);
+                    let postings = Postings::new(&prepared);
+                    let mut disjunctive = Vec::new();
+                    let mut hits = Vec::new();
+                    for a in 0..groups.len() {
+                        hits.clear();
+                        postings.probe(&prepared, a as u32, &mut hits);
+                        for &b in &hits {
+                            if b as usize != a && groups.needs(a, b as usize) {
+                                disjunctive.push(pack(a as u32, b));
+                            }
+                        }
+                    }
+                    disjunctive.sort_unstable();
+                    disjunctive.dedup();
+                    let mut sorted = candidates.clone();
+                    sorted.sort_unstable();
+                    sorted.dedup();
+                    assert_eq!(sorted.len(), candidates.len(), "duplicate candidates");
+                    assert!(candidates.len() <= disjunctive.len());
+                    assert!(
+                        sorted.iter().all(|p| disjunctive.binary_search(p).is_ok()),
+                        "a candidate shares no posting at {config:?}"
+                    );
+                    let mut memo = FuzzyMemo::default();
+                    for a in 0..groups.len() {
+                        for b in (0..groups.len()).filter(|&b| b != a && groups.needs(a, b)) {
+                            if prepared.tier(a as u32, b as u32, &mut memo).is_some() {
+                                accepted += 1;
+                                assert!(
+                                    sorted.binary_search(&pack(a as u32, b as u32)).is_ok(),
+                                    "{:?} -> {:?} accepted but not a candidate at {config:?}",
+                                    groups.labels[a].raw,
+                                    groups.labels[b].raw
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(accepted > 0 && fuzzy_runs > 0, "{accepted} {fuzzy_runs}");
     }
 
     #[test]

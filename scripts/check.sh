@@ -24,6 +24,10 @@ cargo test -q --release --test matcher_props -- --ignored
 # partitioning and best-only group naming equal the String-row oracle
 # on 1,500 random group relations, plus larger and state-capped ones.
 cargo test -q --release --test naming_kernel_props -- --ignored
+# The benchmark's self-tests (statistics, report format, argument
+# parsing, input determinism). perfbench/ is a package of its own, so
+# the workspace steps above neither build nor lint it.
+cargo test -q --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 cargo fmt --check
 
