@@ -98,13 +98,14 @@ impl<'a> NamingCtx<'a> {
         self.text_sym(self.sym(raw))
     }
 
-    /// Normalized form of an interned label (memoized).
+    /// Normalized form of an interned label (memoized). A miss takes the
+    /// text from the lexicon's memo ([`Lexicon::label_text`]), where the
+    /// matcher usually left it.
     pub fn text_sym(&self, sym: Symbol) -> Arc<LabelText> {
         if let Some(t) = self.memo.texts.get(&sym) {
             return t;
         }
-        let raw = self.memo.interner.resolve(sym);
-        let t = Arc::new(LabelText::new(&raw, self.lexicon));
+        let t = self.lexicon.label_text(&self.memo.interner.resolve(sym));
         self.memo.texts.insert(sym, Arc::clone(&t));
         t
     }

@@ -38,15 +38,18 @@
 //!
 //! [`DriftReport`] runs the matcher over a generated corpus and proves
 //! the drift is real: nonzero synonym- and fuzzy-tier accepts, and a
-//! morphology cache-hit rate bounded away from the ceiling the cloned
-//! corpora sit at (the cloned replicas repeat each renamed surface
-//! dozens of times, so per-occurrence lookups almost always hit).
+//! morphology cache-hit rate ([`morph_probe`]) bounded away from the
+//! ceiling the cloned corpora sit at (the cloned replicas repeat each
+//! renamed surface dozens of times, so per-occurrence lookups almost
+//! always hit).
 
 use crate::domain::Domain;
 use crate::spec::FieldSpec;
 use qi_lexicon::Lexicon;
 use qi_mapping::{match_by_labels_stats, MatchStats, MatcherConfig};
 use qi_runtime::{CacheStats, SplitMix64};
+use qi_schema::SchemaTree;
+use qi_text::LabelText;
 
 /// Drift generator configuration. All probabilities are per carried
 /// field (label drift) or per interface (structural drift).
@@ -381,6 +384,25 @@ fn fuzz_token(token: &str, rng: &mut SplitMix64) -> String {
     String::from_utf8(bytes).expect("ascii edits stay utf8")
 }
 
+/// Morphology-cache activity of normalizing every leaf label occurrence
+/// of `schemas` with `LabelText::new`, from reset `lexicon` caches: one
+/// `base_form` probe per token occurrence, so the hit rate reads
+/// vocabulary repetition alone. It is measured apart from the matcher,
+/// which normalizes each distinct label once through
+/// `Lexicon::label_text` and so probes a corpus's repeats far less.
+pub fn morph_probe<'a>(
+    schemas: impl IntoIterator<Item = &'a SchemaTree>,
+    lexicon: &Lexicon,
+) -> CacheStats {
+    lexicon.reset_caches();
+    for schema in schemas {
+        for label in schema.leaves().filter_map(|n| n.label.as_deref()) {
+            std::hint::black_box(LabelText::new(label, lexicon));
+        }
+    }
+    lexicon.morph_cache_stats()
+}
+
 /// Proof that a generated corpus exercises the matcher's expensive
 /// paths: the matcher is run (per domain, ground truth ignored) and the
 /// per-tier accept counters plus the lexicon cache delta are
@@ -396,22 +418,24 @@ pub struct DriftReport {
     pub distinct_labels: u64,
     /// Matcher counters aggregated over all domains.
     pub stats: MatchStats,
-    /// Morphology (`base_form`) cache activity attributed to this run.
-    /// Only the morphology cache is probed once per *token occurrence*
-    /// (during `LabelText` construction); the resolve/synonymy caches
-    /// are probed per scored candidate pair, which floods them with
-    /// repeat lookups of already-cached tokens and pins their hit rate
-    /// near 1.0 regardless of corpus shape. The morphology hit rate is
-    /// therefore the one lexicon signal that tracks vocabulary variety.
+    /// Morphology (`base_form`) cache activity of [`morph_probe`] over
+    /// the corpus: one `LabelText::new` per leaf label occurrence, so
+    /// the cache is probed once per *token occurrence*. The
+    /// resolve/synonymy caches are probed per scored candidate pair,
+    /// which floods them with repeat lookups of already-cached tokens
+    /// and pins their hit rate near 1.0 regardless of corpus shape. The
+    /// morphology hit rate is therefore the one lexicon signal that
+    /// tracks vocabulary variety.
     pub morph_cache: CacheStats,
 }
 
 impl DriftReport {
     /// Match every domain independently and aggregate the evidence.
     /// Run with `fuzzy: true` to exercise the fuzzy tier — the default
-    /// matcher keeps it off.
+    /// matcher keeps it off. Resets `lexicon`'s caches (see
+    /// [`morph_probe`]).
     pub fn compute(domains: &[Domain], lexicon: &Lexicon, config: MatcherConfig) -> DriftReport {
-        let cache_before = lexicon.morph_cache_stats();
+        let morph_cache = morph_probe(domains.iter().flat_map(|d| &d.schemas), lexicon);
         let mut stats = MatchStats::default();
         let mut interfaces = 0u64;
         let mut labels: std::collections::HashSet<&str> = std::collections::HashSet::new();
@@ -432,7 +456,7 @@ impl DriftReport {
             interfaces,
             distinct_labels: labels.len() as u64,
             stats,
-            morph_cache: lexicon.morph_cache_stats().delta_since(&cache_before),
+            morph_cache,
         }
     }
 

@@ -39,7 +39,7 @@ pub mod spec;
 pub mod synth;
 
 pub use domain::{Domain, PreparedDomain};
-pub use drift::{generate_drift_corpus, DriftConfig, DriftReport};
+pub use drift::{generate_drift_corpus, morph_probe, DriftConfig, DriftReport};
 pub use spec::{f, fi, fm, fu, fui, g, gu, FieldSpec};
 pub use synth::{generate_ladder, replicate_schemas, SynthConfig, SynthDomain};
 

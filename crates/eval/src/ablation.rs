@@ -11,7 +11,6 @@
 use qi_core::{ConsistencyClass, Labeler, NamingPolicy};
 use qi_datasets::Domain;
 use qi_lexicon::Lexicon;
-use qi_text::LabelText;
 
 /// Result of comparing two policies on one domain.
 #[derive(Debug, Clone)]
@@ -88,7 +87,7 @@ fn mean_expressiveness(labels: &[Option<String>], lexicon: &Lexicon) -> f64 {
     let mut sum = 0usize;
     let mut count = 0usize;
     for label in labels.iter().flatten() {
-        sum += LabelText::new(label, lexicon).expressiveness();
+        sum += lexicon.label_text(label).expressiveness();
         count += 1;
     }
     if count == 0 {

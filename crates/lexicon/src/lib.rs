@@ -41,8 +41,15 @@ pub use builder::LexiconBuilder;
 pub use synset::SynsetId;
 
 use qi_runtime::{CacheStats, ShardedCache};
+use qi_text::LabelText;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+/// Most normalized labels [`Lexicon::label_text`] keeps. A domain has at
+/// most a few hundred distinct labels, so this holds the matcher → labeler
+/// handoff of several domains while keeping the memo's footprint small.
+pub const LABEL_TEXT_CAP: usize = 1024;
 
 /// The lexical database: synsets, lemma index, hypernym DAG, morphology.
 ///
@@ -72,6 +79,9 @@ pub struct Lexicon {
     /// these ids, so the same few hundred tokens resolve once per corpus
     /// instead of once per pairwise `are_synonyms` probe.
     resolve_cache: ShardedCache<String, Vec<SynsetId>>,
+    /// Memoized §3.1 normalizations ([`Lexicon::label_text`]), bounded by
+    /// [`LABEL_TEXT_CAP`].
+    text_cache: ShardedCache<String, Arc<LabelText>>,
 }
 
 impl Lexicon {
@@ -130,32 +140,41 @@ impl Lexicon {
         morphy::reduce(token, |candidate| self.is_lemma(candidate))
     }
 
-    /// Aggregated hit/miss counters of the lexicon's memo-caches.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.hypernym_cache
-            .stats()
-            .merge(&self.base_form_cache.stats())
-            .merge(&self.resolve_cache.stats())
+    /// The two-step normalization (§3.1) of a raw label, memoized: the
+    /// matcher, the labeler and the serve sidecar all normalize through
+    /// here, so a label is normalized once however many fields and
+    /// stages see it. Equal to `LabelText::new(raw, self)`. The memo
+    /// keeps at most [`LABEL_TEXT_CAP`] labels.
+    pub fn label_text(&self, raw: &str) -> Arc<LabelText> {
+        if let Some(hit) = self.text_cache.get(raw) {
+            return hit;
+        }
+        let text = Arc::new(LabelText::new(raw, self));
+        self.text_cache.insert(raw.to_string(), Arc::clone(&text));
+        text
     }
 
     /// Per-cache hit/miss counters, keyed by stable cache names
-    /// (`lexicon.hypernym`, `lexicon.base_form`, `lexicon.resolve`) —
-    /// the telemetry registry records each under `cache.<name>.*`.
-    pub fn named_cache_stats(&self) -> [(&'static str, CacheStats); 3] {
+    /// (`lexicon.base_form`, `lexicon.hypernym`, `lexicon.resolve`,
+    /// `lexicon.text`) — the telemetry registry records each under
+    /// `cache.<name>.*`.
+    pub fn named_cache_stats(&self) -> [(&'static str, CacheStats); 4] {
         [
             ("lexicon.base_form", self.base_form_cache.stats()),
             ("lexicon.hypernym", self.hypernym_cache.stats()),
             ("lexicon.resolve", self.resolve_cache.stats()),
+            ("lexicon.text", self.text_cache.stats()),
         ]
     }
 
-    /// Counters of the morphology (`base_form`) cache alone. This is
-    /// the one lexicon cache probed once per *token occurrence* (during
-    /// `LabelText` construction) rather than once per scored candidate
-    /// pair, so its hit rate tracks vocabulary variety — the signal the
-    /// drift benchmarks compare against the cloned-corpus ceiling. The
-    /// resolve and synonymy caches are flooded by pair-scoring probes
-    /// of already-seen tokens and sit near 1.0 on any corpus shape.
+    /// Counters of the morphology (`base_form`) cache alone. It is
+    /// probed once per token of every label `LabelText::new` normalizes,
+    /// rather than once per scored candidate pair. Measured over
+    /// `LabelText::new` on every label occurrence, its hit rate tracks
+    /// vocabulary variety — the signal the drift checks compare against
+    /// the cloned-corpus ceiling. The resolve and synonymy caches are
+    /// flooded by pair-scoring probes of already-seen tokens and sit
+    /// near 1.0 on any corpus shape.
     pub fn morph_cache_stats(&self) -> CacheStats {
         self.base_form_cache.stats()
     }
@@ -167,6 +186,7 @@ impl Lexicon {
         self.hypernym_cache.clear();
         self.base_form_cache.clear();
         self.resolve_cache.clear();
+        self.text_cache.clear();
     }
 
     /// Resolve a word to the synsets it may denote: exact lemma match,
@@ -381,6 +401,7 @@ impl Lexicon {
             hypernym_cache: ShardedCache::default(),
             base_form_cache: ShardedCache::default(),
             resolve_cache: ShardedCache::default(),
+            text_cache: ShardedCache::bounded(LABEL_TEXT_CAP),
         }
     }
 }
@@ -492,6 +513,68 @@ mod tests {
         assert!(lex.are_synonyms("class", "category"));
         assert!(lex.are_synonyms("class", "course"));
         assert!(!lex.are_synonyms("category", "course"));
+    }
+}
+
+#[cfg(test)]
+mod label_text_memo {
+    use super::*;
+
+    fn text_stats(lex: &Lexicon) -> CacheStats {
+        lex.named_cache_stats()
+            .into_iter()
+            .find(|(name, _)| *name == "lexicon.text")
+            .expect("lexicon.text is registered")
+            .1
+    }
+
+    /// The memo returns `LabelText::new`'s normalization, cold and warm,
+    /// on hostile strings too, and a repeat lookup shares the `Arc`.
+    #[test]
+    fn memo_equals_direct_normalization_and_shares_arcs() {
+        let lex = Lexicon::builtin();
+        let long = "Departure City ".repeat(1024 / 15 + 1)[..1024].to_string();
+        let labels = [
+            "",
+            "   ",
+            "$$!",
+            "(--)",
+            "Zipcode",
+            "Area of Study",
+            "Children (under 12)",
+            "Prix du billet — é ß Ω 中 🚀",
+            "\u{0301}\u{00a0}\t\u{7}",
+            long.as_str(),
+        ];
+        for raw in labels {
+            let cold = lex.label_text(raw);
+            assert_eq!(*cold, qi_text::LabelText::new(raw, &lex), "{raw:?}");
+            let warm = lex.label_text(raw);
+            assert!(Arc::ptr_eq(&cold, &warm), "{raw:?} was normalized twice");
+        }
+        let stats = text_stats(&lex);
+        assert_eq!((stats.hits, stats.misses), (10, 10));
+    }
+
+    /// Past the cap the memo drops entries, never holds more than
+    /// `LABEL_TEXT_CAP`, keeps answering correctly and keeps its
+    /// counters; `reset_caches` zeroes them.
+    #[test]
+    fn memo_is_bounded_and_keeps_counters_on_overflow() {
+        let lex = Lexicon::builtin();
+        for i in 0..5_000 {
+            let raw = format!("Departure City {i}");
+            let text = lex.label_text(&raw);
+            assert_eq!(*text, qi_text::LabelText::new(&raw, &lex));
+            assert!(text_stats(&lex).entries <= LABEL_TEXT_CAP, "after {i}");
+        }
+        let stats = text_stats(&lex);
+        assert_eq!((stats.hits, stats.misses), (0, 5_000));
+        let last = lex.label_text("Departure City 4999");
+        assert_eq!(*last, qi_text::LabelText::new("Departure City 4999", &lex));
+        assert_eq!(text_stats(&lex).hits, 1, "the newest entry survives");
+        lex.reset_caches();
+        assert_eq!(text_stats(&lex), CacheStats::default());
     }
 }
 

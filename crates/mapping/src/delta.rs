@@ -20,14 +20,16 @@
 //!    comes last.
 //!
 //! So the delta matcher normalizes only the new labels, scores each new
-//! *distinct* label against the old distinct labels its postings reach
-//! (the same exhaustive blocking as the batch engine, or every old label
-//! where signature blocking is unsound), expands the accepted label
-//! pairs to field pairs `(i, n)`, merges them into the log and replays
-//! the union-find over it. The replay *is* the full matcher's merge
-//! sequence, so its partition is the full re-run's by construction —
-//! including whatever the same-schema clash check decides when two new
-//! fields reach one cluster, or a new field reaches two.
+//! *distinct* label against the old distinct labels the batch engine's
+//! conjunctive candidate rule admits in the `(old, new)` orientation
+//! (every word of the old label shares a posting with some word of the
+//! new one; every old label where signature blocking is unsound),
+//! expands the accepted label pairs to field pairs `(i, n)`, merges them
+//! into the log and replays the union-find over it. The replay *is* the
+//! full matcher's merge sequence, so its partition is the full re-run's
+//! by construction — including whatever the same-schema clash check
+//! decides when two new fields reach one cluster, or a new field reaches
+//! two.
 //!
 //! # The one residual guard
 //!
@@ -44,8 +46,8 @@
 
 use crate::cluster::{Cluster, ClusterId, FieldRef, Mapping};
 use crate::index::{
-    blocking_sound, indexed_run, label_key, max_stem_chars, pack, unpack, FuzzyMemo, LabelTable,
-    Postings, Prepared, SchemaUnionFind, NO_LABEL,
+    blocking_sound, indexed_run, label_key, max_stem_chars, pack, unpack, Field, FuzzyMemo,
+    LabelTable, PostingKeys, Postings, Prepared, SchemaUnionFind, NO_LABEL,
 };
 use crate::matcher::{cluster_numbering, collect_fields, emit_clusters, MatchStats, MatcherConfig};
 use qi_lexicon::Lexicon;
@@ -191,7 +193,7 @@ pub fn match_with_carry(
         clusters,
         log: run.log.into(),
         pieces: vec![Arc::new(Piece::new(run.prepared.into_owned(), run.by_key))],
-        max_stem_chars: max_stem_chars(fields.iter().filter_map(|(_, l)| l.as_ref())),
+        max_stem_chars: max_stem_chars(fields.iter().filter_map(|(_, l)| l.as_deref())),
     };
     (mapping, carry)
 }
@@ -283,30 +285,32 @@ pub fn delta_match_carried(
 }
 
 impl MatchCarry {
-    /// Append `tree` as schema `self.schema_count` to `base` (this
-    /// carry's mapping).
-    fn append(&self, tree: &SchemaTree, base: &Mapping, lexicon: &Lexicon) -> DeltaOutcome {
+    /// The fields of `tree`, appended as schema `self.schema_count`, with
+    /// every field's label id (old fields first) and the label chain: a
+    /// new field takes the id of the old label sharing its key, or a
+    /// fresh id prepared in a new piece.
+    fn extend_labels(
+        &self,
+        tree: &SchemaTree,
+        lexicon: &Lexicon,
+    ) -> (Vec<Field>, Vec<u32>, Vec<Arc<Piece>>) {
         let schema = self.schema_count;
-        let old_len = self.fields.len();
         let old_labels = self.label_count();
-        let new_fields: Vec<(FieldRef, Option<LabelText>)> = tree
+        let new_fields: Vec<Field> = tree
             .descendant_leaves(NodeId::ROOT)
             .into_iter()
             .map(|leaf| {
                 let label = tree.node(leaf).label.as_deref();
-                let label = label.map(|raw| LabelText::new(raw, lexicon));
+                let label = label.map(|raw| lexicon.label_text(raw));
                 (FieldRef::new(schema, leaf), label)
             })
             .collect();
-
-        // A new field takes the id of the old label sharing its key, or
-        // a fresh id prepared in a new piece.
-        let mut label_of: Vec<u32> = Vec::with_capacity(old_len + new_fields.len());
+        let mut label_of: Vec<u32> = Vec::with_capacity(self.fields.len() + new_fields.len());
         label_of.extend_from_slice(&self.label_of);
         let mut by_key: HashMap<String, u32> = HashMap::new();
         let mut fresh: Vec<&LabelText> = Vec::new();
         for (_, label) in &new_fields {
-            let id = match label.as_ref().filter(|l| !l.is_empty()) {
+            let id = match label.as_deref().filter(|l| !l.is_empty()) {
                 None => NO_LABEL,
                 Some(label) => {
                     let key = label_key(label);
@@ -327,12 +331,42 @@ impl MatchCarry {
             let prepared = Prepared::new(&parents, &fresh, lexicon, self.config);
             pieces.push(Arc::new(Piece::new(prepared.into_owned(), by_key)));
         }
+        (new_fields, label_of, pieces)
+    }
+
+    /// The old labels to score against new label `p` of `chain`,
+    /// ascending, into `hits`: every old label where signature blocking
+    /// is unsound (`universal`), else the batch engine's conjunctive
+    /// rule in the orientation `(old, p)` — every word of the old label
+    /// shares a posting with some word of `p`.
+    fn candidates(&self, chain: &Chain, p: u32, universal: bool, hits: &mut Vec<u32>) {
+        hits.clear();
+        if universal {
+            hits.extend(0..self.label_count());
+            return;
+        }
+        for piece in &self.pieces {
+            piece.postings.probe(chain, p, hits);
+        }
+        hits.sort_unstable();
+        hits.dedup();
+        let keys = PostingKeys::of(chain, p);
+        hits.retain(|&a| keys.cover(chain, a));
+    }
+
+    /// Append `tree` as schema `self.schema_count` to `base` (this
+    /// carry's mapping).
+    fn append(&self, tree: &SchemaTree, base: &Mapping, lexicon: &Lexicon) -> DeltaOutcome {
+        let schema = self.schema_count;
+        let old_len = self.fields.len();
+        let old_labels = self.label_count();
+        let (new_fields, label_of, mut pieces) = self.extend_labels(tree, lexicon);
         let chain = Chain(&pieces);
 
         // Score each new distinct label against the old ones it can
         // match, in the (old, new) orientation.
         let max_stem = self.max_stem_chars.max(max_stem_chars(
-            new_fields.iter().filter_map(|(_, l)| l.as_ref()),
+            new_fields.iter().filter_map(|(_, l)| l.as_deref()),
         ));
         let universal = self.config.fuzzy && !blocking_sound(max_stem, self.config);
         let mut probes: Vec<u32> = label_of[old_len..]
@@ -347,20 +381,11 @@ impl MatchCarry {
         let mut hits: Vec<u32> = Vec::new();
         let mut accepts: HashMap<u32, Vec<u32>> = HashMap::with_capacity(probes.len());
         for &p in &probes {
-            hits.clear();
-            if universal {
-                hits.extend(0..old_labels);
-            } else {
-                for piece in &self.pieces {
-                    piece.postings.probe(&chain, p, &mut hits);
-                }
-                hits.sort_unstable();
-                hits.dedup();
-            }
+            self.candidates(&chain, p, universal, &mut hits);
             // A label shared with old fields accepts them unscored.
             let mut accepted: Vec<u32> = (p < old_labels).then_some(p).into_iter().collect();
             for &a in &hits {
-                if a == p || a >= old_labels {
+                if a == p {
                     continue;
                 }
                 pairs_scored += 1;
@@ -610,6 +635,78 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The conjunctive rule on the delta path is exact: on drift
+    /// domains, wherever signature blocking is sound, every old label
+    /// that `tier` accepts against a new label is among that label's
+    /// candidates, which are a subset of the labels sharing any posting.
+    #[test]
+    fn delta_candidates_cover_every_accepted_pair() {
+        let lexicon = Lexicon::builtin();
+        let corpus = qi_datasets::generate_drift_corpus(
+            &qi_datasets::DriftConfig {
+                seed: 0x5EED_0022,
+                domains: 3,
+                interfaces: 8,
+                ..qi_datasets::DriftConfig::default()
+            },
+            &lexicon,
+        );
+        let (mut accepted, mut kept, mut probed, mut fuzzy_runs) = (0, 0, 0, 0);
+        for domain in &corpus {
+            for min_similarity in [0.85, 0.8] {
+                for fuzzy in [false, true] {
+                    let config = MatcherConfig {
+                        fuzzy,
+                        min_similarity,
+                        ..MatcherConfig::default()
+                    };
+                    for k in 1..domain.schemas.len() {
+                        let carry = MatchCarry::build(&domain.schemas[..k], &lexicon, config);
+                        let (new_fields, label_of, pieces) =
+                            carry.extend_labels(&domain.schemas[k], &lexicon);
+                        let max_stem = carry.max_stem_chars.max(max_stem_chars(
+                            new_fields.iter().filter_map(|(_, l)| l.as_deref()),
+                        ));
+                        if fuzzy && !blocking_sound(max_stem, config) {
+                            continue;
+                        }
+                        fuzzy_runs += fuzzy as usize;
+                        let chain = Chain(&pieces);
+                        let mut probes = label_of[carry.fields.len()..].to_vec();
+                        probes.retain(|&l| l != NO_LABEL);
+                        probes.sort_unstable();
+                        probes.dedup();
+                        let mut memo = FuzzyMemo::default();
+                        let (mut hits, mut any) = (Vec::new(), Vec::new());
+                        for p in probes {
+                            carry.candidates(&chain, p, false, &mut hits);
+                            any.clear();
+                            for piece in &carry.pieces {
+                                piece.postings.probe(&chain, p, &mut any);
+                            }
+                            any.sort_unstable();
+                            any.dedup();
+                            (kept, probed) = (kept + hits.len(), probed + any.len());
+                            assert!(hits.iter().all(|a| any.binary_search(a).is_ok()));
+                            for a in (0..carry.label_count()).filter(|&a| a != p) {
+                                if chain.tier(a, p, &mut memo).is_some() {
+                                    accepted += 1;
+                                    assert!(
+                                        hits.binary_search(&a).is_ok(),
+                                        "old {a} -> new {p} accepted but not a candidate \
+                                         at {config:?}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(accepted > 0 && fuzzy_runs > 0, "{accepted} {fuzzy_runs}");
+        assert!(kept < probed, "the rule pruned nothing: {kept} of {probed}");
     }
 
     #[test]

@@ -89,6 +89,7 @@ use qi_text::{ContentWord, LabelText};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Candidate counts below this are scored sequentially — the corpus is
 /// small enough that spawning workers costs more than the scoring.
@@ -110,7 +111,9 @@ const BLOCK_LABELS: usize = 4096;
 /// Label id of a field without a non-empty label.
 pub(crate) const NO_LABEL: u32 = u32::MAX;
 
-type Field = (FieldRef, Option<LabelText>);
+/// A field with its normalized label, shared with the lexicon's
+/// label-text memo.
+pub(crate) type Field = (FieldRef, Option<Arc<LabelText>>);
 
 pub(crate) fn pack(i: u32, j: u32) -> u64 {
     ((i as u64) << 32) | j as u64
@@ -157,7 +160,6 @@ pub(crate) fn indexed_run<'a>(
     let prepared = Prepared::new(&[], &groups.labels, lexicon, config);
     // Same-key field pairs are decided without scoring.
     let same_key: u64 = (0..groups.len()).map(|g| groups.self_pairs(g)).sum();
-    stats.pairs_generated += same_key;
     stats.pairs_scored += same_key;
     let accepted = if config.fuzzy && !prefix_blocking_sound(fields, config) {
         stats.streaming_fallback = true;
@@ -211,7 +213,7 @@ impl<'a> Groups<'a> {
             by_key: HashMap::new(),
         };
         for (i, (field, label)) in fields.iter().enumerate() {
-            let Some(label) = label.as_ref().filter(|l| !l.is_empty()) else {
+            let Some(label) = label.as_deref().filter(|l| !l.is_empty()) else {
                 groups.of_field.push(NO_LABEL);
                 continue;
             };
@@ -662,6 +664,50 @@ impl Postings {
     }
 }
 
+/// The posting keys of one label's words: stem keys, synset ids and,
+/// under the fuzzy tier, signature characters. A word shares a posting
+/// with some word of the label exactly when it has one of these keys,
+/// which lets the delta matcher apply the conjunctive candidate rule to
+/// one new label at a time.
+pub(crate) struct PostingKeys {
+    keys: Vec<u32>,
+    synsets: Vec<SynsetId>,
+    chars: Vec<char>,
+}
+
+impl PostingKeys {
+    pub(crate) fn of<T: LabelTable + ?Sized>(table: &T, l: u32) -> Self {
+        let mut keys = PostingKeys {
+            keys: Vec::new(),
+            synsets: Vec::new(),
+            chars: Vec::new(),
+        };
+        let fuzzy = table.label_table(l).config.fuzzy;
+        for &w in table.label_words(l) {
+            keys.keys.push(table.word_key(w));
+            keys.synsets.extend_from_slice(table.word_synsets(w));
+            if fuzzy {
+                let word = table.word(w);
+                keys.chars.extend(signature_chars(&word.stem, &word.lemma));
+            }
+        }
+        keys.synsets.sort_unstable();
+        keys.synsets.dedup();
+        keys
+    }
+
+    /// Whether every word of label `l` shares a posting with some word
+    /// of this label.
+    pub(crate) fn cover<T: LabelTable + ?Sized>(&self, table: &T, l: u32) -> bool {
+        table.label_words(l).iter().all(|&w| {
+            let word = table.word(w);
+            self.keys.contains(&table.word_key(w))
+                || intersects(table.word_synsets(w), &self.synsets)
+                || signature_chars(&word.stem, &word.lemma).any(|c| self.chars.contains(&c))
+        })
+    }
+}
+
 /// Build the inverted postings over distinct labels and emit the
 /// directed candidates `(a, b)`: [`Groups::needs`] holds and every word
 /// of `a` shares a posting with some word of `b`. Per word, the labels it
@@ -732,9 +778,7 @@ fn candidate_label_pairs(
 /// counting the cross-schema field pairs whose verdict it decides.
 fn push_directed(groups: &Groups, a: usize, b: usize, out: &mut Vec<u64>, stats: &mut MatchStats) {
     if groups.needs(a, b) {
-        let field_pairs = groups.directed_pairs(a, b);
-        stats.pairs_generated += field_pairs;
-        stats.pairs_scored += field_pairs;
+        stats.pairs_scored += groups.directed_pairs(a, b);
         out.push(pack(a as u32, b as u32));
     }
 }
@@ -858,7 +902,7 @@ fn merge_accepted(
 /// [`blocking_sound`]).
 pub(crate) fn prefix_blocking_sound(fields: &[Field], config: MatcherConfig) -> bool {
     blocking_sound(
-        max_stem_chars(fields.iter().filter_map(|(_, l)| l.as_ref())),
+        max_stem_chars(fields.iter().filter_map(|(_, l)| l.as_deref())),
         config,
     )
 }
@@ -1018,7 +1062,7 @@ mod tests {
         let field = |raw: &str| {
             (
                 FieldRef::new(0, qi_schema::NodeId::ROOT),
-                Some(LabelText::new(raw, &lex)),
+                Some(lex.label_text(raw)),
             )
         };
         let config = |min_similarity: f64| MatcherConfig {
@@ -1050,7 +1094,7 @@ mod tests {
         let field = |schema: usize, raw: Option<&str>| {
             (
                 FieldRef::new(schema, qi_schema::NodeId::ROOT),
-                raw.map(|r| LabelText::new(r, &lex)),
+                raw.map(|r| lex.label_text(r)),
             )
         };
         let fields = vec![

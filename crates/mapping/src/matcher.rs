@@ -21,7 +21,7 @@
 //! [`Mapping`]s, which the test suite asserts on randomized corpora.
 
 use crate::cluster::{FieldRef, Mapping};
-use crate::index::indexed_run;
+use crate::index::{indexed_run, Field};
 use qi_lexicon::Lexicon;
 use qi_schema::{NodeId, SchemaTree};
 use qi_text::{normalized_levenshtein, prefix_abbreviation, ContentWord, LabelText};
@@ -93,8 +93,8 @@ pub enum MatchTier {
 /// `clusters_merged` on every corpus — the indexed candidate set is a
 /// superset of the matching pairs and both engines merge accepted pairs
 /// in ascending `(i, j)` order with the same clash predicate.
-/// `pairs_generated`/`pairs_scored` legitimately differ (that gap is the
-/// work the index saves).
+/// `pairs_scored` legitimately differs (that gap is the work the index
+/// saves).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchStats {
     /// Fields collected across all schemas.
@@ -109,9 +109,6 @@ pub struct MatchStats {
     pub fuzzy_buckets: u64,
     /// Largest posting list over all three index families.
     pub max_bucket_size: u64,
-    /// Candidate field pairs emitted by the postings (deduplicated); for
-    /// the naive engine, every labeled cross-schema pair.
-    pub pairs_generated: u64,
     /// Field pairs whose verdict the engine decided. The indexed engine
     /// decides a field pair by scoring its pair of distinct labels, or
     /// without scoring when both fields share a label key.
@@ -154,7 +151,6 @@ impl MatchStats {
         }
         telemetry.add("matcher.fields_total", self.fields_total);
         telemetry.add("matcher.fields_labeled", self.fields_labeled);
-        telemetry.add("matcher.pairs_generated", self.pairs_generated);
         telemetry.add("matcher.pairs_scored", self.pairs_scored);
         telemetry.add("matcher.label_pairs_scored", self.label_pairs_scored);
         telemetry.add("matcher.pairs_accepted", self.pairs_accepted);
@@ -196,7 +192,6 @@ impl MatchStats {
         self.synset_buckets = self.synset_buckets.max(other.synset_buckets);
         self.fuzzy_buckets = self.fuzzy_buckets.max(other.fuzzy_buckets);
         self.max_bucket_size = self.max_bucket_size.max(other.max_bucket_size);
-        self.pairs_generated += other.pairs_generated;
         self.pairs_scored += other.pairs_scored;
         self.label_pairs_scored += other.label_pairs_scored;
         self.pairs_accepted += other.pairs_accepted;
@@ -381,19 +376,17 @@ pub fn match_by_labels_stats(
 
 /// Collect all fields with their normalized labels, in schema order then
 /// leaf preorder — the field order every downstream determinism claim is
-/// stated against.
-pub(crate) fn collect_fields(
-    schemas: &[SchemaTree],
-    lexicon: &Lexicon,
-) -> Vec<(FieldRef, Option<LabelText>)> {
-    let mut fields: Vec<(FieldRef, Option<LabelText>)> = Vec::new();
+/// stated against. Labels are normalized through the lexicon's memo, so
+/// a label repeated across fields is normalized once.
+pub(crate) fn collect_fields(schemas: &[SchemaTree], lexicon: &Lexicon) -> Vec<Field> {
+    let mut fields: Vec<Field> = Vec::new();
     for (schema_idx, tree) in schemas.iter().enumerate() {
         for leaf in tree.descendant_leaves(NodeId::ROOT) {
             let label = tree
                 .node(leaf)
                 .label
                 .as_deref()
-                .map(|raw| LabelText::new(raw, lexicon));
+                .map(|raw| lexicon.label_text(raw));
             fields.push((FieldRef::new(schema_idx, leaf), label));
         }
     }
@@ -406,7 +399,7 @@ pub(crate) fn collect_fields(
 /// O(n) per merge — kept verbatim as the equivalence oracle for the
 /// indexed engine.
 fn naive_components(
-    fields: &[(FieldRef, Option<LabelText>)],
+    fields: &[Field],
     lexicon: &Lexicon,
     config: MatcherConfig,
     stats: &mut MatchStats,
@@ -423,7 +416,6 @@ fn naive_components(
             let Some(label_j) = &fields[j].1 else {
                 continue;
             };
-            stats.pairs_generated += 1;
             stats.pairs_scored += 1;
             stats.label_pairs_scored += 1;
             let Some(tier) = match_tier_with(label_i, label_j, lexicon, config) else {
@@ -455,14 +447,14 @@ fn naive_components(
 /// Emit clusters in first-member order: the partition (and the concept
 /// naming) depends only on which fields share a root, so both engines
 /// and the delta matcher funnel through this numbering.
-pub(crate) fn emit_clusters(fields: &[(FieldRef, Option<LabelText>)], roots: &[usize]) -> Mapping {
+pub(crate) fn emit_clusters(fields: &[Field], roots: &[usize]) -> Mapping {
     let (cluster_of, count) = cluster_numbering(roots);
     let mut members: Vec<Vec<FieldRef>> = vec![Vec::new(); count];
     let mut first_label: Vec<Option<&LabelText>> = vec![None; count];
     for (&k, (field, label)) in cluster_of.iter().zip(fields) {
         let k = k as usize;
         if members[k].is_empty() {
-            first_label[k] = label.as_ref();
+            first_label[k] = label.as_deref();
         }
         members[k].push(*field);
     }

@@ -62,6 +62,9 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct ShardedCache<K, V> {
     shards: Vec<RwLock<HashMap<K, V>>>,
+    /// Most entries one shard holds (unbounded unless built by
+    /// [`ShardedCache::bounded`]).
+    shard_cap: usize,
     hasher: RandomState,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -88,9 +91,22 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         }
         ShardedCache {
             shards: vec,
+            shard_cap: usize::MAX,
             hasher: RandomState::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+        }
+    }
+
+    /// A cache that never holds more than `cap` entries: each shard
+    /// holds at most its share, and a full shard drops its entries (the
+    /// counters stay) before it stores a new key.
+    pub fn bounded(cap: usize) -> Self {
+        let shards = DEFAULT_SHARDS.min(cap.max(1));
+        let shards = 1 << shards.ilog2();
+        ShardedCache {
+            shard_cap: cap.max(1) / shards,
+            ..ShardedCache::new(shards)
         }
     }
 
@@ -119,9 +135,13 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         }
     }
 
-    /// Store `key → value`.
+    /// Store `key → value`, first emptying the key's shard if it is full.
     pub fn insert(&self, key: K, value: V) {
-        sync::write(&self.shards[self.shard_of(&key)]).insert(key, value);
+        let mut shard = sync::write(&self.shards[self.shard_of(&key)]);
+        if shard.len() >= self.shard_cap && !shard.contains_key(&key) {
+            shard.clear();
+        }
+        shard.insert(key, value);
     }
 
     /// Memoize `compute`: return the cached value or compute-and-store.
@@ -218,6 +238,21 @@ mod tests {
         assert_eq!(cache.get(&1), None);
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn bounded_cache_never_exceeds_its_cap_and_keeps_counters() {
+        for cap in [1, 3, 16, 100, 1024] {
+            let cache: ShardedCache<u32, u32> = ShardedCache::bounded(cap);
+            for k in 0..5_000 {
+                assert_eq!(cache.get_or_insert_with(k, || k * 2), k * 2);
+                assert!(cache.stats().entries <= cap, "cap {cap} exceeded");
+            }
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses), (0, 5_000));
+            cache.clear();
+            assert_eq!(cache.stats(), CacheStats::default());
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@ use qi_mapping::{ClusterId, DeltaOutcome, FallbackReason, Mapping, MatchCarry, M
 use qi_merge::MergeState;
 use qi_runtime::{Category, Interner, Severity, Telemetry};
 use qi_schema::{NodeId, SchemaTree};
-use qi_text::LabelText;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -211,7 +210,7 @@ fn sidecar(
             if normalized.contains_key(&sym.0) {
                 continue;
             }
-            let text = LabelText::new(label, lexicon);
+            let text = lexicon.label_text(label);
             let keys: Vec<u32> = text
                 .keys()
                 .into_iter()

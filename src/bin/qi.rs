@@ -194,8 +194,8 @@ fn cmd_relate(args: &[String]) -> Result<(), String> {
         return Err("usage: qi relate <label-a> <label-b>".to_string());
     };
     let lexicon = Lexicon::builtin();
-    let ta = qi_text::LabelText::new(a, &lexicon);
-    let tb = qi_text::LabelText::new(b, &lexicon);
+    let ta = lexicon.label_text(a);
+    let tb = lexicon.label_text(b);
     let rel = qi_core::relations::relate(&ta, &tb, &lexicon);
     println!(
         "{a:?} ({}) vs {b:?} ({}) -> {rel:?}",

@@ -5,9 +5,10 @@
 //! ceiling — next to the verbatim-clone regime that *is* the ceiling.
 
 use qi_core::NamingPolicy;
-use qi_datasets::{all_domains, generate_drift_corpus, replicate_schemas, DriftConfig};
+use qi_datasets::{
+    all_domains, generate_drift_corpus, morph_probe, replicate_schemas, DriftConfig,
+};
 use qi_lexicon::Lexicon;
-use qi_mapping::{match_by_labels_with, MatcherConfig};
 use qi_runtime::Telemetry;
 use qi_serve::{build_artifact, Snapshot};
 use std::collections::HashSet;
@@ -158,18 +159,11 @@ fn cli_drift_export_and_metrics_are_deterministic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Morphology cache-hit rate of a corpus, measured from reset caches.
-/// Only the morphology (`base_form`) cache is probed once per token
-/// occurrence; see `Lexicon::morph_cache_stats`.
-fn morph_rate(schemas: &[qi_schema::SchemaTree], lexicon: &Lexicon, fuzzy: bool) -> f64 {
-    lexicon.reset_caches();
-    let before = lexicon.morph_cache_stats();
-    let config = MatcherConfig {
-        fuzzy,
-        ..MatcherConfig::default()
-    };
-    std::hint::black_box(match_by_labels_with(schemas, lexicon, config));
-    lexicon.morph_cache_stats().delta_since(&before).hit_rate()
+/// Morphology cache-hit rate of a corpus: `LabelText::new` on every
+/// leaf label occurrence from reset caches (`morph_probe`), so the
+/// morphology (`base_form`) cache is probed once per token occurrence.
+fn morph_rate(schemas: &[qi_schema::SchemaTree], lexicon: &Lexicon) -> f64 {
+    morph_probe(schemas, lexicon).hit_rate()
 }
 
 /// Pins the cache regimes the scaled benchmarks compare (and documents
@@ -190,17 +184,17 @@ fn verbatim_clones_are_the_cache_ceiling_drift_sits_below() {
     for _ in 0..10 {
         verbatim.extend_from_slice(&base);
     }
-    let verbatim_rate = morph_rate(&verbatim, &lexicon, false);
+    let verbatim_rate = morph_rate(&verbatim, &lexicon);
 
     let renamed = replicate_schemas(&base, 10);
-    let renamed_rate = morph_rate(&renamed, &lexicon, false);
+    let renamed_rate = morph_rate(&renamed, &lexicon);
 
     let drift = generate_drift_corpus(&small(), &lexicon);
     let drift_schemas: Vec<qi_schema::SchemaTree> = drift
         .iter()
         .flat_map(|d| d.schemas.iter().cloned())
         .collect();
-    let drift_rate = morph_rate(&drift_schemas, &lexicon, true);
+    let drift_rate = morph_rate(&drift_schemas, &lexicon);
 
     assert!(
         verbatim_rate > 0.97,

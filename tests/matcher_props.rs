@@ -206,8 +206,8 @@ fn clustering_invariant_under_schema_order_on_collision_free_corpora() {
 /// indexed candidate set is a superset of the matching pairs and both
 /// engines merge accepted pairs in ascending `(i, j)` order with the
 /// same clash predicate, so the *outcome* counters must agree even
-/// though `pairs_generated` / `pairs_scored` legitimately differ (that
-/// difference is the whole point of candidate generation).
+/// though `pairs_scored` legitimately differs (that difference is the
+/// whole point of candidate generation).
 #[test]
 fn engines_report_identical_outcome_counters() {
     let lexicon = Lexicon::builtin();

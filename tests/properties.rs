@@ -161,6 +161,42 @@ fn tokenize_and_normalize_shape() {
     }
 }
 
+/// The lexicon's label-text memo is `LabelText::new`: on every label of
+/// the seven builtin domains, on seeded drift labels and on arbitrary
+/// (hostile) strings, looked up cold and again warm, on one lexicon
+/// whose memo overflows along the way.
+#[test]
+fn label_text_memo_matches_direct_normalization() {
+    let lexicon = Lexicon::builtin();
+    let drift = qi_datasets::generate_drift_corpus(
+        &qi_datasets::DriftConfig {
+            domains: 4,
+            interfaces: 10,
+            ..qi_datasets::DriftConfig::default()
+        },
+        &lexicon,
+    );
+    let mut labels: Vec<String> = qi_datasets::all_domains()
+        .iter()
+        .chain(&drift)
+        .flat_map(|d| &d.schemas)
+        .flat_map(|s| s.nodes().filter_map(|n| n.label.clone()))
+        .collect();
+    for (_, mut rng) in cases(0x0480_0000_0000, CASES) {
+        labels.push(arbitrary_string(&mut rng, 40));
+    }
+    assert!(
+        labels.len() > qi_lexicon::LABEL_TEXT_CAP,
+        "the memo must overflow"
+    );
+    for pass in ["cold", "warm"] {
+        for raw in &labels {
+            let memo = lexicon.label_text(raw);
+            assert_eq!(*memo, LabelText::new(raw, &lexicon), "{pass}: {raw:?}");
+        }
+    }
+}
+
 /// Definition 1 relations are antisymmetric under flip: computing in the
 /// opposite order yields the flipped relation.
 #[test]

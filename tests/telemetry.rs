@@ -114,9 +114,9 @@ fn counters_satisfy_cross_invariants() {
             "cache {cache}: {hits} + {misses} != {lookups}"
         );
     }
-    // All six instrumented caches are present: three lexicon memos, the
+    // All seven instrumented caches are present: four lexicon memos, the
     // stemmer, and the two per-run naming-context caches.
-    assert_eq!(caches, 6, "cache names: {:?}", doc.counters.keys());
+    assert_eq!(caches, 7, "cache names: {:?}", doc.counters.keys());
 
     // The matcher scores at least as many candidates as it accepts, and
     // accepts at least as many pairs as it merges clusters (a merge
@@ -132,7 +132,6 @@ fn counters_satisfy_cross_invariants() {
     assert!(scored >= accepted, "{scored} scored < {accepted} accepted");
     assert!(accepted >= merged, "{accepted} accepted < {merged} merged");
     assert!(merged > 0, "seven domains must merge some clusters");
-    assert!(counter("matcher.pairs_generated") >= scored);
     assert!(counter("matcher.fields_total") >= counter("matcher.fields_labeled"));
 
     // Spans nest: every child's accumulated time fits inside its
