@@ -47,7 +47,7 @@
 use crate::cluster::{Cluster, ClusterId, FieldRef, Mapping};
 use crate::index::{
     blocking_sound, indexed_run, label_key, max_stem_chars, pack, unpack, Field, FuzzyMemo,
-    LabelTable, PostingKeys, Postings, Prepared, SchemaUnionFind, NO_LABEL,
+    PostingKeys, Postings, Prepared, SchemaUnionFind, NO_LABEL,
 };
 use crate::matcher::{cluster_numbering, collect_fields, emit_clusters, MatchStats, MatcherConfig};
 use qi_lexicon::Lexicon;
@@ -60,86 +60,36 @@ use std::sync::Arc;
 /// append replays it instead of re-matching: the fields, each field's
 /// distinct label and cluster, the pair log, and the distinct labels in
 /// prepared form with their postings.
-///
-/// Every piece is shared through an `Arc` and only ever extended, so an
-/// append copies the flat per-field arrays and the log, not the labels.
-/// Distinct labels live in a chain of [`Prepared`] tables, one per
-/// append that brought new labels; a table merges into its predecessor
-/// once it holds at least half as many labels. That keeps the chain
-/// logarithmic in the appends, and copies each label O(log n) times
-/// over a carry's life.
 #[derive(Debug, Clone)]
 pub struct MatchCarry {
     config: MatcherConfig,
     /// Number of schemas the carry covers (`fields` spans exactly these).
     schema_count: usize,
     /// Every field, in matcher order.
-    fields: Arc<[FieldRef]>,
+    fields: Vec<FieldRef>,
     /// Per field: its distinct label id, or `NO_LABEL`.
-    label_of: Arc<[u32]>,
+    label_of: Vec<u32>,
     /// Per field: its cluster's index in the matcher's mapping.
-    cluster_of: Arc<[u32]>,
+    cluster_of: Vec<u32>,
     clusters: usize,
     /// Every accepted field pair `(i, j)`, `i < j`, packed, ascending:
     /// the union-find's merge sequence.
-    log: Arc<[u64]>,
-    /// The distinct labels, oldest table first.
-    pieces: Vec<Arc<Piece>>,
+    log: Vec<u64>,
+    /// The distinct labels. An append shares them when it brings no new
+    /// label key and extends a copy otherwise, so the carry it started
+    /// from stays valid for another append.
+    labels: Arc<LabelIndex>,
     /// Longest stem in the corpus, for the blocking-soundness check.
     max_stem_chars: usize,
 }
 
-/// One table of a carry's distinct labels, with its postings and label
-/// keys.
+/// A carry's distinct labels with their postings and label keys.
 #[derive(Debug, Clone)]
-struct Piece {
-    prepared: Prepared<'static>,
+struct LabelIndex {
+    prepared: Prepared,
     postings: Postings,
-    by_key: HashMap<String, u32>,
-}
-
-impl Piece {
-    fn new(prepared: Prepared<'static>, by_key: HashMap<String, u32>) -> Self {
-        Piece {
-            postings: Postings::new(&prepared),
-            prepared,
-            by_key,
-        }
-    }
-
-    fn labels(&self) -> usize {
-        self.prepared.label_ids().len()
-    }
-
-    fn absorb(&mut self, next: &Piece) {
-        self.prepared.absorb(&next.prepared);
-        self.postings.absorb(&next.postings);
-        self.by_key
-            .extend(next.by_key.iter().map(|(k, &v)| (k.clone(), v)));
-    }
-}
-
-/// A carry's pieces read as one label table.
-struct Chain<'a>(&'a [Arc<Piece>]);
-
-impl LabelTable for Chain<'_> {
-    fn word_table(&self, w: u32) -> &Prepared<'_> {
-        self.0
-            .iter()
-            .rev()
-            .map(|p| &p.prepared)
-            .find(|t| t.word_base() <= w)
-            .expect("word id within the chain")
-    }
-
-    fn label_table(&self, l: u32) -> &Prepared<'_> {
-        self.0
-            .iter()
-            .rev()
-            .map(|p| &p.prepared)
-            .find(|t| t.label_ids().start <= l)
-            .expect("label id within the chain")
-    }
+    /// Label key → distinct label id.
+    by_key: HashMap<Arc<str>, u32>,
 }
 
 impl MatchCarry {
@@ -149,7 +99,7 @@ impl MatchCarry {
     }
 
     fn label_count(&self) -> u32 {
-        self.pieces.last().map_or(0, |p| p.prepared.label_end())
+        self.labels.prepared.label_count()
     }
 
     /// Whether `base` is this carry's mapping: the same clusters in the
@@ -188,11 +138,15 @@ pub fn match_with_carry(
         config,
         schema_count: schemas.len(),
         fields: fields.iter().map(|(f, _)| *f).collect(),
-        label_of: run.label_of.into(),
-        cluster_of: cluster_of.into(),
+        label_of: run.label_of,
+        cluster_of,
         clusters,
-        log: run.log.into(),
-        pieces: vec![Arc::new(Piece::new(run.prepared.into_owned(), run.by_key))],
+        log: run.log,
+        labels: Arc::new(LabelIndex {
+            postings: Postings::new(&run.prepared),
+            prepared: run.prepared,
+            by_key: run.by_key.into_iter().map(|(k, l)| (k.into(), l)).collect(),
+        }),
         max_stem_chars: max_stem_chars(fields.iter().filter_map(|(_, l)| l.as_deref())),
     };
     (mapping, carry)
@@ -286,14 +240,15 @@ pub fn delta_match_carried(
 
 impl MatchCarry {
     /// The fields of `tree`, appended as schema `self.schema_count`, with
-    /// every field's label id (old fields first) and the label chain: a
+    /// every field's label id (old fields first) and the label index: a
     /// new field takes the id of the old label sharing its key, or a
-    /// fresh id prepared in a new piece.
+    /// fresh id prepared after the old labels. Fresh labels are not
+    /// posted yet, so probing the index reaches old labels only.
     fn extend_labels(
         &self,
         tree: &SchemaTree,
         lexicon: &Lexicon,
-    ) -> (Vec<Field>, Vec<u32>, Vec<Arc<Piece>>) {
+    ) -> (Vec<Field>, Vec<u32>, Arc<LabelIndex>) {
         let schema = self.schema_count;
         let old_labels = self.label_count();
         let new_fields: Vec<Field> = tree
@@ -307,16 +262,16 @@ impl MatchCarry {
             .collect();
         let mut label_of: Vec<u32> = Vec::with_capacity(self.fields.len() + new_fields.len());
         label_of.extend_from_slice(&self.label_of);
-        let mut by_key: HashMap<String, u32> = HashMap::new();
+        let mut by_key: HashMap<Arc<str>, u32> = HashMap::new();
         let mut fresh: Vec<&LabelText> = Vec::new();
         for (_, label) in &new_fields {
             let id = match label.as_deref().filter(|l| !l.is_empty()) {
                 None => NO_LABEL,
                 Some(label) => {
                     let key = label_key(label);
-                    let known = self.pieces.iter().find_map(|p| p.by_key.get(&key).copied());
+                    let known = self.labels.by_key.get(key.as_str()).copied();
                     known.unwrap_or_else(|| {
-                        *by_key.entry(key).or_insert_with(|| {
+                        *by_key.entry(key.into()).or_insert_with(|| {
                             fresh.push(label);
                             old_labels + fresh.len() as u32 - 1
                         })
@@ -325,33 +280,33 @@ impl MatchCarry {
             };
             label_of.push(id);
         }
-        let mut pieces = self.pieces.clone();
+        let mut labels = Arc::clone(&self.labels);
         if !fresh.is_empty() {
-            let parents: Vec<&Prepared> = self.pieces.iter().map(|p| &p.prepared).collect();
-            let prepared = Prepared::new(&parents, &fresh, lexicon, self.config);
-            pieces.push(Arc::new(Piece::new(prepared.into_owned(), by_key)));
+            let index = Arc::make_mut(&mut labels);
+            index.prepared.extend(&fresh, lexicon);
+            index.by_key.extend(by_key);
         }
-        (new_fields, label_of, pieces)
+        (new_fields, label_of, labels)
     }
 
-    /// The old labels to score against new label `p` of `chain`,
-    /// ascending, into `hits`: every old label where signature blocking
-    /// is unsound (`universal`), else the batch engine's conjunctive
-    /// rule in the orientation `(old, p)` — every word of the old label
-    /// shares a posting with some word of `p`.
-    fn candidates(&self, chain: &Chain, p: u32, universal: bool, hits: &mut Vec<u32>) {
+    /// The old labels to score against new label `p`, ascending, into
+    /// `hits`: every old label where signature blocking is unsound
+    /// (`universal`), else the batch engine's conjunctive rule in the
+    /// orientation `(old, p)` — every word of the old label shares a
+    /// posting with some word of `p`. `labels` holds `p` but posts only
+    /// the old labels.
+    fn candidates(&self, labels: &LabelIndex, p: u32, universal: bool, hits: &mut Vec<u32>) {
         hits.clear();
         if universal {
             hits.extend(0..self.label_count());
             return;
         }
-        for piece in &self.pieces {
-            piece.postings.probe(chain, p, hits);
-        }
+        let prepared = &labels.prepared;
+        labels.postings.probe(prepared, p, hits);
         hits.sort_unstable();
         hits.dedup();
-        let keys = PostingKeys::of(chain, p);
-        hits.retain(|&a| keys.cover(chain, a));
+        let keys = PostingKeys::of(prepared, p);
+        hits.retain(|&a| keys.cover(prepared, a));
     }
 
     /// Append `tree` as schema `self.schema_count` to `base` (this
@@ -360,8 +315,7 @@ impl MatchCarry {
         let schema = self.schema_count;
         let old_len = self.fields.len();
         let old_labels = self.label_count();
-        let (new_fields, label_of, mut pieces) = self.extend_labels(tree, lexicon);
-        let chain = Chain(&pieces);
+        let (new_fields, label_of, mut labels) = self.extend_labels(tree, lexicon);
 
         // Score each new distinct label against the old ones it can
         // match, in the (old, new) orientation.
@@ -381,7 +335,7 @@ impl MatchCarry {
         let mut hits: Vec<u32> = Vec::new();
         let mut accepts: HashMap<u32, Vec<u32>> = HashMap::with_capacity(probes.len());
         for &p in &probes {
-            self.candidates(&chain, p, universal, &mut hits);
+            self.candidates(&labels, p, universal, &mut hits);
             // A label shared with old fields accepts them unscored.
             let mut accepted: Vec<u32> = (p < old_labels).then_some(p).into_iter().collect();
             for &a in &hits {
@@ -389,7 +343,7 @@ impl MatchCarry {
                     continue;
                 }
                 pairs_scored += 1;
-                if chain.tier(a, p, &mut memo).is_some() {
+                if labels.prepared.tier(a, p, &mut memo).is_some() {
                     accepted.push(a);
                 }
             }
@@ -465,7 +419,12 @@ impl MatchCarry {
             cluster_of.push(id.0);
         }
 
-        compact(&mut pieces);
+        if old_labels < labels.prepared.label_count() {
+            let index = Arc::make_mut(&mut labels);
+            index
+                .postings
+                .add(&index.prepared, old_labels..index.prepared.label_count());
+        }
         let carry = MatchCarry {
             config: self.config,
             schema_count: schema + 1,
@@ -475,11 +434,11 @@ impl MatchCarry {
                 .chain(new_fields.iter().map(|(f, _)| f))
                 .copied()
                 .collect(),
-            label_of: label_of.into(),
-            cluster_of: cluster_of.into(),
+            label_of,
+            cluster_of,
             clusters: mapping.clusters.len(),
-            log: log.into(),
-            pieces,
+            log,
+            labels,
             max_stem_chars: max_stem,
         };
         DeltaOutcome::Incremental(Box::new(DeltaMapping {
@@ -488,19 +447,6 @@ impl MatchCarry {
             pairs_accepted,
             carry,
         }))
-    }
-}
-
-/// Merge the newest piece into its predecessor while it holds at least
-/// half as many labels, copying the predecessor only if it is shared.
-fn compact(pieces: &mut Vec<Arc<Piece>>) {
-    while let [.., older, newer] = pieces.as_slice() {
-        if newer.labels() * 2 < older.labels() {
-            break;
-        }
-        let newer = pieces.pop().expect("two pieces");
-        let older = pieces.last_mut().expect("two pieces");
-        Arc::make_mut(older).absorb(&newer);
     }
 }
 
@@ -637,6 +583,54 @@ mod tests {
         }
     }
 
+    /// Appending leaves the carry appended to intact, so one carry can
+    /// take several appends: two different drift interfaces appended to
+    /// one base, and a third appended to one of the results, each equal
+    /// a full re-match, and neither the base nor that result gains a
+    /// label.
+    #[test]
+    fn appends_to_a_shared_carry_leave_it_intact() {
+        let lexicon = Lexicon::builtin();
+        let config = MatcherConfig::default();
+        let corpus = qi_datasets::generate_drift_corpus(
+            &qi_datasets::DriftConfig {
+                seed: 0x5EED_0023,
+                domains: 1,
+                interfaces: 8,
+                ..qi_datasets::DriftConfig::default()
+            },
+            &lexicon,
+        );
+        let (base, rest) = corpus[0].schemas.split_at(5);
+        let with = |schemas: &[SchemaTree], extra: &SchemaTree| {
+            let mut schemas = schemas.to_vec();
+            schemas.push(extra.clone());
+            schemas
+        };
+        let append = |mapping: &Mapping, carry: &MatchCarry, schemas: &[SchemaTree]| {
+            match delta_match_carried(schemas, mapping, &lexicon, config, Some(carry)) {
+                DeltaOutcome::Incremental(delta) => {
+                    assert_eq!(delta.mapping, match_by_labels(schemas, &lexicon));
+                    assert!(
+                        delta.carry.label_count() > carry.label_count(),
+                        "the append brought no new label, so nothing was copied"
+                    );
+                    delta
+                }
+                DeltaOutcome::Fallback(reason) => panic!("unexpected fallback: {reason:?}"),
+            }
+        };
+        let (mapping, carry) = match_with_carry(base, &lexicon, config);
+        let labels = carry.label_count();
+        let base_x = with(base, &rest[0]);
+        let x = append(&mapping, &carry, &base_x);
+        let x_labels = x.carry.label_count();
+        append(&mapping, &carry, &with(base, &rest[1]));
+        append(&x.mapping, &x.carry, &with(&base_x, &rest[2]));
+        assert_eq!(carry.label_count(), labels);
+        assert_eq!(x.carry.label_count(), x_labels);
+    }
+
     /// The conjunctive rule on the delta path is exact: on drift
     /// domains, wherever signature blocking is sound, every old label
     /// that `tier` accepts against a new label is among that label's
@@ -664,7 +658,7 @@ mod tests {
                     };
                     for k in 1..domain.schemas.len() {
                         let carry = MatchCarry::build(&domain.schemas[..k], &lexicon, config);
-                        let (new_fields, label_of, pieces) =
+                        let (new_fields, label_of, labels) =
                             carry.extend_labels(&domain.schemas[k], &lexicon);
                         let max_stem = carry.max_stem_chars.max(max_stem_chars(
                             new_fields.iter().filter_map(|(_, l)| l.as_deref()),
@@ -673,7 +667,6 @@ mod tests {
                             continue;
                         }
                         fuzzy_runs += fuzzy as usize;
-                        let chain = Chain(&pieces);
                         let mut probes = label_of[carry.fields.len()..].to_vec();
                         probes.retain(|&l| l != NO_LABEL);
                         probes.sort_unstable();
@@ -681,17 +674,15 @@ mod tests {
                         let mut memo = FuzzyMemo::default();
                         let (mut hits, mut any) = (Vec::new(), Vec::new());
                         for p in probes {
-                            carry.candidates(&chain, p, false, &mut hits);
+                            carry.candidates(&labels, p, false, &mut hits);
                             any.clear();
-                            for piece in &carry.pieces {
-                                piece.postings.probe(&chain, p, &mut any);
-                            }
+                            labels.postings.probe(&labels.prepared, p, &mut any);
                             any.sort_unstable();
                             any.dedup();
                             (kept, probed) = (kept + hits.len(), probed + any.len());
                             assert!(hits.iter().all(|a| any.binary_search(a).is_ok()));
                             for a in (0..carry.label_count()).filter(|&a| a != p) {
-                                if chain.tier(a, p, &mut memo).is_some() {
+                                if labels.prepared.tier(a, p, &mut memo).is_some() {
                                     accepted += 1;
                                     assert!(
                                         hits.binary_search(&a).is_ok(),

@@ -85,10 +85,10 @@ use crate::cluster::FieldRef;
 use crate::matcher::{fuzzy_token_match, MatchStats, MatchTier, MatcherConfig};
 use qi_lexicon::{Lexicon, SynsetId};
 use qi_runtime::{parallel_map, resolve_threads};
-use qi_text::{ContentWord, LabelText};
-use std::borrow::Cow;
+use qi_text::LabelText;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Candidate counts below this are scored sequentially — the corpus is
@@ -125,7 +125,7 @@ pub(crate) fn unpack(packed: u64) -> (usize, usize) {
 
 /// What one indexed run computed, for callers that keep its state
 /// (the delta matcher's carry).
-pub(crate) struct IndexedRun<'a> {
+pub(crate) struct IndexedRun {
     /// Union-find root of every field.
     pub roots: Vec<usize>,
     /// Each field's distinct label id, or [`NO_LABEL`].
@@ -133,7 +133,7 @@ pub(crate) struct IndexedRun<'a> {
     /// Label key → distinct label id.
     pub by_key: HashMap<String, u32>,
     /// The distinct labels in scoring form.
-    pub prepared: Prepared<'a>,
+    pub prepared: Prepared,
     /// Every accepted field pair `(i, j)`, `i < j`, packed, in merge
     /// order; empty unless requested.
     pub log: Vec<u64>,
@@ -148,16 +148,16 @@ pub(crate) struct IndexedRun<'a> {
 /// shape are accumulated into `stats` (plain local counters — no
 /// telemetry calls on this path). The run's state is returned for
 /// callers that keep it; with `record`, that includes the pair log.
-pub(crate) fn indexed_run<'a>(
-    fields: &'a [Field],
+pub(crate) fn indexed_run(
+    fields: &[Field],
     lexicon: &Lexicon,
     config: MatcherConfig,
     stats: &mut MatchStats,
     record: bool,
-) -> IndexedRun<'a> {
+) -> IndexedRun {
     debug_assert!(fields.windows(2).all(|w| w[0].0.schema <= w[1].0.schema));
     let groups = Groups::new(fields);
-    let prepared = Prepared::new(&[], &groups.labels, lexicon, config);
+    let prepared = Prepared::new(&groups.labels, lexicon, config);
     // Same-key field pairs are decided without scoring.
     let same_key: u64 = (0..groups.len()).map(|g| groups.self_pairs(g)).sum();
     stats.pairs_scored += same_key;
@@ -285,207 +285,150 @@ pub(crate) fn label_key(label: &LabelText) -> String {
 /// Distinct labels in scoring form. Words are identified by lemma: a
 /// word's stem, synsets and fuzzy verdicts are all functions of it.
 ///
-/// Ids are global. A table holds the words from `word_base` and the
-/// labels from `label_base` on, so a later table can extend an earlier
-/// one without copying it: the delta matcher's carry is a chain of
-/// tables ([`LabelTable`] resolves an id to its table). Key ids must
-/// agree across a chain, so a table resolves stems against its parents
-/// first; word ids need not (a lemma repeated in a later table only
-/// costs a fuzzy-memo miss). The batch engine uses one table from 0.
-#[derive(Debug, Clone)]
-pub(crate) struct Prepared<'a> {
-    word_base: u32,
-    label_base: u32,
+/// A table only grows: [`Prepared::extend`] appends labels after the
+/// ones it holds, so ids stay valid. The batch engine prepares its labels
+/// in one call; the delta matcher's carry extends its table per append.
+/// Rows are stored flat and strings behind `Arc`s, so a copy of a table
+/// makes a few allocations and copies no string.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Prepared {
+    /// Per word: its lemma and stem.
+    word: Vec<(Arc<str>, Arc<str>)>,
     /// Per word: its interned stem (the content-word key).
     word_key: Vec<u32>,
     /// Per word: its sorted, deduplicated synset ids.
-    word_synsets: Vec<Vec<SynsetId>>,
-    /// Per word: the content word, for the fuzzy tier.
-    word: Vec<Cow<'a, ContentWord>>,
+    word_synsets: Rows<SynsetId>,
     /// Per label: its word ids, in label order.
-    label_words: Vec<Vec<u32>>,
+    label_words: Rows<u32>,
     /// Per label: its sorted, deduplicated key ids.
-    label_keys: Vec<Vec<u32>>,
-    /// Distinct keys in this table and its parents.
-    key_count: u32,
-    /// Stem → key id of this table's words; filled by
-    /// [`Prepared::into_owned`] for tables that later ones extend.
-    stems: HashMap<String, u32>,
+    label_keys: Rows<u32>,
+    /// Stem → key id.
+    stems: HashMap<Arc<str>, u32>,
+    /// Lemma → word id.
+    lemmas: HashMap<Arc<str>, u32>,
     config: MatcherConfig,
 }
 
-impl<'a> Prepared<'a> {
-    /// Prepare `labels` as the labels following `parents` (a chain,
-    /// oldest first).
-    pub(crate) fn new(
-        parents: &[&Prepared<'_>],
-        labels: &[&'a LabelText],
-        lexicon: &Lexicon,
-        config: MatcherConfig,
-    ) -> Self {
-        let (word_base, label_base, key_base) = parents
-            .last()
-            .map_or((0, 0, 0), |p| (p.word_end(), p.label_end(), p.key_count));
-        let mut stems: HashMap<&str, u32> = HashMap::new();
-        let mut lemmas: HashMap<&str, u32> = HashMap::new();
-        let mut prepared = Prepared {
-            word_base,
-            label_base,
-            word_key: Vec::new(),
-            word_synsets: Vec::new(),
-            word: Vec::new(),
-            label_words: Vec::with_capacity(labels.len()),
-            label_keys: Vec::with_capacity(labels.len()),
-            key_count: key_base,
-            stems: HashMap::new(),
-            config,
-        };
-        for label in labels {
-            let mut words = Vec::with_capacity(label.words.len());
-            let mut keys = Vec::with_capacity(label.words.len());
-            for cw in &label.words {
-                let local = match lemmas.get(cw.lemma.as_str()) {
-                    Some(&local) => local,
-                    None => {
-                        let local = prepared.word.len() as u32;
-                        lemmas.insert(&cw.lemma, local);
-                        let known = stems.get(cw.key()).copied().or_else(|| {
-                            parents.iter().find_map(|p| p.stems.get(cw.key()).copied())
-                        });
-                        let key = known.unwrap_or_else(|| {
-                            prepared.key_count += 1;
-                            prepared.key_count - 1
-                        });
-                        stems.insert(cw.key(), key);
-                        prepared.word_key.push(key);
-                        let mut synsets = lexicon.resolve(&cw.lemma);
-                        synsets.sort_unstable();
-                        synsets.dedup();
-                        prepared.word_synsets.push(synsets);
-                        prepared.word.push(Cow::Borrowed(cw));
-                        local
-                    }
-                };
-                words.push(word_base + local);
-                keys.push(prepared.word_key[local as usize]);
-            }
-            keys.sort_unstable();
-            keys.dedup();
-            prepared.label_words.push(words);
-            prepared.label_keys.push(keys);
-        }
-        prepared
+/// Variable-length rows stored back to back: row `i` ends at `ends[i]`
+/// and starts where row `i - 1` ends.
+#[derive(Debug, Clone, Default)]
+struct Rows<T> {
+    items: Vec<T>,
+    ends: Vec<u32>,
+}
+
+impl<T: Copy> Rows<T> {
+    fn push(&mut self, row: &[T]) {
+        self.items.extend_from_slice(row);
+        self.ends.push(self.items.len() as u32);
     }
 
-    /// Detach from the labels this table was prepared from, indexing its
-    /// stems so a later table can extend it.
-    pub(crate) fn into_owned(self) -> Prepared<'static> {
-        let mut stems = self.stems;
-        for (word, &key) in self.word.iter().zip(&self.word_key) {
-            if !stems.contains_key(word.key()) {
-                stems.insert(word.key().to_string(), key);
-            }
-        }
-        Prepared {
-            word_base: self.word_base,
-            label_base: self.label_base,
-            word_key: self.word_key,
-            word_synsets: self.word_synsets,
-            word: self
-                .word
-                .into_iter()
-                .map(|w| Cow::Owned(w.into_owned()))
-                .collect(),
-            label_words: self.label_words,
-            label_keys: self.label_keys,
-            key_count: self.key_count,
-            stems,
-            config: self.config,
-        }
+    fn get(&self, i: u32) -> &[T] {
+        let start = (i as usize).checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.items[start as usize..self.ends[i as usize] as usize]
     }
 
-    /// Append `next`, the table that extends this one.
-    pub(crate) fn absorb(&mut self, next: &Prepared<'static>) {
-        debug_assert_eq!(
-            (self.word_end(), self.label_end()),
-            (next.word_base, next.label_base)
-        );
-        self.word_key.extend_from_slice(&next.word_key);
-        self.word_synsets.extend(next.word_synsets.iter().cloned());
-        self.word.extend(next.word.iter().cloned());
-        self.label_words.extend(next.label_words.iter().cloned());
-        self.label_keys.extend(next.label_keys.iter().cloned());
-        self.key_count = next.key_count;
-        for (stem, &key) in &next.stems {
-            self.stems.entry(stem.clone()).or_insert(key);
-        }
-    }
-
-    /// One past this table's last label id.
-    pub(crate) fn label_end(&self) -> u32 {
-        self.label_base + self.label_words.len() as u32
-    }
-
-    pub(crate) fn word_base(&self) -> u32 {
-        self.word_base
-    }
-
-    fn word_end(&self) -> u32 {
-        self.word_base + self.word.len() as u32
-    }
-
-    /// This table's label ids.
-    pub(crate) fn label_ids(&self) -> std::ops::Range<u32> {
-        self.label_base..self.label_end()
+    fn len(&self) -> usize {
+        self.ends.len()
     }
 }
 
-/// Prepared labels addressed by global id: one [`Prepared`] table, or a
-/// chain of them.
-pub(crate) trait LabelTable {
-    /// The table holding word `w`.
-    fn word_table(&self, w: u32) -> &Prepared<'_>;
-    /// The table holding label `l`.
-    fn label_table(&self, l: u32) -> &Prepared<'_>;
+impl Prepared {
+    pub(crate) fn new(labels: &[&LabelText], lexicon: &Lexicon, config: MatcherConfig) -> Self {
+        let mut prepared = Prepared {
+            config,
+            ..Prepared::default()
+        };
+        prepared.extend(labels, lexicon);
+        prepared
+    }
+
+    /// Prepare `labels` (non-empty, with keys this table does not hold
+    /// yet) as the labels following this table's.
+    pub(crate) fn extend(&mut self, labels: &[&LabelText], lexicon: &Lexicon) {
+        let (mut words, mut keys) = (Vec::new(), Vec::new());
+        for label in labels {
+            words.clear();
+            keys.clear();
+            for cw in &label.words {
+                let w = match self.lemmas.get(cw.lemma.as_str()) {
+                    Some(&w) => w,
+                    None => self.add_word(&cw.lemma, cw.key(), lexicon),
+                };
+                words.push(w);
+                keys.push(self.word_key[w as usize]);
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            self.label_words.push(&words);
+            self.label_keys.push(&keys);
+        }
+    }
+
+    /// Add the word of `lemma`, which this table does not hold yet, and
+    /// return its id.
+    fn add_word(&mut self, lemma: &str, stem: &str, lexicon: &Lexicon) -> u32 {
+        let w = self.word.len() as u32;
+        let lemma: Arc<str> = Arc::from(lemma);
+        let (stem, key) = match self.stems.get_key_value(stem) {
+            Some((stem, &key)) => (Arc::clone(stem), key),
+            None => {
+                let (stem, key) = (Arc::<str>::from(stem), self.stems.len() as u32);
+                self.stems.insert(Arc::clone(&stem), key);
+                (stem, key)
+            }
+        };
+        let mut synsets = lexicon.resolve(&lemma);
+        synsets.sort_unstable();
+        synsets.dedup();
+        self.word_synsets.push(&synsets);
+        self.word_key.push(key);
+        self.lemmas.insert(Arc::clone(&lemma), w);
+        self.word.push((lemma, stem));
+        w
+    }
+
+    /// The number of labels; label ids are `0..label_count()`.
+    pub(crate) fn label_count(&self) -> u32 {
+        self.label_words.len() as u32
+    }
 
     fn word_key(&self, w: u32) -> u32 {
-        let t = self.word_table(w);
-        t.word_key[(w - t.word_base) as usize]
+        self.word_key[w as usize]
     }
 
     fn word_synsets(&self, w: u32) -> &[SynsetId] {
-        let t = self.word_table(w);
-        &t.word_synsets[(w - t.word_base) as usize]
+        self.word_synsets.get(w)
     }
 
-    fn word(&self, w: u32) -> &ContentWord {
-        let t = self.word_table(w);
-        &t.word[(w - t.word_base) as usize]
+    /// Word `w` as `(lemma, stem)`.
+    fn word(&self, w: u32) -> (&str, &str) {
+        let (lemma, stem) = &self.word[w as usize];
+        (lemma, stem)
+    }
+
+    /// The fuzzy signature characters of word `w`.
+    fn signature(&self, w: u32) -> impl Iterator<Item = char> {
+        let (lemma, stem) = self.word(w);
+        signature_chars(stem, lemma)
     }
 
     fn label_words(&self, l: u32) -> &[u32] {
-        let t = self.label_table(l);
-        &t.label_words[(l - t.label_base) as usize]
-    }
-
-    fn label_keys(&self, l: u32) -> &[u32] {
-        let t = self.label_table(l);
-        &t.label_keys[(l - t.label_base) as usize]
+        self.label_words.get(l)
     }
 
     /// [`crate::matcher::match_tier_with`] on the representatives of
     /// distinct labels `a` and `b` (whose keys differ, so they are never
     /// string-equal), evaluated on the prepared form: the same checks in
     /// the same order, so the same verdict and tier.
-    fn tier(&self, a: u32, b: u32, memo: &mut FuzzyMemo) -> Option<MatchTier> {
-        if self.label_keys(a) == self.label_keys(b) {
+    pub(crate) fn tier(&self, a: u32, b: u32, memo: &mut FuzzyMemo) -> Option<MatchTier> {
+        if self.label_keys.get(a) == self.label_keys.get(b) {
             return Some(MatchTier::WordSet);
         }
         let (words_a, words_b) = (self.label_words(a), self.label_words(b));
         if words_a.len() != words_b.len() {
             return None;
         }
-        let config = self.label_table(a).config;
         let mut needed_synonym = false;
         let mut needed_fuzzy = false;
         for &x in words_a {
@@ -502,10 +445,10 @@ pub(crate) trait LabelTable {
                 needed_synonym = true;
                 continue;
             }
-            if config.fuzzy
+            if self.config.fuzzy
                 && words_b.iter().any(|&y| {
                     memo.fuzzy(x, y, || {
-                        fuzzy_token_match(self.word(x), self.word(y), config)
+                        fuzzy_token_match(self.word(x), self.word(y), self.config)
                     })
                 })
             {
@@ -521,16 +464,6 @@ pub(crate) trait LabelTable {
         } else {
             Some(MatchTier::WordSet)
         }
-    }
-}
-
-impl LabelTable for Prepared<'_> {
-    fn word_table(&self, _: u32) -> &Prepared<'_> {
-        self
-    }
-
-    fn label_table(&self, _: u32) -> &Prepared<'_> {
-        self
     }
 }
 
@@ -564,12 +497,12 @@ fn intersects(a: &[SynsetId], b: &[SynsetId]) -> bool {
     false
 }
 
-/// Inverted postings over the labels of one [`Prepared`] table: interned
+/// Inverted postings over the labels of a [`Prepared`] table: interned
 /// stem keys, synset ids and, under the fuzzy tier, signature
 /// characters. Every matching pair of distinct labels shares a posting
 /// (see the module docs), so probing is exhaustive wherever
 /// [`blocking_sound`] holds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Postings {
     stems: HashMap<u32, Vec<u32>>,
     synsets: HashMap<SynsetId, Vec<u32>>,
@@ -577,12 +510,14 @@ pub(crate) struct Postings {
 }
 
 impl Postings {
-    pub(crate) fn new(prepared: &Prepared<'_>) -> Self {
-        let mut postings = Postings {
-            stems: HashMap::new(),
-            synsets: HashMap::new(),
-            fuzzy: HashMap::new(),
-        };
+    pub(crate) fn new(prepared: &Prepared) -> Self {
+        let mut postings = Postings::default();
+        postings.add(prepared, 0..prepared.label_count());
+        postings
+    }
+
+    /// Post `labels`, which must follow every label posted so far.
+    pub(crate) fn add(&mut self, prepared: &Prepared, labels: Range<u32>) {
         let push_unique = |list: &mut Vec<u32>, l: u32| {
             // Labels are posted in id order, so duplicates from one
             // label's words are always adjacent.
@@ -590,21 +525,19 @@ impl Postings {
                 list.push(l);
             }
         };
-        for l in prepared.label_ids() {
+        for l in labels {
             for &w in prepared.label_words(l) {
-                push_unique(postings.stems.entry(prepared.word_key(w)).or_default(), l);
+                push_unique(self.stems.entry(prepared.word_key(w)).or_default(), l);
                 for &sid in prepared.word_synsets(w) {
-                    push_unique(postings.synsets.entry(sid).or_default(), l);
+                    push_unique(self.synsets.entry(sid).or_default(), l);
                 }
                 if prepared.config.fuzzy {
-                    let word = prepared.word(w);
-                    for c in signature_chars(&word.stem, &word.lemma) {
-                        push_unique(postings.fuzzy.entry(c).or_default(), l);
+                    for c in prepared.signature(w) {
+                        push_unique(self.fuzzy.entry(c).or_default(), l);
                     }
                 }
             }
         }
-        postings
     }
 
     fn lists(&self) -> impl Iterator<Item = &Vec<u32>> {
@@ -614,38 +547,21 @@ impl Postings {
             .chain(self.fuzzy.values())
     }
 
-    /// Append `next`, whose labels all follow this one's.
-    pub(crate) fn absorb(&mut self, next: &Postings) {
-        for (key, list) in &next.stems {
-            self.stems.entry(*key).or_default().extend_from_slice(list);
-        }
-        for (sid, list) in &next.synsets {
-            self.synsets
-                .entry(*sid)
-                .or_default()
-                .extend_from_slice(list);
-        }
-        for (c, list) in &next.fuzzy {
-            self.fuzzy.entry(*c).or_default().extend_from_slice(list);
-        }
-    }
-
-    /// The posting lists word `w` of `table` is posted in: its stem
+    /// The posting lists word `w` of `prepared` is posted in: its stem
     /// key's, its synsets' and, under the fuzzy tier, its signature
     /// characters'.
-    fn word_lists<'s, T: LabelTable + ?Sized>(
+    fn word_lists<'s>(
         &'s self,
-        table: &'s T,
+        prepared: &'s Prepared,
         w: u32,
     ) -> impl Iterator<Item = &'s Vec<u32>> + 's {
-        let word = table.word(w);
-        let fuzzy = table.word_table(w).config.fuzzy;
-        let signature = signature_chars(&word.stem, &word.lemma).filter(move |_| fuzzy);
+        let fuzzy = prepared.config.fuzzy;
+        let signature = prepared.signature(w).filter(move |_| fuzzy);
         self.stems
-            .get(&table.word_key(w))
+            .get(&prepared.word_key(w))
             .into_iter()
             .chain(
-                table
+                prepared
                     .word_synsets(w)
                     .iter()
                     .filter_map(|sid| self.synsets.get(sid)),
@@ -654,10 +570,10 @@ impl Postings {
     }
 
     /// Push every posted label sharing a posting with label `l` of
-    /// `table` (with repeats).
-    pub(crate) fn probe<T: LabelTable + ?Sized>(&self, table: &T, l: u32, hits: &mut Vec<u32>) {
-        for &w in table.label_words(l) {
-            for list in self.word_lists(table, w) {
+    /// `prepared` (with repeats).
+    pub(crate) fn probe(&self, prepared: &Prepared, l: u32, hits: &mut Vec<u32>) {
+        for &w in prepared.label_words(l) {
+            for list in self.word_lists(prepared, w) {
                 hits.extend_from_slice(list);
             }
         }
@@ -676,19 +592,17 @@ pub(crate) struct PostingKeys {
 }
 
 impl PostingKeys {
-    pub(crate) fn of<T: LabelTable + ?Sized>(table: &T, l: u32) -> Self {
+    pub(crate) fn of(prepared: &Prepared, l: u32) -> Self {
         let mut keys = PostingKeys {
             keys: Vec::new(),
             synsets: Vec::new(),
             chars: Vec::new(),
         };
-        let fuzzy = table.label_table(l).config.fuzzy;
-        for &w in table.label_words(l) {
-            keys.keys.push(table.word_key(w));
-            keys.synsets.extend_from_slice(table.word_synsets(w));
-            if fuzzy {
-                let word = table.word(w);
-                keys.chars.extend(signature_chars(&word.stem, &word.lemma));
+        for &w in prepared.label_words(l) {
+            keys.keys.push(prepared.word_key(w));
+            keys.synsets.extend_from_slice(prepared.word_synsets(w));
+            if prepared.config.fuzzy {
+                keys.chars.extend(prepared.signature(w));
             }
         }
         keys.synsets.sort_unstable();
@@ -698,12 +612,11 @@ impl PostingKeys {
 
     /// Whether every word of label `l` shares a posting with some word
     /// of this label.
-    pub(crate) fn cover<T: LabelTable + ?Sized>(&self, table: &T, l: u32) -> bool {
-        table.label_words(l).iter().all(|&w| {
-            let word = table.word(w);
-            self.keys.contains(&table.word_key(w))
-                || intersects(table.word_synsets(w), &self.synsets)
-                || signature_chars(&word.stem, &word.lemma).any(|c| self.chars.contains(&c))
+    pub(crate) fn cover(&self, prepared: &Prepared, l: u32) -> bool {
+        prepared.label_words(l).iter().all(|&w| {
+            self.keys.contains(&prepared.word_key(w))
+                || intersects(prepared.word_synsets(w), &self.synsets)
+                || prepared.signature(w).any(|c| self.chars.contains(&c))
         })
     }
 }
@@ -718,11 +631,7 @@ impl PostingKeys {
 /// ([`prefix_blocking_sound`]) before relying on this under
 /// `config.fuzzy`; the universal regime goes through
 /// [`score_all_label_pairs_streaming`] instead.
-fn candidate_label_pairs(
-    groups: &Groups,
-    prepared: &Prepared<'_>,
-    stats: &mut MatchStats,
-) -> Vec<u64> {
+fn candidate_label_pairs(groups: &Groups, prepared: &Prepared, stats: &mut MatchStats) -> Vec<u64> {
     let postings = Postings::new(prepared);
     stats.stem_buckets = postings.stems.len() as u64;
     stats.synset_buckets = postings.synsets.len() as u64;
@@ -790,7 +699,7 @@ fn push_directed(groups: &Groups, a: usize, b: usize, out: &mut Vec<u64>, stats:
 /// fixed-size block; only accepted pairs are kept.
 fn score_all_label_pairs_streaming(
     groups: &Groups,
-    prepared: &Prepared<'_>,
+    prepared: &Prepared,
     config: MatcherConfig,
     stats: &mut MatchStats,
 ) -> Vec<(u64, MatchTier)> {
@@ -818,7 +727,7 @@ fn score_all_label_pairs_streaming(
 /// fan out on the bounded pool in chunks, each with its own fuzzy memo;
 /// the output is in input order either way.
 fn score_directed(
-    prepared: &Prepared<'_>,
+    prepared: &Prepared,
     directed: &[u64],
     config: MatcherConfig,
     stats: &mut MatchStats,
@@ -1147,7 +1056,7 @@ mod tests {
                         min_similarity,
                         ..MatcherConfig::default()
                     };
-                    let prepared = Prepared::new(&[], &groups.labels, &lexicon, config);
+                    let prepared = Prepared::new(&groups.labels, &lexicon, config);
                     let mut memo = FuzzyMemo::default();
                     for a in 0..groups.len() {
                         for b in (0..groups.len()).filter(|&b| b != a) {
@@ -1205,7 +1114,7 @@ mod tests {
                         continue;
                     }
                     fuzzy_runs += fuzzy as usize;
-                    let prepared = Prepared::new(&[], &groups.labels, &lexicon, config);
+                    let prepared = Prepared::new(&groups.labels, &lexicon, config);
                     let mut stats = MatchStats::default();
                     let candidates = candidate_label_pairs(&groups, &prepared, &mut stats);
                     let postings = Postings::new(&prepared);

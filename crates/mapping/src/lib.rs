@@ -33,8 +33,8 @@ pub use delta::{
 };
 pub use integrated::{ClusterClass, ClusterPartition, GroupId, Integrated, IntegratedGroup};
 pub use matcher::{
-    labels_match, labels_match_with, match_by_labels, match_by_labels_stats, match_by_labels_with,
-    match_tier_with, MatchStats, MatchTier, MatcherConfig,
+    labels_match, labels_match_with, match_by_labels, match_by_labels_naive, match_by_labels_stats,
+    match_by_labels_with, match_tier_with, MatchStats, MatchTier, MatcherConfig,
 };
 pub use quality::{pairwise_quality, MatchQuality};
 pub use relation::{GroupRelation, GroupTuple};

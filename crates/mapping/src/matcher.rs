@@ -17,8 +17,8 @@
 //! stems, synset ids, fuzzy signature buckets) feed a schema-bitset
 //! union-find, so only labels sharing a posting are ever compared. The
 //! original brute-force double loop is kept as a reference implementation
-//! behind [`MatcherConfig::naive`]; both produce bit-identical
-//! [`Mapping`]s, which the test suite asserts on randomized corpora.
+//! ([`match_by_labels_naive`]); both produce bit-identical [`Mapping`]s,
+//! which the test suite asserts on randomized corpora.
 
 use crate::cluster::{FieldRef, Mapping};
 use crate::index::{indexed_run, Field};
@@ -36,11 +36,6 @@ pub struct MatcherConfig {
     pub fuzzy: bool,
     /// Minimum normalized Levenshtein similarity for the fuzzy tier.
     pub min_similarity: f64,
-    /// Use the quadratic reference implementation instead of the indexed
-    /// candidate-generation engine. The two produce identical mappings;
-    /// the naive path exists as the equivalence oracle for tests and
-    /// benchmarks.
-    pub naive: bool,
     /// Worker threads for candidate scoring in the indexed engine
     /// (`0` = use the hardware, clamped by `qi-runtime`). Scoring only
     /// fans out on corpora large enough to repay the spawn cost, and the
@@ -53,7 +48,6 @@ impl Default for MatcherConfig {
         MatcherConfig {
             fuzzy: false,
             min_similarity: 0.85,
-            naive: false,
             threads: 0,
         }
     }
@@ -276,6 +270,9 @@ pub fn match_tier_with(
     if a.words.len() != b.words.len() {
         return None;
     }
+    fn form(w: &ContentWord) -> (&str, &str) {
+        (&w.lemma, &w.stem)
+    }
     let mut needed_synonym = false;
     let mut needed_fuzzy = false;
     for wa in &a.words {
@@ -289,7 +286,11 @@ pub fn match_tier_with(
             needed_synonym = true;
             continue;
         }
-        if config.fuzzy && b.words.iter().any(|wb| fuzzy_token_match(wa, wb, config)) {
+        if config.fuzzy
+            && b.words
+                .iter()
+                .any(|wb| fuzzy_token_match(form(wa), form(wb), config))
+        {
             needed_fuzzy = true;
             continue;
         }
@@ -309,10 +310,11 @@ pub fn match_tier_with(
     }
 }
 
-/// Fuzzy token tier: abbreviation in either direction, or near-identical
-/// stems.
-pub(crate) fn fuzzy_token_match(a: &ContentWord, b: &ContentWord, config: MatcherConfig) -> bool {
-    if prefix_abbreviation(&a.lemma, &b.lemma) || prefix_abbreviation(&b.lemma, &a.lemma) {
+/// Fuzzy token tier on two words given as `(lemma, stem)`: abbreviation
+/// in either direction, or near-identical stems.
+pub(crate) fn fuzzy_token_match(a: (&str, &str), b: (&str, &str), config: MatcherConfig) -> bool {
+    let ((lemma_a, stem_a), (lemma_b, stem_b)) = (a, b);
+    if prefix_abbreviation(lemma_a, lemma_b) || prefix_abbreviation(lemma_b, lemma_a) {
         return true;
     }
     // Length bound: edit distance is at least the length difference, so
@@ -327,12 +329,12 @@ pub(crate) fn fuzzy_token_match(a: &ContentWord, b: &ContentWord, config: Matche
             s.chars().count()
         }
     };
-    let (la, lb) = (char_len(&a.stem), char_len(&b.stem));
+    let (la, lb) = (char_len(stem_a), char_len(stem_b));
     let (min_len, max_len) = (la.min(lb), la.max(lb));
     if max_len > 0 && 1.0 - (max_len - min_len) as f64 / (max_len as f64) < config.min_similarity {
         return false;
     }
-    normalized_levenshtein(&a.stem, &b.stem) >= config.min_similarity
+    normalized_levenshtein(stem_a, stem_b) >= config.min_similarity
 }
 
 /// Derive a [`Mapping`] by clustering similarly labeled fields across
@@ -357,6 +359,32 @@ pub fn match_by_labels_stats(
     lexicon: &Lexicon,
     config: MatcherConfig,
 ) -> (Mapping, MatchStats) {
+    cluster_fields(schemas, lexicon, |fields, stats| {
+        indexed_run(fields, lexicon, config, stats, false).roots
+    })
+}
+
+/// [`match_by_labels_stats`] on the quadratic reference engine: the
+/// equivalence oracle the indexed engine is tested against.
+#[doc(hidden)]
+pub fn match_by_labels_naive(
+    schemas: &[SchemaTree],
+    lexicon: &Lexicon,
+    config: MatcherConfig,
+) -> (Mapping, MatchStats) {
+    cluster_fields(schemas, lexicon, |fields, stats| {
+        naive_components(fields, lexicon, config, stats)
+    })
+}
+
+/// Collect the fields of `schemas`, cluster them with `engine` (which
+/// returns each field's union-find root) and emit the mapping with the
+/// run's stats.
+fn cluster_fields(
+    schemas: &[SchemaTree],
+    lexicon: &Lexicon,
+    engine: impl FnOnce(&[Field], &mut MatchStats) -> Vec<usize>,
+) -> (Mapping, MatchStats) {
     let fields = collect_fields(schemas, lexicon);
     let mut stats = MatchStats {
         fields_total: fields.len() as u64,
@@ -366,11 +394,7 @@ pub fn match_by_labels_stats(
             .count() as u64,
         ..MatchStats::default()
     };
-    let roots = if config.naive {
-        naive_components(&fields, lexicon, config, &mut stats)
-    } else {
-        indexed_run(&fields, lexicon, config, &mut stats, false).roots
-    };
+    let roots = engine(&fields, &mut stats);
     (emit_clusters(&fields, &roots), stats)
 }
 
@@ -666,14 +690,7 @@ mod tests {
                 ..MatcherConfig::default()
             };
             let indexed = match_by_labels_with(&schemas, &lex, base);
-            let naive = match_by_labels_with(
-                &schemas,
-                &lex,
-                MatcherConfig {
-                    naive: true,
-                    ..base
-                },
-            );
+            let naive = match_by_labels_naive(&schemas, &lex, base).0;
             assert_eq!(indexed, naive, "fuzzy={fuzzy}");
             indexed.validate(&schemas).expect("valid mapping");
         }
@@ -692,14 +709,7 @@ mod tests {
             ..MatcherConfig::default()
         };
         let indexed = match_by_labels_with(&schemas, &lex, config);
-        let naive = match_by_labels_with(
-            &schemas,
-            &lex,
-            MatcherConfig {
-                naive: true,
-                ..config
-            },
-        );
+        let naive = match_by_labels_naive(&schemas, &lex, config).0;
         assert_eq!(indexed, naive);
     }
 
@@ -723,14 +733,7 @@ mod tests {
             ..MatcherConfig::default()
         };
         let indexed = match_by_labels_with(&schemas, &lex, config);
-        let naive = match_by_labels_with(
-            &schemas,
-            &lex,
-            MatcherConfig {
-                naive: true,
-                ..config
-            },
-        );
+        let naive = match_by_labels_naive(&schemas, &lex, config).0;
         assert_eq!(indexed, naive);
         // Both engines must actually cluster the pair — otherwise this
         // test could pass with both of them missing the match.

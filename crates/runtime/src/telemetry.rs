@@ -501,8 +501,9 @@ pub struct SpanData {
 pub struct MetricsSnapshot {
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauges by name (merge sums them; per-run snapshots never share a
-    /// gauge name across merge inputs in this pipeline).
+    /// Gauges by name (merge keeps the larger value: a gauge is a level,
+    /// such as a cache's entries or an index's bucket count, and two runs
+    /// that each hold 1,024 entries do not hold 2,048).
     pub gauges: BTreeMap<String, u64>,
     /// Span accumulators by dotted hierarchical name.
     pub spans: BTreeMap<String, SpanData>,
@@ -521,14 +522,16 @@ impl MetricsSnapshot {
             && self.histograms.is_empty()
     }
 
-    /// Merge another snapshot into this one: counters, gauges and span
-    /// totals/counts add per name; histograms merge bucket-wise.
+    /// Merge another snapshot into this one: counters and span
+    /// totals/counts add per name, gauges keep the larger value, and
+    /// histograms merge bucket-wise.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
         }
-        for (k, v) in &other.gauges {
-            *self.gauges.entry(k.clone()).or_insert(0) += v;
+        for (k, &v) in &other.gauges {
+            let gauge = self.gauges.entry(k.clone()).or_insert(0);
+            *gauge = (*gauge).max(v);
         }
         for (k, v) in &other.spans {
             let slot = self.spans.entry(k.clone()).or_default();
@@ -781,12 +784,17 @@ mod tests {
         let mut merged = a.clone();
         merged.merge(&a);
         assert_eq!(merged.counters["x"], 2);
-        assert_eq!(merged.gauges["g"], 4);
         assert_eq!(merged.spans["s"].total_ns, 20);
         assert_eq!(merged.spans["s"].count, 2);
         let prefixed = a.prefixed("domain.0.");
         assert_eq!(prefixed.counters["domain.0.x"], 1);
         assert_eq!(prefixed.spans["domain.0.s"].count, 1);
+        // A gauge is a level: merging keeps the larger value.
+        assert_eq!(merged.gauges["g"], 2);
+        tel.gauge("g", 5);
+        merged.merge(&tel.snapshot());
+        merged.merge(&a);
+        assert_eq!(merged.gauges["g"], 5);
     }
 
     #[test]

@@ -246,12 +246,10 @@ pub fn build_corpus_artifacts(
 /// recomputed, and the labeler re-runs over the domain's carried naming
 /// memo, so only labels it has never seen are normalized and related
 /// from scratch. The result is byte-identical (through the
-/// snapshot encoding) to a full rebuild; any structural change the delta
-/// tracker does not support — an append that changes the old clusters,
-/// an unexpected 1:m expansion — falls back to the full path
-/// automatically. Either way the rebuild touches *only* this domain —
-/// callers swap the result in behind the store's lock while readers keep
-/// serving the old artifact.
+/// snapshot encoding) to a full rebuild; an append that changes the old
+/// clusters falls back to the full path automatically. Either way the
+/// rebuild touches *only* this domain — callers swap the result in behind
+/// the store's lock while readers keep serving the old artifact.
 pub fn ingest_interface(
     artifact: &DomainArtifact,
     interface: SchemaTree,
@@ -349,25 +347,9 @@ fn try_delta_ingest(
     };
     telemetry.add("serve.ingest.pairs_scored", delta.pairs_scored);
     let merge = telemetry.span("serve.ingest.merge");
-    // Matcher output is 1:1, so the 1:m expansion must be an identity;
-    // anything else is a structural change the tracker does not model.
-    let mut mapping = delta.mapping;
-    let expansion = qi_mapping::expand_one_to_many(&mut schemas, &mut mapping);
-    if !expansion.expanded.is_empty() {
-        telemetry.add("serve.ingest.fallback.expansion", 1);
-        telemetry.event(
-            Severity::Info,
-            Category::Ingest,
-            "ingest.delta_fallback",
-            || {
-                vec![
-                    ("domain", artifact.name.as_str().into()),
-                    ("reason", "serve.ingest.fallback.expansion".into()),
-                ]
-            },
-        );
-        return None;
-    }
+    // Matcher output is a partition (no field in two clusters), so there
+    // is nothing for 1:m expansion to do.
+    let mapping = delta.mapping;
     let mut merge_state = state.merge_state.clone();
     merge_state.extend(&schemas, &mapping);
     let integrated = merge_state.finish(&schemas, &mapping);

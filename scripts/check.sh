@@ -32,8 +32,9 @@ cargo clippy --workspace --all-targets --all-features -- -D warnings
 cargo fmt --check
 
 # Telemetry-overhead guard (tests/telemetry.rs): with telemetry off the
-# seven-domain matcher stage must stay within 5% of its fixed reference
-# median, and the full observability plane (live registry + flight
+# seven-domain matcher stage, in units of a reference workload timed
+# around it, must stay within 5% of its committed ratio, and the full
+# observability plane (live registry + flight
 # recorder + 100ms time series) within 5% of off; an absolute floor of
 # 0.5 ms filters single-core jitter. The guard runs right after the
 # clippy/test compiles, whose sustained load can leave a small CPU

@@ -184,7 +184,6 @@ fn drifted_interface_ingest_matches_full_rebuild() {
         let counters = telemetry.snapshot().counters;
         delta_ingests += counters.get("serve.ingest.delta").copied().unwrap_or(0);
         let known = [
-            "serve.ingest.fallback.expansion",
             "serve.ingest.fallback.base_mismatch",
             "serve.ingest.fallback.bridge",
         ];

@@ -25,7 +25,9 @@
 
 use qi_datasets::{generate_drift_corpus, replicate_schemas, DriftConfig};
 use qi_lexicon::Lexicon;
-use qi_mapping::matcher::{match_by_labels_stats, match_by_labels_with, MatcherConfig};
+use qi_mapping::matcher::{
+    match_by_labels_naive, match_by_labels_stats, match_by_labels_with, MatcherConfig,
+};
 use qi_mapping::{
     delta_match_carried, match_with_carry, DeltaOutcome, FallbackReason, FieldRef, Mapping,
 };
@@ -104,14 +106,7 @@ fn indexed_equals_naive_on_random_corpora() {
                 ..MatcherConfig::default()
             };
             let indexed = cluster(&schemas, &lexicon, config);
-            let naive = cluster(
-                &schemas,
-                &lexicon,
-                MatcherConfig {
-                    naive: true,
-                    ..config
-                },
-            );
+            let naive = match_by_labels_naive(&schemas, &lexicon, config).0;
             assert_eq!(indexed, naive, "seed={seed} fuzzy={fuzzy}");
         }
     }
@@ -220,14 +215,7 @@ fn engines_report_identical_outcome_counters() {
                 ..MatcherConfig::default()
             };
             let (indexed, indexed_stats) = match_by_labels_stats(&schemas, &lexicon, config);
-            let (naive, naive_stats) = match_by_labels_stats(
-                &schemas,
-                &lexicon,
-                MatcherConfig {
-                    naive: true,
-                    ..config
-                },
-            );
+            let (naive, naive_stats) = match_by_labels_naive(&schemas, &lexicon, config);
             assert_eq!(indexed, naive, "seed={seed} fuzzy={fuzzy}");
             assert_eq!(
                 indexed_stats.pairs_accepted, naive_stats.pairs_accepted,
@@ -303,14 +291,7 @@ fn engines_agree_on_fuzzy_boundary_corpora() {
             })
             .collect();
         let (indexed, indexed_stats) = match_by_labels_stats(&schemas, &lexicon, config);
-        let (naive, naive_stats) = match_by_labels_stats(
-            &schemas,
-            &lexicon,
-            MatcherConfig {
-                naive: true,
-                ..config
-            },
-        );
+        let (naive, naive_stats) = match_by_labels_naive(&schemas, &lexicon, config);
         assert_eq!(indexed, naive, "seed={seed}");
         assert_eq!(
             indexed_stats.pairs_accepted, naive_stats.pairs_accepted,
@@ -362,14 +343,7 @@ fn drift_corpora_indexed_equals_naive_across_rates() {
                 };
                 let (indexed, indexed_stats) =
                     match_by_labels_stats(&domain.schemas, &lexicon, config);
-                let (naive, naive_stats) = match_by_labels_stats(
-                    &domain.schemas,
-                    &lexicon,
-                    MatcherConfig {
-                        naive: true,
-                        ..config
-                    },
-                );
+                let (naive, naive_stats) = match_by_labels_naive(&domain.schemas, &lexicon, config);
                 let ctx = format!(
                     "sweep={i} domain={} min_similarity={min_similarity}",
                     domain.name
@@ -463,14 +437,7 @@ fn scaled_100x_indexed_equals_naive() {
             ..MatcherConfig::default()
         };
         let indexed = cluster(&scaled, &lexicon, config);
-        let naive = cluster(
-            &scaled,
-            &lexicon,
-            MatcherConfig {
-                naive: true,
-                ..config
-            },
-        );
+        let naive = match_by_labels_naive(&scaled, &lexicon, config).0;
         assert_eq!(indexed, naive, "fuzzy={fuzzy}");
         indexed.validate(&scaled).expect("valid scaled mapping");
         if !fuzzy {
@@ -495,14 +462,7 @@ fn assert_engines_agree(
     ctx: &str,
 ) {
     let (indexed, indexed_stats) = match_by_labels_stats(schemas, lexicon, config);
-    let (naive, naive_stats) = match_by_labels_stats(
-        schemas,
-        lexicon,
-        MatcherConfig {
-            naive: true,
-            ..config
-        },
-    );
+    let (naive, naive_stats) = match_by_labels_naive(schemas, lexicon, config);
     assert_eq!(indexed, naive, "{ctx}");
     let outcome = |s: &qi_mapping::MatchStats| {
         [
