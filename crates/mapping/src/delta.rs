@@ -19,17 +19,16 @@
 //!    the orientation `(label(i), label(n))`, because the appended schema
 //!    comes last.
 //!
-//! So the delta matcher normalizes only the new labels, scores each new
-//! *distinct* label against the old distinct labels the batch engine's
-//! conjunctive candidate rule admits in the `(old, new)` orientation
-//! (every word of the old label shares a posting with some word of the
-//! new one; every old label where signature blocking is unsound),
-//! expands the accepted label pairs to field pairs `(i, n)`, merges them
-//! into the log and replays the union-find over it. The replay *is* the
-//! full matcher's merge sequence, so its partition is the full re-run's
-//! by construction — including whatever the same-schema clash check
-//! decides when two new fields reach one cluster, or a new field reaches
-//! two.
+//! So the delta matcher normalizes only the new labels, extends the
+//! carried word relation by the new words, scores each new *distinct*
+//! label against the old distinct labels the batch engine's candidate
+//! rule admits in the `(old, new)` orientation (every word of the old
+//! label has a partner in the new one), expands the accepted label pairs
+//! to field pairs `(i, n)`, merges them into the log and replays the
+//! union-find over it. The replay *is* the full matcher's merge
+//! sequence, so its partition is the full re-run's by construction —
+//! including whatever the same-schema clash check decides when two new
+//! fields reach one cluster, or a new field reaches two.
 //!
 //! # The one residual guard
 //!
@@ -46,8 +45,7 @@
 
 use crate::cluster::{Cluster, ClusterId, FieldRef, Mapping};
 use crate::index::{
-    blocking_sound, indexed_run, label_key, max_stem_chars, pack, unpack, Field, FuzzyMemo,
-    PostingKeys, Postings, Prepared, SchemaUnionFind, NO_LABEL,
+    indexed_run, label_key, pack, unpack, Field, Prepared, SchemaUnionFind, NO_LABEL,
 };
 use crate::matcher::{cluster_numbering, collect_fields, emit_clusters, MatchStats, MatcherConfig};
 use qi_lexicon::Lexicon;
@@ -59,7 +57,7 @@ use std::sync::Arc;
 /// The indexed engine's state after matching a corpus, kept so the next
 /// append replays it instead of re-matching: the fields, each field's
 /// distinct label and cluster, the pair log, and the distinct labels in
-/// prepared form with their postings.
+/// prepared form with the relation of their words.
 #[derive(Debug, Clone)]
 pub struct MatchCarry {
     config: MatcherConfig,
@@ -79,15 +77,12 @@ pub struct MatchCarry {
     /// label key and extends a copy otherwise, so the carry it started
     /// from stays valid for another append.
     labels: Arc<LabelIndex>,
-    /// Longest stem in the corpus, for the blocking-soundness check.
-    max_stem_chars: usize,
 }
 
-/// A carry's distinct labels with their postings and label keys.
+/// A carry's distinct labels with their word relation and label keys.
 #[derive(Debug, Clone)]
 struct LabelIndex {
     prepared: Prepared,
-    postings: Postings,
     /// Label key → distinct label id.
     by_key: HashMap<Arc<str>, u32>,
 }
@@ -143,11 +138,9 @@ pub fn match_with_carry(
         clusters,
         log: run.log,
         labels: Arc::new(LabelIndex {
-            postings: Postings::new(&run.prepared),
             prepared: run.prepared,
             by_key: run.by_key.into_iter().map(|(k, l)| (k.into(), l)).collect(),
         }),
-        max_stem_chars: max_stem_chars(fields.iter().filter_map(|(_, l)| l.as_deref())),
     };
     (mapping, carry)
 }
@@ -242,8 +235,8 @@ impl MatchCarry {
     /// The fields of `tree`, appended as schema `self.schema_count`, with
     /// every field's label id (old fields first) and the label index: a
     /// new field takes the id of the old label sharing its key, or a
-    /// fresh id prepared after the old labels. Fresh labels are not
-    /// posted yet, so probing the index reaches old labels only.
+    /// fresh id prepared after the old labels, its new words related to
+    /// every word of the index.
     fn extend_labels(
         &self,
         tree: &SchemaTree,
@@ -289,40 +282,16 @@ impl MatchCarry {
         (new_fields, label_of, labels)
     }
 
-    /// The old labels to score against new label `p`, ascending, into
-    /// `hits`: every old label where signature blocking is unsound
-    /// (`universal`), else the batch engine's conjunctive rule in the
-    /// orientation `(old, p)` — every word of the old label shares a
-    /// posting with some word of `p`. `labels` holds `p` but posts only
-    /// the old labels.
-    fn candidates(&self, labels: &LabelIndex, p: u32, universal: bool, hits: &mut Vec<u32>) {
-        hits.clear();
-        if universal {
-            hits.extend(0..self.label_count());
-            return;
-        }
-        let prepared = &labels.prepared;
-        labels.postings.probe(prepared, p, hits);
-        hits.sort_unstable();
-        hits.dedup();
-        let keys = PostingKeys::of(prepared, p);
-        hits.retain(|&a| keys.cover(prepared, a));
-    }
-
     /// Append `tree` as schema `self.schema_count` to `base` (this
     /// carry's mapping).
     fn append(&self, tree: &SchemaTree, base: &Mapping, lexicon: &Lexicon) -> DeltaOutcome {
         let schema = self.schema_count;
         let old_len = self.fields.len();
         let old_labels = self.label_count();
-        let (new_fields, label_of, mut labels) = self.extend_labels(tree, lexicon);
+        let (new_fields, label_of, labels) = self.extend_labels(tree, lexicon);
 
         // Score each new distinct label against the old ones it can
         // match, in the (old, new) orientation.
-        let max_stem = self.max_stem_chars.max(max_stem_chars(
-            new_fields.iter().filter_map(|(_, l)| l.as_deref()),
-        ));
-        let universal = self.config.fuzzy && !blocking_sound(max_stem, self.config);
         let mut probes: Vec<u32> = label_of[old_len..]
             .iter()
             .copied()
@@ -330,20 +299,16 @@ impl MatchCarry {
             .collect();
         probes.sort_unstable();
         probes.dedup();
-        let mut memo = FuzzyMemo::default();
         let mut pairs_scored = 0u64;
         let mut hits: Vec<u32> = Vec::new();
         let mut accepts: HashMap<u32, Vec<u32>> = HashMap::with_capacity(probes.len());
         for &p in &probes {
-            self.candidates(&labels, p, universal, &mut hits);
+            labels.prepared.covered_by(p, old_labels, &mut hits);
             // A label shared with old fields accepts them unscored.
             let mut accepted: Vec<u32> = (p < old_labels).then_some(p).into_iter().collect();
             for &a in &hits {
-                if a == p {
-                    continue;
-                }
                 pairs_scored += 1;
-                if labels.prepared.tier(a, p, &mut memo).is_some() {
+                if labels.prepared.tier(a, p).is_some() {
                     accepted.push(a);
                 }
             }
@@ -419,12 +384,6 @@ impl MatchCarry {
             cluster_of.push(id.0);
         }
 
-        if old_labels < labels.prepared.label_count() {
-            let index = Arc::make_mut(&mut labels);
-            index
-                .postings
-                .add(&index.prepared, old_labels..index.prepared.label_count());
-        }
         let carry = MatchCarry {
             config: self.config,
             schema_count: schema + 1,
@@ -439,7 +398,6 @@ impl MatchCarry {
             clusters: mapping.clusters.len(),
             log,
             labels,
-            max_stem_chars: max_stem,
         };
         DeltaOutcome::Incremental(Box::new(DeltaMapping {
             mapping,
@@ -631,10 +589,10 @@ mod tests {
         assert_eq!(x.carry.label_count(), x_labels);
     }
 
-    /// The conjunctive rule on the delta path is exact: on drift
-    /// domains, wherever signature blocking is sound, every old label
-    /// that `tier` accepts against a new label is among that label's
-    /// candidates, which are a subset of the labels sharing any posting.
+    /// The candidate rule on the delta path is exact: on drift domains,
+    /// at both fuzzy thresholds, with the fuzzy tier on and off, every
+    /// old label that `tier` accepts against a new label is among that
+    /// label's candidates, and the rule leaves most old labels out.
     #[test]
     fn delta_candidates_cover_every_accepted_pair() {
         let lexicon = Lexicon::builtin();
@@ -647,7 +605,7 @@ mod tests {
             },
             &lexicon,
         );
-        let (mut accepted, mut kept, mut probed, mut fuzzy_runs) = (0, 0, 0, 0);
+        let (mut accepted, mut kept, mut old) = (0, 0, 0);
         for domain in &corpus {
             for min_similarity in [0.85, 0.8] {
                 for fuzzy in [false, true] {
@@ -658,31 +616,21 @@ mod tests {
                     };
                     for k in 1..domain.schemas.len() {
                         let carry = MatchCarry::build(&domain.schemas[..k], &lexicon, config);
-                        let (new_fields, label_of, labels) =
+                        let (_, label_of, labels) =
                             carry.extend_labels(&domain.schemas[k], &lexicon);
-                        let max_stem = carry.max_stem_chars.max(max_stem_chars(
-                            new_fields.iter().filter_map(|(_, l)| l.as_deref()),
-                        ));
-                        if fuzzy && !blocking_sound(max_stem, config) {
-                            continue;
-                        }
-                        fuzzy_runs += fuzzy as usize;
                         let mut probes = label_of[carry.fields.len()..].to_vec();
                         probes.retain(|&l| l != NO_LABEL);
                         probes.sort_unstable();
                         probes.dedup();
-                        let mut memo = FuzzyMemo::default();
-                        let (mut hits, mut any) = (Vec::new(), Vec::new());
+                        let mut hits = Vec::new();
                         for p in probes {
-                            carry.candidates(&labels, p, false, &mut hits);
-                            any.clear();
-                            labels.postings.probe(&labels.prepared, p, &mut any);
-                            any.sort_unstable();
-                            any.dedup();
-                            (kept, probed) = (kept + hits.len(), probed + any.len());
-                            assert!(hits.iter().all(|a| any.binary_search(a).is_ok()));
+                            labels
+                                .prepared
+                                .covered_by(p, carry.label_count(), &mut hits);
+                            kept += hits.len();
                             for a in (0..carry.label_count()).filter(|&a| a != p) {
-                                if labels.prepared.tier(a, p, &mut memo).is_some() {
+                                old += 1;
+                                if labels.prepared.tier(a, p).is_some() {
                                     accepted += 1;
                                     assert!(
                                         hits.binary_search(&a).is_ok(),
@@ -696,8 +644,53 @@ mod tests {
                 }
             }
         }
-        assert!(accepted > 0 && fuzzy_runs > 0, "{accepted} {fuzzy_runs}");
-        assert!(kept < probed, "the rule pruned nothing: {kept} of {probed}");
+        assert!(accepted > 0, "no old label accepted a new one");
+        assert!(kept * 4 < old, "the rule pruned little: {kept} of {old}");
+    }
+
+    /// A chain whose second append brings a 14-character stem: at 0.85,
+    /// signature blocking stops being sound mid-chain, and the next
+    /// append's distance-2 twin (first two characters edited, so it
+    /// shares no signature posting) must still be found. Every step is
+    /// incremental and equals a full re-match.
+    #[test]
+    fn chain_through_a_blocking_regime_flip_matches_full_reruns() {
+        let lexicon = Lexicon::builtin();
+        let config = MatcherConfig {
+            fuzzy: true,
+            min_similarity: 0.85,
+            ..MatcherConfig::default()
+        };
+        let mut schemas = base_corpus();
+        let (mut mapping, mut carry) = match_with_carry(&schemas, &lexicon, config);
+        let extras = [
+            vec![leaf("Make"), leaf("Adress")],
+            vec![leaf("abcdefghijklmn"), leaf("Colour")],
+            vec![leaf("xycdefghijklmn"), leaf("Color"), leaf("Qty")],
+            vec![leaf("abcdefghijklmn"), leaf("Zip")],
+        ];
+        let mut regimes = Vec::new();
+        for (k, fields) in extras.into_iter().enumerate() {
+            schemas.push(SchemaTree::build(&format!("x{k}"), fields).unwrap());
+            let full = match_by_labels_with(&schemas, &lexicon, config);
+            match delta_match_carried(&schemas, &mapping, &lexicon, config, Some(&carry)) {
+                DeltaOutcome::Incremental(delta) => {
+                    assert_eq!(delta.mapping, full, "step {k}");
+                    mapping = delta.mapping;
+                    carry = delta.carry;
+                }
+                DeltaOutcome::Fallback(reason) => panic!("step {k}: unexpected {reason:?}"),
+            }
+            regimes.push(carry.labels.prepared.all_pairs());
+        }
+        assert_eq!(regimes, [false, true, true, true]);
+        // The twins found each other after the flip.
+        let twins = mapping
+            .clusters
+            .iter()
+            .find(|c| c.concept == "abcdefghijklmn")
+            .unwrap();
+        assert_eq!(twins.members.len(), 3);
     }
 
     #[test]

@@ -15,26 +15,31 @@
 //!    other as [`MatchTier::String`] without being scored. Drifted
 //!    corpora repeat labels heavily, so the work below runs over far
 //!    fewer labels than fields.
-//! 2. **Prepared labels** — each distinct label is prepared once: its
-//!    sorted interned key ids, and per distinct word its key id, its
-//!    sorted synset ids (one lexicon `resolve` per word) and its lemma
-//!    and stem. A label pair is then scored by id comparison and
-//!    sorted-slice intersection, plus a per-run memo of word-pair fuzzy
-//!    verdicts, with no allocation per pair ([`Prepared::tier`]).
-//! 3. **Candidate generation** — inverted postings over the distinct
-//!    labels: interned stem keys, lexicon synset ids (so synonym pairs
-//!    land in the same posting list without pairwise `are_synonyms`
-//!    probes), and, under the fuzzy tier, first/second character
-//!    signature buckets covering the abbreviation and
-//!    bounded-Levenshtein predicates. The rule is conjunctive and
-//!    directed: orientation `(a, b)` is scored only when *every* word of
-//!    `a` shares a posting with some word of `b`. Per word, the labels
-//!    its postings reach form a bitset; a label's candidates are the AND
-//!    of its words' bitsets.
-//! 4. **Schema-aware union-find** — each root carries a schema bitset
+//! 2. **Word relation** — Definition 1 decides a label pair through its
+//!    content words' pairwise relations, so each distinct word (keyed by
+//!    lemma) is prepared once — its interned stem key, its sorted synset
+//!    ids (one lexicon `resolve` per word), its lemma and stem — and each
+//!    *word pair* is decided once. Every word keeps a sorted list of
+//!    partner words, each with its weakest sufficient relation: key
+//!    (equal stems), then synonym (intersecting synsets), then, under the
+//!    fuzzy tier, fuzzy ([`fuzzy_token_match`]). The relation is
+//!    symmetric and every word is its own key partner. It is built from
+//!    word-level postings (stem keys, synset ids and, under the fuzzy
+//!    tier, signature characters): a new word is related only to the
+//!    words it shares a posting with ([`Prepared::extend`]).
+//! 3. **Candidate generation** — orientation `(a, b)` is a candidate
+//!    exactly when every word of `a` has a partner in `b`, the
+//!    predicate's per-word condition. A word's *reach* is the set of
+//!    labels holding any of its partners, as a bitset; a label's
+//!    candidates are the AND of its words' bitsets.
+//! 4. **Scoring** — [`Prepared::tier`] is the label-key check, the
+//!    word-count check and partner lookups, with no string compared and
+//!    no allocation per pair. A candidate is rejected only by the
+//!    word-count check.
+//! 5. **Schema-aware union-find** — each root carries a schema bitset
 //!    (`words × u64`); the clash check becomes a bitwise AND over
 //!    `words` machine words and unions OR the bitsets together.
-//! 5. **Deterministic merge** — accepted label pairs are expanded to
+//! 6. **Deterministic merge** — accepted label pairs are expanded to
 //!    their cross-schema field pairs and merged *in ascending `(i, j)`
 //!    order*, exactly the order the naive double loop visits matching
 //!    pairs. The union-find therefore evolves through the same state
@@ -48,61 +53,50 @@
 //! is therefore scored in each orientation some field pair needs (see
 //! [`Groups::needs`]).
 //!
-//! # Why the candidate set is exhaustive
+//! # Why the candidate set is exact
 //!
 //! [`crate::matcher::labels_match_with`] accepts a pair only if (a) the
 //! display strings are ASCII-case-equal, (b) the content-word key sets
-//! are equal, or (c) word counts agree and every word of `a` matches a
-//! word of `b` via stem equality, synonymy, or the fuzzy tier. Case (a)
-//! is the shared label key. In case (b) every word of `a` has a word of
-//! `b` with its key; in case (c) every word of `a` has a key, synonym or
-//! fuzzy partner in `b`. Each such partner shares a posting with it:
-//! stem-equal words share a stem posting; synonymous words resolve to
-//! intersecting synset id sets and share a synset posting; fuzzy
-//! partners share a signature bucket (see below). So in every accepted
-//! orientation `(a, b)`, every word of `a` shares a posting with some
-//! word of `b`, which is the candidate rule. A non-empty label has at
-//! least one content word, so the rule is never vacuous.
+//! are equal, or (c) word counts agree and every word of `a` has a key,
+//! synonym or fuzzy partner among the words of `b`. Case (a) is the
+//! shared label key. In case (b) every word of `a` has a key partner in
+//! `b`, so every accepted orientation of two distinct labels is a
+//! candidate, and a candidate whose word counts agree is accepted. A
+//! non-empty label has at least one content word, so the rule is never
+//! vacuous.
 //!
-//! The fuzzy signature posts each content word under the first **and**
-//! second characters of its stem and lemma. Abbreviations preserve the
-//! first character, so abbreviation pairs share a first-character
-//! bucket. For the Levenshtein predicate the blocking is sound whenever
-//! every accepted pair is within edit distance 1: a distance-1 pair
-//! either keeps its first character (shared first bucket) or edits
-//! position 0, in which case the second characters align with the other
-//! string's first or second character (shared bucket either way).
-//! Whether a distance-2 pair can be accepted is decided with the *same*
+//! The relation holds every related word pair. Stem-equal words share a
+//! key posting and synonymous words share a synset posting. Under the
+//! fuzzy tier each word is also posted under the first **and** second
+//! characters of its stem and lemma. Abbreviations preserve the first
+//! character, so abbreviation pairs share a first-character posting.
+//! For the Levenshtein predicate the blocking is sound whenever every
+//! accepted pair is within edit distance 1: a distance-1 pair either
+//! keeps its first character (shared first posting) or edits position
+//! 0, in which case the second characters align with the other string's
+//! first or second character (shared posting either way). Whether a
+//! distance-2 pair can be accepted is decided with the *same*
 //! floating-point expression the similarity DP uses (see
-//! [`prefix_blocking_sound`]), so rounding can never make the DP accept
-//! a pair the blocking argument classified as rejected. Outside the
-//! sound regime every pair of distinct labels with a cross-schema field
-//! pair is a candidate; those pairs are streamed through fixed-size
-//! blocks — still exact, no longer sub-quadratic in time, but O(block)
-//! rather than O(labels²) candidate memory.
+//! [`blocking_sound`]), so rounding can never make the DP accept a pair
+//! the blocking argument classified as rejected. Outside the sound
+//! regime a new word is evaluated against every word — still exact, and
+//! quadratic in distinct words rather than in labels or fields.
 
 use crate::cluster::FieldRef;
-use crate::matcher::{fuzzy_token_match, MatchStats, MatchTier, MatcherConfig};
+use crate::matcher::{char_len, fuzzy_token_match, MatchStats, MatchTier, MatcherConfig};
 use qi_lexicon::{Lexicon, SynsetId};
 use qi_runtime::{parallel_map, resolve_threads};
 use qi_text::LabelText;
-use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
-/// Candidate counts below this are scored sequentially — the corpus is
-/// small enough that spawning workers costs more than the scoring.
-const PARALLEL_SCORING_THRESHOLD: usize = 4096;
+/// Fuzzy word-pair evaluations below this count run sequentially — the
+/// corpus is small enough that spawning workers costs more than the
+/// evaluations.
+const PARALLEL_FUZZY_THRESHOLD: usize = 4096;
 
-/// Candidates handed to a pool worker per claim; each chunk keeps its
-/// own fuzzy memo.
-const SCORING_CHUNK: usize = 1024;
-
-/// Directed label pairs buffered per scoring block in the universal-fuzzy
-/// regime; caps peak candidate memory at `BLOCK_PAIRS × 8` bytes while
-/// keeping blocks large enough to fan out on the pool.
-const BLOCK_PAIRS: usize = 1 << 16;
+/// Word pairs handed to a pool worker per claim.
+const FUZZY_CHUNK: usize = 1024;
 
 /// Candidate labels per column block of [`candidate_label_pairs`]; caps
 /// each word's reach bitset at 512 bytes.
@@ -141,8 +135,8 @@ pub(crate) struct IndexedRun {
 
 /// Compute the connected components of the match graph without
 /// materializing it: group fields by label key, prepare the distinct
-/// labels, generate candidate label pairs from postings, score them (in
-/// parallel when worthwhile), and merge the accepted field pairs in
+/// labels and relate their words, take the candidate label pairs from
+/// partner reach, score them, and merge the accepted field pairs in
 /// deterministic order. `fields` must be in schema order, as
 /// [`crate::matcher::collect_fields`] emits them. Pair volumes and index
 /// shape are accumulated into `stats` (plain local counters — no
@@ -158,16 +152,20 @@ pub(crate) fn indexed_run(
     debug_assert!(fields.windows(2).all(|w| w[0].0.schema <= w[1].0.schema));
     let groups = Groups::new(fields);
     let prepared = Prepared::new(&groups.labels, lexicon, config);
+    prepared.record_shape(stats);
     // Same-key field pairs are decided without scoring.
     let same_key: u64 = (0..groups.len()).map(|g| groups.self_pairs(g)).sum();
     stats.pairs_scored += same_key;
-    let accepted = if config.fuzzy && !prefix_blocking_sound(fields, config) {
-        stats.streaming_fallback = true;
-        score_all_label_pairs_streaming(&groups, &prepared, config, stats)
-    } else {
-        let directed = candidate_label_pairs(&groups, &prepared, stats);
-        score_directed(&prepared, &directed, config, stats)
-    };
+    let candidates = candidate_label_pairs(&groups, &prepared, stats);
+    stats.label_pairs_scored += candidates.len() as u64;
+    let accepted = candidates
+        .into_iter()
+        .filter_map(|packed| {
+            let (a, b) = unpack(packed);
+            let tier = prepared.tier(a as u32, b as u32)?;
+            Some((packed, tier))
+        })
+        .collect();
     let schema_count = fields.iter().map(|(f, _)| f.schema + 1).max().unwrap_or(0);
     let mut uf = SchemaUnionFind::new(fields.iter().map(|(f, _)| f.schema), schema_count);
     let mut log = Vec::new();
@@ -187,7 +185,6 @@ pub(crate) fn indexed_run(
         log,
     }
 }
-
 /// Fields grouped by label key (the ASCII-lowercased display form).
 /// Groups are numbered in order of their first field.
 struct Groups<'a> {
@@ -282,14 +279,15 @@ pub(crate) fn label_key(label: &LabelText) -> String {
     label.display.to_ascii_lowercase()
 }
 
-/// Distinct labels in scoring form. Words are identified by lemma: a
-/// word's stem, synsets and fuzzy verdicts are all functions of it.
+/// Distinct labels in scoring form, with the relation of their words.
+/// Words are identified by lemma: a word's stem, synsets and fuzzy
+/// verdicts are all functions of it.
 ///
 /// A table only grows: [`Prepared::extend`] appends labels after the
 /// ones it holds, so ids stay valid. The batch engine prepares its labels
 /// in one call; the delta matcher's carry extends its table per append.
-/// Rows are stored flat and strings behind `Arc`s, so a copy of a table
-/// makes a few allocations and copies no string.
+/// Rows are flat where they only grow at the end, and strings sit behind
+/// `Arc`s, so a copy of a table copies no string.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Prepared {
     /// Per word: its lemma and stem.
@@ -298,6 +296,16 @@ pub(crate) struct Prepared {
     word_key: Vec<u32>,
     /// Per word: its sorted, deduplicated synset ids.
     word_synsets: Rows<SynsetId>,
+    /// Per word: its partners other than itself with their relations,
+    /// ascending ([`Rel::pack`]).
+    partners: Vec<Vec<u32>>,
+    /// Per key id: its first word. The key's other words are that word's
+    /// key partners.
+    key_first: Vec<u32>,
+    /// The words posted under each synset id and signature character.
+    postings: WordPostings,
+    /// The longest stem, in characters.
+    max_stem_chars: usize,
     /// Per label: its word ids, in label order.
     label_words: Rows<u32>,
     /// Per label: its sorted, deduplicated key ids.
@@ -333,6 +341,45 @@ impl<T: Copy> Rows<T> {
     }
 }
 
+/// Word-level postings: the words holding each synset id and, under the
+/// fuzzy tier while signature blocking is sound, each signature character
+/// ([`signature_chars`]).
+#[derive(Debug, Clone, Default)]
+struct WordPostings {
+    synsets: HashMap<SynsetId, Vec<u32>>,
+    chars: HashMap<char, Vec<u32>>,
+}
+
+/// How two words are related, by the weakest evidence that suffices, in
+/// the order the match predicate probes the evidence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Rel {
+    /// Equal stems.
+    Key,
+    /// Intersecting synsets.
+    Synonym,
+    /// The fuzzy tier ([`fuzzy_token_match`]).
+    Fuzzy,
+}
+
+impl Rel {
+    /// Partner `word` with this relation in one `u32`; packed partners
+    /// sort by word.
+    fn pack(self, word: u32) -> u32 {
+        debug_assert!(word < 1 << 30);
+        (word << 2) | self as u32
+    }
+
+    fn unpack(packed: u32) -> (u32, Rel) {
+        let rel = match packed & 3 {
+            0 => Rel::Key,
+            1 => Rel::Synonym,
+            _ => Rel::Fuzzy,
+        };
+        (packed >> 2, rel)
+    }
+}
+
 impl Prepared {
     pub(crate) fn new(labels: &[&LabelText], lexicon: &Lexicon, config: MatcherConfig) -> Self {
         let mut prepared = Prepared {
@@ -344,8 +391,10 @@ impl Prepared {
     }
 
     /// Prepare `labels` (non-empty, with keys this table does not hold
-    /// yet) as the labels following this table's.
+    /// yet) as the labels following this table's, and relate their new
+    /// words.
     pub(crate) fn extend(&mut self, labels: &[&LabelText], lexicon: &Lexicon) {
+        let first_word = self.word.len() as u32;
         let (mut words, mut keys) = (Vec::new(), Vec::new());
         for label in labels {
             words.clear();
@@ -363,10 +412,12 @@ impl Prepared {
             self.label_words.push(&words);
             self.label_keys.push(&keys);
         }
+        self.relate(first_word);
     }
 
     /// Add the word of `lemma`, which this table does not hold yet, and
-    /// return its id.
+    /// return its id. The word is related and posted by
+    /// [`Prepared::relate`].
     fn add_word(&mut self, lemma: &str, stem: &str, lexicon: &Lexicon) -> u32 {
         let w = self.word.len() as u32;
         let lemma: Arc<str> = Arc::from(lemma);
@@ -375,6 +426,7 @@ impl Prepared {
             None => {
                 let (stem, key) = (Arc::<str>::from(stem), self.stems.len() as u32);
                 self.stems.insert(Arc::clone(&stem), key);
+                self.key_first.push(w);
                 (stem, key)
             }
         };
@@ -383,9 +435,135 @@ impl Prepared {
         synsets.dedup();
         self.word_synsets.push(&synsets);
         self.word_key.push(key);
+        self.max_stem_chars = self.max_stem_chars.max(char_len(&stem));
+        self.partners.push(Vec::new());
         self.lemmas.insert(Arc::clone(&lemma), w);
         self.word.push((lemma, stem));
         w
+    }
+
+    /// Relate words `first..` to every word before them and to each
+    /// other, evaluating each pair once, and post them. A word's
+    /// candidates are the words sharing its stem key (the key's first
+    /// word and that word's key partners) or a posting, or every earlier
+    /// word when signature blocking cannot find fuzzy partners
+    /// ([`Prepared::all_pairs`]). Key and synonym partners are linked at
+    /// once, so a later word of the same key finds them.
+    fn relate(&mut self, first: u32) {
+        let count = self.word.len() as u32;
+        let (fuzzy, all_pairs) = (self.config.fuzzy, self.all_pairs());
+        // `seen[y] == x` once pair (x, y) is related or queued.
+        let mut seen = vec![u32::MAX; count as usize];
+        let (mut found, mut unclassified, mut touched) = (Vec::new(), Vec::new(), Vec::new());
+        for x in first..count {
+            seen[x as usize] = x;
+            found.clear();
+            let key_first = self.key_first[self.word_key(x) as usize];
+            if key_first != x {
+                found.push((key_first, Rel::Key));
+                found.extend(self.partners(key_first).filter(|&(_, rel)| rel == Rel::Key));
+            }
+            for sid in self.word_synsets(x) {
+                let posted = self.postings.synsets.get(sid).into_iter().flatten();
+                found.extend(posted.map(|&y| (y, Rel::Synonym)));
+            }
+            for &(y, rel) in &found {
+                if seen[y as usize] != x {
+                    seen[y as usize] = x;
+                    self.link(x, y, rel, first, &mut touched);
+                }
+            }
+            let mut queue = |y: u32| {
+                if seen[y as usize] != x {
+                    seen[y as usize] = x;
+                    unclassified.push((x, y));
+                }
+            };
+            if all_pairs {
+                (0..x).for_each(queue);
+            } else if fuzzy {
+                for c in self.signature(x) {
+                    let posted = self.postings.chars.get(&c);
+                    posted.into_iter().flatten().for_each(|&y| queue(y));
+                }
+            }
+            self.post(x, fuzzy && !all_pairs);
+        }
+        for (x, y) in self.fuzzy_partners(unclassified) {
+            self.link(x, y, Rel::Fuzzy, first, &mut touched);
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for w in (first..count).chain(touched) {
+            self.partners[w as usize].sort_unstable();
+        }
+    }
+
+    /// Record `x` and `y` as partners with `rel`, noting `y` in `touched`
+    /// if it is older than `first`, so its list is re-sorted.
+    fn link(&mut self, x: u32, y: u32, rel: Rel, first: u32, touched: &mut Vec<u32>) {
+        self.partners[x as usize].push(rel.pack(y));
+        self.partners[y as usize].push(rel.pack(x));
+        if y < first {
+            touched.push(y);
+        }
+    }
+
+    /// The queued word pairs the fuzzy tier accepts, in queue order. The
+    /// verdicts are pure, so a large queue fans out on the bounded pool.
+    fn fuzzy_partners(&self, queue: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
+        let accept =
+            |&(x, y): &(u32, u32)| fuzzy_token_match(self.word(x), self.word(y), self.config);
+        if queue.len() < PARALLEL_FUZZY_THRESHOLD || resolve_threads(self.config.threads) <= 1 {
+            return queue.into_iter().filter(accept).collect();
+        }
+        let chunks: Vec<&[(u32, u32)]> = queue.chunks(FUZZY_CHUNK).collect();
+        parallel_map(&chunks, self.config.threads, |_, chunk| {
+            chunk.iter().copied().filter(accept).collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    /// Post word `w` under its synsets and, with `signature`, its
+    /// signature characters.
+    fn post(&mut self, w: u32, signature: bool) {
+        let postings = &mut self.postings;
+        for &sid in self.word_synsets.get(w) {
+            postings.synsets.entry(sid).or_default().push(w);
+        }
+        if signature {
+            let (lemma, stem) = &self.word[w as usize];
+            for c in signature_chars(stem, lemma) {
+                postings.chars.entry(c).or_default().push(w);
+            }
+        }
+    }
+
+    /// Whether fuzzy partners are sought among all word pairs, because
+    /// signature postings cannot find them at this table's longest stem
+    /// ([`blocking_sound`]). Stems only grow longer as the table grows,
+    /// so once set this stays set.
+    pub(crate) fn all_pairs(&self) -> bool {
+        self.config.fuzzy && !blocking_sound(self.max_stem_chars, self.config)
+    }
+
+    /// Copy the shape of the word postings into `stats`.
+    fn record_shape(&self, stats: &mut MatchStats) {
+        let postings = &self.postings;
+        let key_words = (self.key_first.iter())
+            .map(|&w| 1 + self.partners(w).filter(|&(_, rel)| rel == Rel::Key).count());
+        stats.stem_buckets = self.key_first.len() as u64;
+        stats.synset_buckets = postings.synsets.len() as u64;
+        stats.fuzzy_buckets = postings.chars.len() as u64;
+        stats.max_bucket_size = (postings.synsets.values())
+            .chain(postings.chars.values())
+            .map(Vec::len)
+            .chain(key_words)
+            .max()
+            .unwrap_or(0) as u64;
+        stats.streaming_fallback = self.all_pairs();
     }
 
     /// The number of labels; label ids are `0..label_count()`.
@@ -417,11 +595,48 @@ impl Prepared {
         self.label_words.get(l)
     }
 
+    /// The partners of word `w` other than itself, with their relations.
+    fn partners(&self, w: u32) -> impl Iterator<Item = (u32, Rel)> + '_ {
+        self.partners[w as usize].iter().map(|&p| Rel::unpack(p))
+    }
+
+    /// Word `w` and its partners: the words a label holding `w` matches.
+    fn reach(&self, w: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::once(w).chain(self.partners(w).map(|(y, _)| y))
+    }
+
+    /// The relation of words `x` and `y`, if they are partners.
+    fn rel(&self, x: u32, y: u32) -> Option<Rel> {
+        if x == y {
+            return Some(Rel::Key);
+        }
+        let list = &self.partners[x as usize];
+        let i = list.binary_search_by_key(&y, |&p| p >> 2).ok()?;
+        Some(Rel::unpack(list[i]).1)
+    }
+
+    /// The labels below `below`, other than `p`, every word of which has
+    /// a partner in label `p`: the candidate rule in the orientation
+    /// `(a, p)`. Ascending, into `hits`.
+    pub(crate) fn covered_by(&self, p: u32, below: u32, hits: &mut Vec<u32>) {
+        let mut reach = vec![false; self.word.len()];
+        for &w in self.label_words(p) {
+            self.reach(w).for_each(|y| reach[y as usize] = true);
+        }
+        hits.clear();
+        hits.extend(
+            (0..below)
+                .filter(|&a| a != p && (self.label_words(a).iter()).all(|&w| reach[w as usize])),
+        );
+    }
+
     /// [`crate::matcher::match_tier_with`] on the representatives of
     /// distinct labels `a` and `b` (whose keys differ, so they are never
     /// string-equal), evaluated on the prepared form: the same checks in
-    /// the same order, so the same verdict and tier.
-    pub(crate) fn tier(&self, a: u32, b: u32, memo: &mut FuzzyMemo) -> Option<MatchTier> {
+    /// the same order, so the same verdict and tier. A word's tier is its
+    /// weakest relation to a word of `b`; the pair's is the strongest
+    /// over the words of `a`.
+    pub(crate) fn tier(&self, a: u32, b: u32) -> Option<MatchTier> {
         if self.label_keys.get(a) == self.label_keys.get(b) {
             return Some(MatchTier::WordSet);
         }
@@ -429,219 +644,27 @@ impl Prepared {
         if words_a.len() != words_b.len() {
             return None;
         }
-        let mut needed_synonym = false;
-        let mut needed_fuzzy = false;
+        let mut needed = Rel::Key;
         for &x in words_a {
-            let key = self.word_key(x);
-            if words_b.iter().any(|&y| self.word_key(y) == key) {
-                continue;
-            }
-            let synsets = self.word_synsets(x);
-            if !synsets.is_empty()
-                && words_b
-                    .iter()
-                    .any(|&y| intersects(synsets, self.word_synsets(y)))
-            {
-                needed_synonym = true;
-                continue;
-            }
-            if self.config.fuzzy
-                && words_b.iter().any(|&y| {
-                    memo.fuzzy(x, y, || {
-                        fuzzy_token_match(self.word(x), self.word(y), self.config)
-                    })
-                })
-            {
-                needed_fuzzy = true;
-                continue;
-            }
-            return None;
+            let rel = words_b.iter().filter_map(|&y| self.rel(x, y)).min()?;
+            needed = needed.max(rel);
         }
-        if needed_fuzzy {
-            Some(MatchTier::Fuzzy)
-        } else if needed_synonym {
-            Some(MatchTier::Synonym)
-        } else {
-            Some(MatchTier::WordSet)
-        }
-    }
-}
-
-/// Word-pair fuzzy verdicts of one scoring run. The fuzzy tier is
-/// symmetric (abbreviation is tried both ways, edit distance is
-/// symmetric), so a pair is keyed by its unordered word ids.
-#[derive(Default)]
-pub(crate) struct FuzzyMemo {
-    verdicts: HashMap<u64, bool>,
-}
-
-impl FuzzyMemo {
-    fn fuzzy(&mut self, x: u32, y: u32, verdict: impl FnOnce() -> bool) -> bool {
-        *self
-            .verdicts
-            .entry(pack(x.min(y), x.max(y)))
-            .or_insert_with(verdict)
-    }
-}
-
-/// Whether two sorted slices share an element.
-fn intersects(a: &[SynsetId], b: &[SynsetId]) -> bool {
-    let (mut x, mut y) = (0, 0);
-    while x < a.len() && y < b.len() {
-        match a[x].cmp(&b[y]) {
-            Ordering::Less => x += 1,
-            Ordering::Greater => y += 1,
-            Ordering::Equal => return true,
-        }
-    }
-    false
-}
-
-/// Inverted postings over the labels of a [`Prepared`] table: interned
-/// stem keys, synset ids and, under the fuzzy tier, signature
-/// characters. Every matching pair of distinct labels shares a posting
-/// (see the module docs), so probing is exhaustive wherever
-/// [`blocking_sound`] holds.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Postings {
-    stems: HashMap<u32, Vec<u32>>,
-    synsets: HashMap<SynsetId, Vec<u32>>,
-    fuzzy: HashMap<char, Vec<u32>>,
-}
-
-impl Postings {
-    pub(crate) fn new(prepared: &Prepared) -> Self {
-        let mut postings = Postings::default();
-        postings.add(prepared, 0..prepared.label_count());
-        postings
-    }
-
-    /// Post `labels`, which must follow every label posted so far.
-    pub(crate) fn add(&mut self, prepared: &Prepared, labels: Range<u32>) {
-        let push_unique = |list: &mut Vec<u32>, l: u32| {
-            // Labels are posted in id order, so duplicates from one
-            // label's words are always adjacent.
-            if list.last() != Some(&l) {
-                list.push(l);
-            }
-        };
-        for l in labels {
-            for &w in prepared.label_words(l) {
-                push_unique(self.stems.entry(prepared.word_key(w)).or_default(), l);
-                for &sid in prepared.word_synsets(w) {
-                    push_unique(self.synsets.entry(sid).or_default(), l);
-                }
-                if prepared.config.fuzzy {
-                    for c in prepared.signature(w) {
-                        push_unique(self.fuzzy.entry(c).or_default(), l);
-                    }
-                }
-            }
-        }
-    }
-
-    fn lists(&self) -> impl Iterator<Item = &Vec<u32>> {
-        self.stems
-            .values()
-            .chain(self.synsets.values())
-            .chain(self.fuzzy.values())
-    }
-
-    /// The posting lists word `w` of `prepared` is posted in: its stem
-    /// key's, its synsets' and, under the fuzzy tier, its signature
-    /// characters'.
-    fn word_lists<'s>(
-        &'s self,
-        prepared: &'s Prepared,
-        w: u32,
-    ) -> impl Iterator<Item = &'s Vec<u32>> + 's {
-        let fuzzy = prepared.config.fuzzy;
-        let signature = prepared.signature(w).filter(move |_| fuzzy);
-        self.stems
-            .get(&prepared.word_key(w))
-            .into_iter()
-            .chain(
-                prepared
-                    .word_synsets(w)
-                    .iter()
-                    .filter_map(|sid| self.synsets.get(sid)),
-            )
-            .chain(signature.filter_map(|c| self.fuzzy.get(&c)))
-    }
-
-    /// Push every posted label sharing a posting with label `l` of
-    /// `prepared` (with repeats).
-    pub(crate) fn probe(&self, prepared: &Prepared, l: u32, hits: &mut Vec<u32>) {
-        for &w in prepared.label_words(l) {
-            for list in self.word_lists(prepared, w) {
-                hits.extend_from_slice(list);
-            }
-        }
-    }
-}
-
-/// The posting keys of one label's words: stem keys, synset ids and,
-/// under the fuzzy tier, signature characters. A word shares a posting
-/// with some word of the label exactly when it has one of these keys,
-/// which lets the delta matcher apply the conjunctive candidate rule to
-/// one new label at a time.
-pub(crate) struct PostingKeys {
-    keys: Vec<u32>,
-    synsets: Vec<SynsetId>,
-    chars: Vec<char>,
-}
-
-impl PostingKeys {
-    pub(crate) fn of(prepared: &Prepared, l: u32) -> Self {
-        let mut keys = PostingKeys {
-            keys: Vec::new(),
-            synsets: Vec::new(),
-            chars: Vec::new(),
-        };
-        for &w in prepared.label_words(l) {
-            keys.keys.push(prepared.word_key(w));
-            keys.synsets.extend_from_slice(prepared.word_synsets(w));
-            if prepared.config.fuzzy {
-                keys.chars.extend(prepared.signature(w));
-            }
-        }
-        keys.synsets.sort_unstable();
-        keys.synsets.dedup();
-        keys
-    }
-
-    /// Whether every word of label `l` shares a posting with some word
-    /// of this label.
-    pub(crate) fn cover(&self, prepared: &Prepared, l: u32) -> bool {
-        prepared.label_words(l).iter().all(|&w| {
-            self.keys.contains(&prepared.word_key(w))
-                || intersects(prepared.word_synsets(w), &self.synsets)
-                || prepared.signature(w).any(|c| self.chars.contains(&c))
+        Some(match needed {
+            Rel::Key => MatchTier::WordSet,
+            Rel::Synonym => MatchTier::Synonym,
+            Rel::Fuzzy => MatchTier::Fuzzy,
         })
     }
 }
 
-/// Build the inverted postings over distinct labels and emit the
-/// directed candidates `(a, b)`: [`Groups::needs`] holds and every word
-/// of `a` shares a posting with some word of `b`. Per word, the labels it
-/// reaches through its postings form a bitset; a label's candidates are
-/// the AND of its words' bitsets. Columns are taken [`BLOCK_LABELS`] at a
-/// time, so the bitsets cost at most `words × BLOCK_LABELS / 8` bytes.
-/// Callers must have established that signature blocking is exhaustive
-/// ([`prefix_blocking_sound`]) before relying on this under
-/// `config.fuzzy`; the universal regime goes through
-/// [`score_all_label_pairs_streaming`] instead.
+/// Emit the directed candidates `(a, b)`: [`Groups::needs`] holds and
+/// every word of `a` has a partner in `b`. Per word, the labels holding
+/// any of its partners form its reach bitset (filled from each label's
+/// words' partners, the relation being symmetric); a label's candidates
+/// are the AND of its words' bitsets. Columns are taken [`BLOCK_LABELS`]
+/// at a time, so the bitsets cost at most `words × BLOCK_LABELS / 8`
+/// bytes. Word counts are not compared here: that check is the scorer's.
 fn candidate_label_pairs(groups: &Groups, prepared: &Prepared, stats: &mut MatchStats) -> Vec<u64> {
-    let postings = Postings::new(prepared);
-    stats.stem_buckets = postings.stems.len() as u64;
-    stats.synset_buckets = postings.synsets.len() as u64;
-    stats.fuzzy_buckets = postings.fuzzy.len() as u64;
-    stats.max_bucket_size = postings
-        .lists()
-        .map(|list| list.len() as u64)
-        .max()
-        .unwrap_or(0);
-
     let labels = groups.len();
     let row = labels.min(BLOCK_LABELS).div_ceil(64);
     let mut reach = vec![0u64; prepared.word.len() * row];
@@ -650,13 +673,12 @@ fn candidate_label_pairs(groups: &Groups, prepared: &Prepared, stats: &mut Match
     for start in (0..labels).step_by(BLOCK_LABELS) {
         let end = (start + BLOCK_LABELS).min(labels);
         reach.fill(0);
-        for (w, bits) in reach.chunks_exact_mut(row).enumerate() {
-            for list in postings.word_lists(prepared, w as u32) {
-                let from = list.partition_point(|&l| (l as usize) < start);
-                for &l in list[from..].iter().take_while(|&&l| (l as usize) < end) {
-                    let col = l as usize - start;
-                    bits[col / 64] |= 1 << (col % 64);
-                }
+        for l in start..end {
+            let (col, bit) = ((l - start) / 64, 1 << ((l - start) % 64));
+            for &w in prepared.label_words(l as u32) {
+                prepared
+                    .reach(w)
+                    .for_each(|y| reach[y as usize * row + col] |= bit);
             }
         }
         for a in 0..labels {
@@ -673,86 +695,15 @@ fn candidate_label_pairs(groups: &Groups, prepared: &Prepared, stats: &mut Match
                 while bits != 0 {
                     let b = start + k * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if b != a {
-                        push_directed(groups, a, b, &mut directed, stats);
+                    if b != a && groups.needs(a, b) {
+                        stats.pairs_scored += groups.directed_pairs(a, b);
+                        directed.push(pack(a as u32, b as u32));
                     }
                 }
             }
         }
     }
     directed
-}
-
-/// Push the directed label pair `(a, b)` if some field pair needs it,
-/// counting the cross-schema field pairs whose verdict it decides.
-fn push_directed(groups: &Groups, a: usize, b: usize, out: &mut Vec<u64>, stats: &mut MatchStats) {
-    if groups.needs(a, b) {
-        stats.pairs_scored += groups.directed_pairs(a, b);
-        out.push(pack(a as u32, b as u32));
-    }
-}
-
-/// Universal-fuzzy regime: signature buckets cannot block the
-/// Levenshtein tier, so every pair of distinct labels with a
-/// cross-schema field pair is a candidate. Rather than materializing the
-/// O(labels²) candidate list, the pairs are streamed through a
-/// fixed-size block; only accepted pairs are kept.
-fn score_all_label_pairs_streaming(
-    groups: &Groups,
-    prepared: &Prepared,
-    config: MatcherConfig,
-    stats: &mut MatchStats,
-) -> Vec<(u64, MatchTier)> {
-    let mut accepted = Vec::new();
-    let mut block: Vec<u64> = Vec::with_capacity(BLOCK_PAIRS + 1);
-    for a in 0..groups.len() {
-        for b in (0..groups.len()).filter(|&b| b != a) {
-            push_directed(groups, a, b, &mut block, stats);
-            if block.len() >= BLOCK_PAIRS {
-                stats.streaming_blocks += 1;
-                accepted.extend(score_directed(prepared, &block, config, stats));
-                block.clear();
-            }
-        }
-    }
-    if !block.is_empty() {
-        stats.streaming_blocks += 1;
-        accepted.extend(score_directed(prepared, &block, config, stats));
-    }
-    accepted
-}
-
-/// Score directed label pairs with the prepared predicate and keep the
-/// accepted ones with their tier. The predicate is pure, so large sets
-/// fan out on the bounded pool in chunks, each with its own fuzzy memo;
-/// the output is in input order either way.
-fn score_directed(
-    prepared: &Prepared,
-    directed: &[u64],
-    config: MatcherConfig,
-    stats: &mut MatchStats,
-) -> Vec<(u64, MatchTier)> {
-    stats.label_pairs_scored += directed.len() as u64;
-    let score = |chunk: &[u64]| {
-        let mut memo = FuzzyMemo::default();
-        chunk
-            .iter()
-            .filter_map(|&packed| {
-                let (a, b) = unpack(packed);
-                prepared
-                    .tier(a as u32, b as u32, &mut memo)
-                    .map(|tier| (packed, tier))
-            })
-            .collect::<Vec<_>>()
-    };
-    if directed.len() < PARALLEL_SCORING_THRESHOLD || resolve_threads(config.threads) <= 1 {
-        return score(directed);
-    }
-    let chunks: Vec<&[u64]> = directed.chunks(SCORING_CHUNK).collect();
-    parallel_map(&chunks, config.threads, |_, chunk| score(chunk))
-        .into_iter()
-        .flatten()
-        .collect()
 }
 
 /// Expand accepted label pairs (plus every group with itself, as
@@ -807,32 +758,6 @@ fn merge_accepted(
 }
 
 /// True when first/second-character buckets are an exhaustive blocking
-/// for the fuzzy Levenshtein predicate over `fields` (see
-/// [`blocking_sound`]).
-pub(crate) fn prefix_blocking_sound(fields: &[Field], config: MatcherConfig) -> bool {
-    blocking_sound(
-        max_stem_chars(fields.iter().filter_map(|(_, l)| l.as_deref())),
-        config,
-    )
-}
-
-/// The longest content-word stem of `labels`, in characters.
-pub(crate) fn max_stem_chars<'l>(labels: impl IntoIterator<Item = &'l LabelText>) -> usize {
-    labels
-        .into_iter()
-        .flat_map(|l| l.words.iter())
-        .map(|w| {
-            if w.stem.is_ascii() {
-                w.stem.len()
-            } else {
-                w.stem.chars().count()
-            }
-        })
-        .max()
-        .unwrap_or(0)
-}
-
-/// True when first/second-character buckets are an exhaustive blocking
 /// for the fuzzy Levenshtein predicate on stems of at most
 /// `max_stem_chars` characters: threshold positive and every acceptable
 /// pair within edit distance 1.
@@ -850,8 +775,8 @@ pub(crate) fn max_stem_chars<'l>(labels: impl IntoIterator<Item = &'l LabelText>
 pub(crate) fn blocking_sound(max_stem_chars: usize, config: MatcherConfig) -> bool {
     if config.min_similarity <= 0.0 {
         // Distance-1 substitutions between single-character stems score
-        // 0.0 and share no signature bucket, so a non-positive threshold
-        // is never bucket-blockable.
+        // 0.0 and share no signature character, so a non-positive
+        // threshold is never blockable.
         return false;
     }
     !(2..=max_stem_chars).any(|len| 1.0 - 2.0 / (len as f64) >= config.min_similarity)
@@ -953,6 +878,14 @@ mod tests {
         // Packed order is (i, j) lexicographic order.
         assert!(pack(1, 9) < pack(2, 3));
         assert!(pack(2, 3) < pack(2, 4));
+        for (w, rel) in [
+            (0, Rel::Key),
+            (5, Rel::Synonym),
+            ((1 << 30) - 1, Rel::Fuzzy),
+        ] {
+            assert_eq!(Rel::unpack(rel.pack(w)), (w, rel));
+        }
+        assert!(Rel::Fuzzy.pack(4) < Rel::Key.pack(5));
     }
 
     #[test]
@@ -968,33 +901,26 @@ mod tests {
     #[test]
     fn prefix_blocking_soundness_uses_dp_expression() {
         let lex = Lexicon::builtin();
-        let field = |raw: &str| {
-            (
-                FieldRef::new(0, qi_schema::NodeId::ROOT),
-                Some(lex.label_text(raw)),
-            )
-        };
-        let config = |min_similarity: f64| MatcherConfig {
-            fuzzy: true,
-            min_similarity,
-            ..MatcherConfig::default()
+        let all_pairs = |raw: &str, min_similarity: f64| {
+            let config = MatcherConfig {
+                fuzzy: true,
+                min_similarity,
+                ..MatcherConfig::default()
+            };
+            Prepared::new(&[&lex.label_text(raw)], &lex, config).all_pairs()
         };
         // 10-char stem at min_similarity = 0.8: 1 - 2/10 rounds to
         // exactly 0.8, so the DP accepts a distance-2 pair and blocking
         // must be declared unsound. The rearranged (1 - 0.8)*10 < 2
         // check got this wrong.
-        let ten = vec![field("abcdefghij")];
-        assert!(!prefix_blocking_sound(&ten, config(0.8)));
+        assert!(all_pairs("abcdefghij", 0.8));
         // Nudged above the boundary, distance-2 pairs are rejected again.
-        assert!(prefix_blocking_sound(&ten, config(0.8 + 1e-9)));
+        assert!(!all_pairs("abcdefghij", 0.8 + 1e-9));
         // Other round thresholds that tripped the rearranged check.
-        let twenty = vec![field("abcdefghijklmnopqrst")];
-        assert!(!prefix_blocking_sound(&twenty, config(0.9)));
-        let six = vec![field("abcdef")];
-        assert!(!prefix_blocking_sound(&six, config(2.0 / 3.0)));
+        assert!(all_pairs("abcdefghijklmnopqrst", 0.9));
+        assert!(all_pairs("abcdef", 2.0 / 3.0));
         // Short stems stay sound at a strict threshold.
-        let three = vec![field("abc")];
-        assert!(prefix_blocking_sound(&three, config(0.8)));
+        assert!(!all_pairs("abc", 0.8));
     }
 
     #[test]
@@ -1029,6 +955,116 @@ mod tests {
         assert!(!groups.needs(1, 0));
     }
 
+    /// The drift corpus both relation tests sweep.
+    fn drift_domains(seed: u64, domains: usize, lexicon: &Lexicon) -> Vec<qi_datasets::Domain> {
+        generate_drift_corpus(
+            &DriftConfig {
+                seed,
+                domains,
+                interfaces: 10,
+                ..DriftConfig::default()
+            },
+            lexicon,
+        )
+    }
+
+    /// A label whose 20-character stem makes signature blocking unsound
+    /// at every threshold the sweeps use (drift corpora are already
+    /// unsound at 0.8, and sound at 0.85).
+    const LONG_STEM: &str = "Qxzvbnmlkjhgfdsapoiu";
+
+    /// Typos of one word at position 0 (a substitution and an
+    /// insertion): fuzzy partners at 0.85 that share no first character,
+    /// only a second one.
+    const POSITION_ZERO: [&str; 3] = ["Departure", "Xeparture", "Ydeparture"];
+
+    /// The sweeps' configurations, each in both blocking regimes: the
+    /// unsound one is forced by appending [`LONG_STEM`] to the labels.
+    fn sweep() -> impl Iterator<Item = (MatcherConfig, bool)> {
+        [0.85, 0.8].into_iter().flat_map(|min_similarity| {
+            [false, true].into_iter().flat_map(move |fuzzy| {
+                let config = MatcherConfig {
+                    fuzzy,
+                    min_similarity,
+                    ..MatcherConfig::default()
+                };
+                [(config, false), (config, true)]
+            })
+        })
+    }
+
+    /// Pairwise classification of words `x` and `y` straight from their
+    /// stem keys, synsets and forms: the relation the table must hold.
+    fn classify(prepared: &Prepared, x: u32, y: u32) -> Option<Rel> {
+        let (sx, sy) = (prepared.word_synsets(x), prepared.word_synsets(y));
+        if prepared.word_key(x) == prepared.word_key(y) {
+            Some(Rel::Key)
+        } else if sx.iter().any(|s| sy.contains(s)) {
+            Some(Rel::Synonym)
+        } else if prepared.config.fuzzy
+            && fuzzy_token_match(prepared.word(x), prepared.word(y), prepared.config)
+        {
+            Some(Rel::Fuzzy)
+        } else {
+            None
+        }
+    }
+
+    /// The word relation is the pairwise classification: on drift
+    /// corpora at both fuzzy thresholds, with the fuzzy tier on and off
+    /// and in both blocking regimes, every ordered word pair's relation
+    /// equals the one `classify` derives from `word_key`, `word_synsets`
+    /// and `fuzzy_token_match`, whether the table was prepared in one
+    /// call or extended in two (the delta carry's path).
+    #[test]
+    fn word_relation_equals_pairwise_classification() {
+        let lexicon = Lexicon::builtin();
+        let long = lexicon.label_text(LONG_STEM);
+        let typos = POSITION_ZERO.map(|raw| lexicon.label_text(raw));
+        let mut rels = [0usize; 3];
+        let mut regimes = [0usize; 2];
+        for domain in &drift_domains(0x5EED_0024, 2, &lexicon) {
+            let fields = collect_fields(&domain.schemas, &lexicon);
+            let mut labels = Groups::new(&fields).labels;
+            labels.extend(typos.iter().map(|label| &**label));
+            let mut with_long = labels.clone();
+            with_long.push(&long);
+            let half = labels.len() / 2;
+            for (config, unsound) in sweep() {
+                let labels = if unsound { &with_long } else { &labels };
+                let whole = Prepared::new(labels, &lexicon, config);
+                let mut split = Prepared::new(&labels[..half], &lexicon, config);
+                split.extend(&labels[half..], &lexicon);
+                for prepared in [&whole, &split] {
+                    if unsound {
+                        assert_eq!(prepared.all_pairs(), config.fuzzy, "{config:?}");
+                    }
+                    regimes[prepared.all_pairs() as usize] += config.fuzzy as usize;
+                    let words = prepared.word.len() as u32;
+                    for x in 0..words {
+                        let list = &prepared.partners[x as usize];
+                        assert!(list.windows(2).all(|p| p[0] >> 2 < p[1] >> 2));
+                        for y in 0..words {
+                            let expected = classify(prepared, x, y);
+                            assert_eq!(
+                                prepared.rel(x, y),
+                                expected,
+                                "{:?} ~ {:?} at {config:?}, unsound {unsound}",
+                                prepared.word(x),
+                                prepared.word(y)
+                            );
+                            if let Some(rel) = expected.filter(|_| x != y) {
+                                rels[rel as usize] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(rels.iter().all(|&n| n > 0), "relation counts {rels:?}");
+        assert!(regimes.iter().all(|&n| n > 0), "fuzzy regimes {regimes:?}");
+    }
+
     /// The prepared scorer is the match predicate: on every ordered pair
     /// of distinct labels of a drift corpus, at both fuzzy thresholds the
     /// drift tests use and with the fuzzy tier on and off, it returns the
@@ -1036,17 +1072,8 @@ mod tests {
     #[test]
     fn prepared_scorer_agrees_with_predicate_on_drift_labels() {
         let lexicon = Lexicon::builtin();
-        let corpus = generate_drift_corpus(
-            &DriftConfig {
-                seed: 0x5EED_0013,
-                domains: 2,
-                interfaces: 10,
-                ..DriftConfig::default()
-            },
-            &lexicon,
-        );
         let mut tiers = [0usize; 4];
-        for domain in &corpus {
+        for domain in &drift_domains(0x5EED_0013, 2, &lexicon) {
             let fields = collect_fields(&domain.schemas, &lexicon);
             let groups = Groups::new(&fields);
             for min_similarity in [0.85, 0.8] {
@@ -1057,13 +1084,12 @@ mod tests {
                         ..MatcherConfig::default()
                     };
                     let prepared = Prepared::new(&groups.labels, &lexicon, config);
-                    let mut memo = FuzzyMemo::default();
                     for a in 0..groups.len() {
                         for b in (0..groups.len()).filter(|&b| b != a) {
                             let (la, lb) = (groups.labels[a], groups.labels[b]);
                             let expected = match_tier_with(la, lb, &lexicon, config);
                             assert_eq!(
-                                prepared.tier(a as u32, b as u32, &mut memo),
+                                prepared.tier(a as u32, b as u32),
                                 expected,
                                 "{:?} vs {:?} at {config:?}",
                                 la.raw,
@@ -1082,82 +1108,86 @@ mod tests {
         assert!(tiers[1..].iter().all(|&n| n > 0), "tier counts {tiers:?}");
     }
 
-    /// The conjunctive candidate list is exhaustive: on drift corpora,
-    /// wherever signature blocking is sound, every ordered pair of
-    /// distinct labels that `Prepared::tier` accepts and some field pair
-    /// needs is a candidate. It is also a subset of the disjunctive list
-    /// (label pairs sharing any posting).
+    /// The candidate list is exact: on drift corpora, at both fuzzy
+    /// thresholds, with the fuzzy tier on and off and in both blocking
+    /// regimes, the candidates are exactly the needed orientations in
+    /// which every word has a partner by `classify`; every accepted
+    /// orientation is among them, and a candidate is rejected only for
+    /// unequal word counts.
     #[test]
     fn conjunctive_candidates_cover_every_accepted_pair() {
         let lexicon = Lexicon::builtin();
-        let corpus = generate_drift_corpus(
-            &DriftConfig {
-                seed: 0x5EED_0020,
-                domains: 4,
-                interfaces: 10,
-                ..DriftConfig::default()
-            },
-            &lexicon,
-        );
-        let (mut accepted, mut fuzzy_runs) = (0, 0);
-        for domain in &corpus {
-            let fields = collect_fields(&domain.schemas, &lexicon);
-            let groups = Groups::new(&fields);
-            for min_similarity in [0.85, 0.8] {
-                for fuzzy in [false, true] {
-                    let config = MatcherConfig {
-                        fuzzy,
-                        min_similarity,
-                        ..MatcherConfig::default()
-                    };
-                    if fuzzy && !prefix_blocking_sound(&fields, config) {
-                        continue;
-                    }
-                    fuzzy_runs += fuzzy as usize;
-                    let prepared = Prepared::new(&groups.labels, &lexicon, config);
-                    let mut stats = MatchStats::default();
-                    let candidates = candidate_label_pairs(&groups, &prepared, &mut stats);
-                    let postings = Postings::new(&prepared);
-                    let mut disjunctive = Vec::new();
-                    let mut hits = Vec::new();
-                    for a in 0..groups.len() {
-                        hits.clear();
-                        postings.probe(&prepared, a as u32, &mut hits);
-                        for &b in &hits {
-                            if b as usize != a && groups.needs(a, b as usize) {
-                                disjunctive.push(pack(a as u32, b));
-                            }
+        let (mut accepted, mut by_count, mut regimes) = (0, 0, [0usize; 2]);
+        for domain in &drift_domains(0x5EED_0020, 4, &lexicon) {
+            let mut sound = collect_fields(&domain.schemas, &lexicon);
+            // One more schema: a superset of the first label, which only
+            // the word-count check rejects against it.
+            let schema = sound.last().map_or(0, |(f, _)| f.schema + 1);
+            let first = Groups::new(&sound).labels[0].display.clone();
+            let extra = |raw: &str| {
+                let field = FieldRef::new(schema, qi_schema::NodeId::ROOT);
+                (field, Some(lexicon.label_text(raw)))
+            };
+            sound.push(extra(&format!("{first} Qqqq")));
+            sound.extend(POSITION_ZERO.map(extra));
+            let mut unsound_fields = sound.clone();
+            unsound_fields.push(extra(LONG_STEM));
+            for (config, unsound) in sweep() {
+                let groups = Groups::new(if unsound { &unsound_fields } else { &sound });
+                let prepared = Prepared::new(&groups.labels, &lexicon, config);
+                regimes[prepared.all_pairs() as usize] += config.fuzzy as usize;
+                let candidates =
+                    candidate_label_pairs(&groups, &prepared, &mut MatchStats::default());
+                let mut sorted = candidates.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(sorted.len(), candidates.len(), "duplicate candidates");
+                let mut expected = Vec::new();
+                for a in 0..groups.len() {
+                    for b in (0..groups.len()).filter(|&b| b != a && groups.needs(a, b)) {
+                        let (words_a, words_b) = (
+                            prepared.label_words(a as u32),
+                            prepared.label_words(b as u32),
+                        );
+                        if words_a
+                            .iter()
+                            .all(|&x| words_b.iter().any(|&y| classify(&prepared, x, y).is_some()))
+                        {
+                            expected.push(pack(a as u32, b as u32));
                         }
-                    }
-                    disjunctive.sort_unstable();
-                    disjunctive.dedup();
-                    let mut sorted = candidates.clone();
-                    sorted.sort_unstable();
-                    sorted.dedup();
-                    assert_eq!(sorted.len(), candidates.len(), "duplicate candidates");
-                    assert!(candidates.len() <= disjunctive.len());
-                    assert!(
-                        sorted.iter().all(|p| disjunctive.binary_search(p).is_ok()),
-                        "a candidate shares no posting at {config:?}"
-                    );
-                    let mut memo = FuzzyMemo::default();
-                    for a in 0..groups.len() {
-                        for b in (0..groups.len()).filter(|&b| b != a && groups.needs(a, b)) {
-                            if prepared.tier(a as u32, b as u32, &mut memo).is_some() {
-                                accepted += 1;
-                                assert!(
-                                    sorted.binary_search(&pack(a as u32, b as u32)).is_ok(),
-                                    "{:?} -> {:?} accepted but not a candidate at {config:?}",
-                                    groups.labels[a].raw,
-                                    groups.labels[b].raw
-                                );
-                            }
+                        match prepared.tier(a as u32, b as u32) {
+                            Some(_) => accepted += 1,
+                            None => continue,
                         }
+                        assert!(
+                            sorted.binary_search(&pack(a as u32, b as u32)).is_ok(),
+                            "{:?} -> {:?} accepted but not a candidate at {config:?}",
+                            groups.labels[a].raw,
+                            groups.labels[b].raw
+                        );
+                    }
+                }
+                assert_eq!(
+                    sorted, expected,
+                    "candidate set at {config:?}, unsound {unsound}"
+                );
+                for &packed in &sorted {
+                    let (a, b) = unpack(packed);
+                    if prepared.tier(a as u32, b as u32).is_none() {
+                        by_count += 1;
+                        assert_ne!(
+                            prepared.label_words(a as u32).len(),
+                            prepared.label_words(b as u32).len(),
+                            "{:?} -> {:?} is a candidate the word relation rejects",
+                            groups.labels[a].raw,
+                            groups.labels[b].raw
+                        );
                     }
                 }
             }
         }
-        assert!(accepted > 0 && fuzzy_runs > 0, "{accepted} {fuzzy_runs}");
+        assert!(accepted > 0 && by_count > 0, "{accepted} {by_count}");
+        assert!(regimes.iter().all(|&n| n > 0), "fuzzy regimes {regimes:?}");
     }
 
     #[test]

@@ -13,18 +13,19 @@
 //!
 //! Two equivalent engines implement the clustering. The default is the
 //! indexed candidate-generation engine of [`crate::index`] — it scores
-//! distinct labels instead of fields, and inverted postings (interned
-//! stems, synset ids, fuzzy signature buckets) feed a schema-bitset
-//! union-find, so only labels sharing a posting are ever compared. The
-//! original brute-force double loop is kept as a reference implementation
-//! ([`match_by_labels_naive`]); both produce bit-identical [`Mapping`]s,
-//! which the test suite asserts on randomized corpora.
+//! distinct labels instead of fields, decides each pair of distinct
+//! content words once, and scores only the label pairs whose every word
+//! has a related word on the other side, feeding a schema-bitset
+//! union-find. The original brute-force double loop is kept as a
+//! reference implementation ([`match_by_labels_naive`]); both produce
+//! bit-identical [`Mapping`]s, which the test suite asserts on
+//! randomized corpora.
 
 use crate::cluster::{FieldRef, Mapping};
 use crate::index::{indexed_run, Field};
 use qi_lexicon::Lexicon;
 use qi_schema::{NodeId, SchemaTree};
-use qi_text::{normalized_levenshtein, prefix_abbreviation, ContentWord, LabelText};
+use qi_text::{levenshtein_within, prefix_abbreviation, ContentWord, LabelText};
 use std::collections::HashSet;
 
 /// Matcher configuration.
@@ -36,10 +37,11 @@ pub struct MatcherConfig {
     pub fuzzy: bool,
     /// Minimum normalized Levenshtein similarity for the fuzzy tier.
     pub min_similarity: f64,
-    /// Worker threads for candidate scoring in the indexed engine
-    /// (`0` = use the hardware, clamped by `qi-runtime`). Scoring only
-    /// fans out on corpora large enough to repay the spawn cost, and the
-    /// result is identical for every worker count.
+    /// Worker threads for the fuzzy word-pair evaluations of the indexed
+    /// engine's word relation (`0` = use the hardware, clamped by
+    /// `qi-runtime`). They only fan out on corpora large enough to repay
+    /// the spawn cost, and the result is identical for every worker
+    /// count.
     pub threads: usize,
 }
 
@@ -84,8 +86,8 @@ pub enum MatchTier {
 /// Cross-engine invariant (asserted by `tests/matcher_props.rs`): the
 /// indexed and naive engines report identical `pairs_accepted`,
 /// per-tier `accepted_*` counters, and
-/// `clusters_merged` on every corpus — the indexed candidate set is a
-/// superset of the matching pairs and both engines merge accepted pairs
+/// `clusters_merged` on every corpus — the indexed candidate set holds
+/// every matching pair and both engines merge accepted pairs
 /// in ascending `(i, j)` order with the same clash predicate.
 /// `pairs_scored` legitimately differs (that gap is the work the index
 /// saves).
@@ -95,13 +97,14 @@ pub struct MatchStats {
     pub fields_total: u64,
     /// Fields carrying a non-empty normalized label.
     pub fields_labeled: u64,
-    /// Distinct stem posting lists built by the indexed engine.
+    /// Distinct stem keys the indexed engine posts words under.
     pub stem_buckets: u64,
-    /// Distinct synset-id posting lists.
+    /// Distinct synset ids the indexed engine posts words under.
     pub synset_buckets: u64,
-    /// Distinct fuzzy signature-character buckets.
+    /// Distinct fuzzy signature characters the indexed engine posts
+    /// words under.
     pub fuzzy_buckets: u64,
-    /// Largest posting list over all three index families.
+    /// Most words in one posting list over all three families.
     pub max_bucket_size: u64,
     /// Field pairs whose verdict the engine decided. The indexed engine
     /// decides a field pair by scoring its pair of distinct labels, or
@@ -128,10 +131,11 @@ pub struct MatchStats {
     /// Accepted pairs that actually united two components (root merges
     /// not blocked by the same-schema clash check).
     pub clusters_merged: u64,
-    /// Whether the fuzzy tier fell back into the streaming unsound
-    /// regime (signature blocking not exhaustive at this threshold).
+    /// Whether word blocking fell back to all word pairs: signature
+    /// postings cannot find every fuzzy partner at this threshold.
     pub streaming_fallback: bool,
-    /// Scoring blocks flushed by the streaming regime.
+    /// Always 0: candidates are exact in both blocking regimes, so no
+    /// label pairs are streamed through scoring blocks.
     pub streaming_blocks: u64,
 }
 
@@ -153,7 +157,6 @@ impl MatchStats {
         telemetry.add("matcher.accepted.synonym", self.accepted_synonym);
         telemetry.add("matcher.accepted.fuzzy", self.accepted_fuzzy);
         telemetry.add("matcher.clusters_merged", self.clusters_merged);
-        telemetry.add("matcher.streaming_blocks", self.streaming_blocks);
         telemetry.add(
             "matcher.streaming_fallbacks",
             u64::from(self.streaming_fallback),
@@ -317,24 +320,32 @@ pub(crate) fn fuzzy_token_match(a: (&str, &str), b: (&str, &str), config: Matche
     if prefix_abbreviation(lemma_a, lemma_b) || prefix_abbreviation(lemma_b, lemma_a) {
         return true;
     }
-    // Length bound: edit distance is at least the length difference, so
-    // the best reachable similarity is min_len/max_len — when even that
-    // falls short of the threshold, skip the dynamic program entirely.
-    // Computed with the same expression `normalized_levenshtein` uses so
-    // the cutoff can never disagree with the full computation.
-    let char_len = |s: &str| {
-        if s.is_ascii() {
-            s.len()
-        } else {
-            s.chars().count()
-        }
-    };
+    // `normalized_levenshtein(stem_a, stem_b) >= min_similarity`, as an
+    // edit budget: the accepted distances `d` are those with
+    // `1 - d / max_len >= min_similarity`, evaluated with that same
+    // expression so the two can never disagree. It falls as `d` grows, so
+    // they run from 0 up to a budget, usually 0 or 1 on short stems,
+    // which `levenshtein_within` checks in a linear pass. The length
+    // difference is a lower bound on the distance.
     let (la, lb) = (char_len(stem_a), char_len(stem_b));
-    let (min_len, max_len) = (la.min(lb), la.max(lb));
-    if max_len > 0 && 1.0 - (max_len - min_len) as f64 / (max_len as f64) < config.min_similarity {
-        return false;
+    let max_len = la.max(lb);
+    if max_len == 0 {
+        return 1.0 >= config.min_similarity;
     }
-    normalized_levenshtein(stem_a, stem_b) >= config.min_similarity
+    let accepts = |d: usize| 1.0 - d as f64 / max_len as f64 >= config.min_similarity;
+    match (0..=max_len).take_while(|&d| accepts(d)).last() {
+        Some(budget) => la.abs_diff(lb) <= budget && levenshtein_within(stem_a, stem_b, budget),
+        None => false,
+    }
+}
+
+/// The length of `s` in characters.
+pub(crate) fn char_len(s: &str) -> usize {
+    if s.is_ascii() {
+        s.len()
+    } else {
+        s.chars().count()
+    }
 }
 
 /// Derive a [`Mapping`] by clustering similarly labeled fields across
@@ -612,6 +623,69 @@ mod tests {
         ));
     }
 
+    /// The edit-budget form of the fuzzy tier equals its definition,
+    /// abbreviation either way or `normalized_levenshtein >= threshold`,
+    /// on every pair of a word list with typos, abbreviations, empty and
+    /// non-ASCII stems, across thresholds from 0 to above 1.
+    #[test]
+    fn fuzzy_token_match_equals_its_definition() {
+        let words = [
+            "",
+            "a",
+            "b",
+            "ab",
+            "ba",
+            "qty",
+            "quantity",
+            "adress",
+            "address",
+            "addresses",
+            "color",
+            "colour",
+            "kolor",
+            "xcolor",
+            "abcdefghij",
+            "xycdefghij",
+            "abcdefghxy",
+            "departure",
+            "departvre",
+            "café",
+            "cafe",
+            "cafés",
+            "naïve",
+            "naive",
+            "zip",
+        ];
+        let thresholds = [
+            0.0,
+            0.3,
+            0.5,
+            2.0 / 3.0,
+            0.8,
+            0.8 + 1e-9,
+            0.85,
+            0.9,
+            1.0,
+            1.1,
+        ];
+        for min_similarity in thresholds {
+            let config = MatcherConfig {
+                fuzzy: true,
+                min_similarity,
+                ..MatcherConfig::default()
+            };
+            for a in words {
+                for b in words {
+                    let expected = prefix_abbreviation(a, b)
+                        || prefix_abbreviation(b, a)
+                        || qi_text::normalized_levenshtein(a, b) >= min_similarity;
+                    let got = fuzzy_token_match((a, a), (b, b), config);
+                    assert_eq!(got, expected, "{a:?} ~ {b:?} at {min_similarity}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn fuzzy_matcher_improves_recall() {
         let lex = Lexicon::builtin();
@@ -698,9 +772,9 @@ mod tests {
 
     #[test]
     fn indexed_engine_matches_naive_with_low_similarity_floor() {
-        // min_similarity low enough that the first-letter signature
-        // blocking is unsound; the index must fall back to the
-        // universal fuzzy bucket and still agree with naive.
+        // min_similarity low enough that signature blocking is
+        // unsound; the word relation must fall back to all word pairs
+        // and still agree with naive.
         let lex = Lexicon::builtin();
         let schemas = mixed_corpus();
         let config = MatcherConfig {
@@ -719,7 +793,7 @@ mod tests {
         // in their first two characters, so the pair shares no signature
         // bucket, yet its similarity 1 - 2/10 rounds to exactly 0.8 and
         // the fuzzy tier accepts it. The soundness check must classify
-        // this regime as unsound and fall back to streaming all pairs —
+        // this regime as unsound and relate all word pairs —
         // a check using the rearranged (1 - 0.8)*10 < 2 expression kept
         // the buckets and silently dropped the match.
         let lex = Lexicon::builtin();

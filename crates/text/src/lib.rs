@@ -29,6 +29,8 @@ pub use normalize::{
     Lemmatizer,
 };
 pub use porter::stem;
-pub use similarity::{dice, jaccard, levenshtein, normalized_levenshtein, prefix_abbreviation};
+pub use similarity::{
+    dice, jaccard, levenshtein, levenshtein_within, normalized_levenshtein, prefix_abbreviation,
+};
 pub use stopwords::is_stop_word;
 pub use token::tokenize;

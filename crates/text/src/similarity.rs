@@ -6,7 +6,8 @@
 //! provides the standard measures the `qi-mapping` matcher (and user
 //! code) can layer on top of Definition 1:
 //!
-//! * [`levenshtein`] / [`normalized_levenshtein`] — edit distance;
+//! * [`levenshtein`] / [`normalized_levenshtein`] / [`levenshtein_within`]
+//!   — edit distance;
 //! * [`jaccard`] / [`dice`] — token-set overlap;
 //! * [`prefix_abbreviation`] — does one token abbreviate another
 //!   (`qty` → `quantity`, `min` → `minimum`)?
@@ -45,6 +46,38 @@ fn levenshtein_units<T: PartialEq>(a: &[T], b: &[T]) -> usize {
         std::mem::swap(&mut prev, &mut current);
     }
     prev[b.len()]
+}
+
+/// Whether `a` and `b` are at most `k` edits apart, i.e.
+/// `levenshtein(a, b) <= k`. For `k` of 0 or 1 — the budgets a strict
+/// similarity threshold leaves on short tokens — this is one linear pass
+/// with no dynamic program and no allocation for ASCII inputs.
+pub fn levenshtein_within(a: &str, b: &str, k: usize) -> bool {
+    if k >= 2 {
+        return levenshtein(a, b) <= k;
+    }
+    if a.is_ascii() && b.is_ascii() {
+        return within_one_units(a.as_bytes(), b.as_bytes(), k);
+    }
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    within_one_units(&a, &b, k)
+}
+
+/// `levenshtein(a, b) <= k` for `k` of 0 or 1: past the common prefix,
+/// the rest must be equal once the first unit of the longer side (of
+/// both sides, for a substitution) is skipped.
+fn within_one_units<T: PartialEq>(a: &[T], b: &[T], k: usize) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if long.len() - short.len() > k {
+        return false;
+    }
+    let common = short.iter().zip(long).take_while(|(x, y)| x == y).count();
+    if common == long.len() {
+        return true;
+    }
+    let skip = usize::from(short.len() == long.len());
+    k == 1 && short[common + skip..] == long[common + 1..]
 }
 
 /// Levenshtein similarity normalized to `[0, 1]`: `1.0` for equal
@@ -140,6 +173,41 @@ mod tests {
     #[test]
     fn levenshtein_unicode() {
         assert_eq!(levenshtein("café", "cafe"), 1);
+    }
+
+    #[test]
+    fn levenshtein_within_agrees_with_the_distance() {
+        // Every pair of strings over a two-letter alphabet up to length
+        // four, at every budget up to three, plus non-ASCII pairs.
+        let mut strings = vec![String::new()];
+        for len in 1..=4 {
+            for bits in 0..1u32 << len {
+                strings.push(
+                    (0..len)
+                        .map(|i| if bits >> i & 1 == 1 { 'b' } else { 'a' })
+                        .collect(),
+                );
+            }
+        }
+        let pairs = strings
+            .iter()
+            .flat_map(|a| strings.iter().map(move |b| (a.as_str(), b.as_str())));
+        let unicode = [
+            ("café", "cafe"),
+            ("café", "cafés"),
+            ("ça", "ca"),
+            ("née", "nee"),
+            ("é", ""),
+        ];
+        for (a, b) in pairs.chain(unicode) {
+            for k in 0..=3 {
+                assert_eq!(
+                    levenshtein_within(a, b, k),
+                    levenshtein(a, b) <= k,
+                    "{a:?} {b:?} {k}"
+                );
+            }
+        }
     }
 
     #[test]
