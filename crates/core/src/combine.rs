@@ -15,6 +15,7 @@ use crate::ctx::NamingCtx;
 use crate::kernel::{bits, InternedRelation, RowIndex};
 use crate::partition::TuplePartition;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A consistent naming solution for a set of cluster columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,7 +110,6 @@ impl Derivation {
         s: usize,
         relation: &mut InternedRelation<'_>,
         partition: &TuplePartition,
-        ctx: &NamingCtx<'_>,
     ) -> TupleSolution {
         let row = self.row(s);
         let frequency = relation.frequency(row);
@@ -122,7 +122,7 @@ impl Derivation {
             labels: relation.labels_of(row),
             used_tuples: self.used(s),
             is_candidate,
-            expressiveness: relation.expressiveness(row, ctx),
+            expressiveness: relation.expressiveness(row),
             frequency,
         }
     }
@@ -132,11 +132,10 @@ impl Derivation {
         &self,
         relation: &mut InternedRelation<'_>,
         partition: &TuplePartition,
-        ctx: &NamingCtx<'_>,
     ) -> Vec<TupleSolution> {
         self.solutions
             .iter()
-            .map(|&s| self.solution(s, relation, partition, ctx))
+            .map(|&s| self.solution(s, relation, partition))
             .collect()
     }
 }
@@ -250,7 +249,7 @@ pub fn enumerate_solutions(
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
 ) -> Vec<TupleSolution> {
-    combine_star(relation, partition, level, ctx).all_solutions(relation, partition, ctx)
+    combine_star(relation, partition, level, ctx).all_solutions(relation, partition)
 }
 
 /// Several greedy solutions, seeded from each of the widest member tuples
@@ -291,7 +290,7 @@ pub fn greedy_solutions(
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
 ) -> Vec<TupleSolution> {
-    greedy_derivation(relation, partition, level, ctx).all_solutions(relation, partition, ctx)
+    greedy_derivation(relation, partition, level, ctx).all_solutions(relation, partition)
 }
 
 /// Greedy linear-time solution for a partition (§4.2.1: "if the time to
@@ -349,7 +348,7 @@ fn greedy_from(
 
 /// Distinct content words across the non-null labels of a row (§4.2.1).
 pub fn tuple_expressiveness(labels: &[Option<String>], ctx: &NamingCtx<'_>) -> usize {
-    let mut keys: BTreeSet<String> = BTreeSet::new();
+    let mut keys: BTreeSet<Arc<str>> = BTreeSet::new();
     for label in labels.iter().flatten() {
         for word in &ctx.text(label).words {
             keys.insert(word.stem.clone());

@@ -11,7 +11,6 @@
 //! and the context is `Sync`: one context serves a whole domain run,
 //! including phase-1 group naming fanned out across threads.
 
-use crate::consistency::ConsistencyLevel;
 use crate::relations::{relate, LabelRelation};
 use qi_lexicon::Lexicon;
 use qi_runtime::{CacheStats, Interner, ShardedCache, Symbol};
@@ -127,25 +126,6 @@ impl<'a> NamingCtx<'a> {
         self.memo.relations.insert((a, b), r);
         self.memo.relations.insert((b, a), r.flip());
         r
-    }
-
-    /// Does the Definition 1 relation between two interned labels satisfy
-    /// `level` (Definition 2)? Equal to `level.admits(self.relate_sym(a,
-    /// b))`. `relate` tries string equality, then word equality, before
-    /// it consults the lexicon, so below synonymy the normalized texts
-    /// decide alone and neither the relation memo nor the lexicon is
-    /// touched. A label relates to itself unless it normalizes to nothing.
-    pub fn admits_sym(&self, level: ConsistencyLevel, a: Symbol, b: Symbol) -> bool {
-        if a == b {
-            return !self.text_sym(a).is_empty();
-        }
-        if level == ConsistencyLevel::Synonymy {
-            return level.admits(self.relate_sym(a, b));
-        }
-        let (ta, tb) = (self.text_sym(a), self.text_sym(b));
-        !ta.is_empty()
-            && !tb.is_empty()
-            && (ta.string_equal(&tb) || (level == ConsistencyLevel::Equality && ta.word_equal(&tb)))
     }
 
     /// `a` and `b` have identical display forms.
@@ -309,39 +289,6 @@ mod tests {
         assert!(ctx.at_least_as_general("Class", "Flight Class"));
         assert!(!ctx.at_least_as_general("Flight Class", "Class"));
         assert_eq!(ctx.expressiveness("Max. Number of Stops"), 3);
-    }
-
-    #[test]
-    fn admits_agrees_with_relate_at_every_level() {
-        let lex = Lexicon::builtin();
-        let ctx = NamingCtx::new(&lex);
-        let labels = [
-            "Adults",
-            "adults",
-            "Adult",
-            "Type of Job",
-            "Job Type",
-            "Employment Type",
-            "Area of Study",
-            "Field of Work",
-            "Class",
-            "Class of Ticket",
-            "of",
-            "",
-            "?",
-        ];
-        for a in labels {
-            for b in labels {
-                let (sa, sb) = (ctx.sym(a), ctx.sym(b));
-                for level in ConsistencyLevel::LADDER {
-                    assert_eq!(
-                        ctx.admits_sym(level, sa, sb),
-                        level.admits(ctx.relate_sym(sa, sb)),
-                        "{a:?} vs {b:?} at {level}"
-                    );
-                }
-            }
-        }
     }
 
     /// A context over a carried memo counts only its own lookups: the

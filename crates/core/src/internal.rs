@@ -259,7 +259,7 @@ fn li5_extends(
         if w.is_empty() || !w.is_subset(coverage) {
             continue;
         }
-        let mut w_words: BTreeSet<String> = BTreeSet::new();
+        let mut w_words: BTreeSet<Arc<str>> = BTreeSet::new();
         for cluster in &w {
             if let Some(ci) = info.get(cluster) {
                 for label in &ci.field_labels {

@@ -8,12 +8,19 @@
 //! * every label becomes a column-local `u32` id built from the exact
 //!   label string (`0` = null), so Definition 3's `Combine` and row
 //!   equality compare ids, and `Adults`/`adults` stay distinct;
+//! * each label's normalized text is fetched once, when the relation is
+//!   interned;
 //! * Definition 2 consistency becomes bitmask algebra. For a level, a
 //!   column and a label id, the *admit mask* holds the tuples whose label
-//!   in that column relates to the id's label at that level. It is filled
-//!   from [`NamingCtx::admits_sym`] on first use, once per distinct label
-//!   pair of the column; the tuples consistent with a row are the OR of
-//!   the admit masks of its non-null labels;
+//!   in that column relates to the id's label at that level; the tuples
+//!   consistent with a row are the OR of the admit masks of its non-null
+//!   labels. At the string and equality levels relatedness is an
+//!   equivalence on non-empty labels (same lowercased display; same stem
+//!   set, which string equality implies), so on first use a column's
+//!   masks are filled from its classes: a label admits the carriers of
+//!   its class, and an empty label admits nothing. At the synonymy level
+//!   a mask is filled on first use from [`NamingCtx::relate_sym`], once
+//!   per distinct label pair of the column;
 //! * one table counts how often each distinct row occurs in the relation
 //!   (§4.2.1's *frequency*), and each label's content-word stems are
 //!   interned once for *expressiveness*.
@@ -22,9 +29,11 @@ use crate::consistency::ConsistencyLevel;
 use crate::ctx::NamingCtx;
 use qi_mapping::GroupRelation;
 use qi_runtime::Symbol;
+use qi_text::LabelText;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 /// Iterate the set bits of a bitmask, ascending.
 pub(crate) fn bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
@@ -69,6 +78,24 @@ impl Hasher for RowHash {
     fn write_u64(&mut self, hash: u64) {
         self.0 = hash;
     }
+}
+
+/// Class ids of `texts` under the equivalence `key`, numbered in
+/// first-seen order; `None` for an empty label, which is in no class.
+fn classes<'a, K: Hash + Eq>(
+    texts: &'a [Arc<LabelText>],
+    key: impl Fn(&'a LabelText) -> K,
+) -> Vec<Option<usize>> {
+    let mut ids: HashMap<K, usize> = HashMap::new();
+    texts
+        .iter()
+        .map(|text| {
+            (!text.is_empty()).then(|| {
+                let next = ids.len();
+                *ids.entry(key(text)).or_insert(next)
+            })
+        })
+        .collect()
 }
 
 /// A hash index over the rows of an arena of `width`-id rows, for
@@ -135,6 +162,8 @@ pub struct InternedRelation<'r> {
     labels: Vec<&'r str>,
     /// Per slot: the label's symbol in the naming context.
     syms: Vec<Symbol>,
+    /// Per slot: the label's normalized text.
+    texts: Vec<Arc<LabelText>>,
     /// Per slot: the tuples carrying the label (bitmask).
     carriers: Vec<u64>,
     /// Per column: the tuples with a non-null label (bitmask).
@@ -149,7 +178,7 @@ pub struct InternedRelation<'r> {
     filled: [Vec<bool>; 3],
     /// Per slot: relation-local ids of the label's content-word stems.
     stems: Vec<Option<Box<[u32]>>>,
-    stem_ids: HashMap<String, u32>,
+    stem_ids: HashMap<Arc<str>, u32>,
     /// Scratch for collecting a row's stem ids.
     stem_scratch: Vec<u32>,
 }
@@ -180,7 +209,8 @@ impl<'r> InternedRelation<'r> {
         }
         slot_base.push(labels.len());
         let slots = labels.len();
-        let syms = labels.iter().map(|l| ctx.sym(l)).collect();
+        let syms: Vec<Symbol> = labels.iter().map(|l| ctx.sym(l)).collect();
+        let texts = syms.iter().map(|&sym| ctx.text_sym(sym)).collect();
         let mut carriers = vec![0u64; slots * words];
         let mut nonnull = vec![0u64; width * words];
         for t in 0..n {
@@ -214,6 +244,7 @@ impl<'r> InternedRelation<'r> {
             slot_base,
             labels,
             syms,
+            texts,
             carriers,
             nonnull,
             distinct,
@@ -276,16 +307,73 @@ impl<'r> InternedRelation<'r> {
         into: &mut [u64],
     ) {
         let words = self.words;
-        let (base, end) = (self.slot_base[c], self.slot_base[c + 1]);
-        let slot = base + id as usize - 1;
+        let slot = self.slot_base[c] + id as usize - 1;
         let l = level as usize;
         if self.filled[l].is_empty() {
             self.filled[l] = vec![false; self.labels.len()];
             self.admit[l] = vec![0; self.labels.len() * words];
         }
         if !self.filled[l][slot] {
-            for other in base..end {
-                if ctx.admits_sym(level, self.syms[slot], self.syms[other]) {
+            match level {
+                ConsistencyLevel::Synonymy => self.fill_pairwise(level, c, slot, ctx),
+                _ => self.fill_classes(level, c),
+            }
+        }
+        or_into(into, &self.admit[l][slot * words..(slot + 1) * words]);
+    }
+
+    /// Fill the admit masks of every label of column `c` at the string
+    /// or equality level from the column's classes (see the module docs).
+    fn fill_classes(&mut self, level: ConsistencyLevel, c: usize) {
+        let (words, l) = (self.words, level as usize);
+        let (base, end) = (self.slot_base[c], self.slot_base[c + 1]);
+        let texts = &self.texts[base..end];
+        let class = if level == ConsistencyLevel::String {
+            classes(texts, |text| text.display.to_ascii_lowercase())
+        } else {
+            classes(texts, |text| {
+                let mut stems: Vec<&str> = text.words.iter().map(|w| w.key()).collect();
+                stems.sort_unstable();
+                stems
+            })
+        };
+        let count = class.iter().flatten().max().map_or(0, |&k| k + 1);
+        let mut masks = vec![0u64; count * words];
+        for (i, k) in class.iter().enumerate() {
+            if let Some(k) = k {
+                let slot = base + i;
+                or_into(
+                    &mut masks[k * words..(k + 1) * words],
+                    &self.carriers[slot * words..(slot + 1) * words],
+                );
+            }
+        }
+        for (i, k) in class.iter().enumerate() {
+            let slot = base + i;
+            if let Some(k) = k {
+                self.admit[l][slot * words..(slot + 1) * words]
+                    .copy_from_slice(&masks[k * words..(k + 1) * words]);
+            }
+            self.filled[l][slot] = true;
+        }
+    }
+
+    /// Fill `slot`'s admit mask at `level` by relating its label to each
+    /// label of column `c`. A label relates to itself unless it is empty.
+    fn fill_pairwise(
+        &mut self,
+        level: ConsistencyLevel,
+        c: usize,
+        slot: usize,
+        ctx: &NamingCtx<'_>,
+    ) {
+        let (words, l) = (self.words, level as usize);
+        if !self.texts[slot].is_empty() {
+            for other in self.slot_base[c]..self.slot_base[c + 1] {
+                let related = other == slot
+                    || (!self.texts[other].is_empty()
+                        && level.admits(ctx.relate_sym(self.syms[slot], self.syms[other])));
+                if related {
                     let (mask, carriers) = (&mut self.admit[l], &self.carriers);
                     or_into(
                         &mut mask[slot * words..(slot + 1) * words],
@@ -293,9 +381,8 @@ impl<'r> InternedRelation<'r> {
                     );
                 }
             }
-            self.filled[l][slot] = true;
         }
-        or_into(into, &self.admit[l][slot * words..(slot + 1) * words]);
+        self.filled[l][slot] = true;
     }
 
     /// OR into `into` the tuples consistent with `row` at `level`
@@ -338,7 +425,7 @@ impl<'r> InternedRelation<'r> {
 
     /// Distinct content words across the non-null labels of `row`
     /// (§4.2.1's expressiveness).
-    pub(crate) fn expressiveness(&mut self, row: &[u32], ctx: &NamingCtx<'_>) -> usize {
+    pub(crate) fn expressiveness(&mut self, row: &[u32]) -> usize {
         let mut ids = std::mem::take(&mut self.stem_scratch);
         ids.clear();
         for (c, &id) in row.iter().enumerate() {
@@ -347,13 +434,12 @@ impl<'r> InternedRelation<'r> {
             }
             let slot = self.slot_base[c] + id as usize - 1;
             if self.stems[slot].is_none() {
-                let text = ctx.text_sym(self.syms[slot]);
-                let stems = text
+                let stems = self.texts[slot]
                     .words
                     .iter()
                     .map(|w| {
                         let next = self.stem_ids.len() as u32;
-                        *self.stem_ids.entry(w.stem.clone()).or_insert(next)
+                        *self.stem_ids.entry(Arc::clone(&w.stem)).or_insert(next)
                     })
                     .collect();
                 self.stems[slot] = Some(stems);
@@ -436,6 +522,47 @@ mod tests {
         assert_eq!(members, (0..150).filter(|i| i % 3 == 0).collect::<Vec<_>>());
         assert!(rel.consistent(0, 147, ConsistencyLevel::String, &ctx));
         assert!(!rel.consistent(0, 148, ConsistencyLevel::Synonymy, &ctx));
+    }
+
+    /// The class-filled admit masks equal Definition 1 decided pair by
+    /// pair, at every level, on case and punctuation variants, word-order
+    /// variants and labels that normalize to nothing.
+    #[test]
+    fn admit_masks_agree_with_relate_at_every_level() {
+        let lex = Lexicon::builtin();
+        let ctx = NamingCtx::new(&lex);
+        let labels = [
+            "Adults",
+            "adults",
+            "Adult",
+            "Zip Code:",
+            "ZIP-code",
+            "Zipcode",
+            "Type of Job",
+            "Job Type",
+            "Employment Type",
+            "Area of Study",
+            "Field of Work",
+            "Class",
+            "Class of Ticket",
+            "of",
+            "?",
+            "(18-64)",
+        ];
+        let rows: Vec<Vec<Option<&str>>> = labels.iter().map(|&l| vec![Some(l)]).collect();
+        let r = relation(&rows);
+        let mut rel = InternedRelation::new(&r, &ctx);
+        for level in ConsistencyLevel::LADDER {
+            for (a, &la) in labels.iter().enumerate() {
+                let mut mask = vec![0u64; rel.words()];
+                rel.or_admit(level, 0, a as u32 + 1, &ctx, &mut mask);
+                for (b, &lb) in labels.iter().enumerate() {
+                    let expected = level.admits(ctx.relate(la, lb));
+                    let got = mask[b / 64] & (1 << (b % 64)) != 0;
+                    assert_eq!(got, expected, "{la:?} vs {lb:?} at {level}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -144,7 +144,7 @@ fn best_consistent(
         let mut winner: Option<((usize, usize), usize)> = None;
         for &s in derived.solutions() {
             let row = derived.row(s);
-            let key = (relation.expressiveness(row, ctx), relation.frequency(row));
+            let key = (relation.expressiveness(row), relation.frequency(row));
             let beats = |(other_key, other_row): ((usize, usize), &[u32])| {
                 rank_order(selection, key, other_key, || {
                     relation.cmp_rows(row, other_row)
@@ -161,7 +161,7 @@ fn best_consistent(
             }
         }
         if let Some((key, s)) = winner {
-            let solution = derived.solution(s, relation, partition, ctx);
+            let solution = derived.solution(s, relation, partition);
             best = Some((
                 key,
                 derived.row(s).to_vec(),
@@ -237,7 +237,7 @@ pub fn name_group(
     let mut per_partition: Vec<GroupSolution> = Vec::new();
     for partition in &result.partitions {
         let derived = partition_solutions(&mut interned, partition, max_level, ctx);
-        let mut raw = derived.all_solutions(&mut interned, partition, ctx);
+        let mut raw = derived.all_solutions(&mut interned, partition);
         // Only the top-ranked solution of a partition feeds the greedy
         // concatenation — select it directly instead of sorting all.
         if let Some(best) = best_of(&raw, policy.selection) {

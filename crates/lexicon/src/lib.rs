@@ -41,7 +41,7 @@ pub use builder::LexiconBuilder;
 pub use synset::SynsetId;
 
 use qi_runtime::{CacheStats, ShardedCache};
-use qi_text::LabelText;
+use qi_text::{ContentWord, LabelText};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -50,6 +50,12 @@ use std::sync::Arc;
 /// most a few hundred distinct labels, so this holds the matcher → labeler
 /// handoff of several domains while keeping the memo's footprint small.
 pub const LABEL_TEXT_CAP: usize = 1024;
+
+/// Most analyzed tokens the word memo under [`Lexicon::label_text`]
+/// keeps. A pass over a drift corpus meets a few thousand distinct
+/// tokens, most of them in runs of labels from one domain, so this
+/// catches the repeats while keeping the memo's footprint small.
+pub const WORD_CAP: usize = 1024;
 
 /// The lexical database: synsets, lemma index, hypernym DAG, morphology.
 ///
@@ -82,6 +88,11 @@ pub struct Lexicon {
     /// Memoized §3.1 normalizations ([`Lexicon::label_text`]), bounded by
     /// [`LABEL_TEXT_CAP`].
     text_cache: ShardedCache<String, Arc<LabelText>>,
+    /// Memoized token analyses (compound halves, base form, stem) for
+    /// [`Lexicon::label_text`]'s misses, bounded by [`WORD_CAP`].
+    word_cache: ShardedCache<String, Arc<[ContentWord]>>,
+    /// The longest token [`qi_text::Lemmatizer::is_word`] can accept.
+    max_word_len: usize,
 }
 
 impl Lexicon {
@@ -144,26 +155,46 @@ impl Lexicon {
     /// matcher, the labeler and the serve sidecar all normalize through
     /// here, so a label is normalized once however many fields and
     /// stages see it. Equal to `LabelText::new(raw, self)`. The memo
-    /// keeps at most [`LABEL_TEXT_CAP`] labels.
+    /// keeps at most [`LABEL_TEXT_CAP`] labels; a miss takes each
+    /// token's words from a second memo of at most [`WORD_CAP`] tokens,
+    /// so a token repeated across labels is analyzed once.
     pub fn label_text(&self, raw: &str) -> Arc<LabelText> {
         if let Some(hit) = self.text_cache.get(raw) {
             return hit;
         }
-        let text = Arc::new(LabelText::new(raw, self));
+        let display = qi_text::display_normalize(raw);
+        let words = qi_text::content_words_with(&display, |token| self.token_words(token));
+        let text = Arc::new(LabelText {
+            raw: raw.to_string(),
+            display,
+            words,
+        });
         self.text_cache.insert(raw.to_string(), Arc::clone(&text));
         text
     }
 
+    /// `qi_text::token_words(token, self)`, memoized.
+    fn token_words(&self, token: &str) -> Arc<[ContentWord]> {
+        if let Some(hit) = self.word_cache.get(token) {
+            return hit;
+        }
+        let words: Arc<[ContentWord]> = qi_text::token_words(token, self).into();
+        self.word_cache
+            .insert(token.to_string(), Arc::clone(&words));
+        words
+    }
+
     /// Per-cache hit/miss counters, keyed by stable cache names
     /// (`lexicon.base_form`, `lexicon.hypernym`, `lexicon.resolve`,
-    /// `lexicon.text`) — the telemetry registry records each under
-    /// `cache.<name>.*`.
-    pub fn named_cache_stats(&self) -> [(&'static str, CacheStats); 4] {
+    /// `lexicon.text`, `lexicon.word`) — the telemetry registry records
+    /// each under `cache.<name>.*`.
+    pub fn named_cache_stats(&self) -> [(&'static str, CacheStats); 5] {
         [
             ("lexicon.base_form", self.base_form_cache.stats()),
             ("lexicon.hypernym", self.hypernym_cache.stats()),
             ("lexicon.resolve", self.resolve_cache.stats()),
             ("lexicon.text", self.text_cache.stats()),
+            ("lexicon.word", self.word_cache.stats()),
         ]
     }
 
@@ -187,6 +218,7 @@ impl Lexicon {
         self.base_form_cache.clear();
         self.resolve_cache.clear();
         self.text_cache.clear();
+        self.word_cache.clear();
     }
 
     /// Resolve a word to the synsets it may denote: exact lemma match,
@@ -392,6 +424,12 @@ impl Lexicon {
                 }
             }
         }
+        // `is_word` accepts lemmas, exception surfaces and Morphy
+        // inflections of lemmas, which are at most the largest
+        // detachment longer than their lemma.
+        let longest_lemma = lemma_index.keys().map(String::len).max().unwrap_or(0);
+        let longest_surface = exceptions.keys().map(String::len).max().unwrap_or(0);
+        let max_word_len = (longest_lemma + morphy::MAX_DETACHMENT).max(longest_surface);
         Lexicon {
             synsets,
             lemma_index,
@@ -402,6 +440,8 @@ impl Lexicon {
             base_form_cache: ShardedCache::default(),
             resolve_cache: ShardedCache::default(),
             text_cache: ShardedCache::bounded(LABEL_TEXT_CAP),
+            word_cache: ShardedCache::bounded(WORD_CAP),
+            max_word_len,
         }
     }
 }
@@ -413,6 +453,10 @@ impl qi_text::Lemmatizer for Lexicon {
 
     fn is_word(&self, token: &str) -> bool {
         self.is_lemma(token) || self.base_form(token).is_some()
+    }
+
+    fn max_word_len(&self) -> Option<usize> {
+        Some(self.max_word_len)
     }
 }
 
@@ -581,6 +625,43 @@ mod label_text_memo {
 #[cfg(test)]
 mod compound_integration {
     use super::*;
+    use qi_text::Lemmatizer;
+    use std::time::{Duration, Instant};
+
+    /// The splitting bound is the longest lemma plus Morphy's largest
+    /// detachment (a doubled consonant plus `ing`), and a word that long
+    /// exists.
+    #[test]
+    fn max_word_len_is_the_longest_inflection() {
+        let lex = Lexicon::builtin();
+        let longest = lex.lemma_index.keys().max_by_key(|l| l.len()).unwrap();
+        let surface = lex.exceptions.keys().map(String::len).max().unwrap();
+        assert_eq!(morphy::MAX_DETACHMENT, 4);
+        let max = lex.max_word_len().expect("bounded");
+        assert_eq!(max, (longest.len() + 4).max(surface));
+        let last = &longest[longest.len() - 1..];
+        let doubled = format!("{longest}{last}ing");
+        assert!(lex.is_word(&doubled), "{doubled:?}");
+        assert_eq!(doubled.len(), max);
+    }
+
+    /// A 64 KiB single-token label normalizes quickly and leaves at most
+    /// two entries in the unbounded morphology cache: no split point of
+    /// such a token has halves short enough to probe.
+    #[test]
+    fn a_64_kib_token_normalizes_in_linear_time() {
+        let lex = Lexicon::builtin();
+        let token: String = (0..64 * 1024)
+            .map(|i| char::from(b'a' + (i * 7 % 26) as u8))
+            .collect();
+        let before = lex.morph_cache_stats().entries;
+        let started = Instant::now();
+        let text = lex.label_text(&token);
+        let elapsed = started.elapsed();
+        assert_eq!(text.words.len(), 1);
+        assert!(lex.morph_cache_stats().entries - before <= 2);
+        assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+    }
 
     /// The builtin lexicon splits `zipcode` via the compound rule, so
     /// `Zipcode` is *equal* to `Zip Code` (a ubiquitous real-Web variant).

@@ -37,6 +37,10 @@ const RULES: &[(&str, &str)] = &[
     ("s", ""),
 ];
 
+/// How much longer than its lemma a form [`reduce`] accepts can be: a
+/// doubled consonant plus `ing`, more than any rule's net detachment.
+pub const MAX_DETACHMENT: usize = 4;
+
 /// Apply the detachment rules to `token`, returning the first candidate
 /// accepted by `is_lemma`. Returns `None` when no rule produces a known
 /// lemma.
@@ -71,6 +75,14 @@ pub fn reduce(token: &str, is_lemma: impl Fn(&str) -> bool) -> Option<String> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    #[test]
+    fn max_detachment_bounds_every_rule() {
+        assert_eq!(MAX_DETACHMENT, "p".len() + "ing".len());
+        for (suffix, replacement) in RULES {
+            assert!(suffix.len().saturating_sub(replacement.len()) <= MAX_DETACHMENT);
+        }
+    }
 
     fn lemmas() -> HashSet<&'static str> {
         [

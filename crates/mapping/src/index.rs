@@ -400,7 +400,7 @@ impl Prepared {
             words.clear();
             keys.clear();
             for cw in &label.words {
-                let w = match self.lemmas.get(cw.lemma.as_str()) {
+                let w = match self.lemmas.get(&*cw.lemma) {
                     Some(&w) => w,
                     None => self.add_word(&cw.lemma, cw.key(), lexicon),
                 };

@@ -26,7 +26,8 @@ use crate::index::{indexed_run, Field};
 use qi_lexicon::Lexicon;
 use qi_schema::{NodeId, SchemaTree};
 use qi_text::{levenshtein_within, prefix_abbreviation, ContentWord, LabelText};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Matcher configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -411,17 +412,18 @@ fn cluster_fields(
 
 /// Collect all fields with their normalized labels, in schema order then
 /// leaf preorder — the field order every downstream determinism claim is
-/// stated against. Labels are normalized through the lexicon's memo, so
-/// a label repeated across fields is normalized once.
+/// stated against. Each distinct label is looked up once, in the
+/// lexicon's memo, so a label repeated across fields is normalized once
+/// and shared.
 pub(crate) fn collect_fields(schemas: &[SchemaTree], lexicon: &Lexicon) -> Vec<Field> {
     let mut fields: Vec<Field> = Vec::new();
+    let mut texts: HashMap<&str, Arc<LabelText>> = HashMap::new();
     for (schema_idx, tree) in schemas.iter().enumerate() {
         for leaf in tree.descendant_leaves(NodeId::ROOT) {
-            let label = tree
-                .node(leaf)
-                .label
-                .as_deref()
-                .map(|raw| lexicon.label_text(raw));
+            let label = tree.node(leaf).label.as_deref().map(|raw| {
+                let text = texts.entry(raw).or_insert_with(|| lexicon.label_text(raw));
+                Arc::clone(text)
+            });
             fields.push((FieldRef::new(schema_idx, leaf), label));
         }
     }

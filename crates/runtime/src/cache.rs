@@ -6,11 +6,15 @@
 //! different shards never contend. Hit/miss counters make cache
 //! effectiveness observable (`/metrics` and the benchmark's
 //! `*_hit_ratio` metrics report them).
+//!
+//! Shards are chosen with a fixed-key hasher, so a key lands in the same
+//! shard in every process and a bounded cache evicts the same keys on
+//! the same input; each shard's own map keeps a random-keyed hasher.
 
 use crate::sync;
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -65,7 +69,8 @@ pub struct ShardedCache<K, V> {
     /// Most entries one shard holds (unbounded unless built by
     /// [`ShardedCache::bounded`]).
     shard_cap: usize,
-    hasher: RandomState,
+    /// Routes keys to shards; fixed keys, so routing is repeatable.
+    router: BuildHasherDefault<DefaultHasher>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -92,7 +97,7 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         ShardedCache {
             shards: vec,
             shard_cap: usize::MAX,
-            hasher: RandomState::new(),
+            router: BuildHasherDefault::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -111,7 +116,7 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
     }
 
     fn shard_of<Q: Hash + ?Sized>(&self, key: &Q) -> usize {
-        (self.hasher.hash_one(key) as usize) & (self.shards.len() - 1)
+        (self.router.hash_one(key) as usize) & (self.shards.len() - 1)
     }
 
     /// Look up `key` (borrowed form allowed, like `HashMap::get`),

@@ -25,12 +25,12 @@ pub mod stopwords;
 pub mod token;
 
 pub use normalize::{
-    content_words, display_normalize, split_compound, ContentWord, IdentityLemmatizer, LabelText,
-    Lemmatizer,
+    content_words, content_words_with, display_normalize, split_compound, token_words, ContentWord,
+    IdentityLemmatizer, LabelText, Lemmatizer,
 };
 pub use porter::stem;
 pub use similarity::{
     dice, jaccard, levenshtein, levenshtein_within, normalized_levenshtein, prefix_abbreviation,
 };
 pub use stopwords::is_stop_word;
-pub use token::tokenize;
+pub use token::{token_slices, tokenize};

@@ -11,8 +11,9 @@
 
 use crate::porter;
 use crate::stopwords::is_stop_word;
-use crate::token::{strip_comments, tokenize};
+use crate::token::{strip_comments, token_slices};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Supplies the base (dictionary) form of a token — the role WordNet's
 /// morphological processor plays in the paper's pipeline. Implemented by
@@ -29,6 +30,13 @@ pub trait Lemmatizer {
     /// content-word level. The default (no vocabulary) disables splitting.
     fn is_word(&self, _token: &str) -> bool {
         false
+    }
+
+    /// The longest token (in bytes) [`Lemmatizer::is_word`] can accept,
+    /// or `None` when there is no such bound (the default). Compound
+    /// splitting probes only split points whose halves both fit.
+    fn max_word_len(&self) -> Option<usize> {
+        None
     }
 }
 
@@ -76,24 +84,34 @@ pub fn display_normalize(label: &str) -> String {
 /// when their [`key`](ContentWord::key)s match — the key is the Porter stem
 /// of the lemma, which conflates both regular inflection (`Preferred` /
 /// `Preference` → `prefer`) and irregular forms handled by the lemmatizer
-/// (`Children` → `child`).
+/// (`Children` → `child`). The fields are shared strings, so a word copied
+/// out of a memo clones no text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContentWord {
     /// Lowercased surface token as it appeared in the label.
-    pub surface: String,
+    pub surface: Arc<str>,
     /// Dictionary base form (from the lemmatizer, or the surface itself).
-    pub lemma: String,
+    pub lemma: Arc<str>,
     /// Porter stem of the lemma — the canonical comparison key.
-    pub stem: String,
+    pub stem: Arc<str>,
 }
 
 impl ContentWord {
     /// Build a content word from a lowercased token.
     pub fn new(token: &str, lemmatizer: &dyn Lemmatizer) -> Self {
-        let lemma = lemmatizer.lemma(token).unwrap_or_else(|| token.to_string());
+        let surface: Arc<str> = Arc::from(token);
+        let lemma = match lemmatizer.lemma(token) {
+            Some(lemma) => Arc::from(lemma),
+            None => Arc::clone(&surface),
+        };
         let stem = porter::stem(&lemma);
+        let stem = if *stem == *lemma {
+            Arc::clone(&lemma)
+        } else {
+            Arc::from(stem)
+        };
         ContentWord {
-            surface: token.to_string(),
+            surface,
             lemma,
             stem,
         }
@@ -108,12 +126,17 @@ impl ContentWord {
 /// Split an unknown token into two known words, if possible
 /// (`zipcode` → `(zip, code)`). Both halves must be at least three
 /// characters and recognized by the lemmatizer's vocabulary; known tokens
-/// are never split.
+/// are never split. Only split points whose halves both fit within
+/// [`Lemmatizer::max_word_len`] are probed, so a long token costs at most
+/// twice that many probes, however long it is.
 pub fn split_compound(token: &str, lemmatizer: &dyn Lemmatizer) -> Option<(String, String)> {
     if token.len() < 6 || lemmatizer.is_word(token) {
         return None;
     }
-    for split in 3..=token.len().saturating_sub(3) {
+    let max = lemmatizer.max_word_len().unwrap_or(usize::MAX);
+    let first = token.len().saturating_sub(max).max(3);
+    let last = token.len().saturating_sub(3).min(max);
+    for split in first..=last {
         if !token.is_char_boundary(split) {
             continue;
         }
@@ -125,6 +148,26 @@ pub fn split_compound(token: &str, lemmatizer: &dyn Lemmatizer) -> Option<(Strin
     None
 }
 
+/// The content words one token contributes: the two halves of a
+/// compound (see [`split_compound`]), else the token itself.
+pub fn token_words(token: &str, lemmatizer: &dyn Lemmatizer) -> Vec<ContentWord> {
+    match split_compound(token, lemmatizer) {
+        Some((left, right)) => vec![
+            ContentWord::new(&left, lemmatizer),
+            ContentWord::new(&right, lemmatizer),
+        ],
+        None => vec![ContentWord::new(token, lemmatizer)],
+    }
+}
+
+/// The tokens of a label that carry content: its word tokens (see
+/// [`crate::tokenize`]) without stop words, or all of them when every
+/// one is a stop word. Slices of `lowered`, the label ASCII-lowercased.
+fn content_tokens(lowered: &str) -> impl Iterator<Item = &str> {
+    let keep_all = token_slices(lowered).all(is_stop_word);
+    token_slices(lowered).filter(move |t| keep_all || !is_stop_word(t))
+}
+
 /// Extract the content words of a label (second normalization step).
 ///
 /// Stop words are removed; if removal would leave the label empty (labels
@@ -133,28 +176,23 @@ pub fn split_compound(token: &str, lemmatizer: &dyn Lemmatizer) -> Option<(Strin
 /// distinguishable at the equality level of consistency. Unknown tokens
 /// that decompose into two known words are split (see [`split_compound`]).
 pub fn content_words(label: &str, lemmatizer: &dyn Lemmatizer) -> Vec<ContentWord> {
-    let tokens = tokenize(label);
-    let filtered: Vec<&String> = tokens.iter().filter(|t| !is_stop_word(t)).collect();
-    let chosen: Vec<&String> = if filtered.is_empty() {
-        tokens.iter().collect()
-    } else {
-        filtered
-    };
-    let mut words: Vec<ContentWord> = Vec::with_capacity(chosen.len());
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let push = |token: &str, words: &mut Vec<ContentWord>, seen: &mut BTreeSet<String>| {
-        let cw = ContentWord::new(token, lemmatizer);
-        if seen.insert(cw.stem.clone()) {
-            words.push(cw);
-        }
-    };
-    for token in chosen {
-        match split_compound(token, lemmatizer) {
-            Some((left, right)) => {
-                push(&left, &mut words, &mut seen);
-                push(&right, &mut words, &mut seen);
+    content_words_with(label, |token| token_words(token, lemmatizer))
+}
+
+/// [`content_words`] with each token's words supplied by `analyze`
+/// (which must agree with [`token_words`]), so a caller can memoize the
+/// per-token work. Words are kept in first-seen order, one per stem.
+pub fn content_words_with<W: AsRef<[ContentWord]>>(
+    label: &str,
+    mut analyze: impl FnMut(&str) -> W,
+) -> Vec<ContentWord> {
+    let lowered = label.to_ascii_lowercase();
+    let mut words: Vec<ContentWord> = Vec::new();
+    for token in content_tokens(&lowered) {
+        for word in analyze(token).as_ref() {
+            if !words.iter().any(|w| w.stem == word.stem) {
+                words.push(word.clone());
             }
-            None => push(token, &mut words, &mut seen),
         }
     }
     words
@@ -209,9 +247,11 @@ impl LabelText {
     }
 
     /// Content-word set equality (`equal` of Definition 1):
-    /// `Type of Job` *equal* `Job Type`.
+    /// `Type of Job` *equal* `Job Type`. Each label holds one word per
+    /// stem, so equal counts plus containment is set equality.
     pub fn word_equal(&self, other: &LabelText) -> bool {
-        self.keys() == other.keys()
+        self.words.len() == other.words.len()
+            && (self.words.iter()).all(|w| other.words.iter().any(|o| o.stem == w.stem))
     }
 }
 
@@ -353,6 +393,50 @@ mod compound_tests {
     #[test]
     fn identity_lemmatizer_disables_splitting() {
         assert_eq!(split_compound("zipcode", &IdentityLemmatizer), None);
+    }
+
+    /// A vocabulary of words up to `max` bytes that counts its probes.
+    struct Bounded {
+        max: usize,
+        probes: std::cell::Cell<usize>,
+    }
+    impl Lemmatizer for Bounded {
+        fn lemma(&self, _token: &str) -> Option<String> {
+            None
+        }
+        fn is_word(&self, token: &str) -> bool {
+            self.probes.set(self.probes.get() + 1);
+            token.len() <= self.max && ["zip", "code", "zipzip"].contains(&token)
+        }
+        fn max_word_len(&self) -> Option<usize> {
+            Some(self.max)
+        }
+    }
+
+    /// Only split points whose halves fit the bound are probed, so a
+    /// token of any length costs at most `2 × bound` probes.
+    #[test]
+    fn splitting_probes_only_halves_within_the_bound() {
+        let vocab = Bounded {
+            max: 6,
+            probes: std::cell::Cell::new(0),
+        };
+        assert_eq!(
+            split_compound("zipcode", &vocab),
+            Some(("zip".to_string(), "code".to_string()))
+        );
+        assert_eq!(
+            split_compound("zipzipcode", &vocab),
+            Some(("zipzip".to_string(), "code".to_string()))
+        );
+        for len in [13, 100, 10_000] {
+            vocab.probes.set(0);
+            assert_eq!(split_compound(&"q".repeat(len), &vocab), None);
+            assert_eq!(vocab.probes.get(), 1, "{len}: only the whole token");
+        }
+        vocab.probes.set(0);
+        assert_eq!(split_compound("qqqqqqqqqqqq", &vocab), None);
+        assert_eq!(vocab.probes.get(), 2, "one split point fits");
     }
 
     #[test]

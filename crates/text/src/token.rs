@@ -35,6 +35,15 @@ pub fn tokenize(label: &str) -> Vec<String> {
     tokens
 }
 
+/// The word tokens of an already ASCII-lowercased label, as slices of
+/// it: [`tokenize`] without a copy per token. `tokenize(label)` equals
+/// `token_slices(&label.to_ascii_lowercase())`.
+pub fn token_slices(lowered: &str) -> impl Iterator<Item = &str> {
+    lowered
+        .split(|ch: char| !ch.is_ascii_alphanumeric())
+        .filter(|token| !token.is_empty())
+}
+
 /// Remove a parenthesized / bracketed trailing comment from a label.
 ///
 /// The paper's first normalization step turns `Adults (18-64)` into

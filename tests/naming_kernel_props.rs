@@ -20,8 +20,9 @@
 //! The relations cover case-variant labels (`Adults`/`adults` are
 //! different labels), more than 64 tuples (bitmasks of several words), a
 //! `Combine*` that reaches the state cap, all-null columns, labels that
-//! normalize to nothing, and label pools that connect at each of the
-//! three levels.
+//! normalize to nothing (`?`, `(18-64)`), punctuation variants that are
+//! string-equal (`Zip Code:`, `ZIP-code`), and label pools that connect
+//! at each of the three levels.
 
 use qi_core::combine::{
     enumerate_solutions, greedy_solutions, tuple_expressiveness, TupleSolution, MAX_STATES,
@@ -402,8 +403,8 @@ const FAMILIES: &[&[&str]] = &[
     &["Class", "Class of Ticket", "Ticket Class"],
     &["Preferred Airline", "Airline Preference", "Airline"],
     &["Location", "Property Location"],
-    &["Zip Code", "zip code", "Zip"],
-    &["of", "", "?"],
+    &["Zip Code", "zip code", "Zip", "Zip Code:", "ZIP-code"],
+    &["of", "", "?", "(18-64)"],
 ];
 
 /// Families whose variants are lexicon synonyms only, so relations built

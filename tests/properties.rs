@@ -15,7 +15,11 @@ use qi_core::{ctx::NamingCtx, relations::relate, Labeler};
 use qi_datasets::{SynthConfig, SynthDomain};
 use qi_runtime::SplitMix64;
 use qi_schema::NodeId;
-use qi_text::{display_normalize, stem, tokenize, LabelText};
+use qi_text::{
+    display_normalize, is_stop_word, split_compound, stem, token_slices, tokenize, ContentWord,
+    LabelText, Lemmatizer,
+};
+use std::collections::BTreeSet;
 
 /// Cases per text, relation, context and histogram property.
 const CASES: u64 = 256;
@@ -161,10 +165,76 @@ fn tokenize_and_normalize_shape() {
     }
 }
 
-/// The lexicon's label-text memo is `LabelText::new`: on every label of
-/// the seven builtin domains, on seeded drift labels and on arbitrary
+/// The second normalization step as first written: owned tokens,
+/// stop words dropped unless that leaves nothing, compounds split, and
+/// one word per stem kept through a set — the reference for the slice
+/// tokenizer and linear dedup `LabelText::new` now uses.
+fn reference_words(display: &str, lexicon: &Lexicon) -> Vec<ContentWord> {
+    let tokens = tokenize(display);
+    let filtered: Vec<&String> = tokens.iter().filter(|t| !is_stop_word(t)).collect();
+    let chosen = if filtered.is_empty() {
+        tokens.iter().collect()
+    } else {
+        filtered
+    };
+    let mut words = Vec::new();
+    let mut seen: BTreeSet<String> = BTreeSet::new();
+    for token in chosen {
+        let parts = match split_compound(token, lexicon) {
+            Some((left, right)) => vec![left, right],
+            None => vec![token.clone()],
+        };
+        for part in parts {
+            let word = ContentWord::new(&part, lexicon);
+            if seen.insert(word.stem.to_string()) {
+                words.push(word);
+            }
+        }
+    }
+    words
+}
+
+/// The counters of one of the lexicon's named caches.
+fn lexicon_cache(lexicon: &Lexicon, name: &str) -> qi_runtime::CacheStats {
+    let (_, stats) = (lexicon.named_cache_stats().into_iter())
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("{name} is registered"));
+    stats
+}
+
+/// Labels of two or three random lowercase tokens, some of them builtin
+/// lemmas (so compounds split) and most of them unknown: enough distinct
+/// tokens to overflow the word memo several times.
+fn random_token_labels(base: u64, count: u64, lexicon: &Lexicon) -> Vec<String> {
+    let lemmas: Vec<String> = lexicon
+        .lemmas_in_build_order()
+        .into_iter()
+        .filter(|l| l.bytes().all(|b| b.is_ascii_lowercase()))
+        .collect();
+    cases(base, count)
+        .map(|(_, mut rng)| {
+            let tokens: Vec<String> = (0..2 + rng.gen_range(2))
+                .map(|_| match rng.gen_range(4) {
+                    0 => lemmas[rng.gen_range(lemmas.len())].clone(),
+                    1 => {
+                        let a = &lemmas[rng.gen_range(lemmas.len())];
+                        let b = &lemmas[rng.gen_range(lemmas.len())];
+                        format!("{a}{b}")
+                    }
+                    _ => class_string(&mut rng, LOWER, 3, 12),
+                })
+                .collect();
+            tokens.join(" ")
+        })
+        .collect()
+}
+
+/// The lexicon's label-text memo is `LabelText::new`, and that is the
+/// reference normalization: on every label of the seven builtin domains,
+/// on seeded drift labels, on labels of random tokens and on arbitrary
 /// (hostile) strings, looked up cold and again warm, on one lexicon
-/// whose memo overflows along the way.
+/// whose label memo and word memo both overflow along the way. The slice
+/// tokenizer equals `tokenize` on the arbitrary strings.
 #[test]
 fn label_text_memo_matches_direct_normalization() {
     let lexicon = Lexicon::builtin();
@@ -182,19 +252,141 @@ fn label_text_memo_matches_direct_normalization() {
         .flat_map(|d| &d.schemas)
         .flat_map(|s| s.nodes().filter_map(|n| n.label.clone()))
         .collect();
-    for (_, mut rng) in cases(0x0480_0000_0000, CASES) {
-        labels.push(arbitrary_string(&mut rng, 40));
+    labels.extend(random_token_labels(0x0480_0000_0001, 1_500, &lexicon));
+    for (case, mut rng) in cases(0x0480_0000_0000, CASES) {
+        let label = arbitrary_string(&mut rng, 40);
+        let lowered = label.to_ascii_lowercase();
+        let slices: Vec<&str> = token_slices(&lowered).collect();
+        assert_eq!(slices, tokenize(&label), "case {case}: {label:?}");
+        labels.push(label);
     }
     assert!(
         labels.len() > qi_lexicon::LABEL_TEXT_CAP,
-        "the memo must overflow"
+        "the label memo must overflow"
     );
     for pass in ["cold", "warm"] {
         for raw in &labels {
             let memo = lexicon.label_text(raw);
-            assert_eq!(*memo, LabelText::new(raw, &lexicon), "{pass}: {raw:?}");
+            let direct = LabelText::new(raw, &lexicon);
+            assert_eq!(*memo, direct, "{pass}: {raw:?}");
+            let reference = reference_words(&direct.display, &lexicon);
+            assert_eq!(direct.words, reference, "{pass}: {raw:?}");
         }
     }
+    let words = lexicon_cache(&lexicon, "lexicon.word");
+    assert!(
+        words.misses > 2 * qi_lexicon::WORD_CAP as u64,
+        "the word memo must overflow: {words:?}"
+    );
+    assert!(words.entries <= qi_lexicon::WORD_CAP, "{words:?}");
+}
+
+/// Two fresh lexicons fed the same overflowing label stream evict the
+/// same entries, so their bounded memos report identical counters: the
+/// shard a key lands in does not depend on the process or the instance.
+#[test]
+fn bounded_memo_counters_are_repeatable() {
+    let counters = || {
+        let lexicon = Lexicon::builtin();
+        let labels = random_token_labels(0x0490_0000_0000, 1_200, &lexicon);
+        // Each label comes back at a distance that straddles the caps.
+        for (i, raw) in labels.iter().enumerate() {
+            lexicon.label_text(raw);
+            lexicon.label_text(&labels[i / 2]);
+        }
+        ["lexicon.text", "lexicon.word"].map(|name| lexicon_cache(&lexicon, name))
+    };
+    let first = counters();
+    let [text, words] = first;
+    assert!(text.misses > qi_lexicon::LABEL_TEXT_CAP as u64, "{text:?}");
+    assert!(words.misses > qi_lexicon::WORD_CAP as u64, "{words:?}");
+    assert!(text.hits > 0 && words.hits > 0, "{text:?} {words:?}");
+    assert_eq!(counters(), first);
+}
+
+/// The lexicon with its compound-splitting bound taken away.
+struct Unbounded<'a>(&'a Lexicon);
+
+impl Lemmatizer for Unbounded<'_> {
+    fn lemma(&self, token: &str) -> Option<String> {
+        self.0.lemma(token)
+    }
+
+    fn is_word(&self, token: &str) -> bool {
+        self.0.is_word(token)
+    }
+}
+
+/// Probing only the split points whose halves fit the lexicon's longest
+/// word splits exactly as probing all of them, on compounds of long
+/// lemmas with inflections and random padding around the bound.
+#[test]
+fn bounded_compound_splitting_equals_unbounded() {
+    let lexicon = Lexicon::builtin();
+    let bound = lexicon
+        .max_word_len()
+        .expect("the lexicon bounds its words");
+    let mut lemmas: Vec<String> = lexicon
+        .lemmas_in_build_order()
+        .into_iter()
+        .filter(|l| l.len() >= 3 && l.bytes().all(|b| b.is_ascii_lowercase()))
+        .collect();
+    lemmas.sort_by_key(|l| std::cmp::Reverse(l.len()));
+    assert!(lemmas[0].len() < bound, "{} vs {bound}", lemmas[0]);
+    let long = &lemmas[..40];
+    let mut split = 0;
+    for (case, mut rng) in cases(0x04a0_0000_0000, 4 * CASES) {
+        let half = |rng: &mut SplitMix64| {
+            let pool = if rng.gen_bool(0.5) { long } else { &lemmas[..] };
+            let lemma = &pool[rng.gen_range(pool.len())];
+            let last = &lemma[lemma.len() - 1..];
+            let suffix = ["", "s", "es", "ed", "ing", "er", "est"][rng.gen_range(7)];
+            let doubled = if rng.gen_bool(0.2) { last } else { "" };
+            let pad = if rng.gen_bool(0.3) {
+                class_string(rng, LOWER, 1, bound)
+            } else {
+                String::new()
+            };
+            format!("{lemma}{doubled}{suffix}{pad}")
+        };
+        let token = format!("{}{}", half(&mut rng), half(&mut rng));
+        let bounded = split_compound(&token, &lexicon);
+        assert_eq!(
+            bounded,
+            split_compound(&token, &Unbounded(&lexicon)),
+            "case {case}: {token:?} (bound {bound})"
+        );
+        split += usize::from(bounded.is_some());
+    }
+    assert!(split > CASES as usize / 4, "only {split} tokens split");
+}
+
+/// Content-word set equality without sets is still set equality: it
+/// agrees with comparing `keys()` on every pair of builtin labels and of
+/// seeded arbitrary strings.
+#[test]
+fn word_equal_is_key_set_equality() {
+    let lexicon = Lexicon::builtin();
+    let mut raws: BTreeSet<String> = qi_datasets::all_domains()
+        .iter()
+        .flat_map(|d| &d.schemas)
+        .flat_map(|s| s.nodes().filter_map(|n| n.label.clone()))
+        .collect();
+    for (_, mut rng) in cases(0x04b0_0000_0000, CASES) {
+        raws.insert(arbitrary_string(&mut rng, 24));
+        raws.insert(class_string(&mut rng, LETTERS_AND_SPACE, 1, 20));
+    }
+    let texts: Vec<LabelText> = raws.iter().map(|r| LabelText::new(r, &lexicon)).collect();
+    let keys: Vec<BTreeSet<&str>> = texts.iter().map(LabelText::keys).collect();
+    let mut equal = 0;
+    for (a, ta) in texts.iter().enumerate() {
+        for (b, tb) in texts.iter().enumerate() {
+            let expected = keys[a] == keys[b];
+            assert_eq!(ta.word_equal(tb), expected, "{:?} vs {:?}", ta.raw, tb.raw);
+            equal += usize::from(expected && a != b);
+        }
+    }
+    assert!(equal > 0, "some distinct labels must be word-equal");
 }
 
 /// Definition 1 relations are antisymmetric under flip: computing in the

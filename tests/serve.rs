@@ -1079,3 +1079,34 @@ fn shutdown_endpoint_stops_the_server() {
     assert!(body.contains("shutting down"), "{body}");
     handle.wait();
 }
+
+/// One 200 KiB label (a single token, just under the 256 KiB body cap)
+/// is ingested in bounded time, and the server keeps answering
+/// `/healthz` on another connection while it works.
+#[test]
+fn a_huge_single_token_label_is_ingested_in_bounded_time() {
+    let handle = start(auto_store(), ServerConfig::default());
+    let addr = handle.addr();
+    let token: String = (0..200 * 1024)
+        .map(|i| char::from(b'a' + (i * 7 % 26) as u8))
+        .collect();
+    let body = format!("interface huge\n- Make\n- {token}\n");
+    let started = Instant::now();
+    let ingest = std::thread::spawn(move || post(addr, "/domains/auto/interfaces", &body));
+    loop {
+        let (status, _) = get(addr, "/healthz");
+        assert_eq!(status, 200, "healthz while the ingest runs");
+        if ingest.is_finished() {
+            break;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "the ingest is still running after {:?}",
+            started.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (status, response) = ingest.join().unwrap();
+    assert_eq!(status, 200, "{response}");
+    assert!(response.contains("\"interfaces\":21"), "{response}");
+}

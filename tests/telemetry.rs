@@ -115,9 +115,9 @@ fn counters_satisfy_cross_invariants() {
             "cache {cache}: {hits} + {misses} != {lookups}"
         );
     }
-    // All seven instrumented caches are present: four lexicon memos, the
+    // All eight instrumented caches are present: five lexicon memos, the
     // stemmer, and the two per-run naming-context caches.
-    assert_eq!(caches, 7, "cache names: {:?}", doc.counters.keys());
+    assert_eq!(caches, 8, "cache names: {:?}", doc.counters.keys());
 
     // The matcher scores at least as many candidates as it accepts, and
     // accepts at least as many pairs as it merges clusters (a merge
