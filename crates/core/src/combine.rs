@@ -14,6 +14,7 @@ use crate::consistency::ConsistencyLevel;
 use crate::ctx::NamingCtx;
 use crate::kernel::{bits, InternedRelation, RowIndex};
 use crate::partition::TuplePartition;
+use qi_runtime::Symbol;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -21,7 +22,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TupleSolution {
     /// Labels per column; non-null on every covered column.
-    pub labels: Vec<Option<String>>,
+    pub labels: Vec<Option<Symbol>>,
     /// Indices of the relation tuples that contributed components.
     pub used_tuples: BTreeSet<usize>,
     /// True if the solution is a single source tuple (Definition 4's
@@ -108,7 +109,7 @@ impl Derivation {
     pub(crate) fn solution(
         &self,
         s: usize,
-        relation: &mut InternedRelation<'_>,
+        relation: &mut InternedRelation,
         partition: &TuplePartition,
     ) -> TupleSolution {
         let row = self.row(s);
@@ -119,7 +120,9 @@ impl Derivation {
             frequency > 0 && partition.tuples.iter().any(|&t| relation.row(t) == row)
         };
         TupleSolution {
-            labels: relation.labels_of(row),
+            labels: (row.iter().enumerate())
+                .map(|(c, &id)| relation.sym(c, id))
+                .collect(),
             used_tuples: self.used(s),
             is_candidate,
             expressiveness: relation.expressiveness(row),
@@ -130,7 +133,7 @@ impl Derivation {
     /// Materialize every tuple-solution.
     pub(crate) fn all_solutions(
         &self,
-        relation: &mut InternedRelation<'_>,
+        relation: &mut InternedRelation,
         partition: &TuplePartition,
     ) -> Vec<TupleSolution> {
         self.solutions
@@ -140,7 +143,7 @@ impl Derivation {
     }
 }
 
-fn member_mask(relation: &InternedRelation<'_>, partition: &TuplePartition) -> Vec<u64> {
+fn member_mask(relation: &InternedRelation, partition: &TuplePartition) -> Vec<u64> {
     let mut mask = vec![0u64; relation.words()];
     for &t in &partition.tuples {
         mask[t / 64] |= 1 << (t % 64);
@@ -156,7 +159,7 @@ fn complete(row: &[u32], partition: &TuplePartition) -> bool {
 /// those that add information (non-null where the row is null) and are
 /// consistent with the row, as a bitmask. `scratch` is working space.
 fn extensions(
-    relation: &mut InternedRelation<'_>,
+    relation: &mut InternedRelation,
     row: &[u32],
     members: &[u64],
     level: ConsistencyLevel,
@@ -186,7 +189,7 @@ fn extensions(
 /// the partition's covered columns. Records the explored states (and
 /// whether [`MAX_STATES`] cut the search) in `ctx`.
 pub(crate) fn combine_star(
-    relation: &mut InternedRelation<'_>,
+    relation: &mut InternedRelation,
     partition: &TuplePartition,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
@@ -244,7 +247,7 @@ pub(crate) fn combine_star(
 /// `Combine*` (Definition 4), complete on the partition's covered
 /// columns, in derivation order.
 pub fn enumerate_solutions(
-    relation: &mut InternedRelation<'_>,
+    relation: &mut InternedRelation,
     partition: &TuplePartition,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
@@ -256,7 +259,7 @@ pub fn enumerate_solutions(
 /// (deduplicated by row). Gives the ranking stage alternatives to choose
 /// from even when exhaustive enumeration is off the table.
 pub(crate) fn greedy_derivation(
-    relation: &mut InternedRelation<'_>,
+    relation: &mut InternedRelation,
     partition: &TuplePartition,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
@@ -285,7 +288,7 @@ pub(crate) fn greedy_derivation(
 
 /// [`greedy_derivation`], materialized.
 pub fn greedy_solutions(
-    relation: &mut InternedRelation<'_>,
+    relation: &mut InternedRelation,
     partition: &TuplePartition,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
@@ -301,7 +304,7 @@ pub fn greedy_solutions(
 /// (ties: the lowest tuple index). Appends its steps to `out`; returns the
 /// final state when it is complete on the covered columns.
 fn greedy_from(
-    relation: &mut InternedRelation<'_>,
+    relation: &mut InternedRelation,
     partition: &TuplePartition,
     members: &[u64],
     level: ConsistencyLevel,
@@ -347,10 +350,10 @@ fn greedy_from(
 }
 
 /// Distinct content words across the non-null labels of a row (§4.2.1).
-pub fn tuple_expressiveness(labels: &[Option<String>], ctx: &NamingCtx<'_>) -> usize {
+pub fn tuple_expressiveness(labels: &[Option<Symbol>], ctx: &NamingCtx<'_>) -> usize {
     let mut keys: BTreeSet<Arc<str>> = BTreeSet::new();
-    for label in labels.iter().flatten() {
-        for word in &ctx.text(label).words {
+    for &label in labels.iter().flatten() {
+        for word in &ctx.text_sym(label).words {
             keys.insert(word.stem.clone());
         }
     }
@@ -360,9 +363,10 @@ pub fn tuple_expressiveness(labels: &[Option<String>], ctx: &NamingCtx<'_>) -> u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::GroupRelation;
     use crate::partition::partition_tuples;
     use qi_lexicon::Lexicon;
-    use qi_mapping::{ClusterId, GroupRelation};
+    use qi_mapping::ClusterId;
 
     fn cids(n: u32) -> Vec<ClusterId> {
         (0..n).map(ClusterId).collect()
@@ -392,14 +396,15 @@ mod tests {
                 vec![None, Some("Adults"), Some("Children"), Some("Infants")],
                 vec![Some("Seniors"), Some("Adults"), Some("Children"), None],
             ],
+            &ctx,
         );
         let result = partition_tuples(&relation, ConsistencyLevel::String, &ctx);
         let full = &result.partitions[result.full[0]];
         let mut interned = InternedRelation::new(&relation, &ctx);
         let solutions = enumerate_solutions(&mut interned, full, ConsistencyLevel::String, &ctx);
-        let expected: Vec<Option<String>> = ["Seniors", "Adults", "Children", "Infants"]
+        let expected: Vec<Option<Symbol>> = ["Seniors", "Adults", "Children", "Infants"]
             .iter()
-            .map(|s| Some(s.to_string()))
+            .map(|s| Some(ctx.sym(s)))
             .collect();
         assert!(
             solutions.iter().any(|s| s.labels == expected),
@@ -420,6 +425,7 @@ mod tests {
                 vec![Some("Make"), Some("Model")],
                 vec![Some("Make"), None],
             ],
+            &ctx,
         );
         let result = partition_tuples(&relation, ConsistencyLevel::String, &ctx);
         assert!(result.has_full_cover());
@@ -441,16 +447,17 @@ mod tests {
     fn expressiveness_prefers_descriptive() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let a: Vec<Option<String>> = vec![
-            Some("Max. Number of Stops".to_string()),
-            Some("Class of Ticket".to_string()),
-            Some("Preferred Airline".to_string()),
-        ];
-        let b: Vec<Option<String>> = vec![
-            Some("Number of Connections".to_string()),
-            Some("Class of Ticket".to_string()),
-            Some("Airline Preference".to_string()),
-        ];
+        let row = |labels: [&str; 3]| labels.map(|l| Some(ctx.sym(l)));
+        let a = row([
+            "Max. Number of Stops",
+            "Class of Ticket",
+            "Preferred Airline",
+        ]);
+        let b = row([
+            "Number of Connections",
+            "Class of Ticket",
+            "Airline Preference",
+        ]);
         assert!(tuple_expressiveness(&a, &ctx) > tuple_expressiveness(&b, &ctx));
     }
 
@@ -467,6 +474,7 @@ mod tests {
                 vec![Some("State"), None, None],
                 vec![None, None, Some("Zip")],
             ],
+            &ctx,
         );
         let result = partition_tuples(&relation, ConsistencyLevel::String, &ctx);
         assert!(!result.has_full_cover());

@@ -8,7 +8,8 @@
 //! so that tuple's pair of labels is a safe replacement.
 
 use crate::ctx::NamingCtx;
-use qi_mapping::GroupRelation;
+use crate::kernel::GroupRelation;
+use qi_runtime::Symbol;
 use std::collections::{BTreeSet, HashMap};
 
 /// Column pairs of a solution whose labels are homonym-conflicted:
@@ -18,37 +19,29 @@ use std::collections::{BTreeSet, HashMap};
 /// repair example substitutes exactly such a synonym.
 ///
 /// `a equal b` (or stronger) holds exactly when both labels survive
-/// normalization non-empty and either their display forms match
-/// case-insensitively (`string_equal`) or their content-word key sets
-/// match (`equal`) — both are *equivalence* signatures, so conflicts are
-/// found by bucketing the columns on the two signatures instead of
-/// probing all O(n²) pairs. Matters for the wide root group, where this
-/// runs on every (incremental) relabel.
-pub fn find_conflicts(labels: &[Option<String>], ctx: &NamingCtx<'_>) -> Vec<(usize, usize)> {
-    let texts: Vec<_> = labels
-        .iter()
-        .map(|l| l.as_ref().map(|s| ctx.text(s)))
-        .collect();
-    let mut by_display: HashMap<String, Vec<usize>> = HashMap::new();
+/// normalization non-empty and their content-word key sets match: string
+/// equality (displays equal ignoring case) implies equal key sets,
+/// because word analysis lowercases the display first. Key-set equality
+/// is an equivalence, so conflicts are found by bucketing the columns on
+/// that one signature instead of probing all O(n²) pairs. Matters for
+/// the wide root group, where this runs on every (incremental) relabel.
+pub fn find_conflicts(labels: &[Option<Symbol>], ctx: &NamingCtx<'_>) -> Vec<(usize, usize)> {
+    let texts: Vec<_> = labels.iter().map(|l| l.map(|s| ctx.text_sym(s))).collect();
     let mut by_keys: HashMap<Vec<&str>, Vec<usize>> = HashMap::new();
     for (i, text) in texts.iter().enumerate() {
         let Some(text) = text else { continue };
         if text.is_empty() {
             continue; // relate() treats empty labels as unrelated
         }
-        by_display
-            .entry(text.display.to_ascii_lowercase())
-            .or_default()
-            .push(i);
         by_keys
             .entry(text.keys().into_iter().collect())
             .or_default()
             .push(i);
     }
-    // Union of both signatures' in-bucket pairs, in the (i, j)
-    // lexicographic order a pairwise scan would emit.
+    // The in-bucket pairs, in the (i, j) lexicographic order a pairwise
+    // scan would emit.
     let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for bucket in by_display.values().chain(by_keys.values()) {
+    for bucket in by_keys.values() {
         for (a, &i) in bucket.iter().enumerate() {
             for &j in &bucket[a + 1..] {
                 pairs.insert((i, j));
@@ -63,7 +56,7 @@ pub fn find_conflicts(labels: &[Option<String>], ctx: &NamingCtx<'_>) -> Vec<(us
 /// `Some(false)` when at least one conflict remains, and `None` when the
 /// solution had no conflicts.
 pub fn repair_conflicts(
-    labels: &mut [Option<String>],
+    labels: &mut [Option<Symbol>],
     relation: &GroupRelation,
     ctx: &NamingCtx<'_>,
 ) -> Option<bool> {
@@ -83,32 +76,32 @@ pub fn repair_conflicts(
 /// Repair a single conflicting pair by borrowing a disambiguating pair of
 /// labels from a source tuple (§4.2.3's `Employment Type` example).
 fn repair_one(
-    labels: &mut [Option<String>],
+    labels: &mut [Option<Symbol>],
     i: usize,
     j: usize,
     relation: &GroupRelation,
     ctx: &NamingCtx<'_>,
 ) -> bool {
-    let (Some(li), Some(lj)) = (labels[i].clone(), labels[j].clone()) else {
+    let (Some(li), Some(lj)) = (labels[i], labels[j]) else {
         return false;
     };
     for tuple in &relation.tuples {
-        let (Some(ti), Some(tj)) = (&tuple.labels[i], &tuple.labels[j]) else {
+        let (Some(ti), Some(tj)) = (tuple.labels[i], tuple.labels[j]) else {
             continue;
         };
         // The source itself must be unambiguous.
-        if ctx.equal(ti, tj) {
+        if ctx.equal_sym(ti, tj) {
             continue;
         }
         // Case 1: the tuple agrees with the solution on column i and
         // offers a different label for column j.
-        if ctx.equal(ti, &li) && !ctx.equal(tj, &li) {
-            labels[j] = Some(tj.clone());
+        if ctx.equal_sym(ti, li) && !ctx.equal_sym(tj, li) {
+            labels[j] = Some(tj);
             return true;
         }
         // Case 2: symmetric.
-        if ctx.equal(tj, &lj) && !ctx.equal(ti, &lj) {
-            labels[i] = Some(ti.clone());
+        if ctx.equal_sym(tj, lj) && !ctx.equal_sym(ti, lj) {
+            labels[i] = Some(ti);
             return true;
         }
     }
@@ -125,27 +118,78 @@ mod tests {
         (0..n).map(ClusterId).collect()
     }
 
+    fn syms(labels: &[Option<&str>], ctx: &NamingCtx<'_>) -> Vec<Option<Symbol>> {
+        labels.iter().map(|l| l.map(|l| ctx.sym(l))).collect()
+    }
+
     #[test]
     fn detects_equal_level_conflicts() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let labels = vec![
-            Some("Job Type".to_string()),
-            Some("Type of Job".to_string()),
-            Some("Company Name".to_string()),
-        ];
+        let labels = syms(
+            &[Some("Job Type"), Some("Type of Job"), Some("Company Name")],
+            &ctx,
+        );
         let conflicts = find_conflicts(&labels, &ctx);
         assert_eq!(conflicts, vec![(0, 1)]);
+    }
+
+    /// Labels whose displays are equal ignoring case always have equal
+    /// content-word key sets, so bucketing on key sets alone finds every
+    /// string-equal pair — on case, punctuation and stop-word variants
+    /// and on labels that normalize to nothing.
+    #[test]
+    fn equal_displays_imply_equal_key_sets() {
+        let lex = Lexicon::builtin();
+        let ctx = NamingCtx::new(&lex);
+        let labels = [
+            "Zip Code:",
+            "ZIP-code",
+            "zip code",
+            "Zipcode",
+            "Adults",
+            "adults",
+            "ADULTS",
+            "of",
+            "OF",
+            "?",
+            "(18-64)",
+            "",
+        ];
+        let mut display_equal_pairs = 0;
+        for a in labels {
+            for b in labels {
+                let (ta, tb) = (ctx.text_sym(ctx.sym(a)), ctx.text_sym(ctx.sym(b)));
+                if ta.display.eq_ignore_ascii_case(&tb.display) {
+                    display_equal_pairs += 1;
+                    assert_eq!(ta.keys(), tb.keys(), "{a:?} vs {b:?}");
+                }
+            }
+        }
+        // Beyond the diagonal, ordered pairs within the classes
+        // {Zip Code:, ZIP-code, zip code}, {Adults, adults, ADULTS},
+        // {of, OF} and the empty {?, (18-64), ""}.
+        assert_eq!(display_equal_pairs, labels.len() + 6 + 6 + 2 + 6);
+        let row = syms(
+            &[
+                Some("Zip Code:"),
+                Some("ZIP-code"),
+                Some("?"),
+                Some("(18-64)"),
+            ],
+            &ctx,
+        );
+        assert_eq!(find_conflicts(&row, &ctx), vec![(0, 1)]);
     }
 
     #[test]
     fn no_conflict_in_clean_solution() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let labels = vec![Some("Make".to_string()), Some("Model".to_string()), None];
+        let labels = syms(&[Some("Make"), Some("Model"), None], &ctx);
         assert!(find_conflicts(&labels, &ctx).is_empty());
         let mut l = labels.clone();
-        let relation = GroupRelation::from_rows(&cids(3), &[]);
+        let relation = GroupRelation::from_rows(&cids(3), &[], &ctx);
         assert_eq!(repair_conflicts(&mut l, &relation, &ctx), None);
     }
 
@@ -156,28 +200,25 @@ mod tests {
     fn paper_repair_example() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
+        let solution = [
+            Some("Position Options"),
+            Some("Job Type"),
+            Some("Type of Job"),
+            Some("Company Name"),
+        ];
         let relation = GroupRelation::from_rows(
             &cids(4),
             &[
-                vec![
-                    Some("Position Options"),
-                    Some("Job Type"),
-                    Some("Type of Job"),
-                    Some("Company Name"),
-                ],
+                solution.to_vec(),
                 vec![None, Some("Job Type"), Some("Employment Type"), None],
             ],
+            &ctx,
         );
-        let mut labels = vec![
-            Some("Position Options".to_string()),
-            Some("Job Type".to_string()),
-            Some("Type of Job".to_string()),
-            Some("Company Name".to_string()),
-        ];
+        let mut labels = syms(&solution, &ctx);
         let outcome = repair_conflicts(&mut labels, &relation, &ctx);
         assert_eq!(outcome, Some(true));
-        assert_eq!(labels[2].as_deref(), Some("Employment Type"));
-        assert_eq!(labels[1].as_deref(), Some("Job Type"));
+        assert_eq!(labels[2], Some(ctx.sym("Employment Type")));
+        assert_eq!(labels[1], Some(ctx.sym("Job Type")));
         assert!(find_conflicts(&labels, &ctx).is_empty());
     }
 
@@ -192,15 +233,13 @@ mod tests {
                 vec![Some("Job Type"), None],
                 vec![None, Some("Type of Job")],
             ],
+            &ctx,
         );
-        let mut labels = vec![
-            Some("Job Type".to_string()),
-            Some("Type of Job".to_string()),
-        ];
+        let original = syms(&[Some("Job Type"), Some("Type of Job")], &ctx);
+        let mut labels = original.clone();
         assert_eq!(repair_conflicts(&mut labels, &relation, &ctx), Some(false));
         // The solution is untouched.
-        assert_eq!(labels[0].as_deref(), Some("Job Type"));
-        assert_eq!(labels[1].as_deref(), Some("Type of Job"));
+        assert_eq!(labels, original);
     }
 
     #[test]
@@ -208,12 +247,9 @@ mod tests {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
         // The only both-columns tuple is itself ambiguous — useless.
-        let relation =
-            GroupRelation::from_rows(&cids(2), &[vec![Some("Job Type"), Some("Type of Job")]]);
-        let mut labels = vec![
-            Some("Job Type".to_string()),
-            Some("Type of Job".to_string()),
-        ];
+        let row = [Some("Job Type"), Some("Type of Job")];
+        let relation = GroupRelation::from_rows(&cids(2), &[row.to_vec()], &ctx);
+        let mut labels = syms(&row, &ctx);
         assert_eq!(repair_conflicts(&mut labels, &relation, &ctx), Some(false));
     }
 }

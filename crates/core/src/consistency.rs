@@ -61,9 +61,9 @@ impl std::fmt::Display for ConsistencyLevel {
 mod tests {
     use super::*;
     use crate::ctx::NamingCtx;
-    use crate::kernel::InternedRelation;
+    use crate::kernel::{GroupRelation, InternedRelation};
     use qi_lexicon::Lexicon;
-    use qi_mapping::{ClusterId, GroupRelation};
+    use qi_mapping::ClusterId;
 
     /// Definition 2 on a two-tuple relation.
     fn tuples_consistent(
@@ -73,7 +73,7 @@ mod tests {
         ctx: &NamingCtx<'_>,
     ) -> bool {
         let clusters: Vec<ClusterId> = (0..a.len() as u32).map(ClusterId).collect();
-        let relation = GroupRelation::from_rows(&clusters, &[a.to_vec(), b.to_vec()]);
+        let relation = GroupRelation::from_rows(&clusters, &[a.to_vec(), b.to_vec()], ctx);
         let mut interned = InternedRelation::new(&relation, ctx);
         let forward = interned.consistent(0, 1, level, ctx);
         assert_eq!(forward, interned.consistent(1, 0, level, ctx), "symmetric");

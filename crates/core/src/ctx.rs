@@ -2,14 +2,19 @@
 //! memoization.
 //!
 //! Group relations compare the same labels over and over (every pair of
-//! tuples, at every consistency level, in every group). `NamingCtx`
-//! interns each raw label into a dense [`Symbol`] on first sight,
-//! normalizes it once, and memoizes every pairwise relation keyed by
-//! `(Symbol, Symbol)` — so the steady-state cost of a comparison is one
-//! integer-pair cache probe, with no `String` clones or hashes of raw
-//! label text. All state is lock-striped ([`qi_runtime::ShardedCache`])
-//! and the context is `Sync`: one context serves a whole domain run,
-//! including phase-1 group naming fanned out across threads.
+//! tuples, at every consistency level, in every group). A labeling run
+//! interns each source label once into a dense [`Symbol`]
+//! ([`crate::kernel::LabelSymbols`]) and from then on the naming layer
+//! speaks only symbols: `NamingCtx` normalizes each symbol's label once
+//! and memoizes every pairwise relation keyed by `(Symbol, Symbol)`, so
+//! the steady-state cost of a comparison is one integer-pair cache
+//! probe, with no `String` clones or hashes of raw label text. Every
+//! predicate takes symbols; spellings come back ([`NamingCtx::spelling`],
+//! [`NamingCtx::spellings`]) only to break ties and to write the labeled
+//! tree and the report. All state is lock-striped
+//! ([`qi_runtime::ShardedCache`]) and the context is `Sync`: one context
+//! serves a whole domain run, including phase-1 group naming fanned out
+//! across threads.
 
 use crate::relations::{relate, LabelRelation};
 use qi_lexicon::Lexicon;
@@ -92,9 +97,13 @@ impl<'a> NamingCtx<'a> {
         self.memo.interner.resolve(sym)
     }
 
-    /// Normalized form of a raw label (memoized).
-    pub fn text(&self, raw: &str) -> Arc<LabelText> {
-        self.text_sym(self.sym(raw))
+    /// A row of interned labels as owned strings, for the labeled tree
+    /// and the report.
+    pub fn spellings(&self, labels: &[Option<Symbol>]) -> Vec<Option<String>> {
+        labels
+            .iter()
+            .map(|l| l.map(|sym| self.spelling(sym).to_string()))
+            .collect()
     }
 
     /// Normalized form of an interned label (memoized). A miss takes the
@@ -109,13 +118,8 @@ impl<'a> NamingCtx<'a> {
         t
     }
 
-    /// Definition 1 relation between two raw labels (memoized, symmetric
-    /// up to [`LabelRelation::flip`]).
-    pub fn relate(&self, a: &str, b: &str) -> LabelRelation {
-        self.relate_sym(self.sym(a), self.sym(b))
-    }
-
-    /// Definition 1 relation between two interned labels.
+    /// Definition 1 relation between two interned labels (memoized,
+    /// symmetric up to [`LabelRelation::flip`]).
     pub fn relate_sym(&self, a: Symbol, b: Symbol) -> LabelRelation {
         if let Some(r) = self.memo.relations.get(&(a, b)) {
             return r;
@@ -128,16 +132,6 @@ impl<'a> NamingCtx<'a> {
         r
     }
 
-    /// `a` and `b` have identical display forms.
-    pub fn string_equal(&self, a: &str, b: &str) -> bool {
-        self.relate(a, b) == LabelRelation::StringEqual
-    }
-
-    /// `a equal b` or stronger.
-    pub fn equal(&self, a: &str, b: &str) -> bool {
-        self.equal_sym(self.sym(a), self.sym(b))
-    }
-
     /// `a equal b` or stronger, on interned labels. Identical symbols
     /// short-circuit to `true` without touching the relation cache.
     pub fn equal_sym(&self, a: Symbol, b: Symbol) -> bool {
@@ -148,46 +142,15 @@ impl<'a> NamingCtx<'a> {
             )
     }
 
-    /// `a synonym b` or stronger.
-    pub fn synonym(&self, a: &str, b: &str) -> bool {
-        matches!(
-            self.relate(a, b),
-            LabelRelation::StringEqual | LabelRelation::Equal | LabelRelation::Synonym
-        )
-    }
-
-    /// `a` is a strict hypernym of `b`.
-    pub fn hypernym(&self, a: &str, b: &str) -> bool {
-        self.relate(a, b) == LabelRelation::Hypernym
-    }
-
     /// `a` is a strict hypernym of `b`, on interned labels.
     pub fn hypernym_sym(&self, a: Symbol, b: Symbol) -> bool {
         a != b && self.relate_sym(a, b) == LabelRelation::Hypernym
     }
 
-    /// Expressiveness of an interned label.
+    /// Expressiveness (content-word count) of an interned label
+    /// (§4.2.1).
     pub fn expressiveness_sym(&self, sym: Symbol) -> usize {
         self.text_sym(sym).expressiveness()
-    }
-
-    /// `a` is *semantically at least as general as* `b` by lexical
-    /// evidence alone: equal, synonym or hypernym (Definition 5 condition
-    /// (i); condition (ii), descendant-leaf containment, is structural and
-    /// checked by the caller).
-    pub fn at_least_as_general(&self, a: &str, b: &str) -> bool {
-        matches!(
-            self.relate(a, b),
-            LabelRelation::StringEqual
-                | LabelRelation::Equal
-                | LabelRelation::Synonym
-                | LabelRelation::Hypernym
-        )
-    }
-
-    /// Expressiveness (content-word count) of a raw label (§4.2.1).
-    pub fn expressiveness(&self, raw: &str) -> usize {
-        self.text(raw).expressiveness()
     }
 
     /// Number of labels normalized so far (diagnostics).
@@ -245,8 +208,8 @@ mod tests {
     fn memoization_returns_same_arc() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let a = ctx.text("Zip Code");
-        let b = ctx.text("Zip Code");
+        let a = ctx.text_sym(ctx.sym("Zip Code"));
+        let b = ctx.text_sym(ctx.sym("Zip Code"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(ctx.cached_labels(), 1);
     }
@@ -266,29 +229,39 @@ mod tests {
     fn relate_is_cached_symmetrically() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        assert_eq!(
-            ctx.relate("Class", "Class of Tickets"),
-            LabelRelation::Hypernym
-        );
+        let (class, tickets) = (ctx.sym("Class"), ctx.sym("Class of Tickets"));
+        assert_eq!(ctx.relate_sym(class, tickets), LabelRelation::Hypernym);
         // The flipped direction is answered from cache.
-        assert_eq!(
-            ctx.relate("Class of Tickets", "Class"),
-            LabelRelation::Hyponym
-        );
+        let before = ctx.cache_stats().hits;
+        assert_eq!(ctx.relate_sym(tickets, class), LabelRelation::Hyponym);
+        assert_eq!(ctx.cache_stats().hits, before + 1);
     }
 
     #[test]
     fn predicate_helpers() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        assert!(ctx.string_equal("From", "from"));
-        assert!(ctx.equal("Job Type", "Type of Job"));
-        assert!(ctx.synonym("Area of Study", "Field of Work"));
-        assert!(ctx.hypernym("Location", "Property Location"));
-        assert!(ctx.at_least_as_general("Location", "Location"));
-        assert!(ctx.at_least_as_general("Class", "Flight Class"));
-        assert!(!ctx.at_least_as_general("Flight Class", "Class"));
-        assert_eq!(ctx.expressiveness("Max. Number of Stops"), 3);
+        let s = |label: &str| ctx.sym(label);
+        assert_eq!(
+            ctx.relate_sym(s("From"), s("from")),
+            LabelRelation::StringEqual
+        );
+        assert!(ctx.equal_sym(s("Job Type"), s("Type of Job")));
+        assert!(!ctx.equal_sym(s("Job Type"), s("Employment Type")));
+        assert!(ctx.hypernym_sym(s("Location"), s("Property Location")));
+        assert!(!ctx.hypernym_sym(s("Location"), s("Location")));
+        assert_eq!(ctx.expressiveness_sym(s("Max. Number of Stops")), 3);
+    }
+
+    #[test]
+    fn spellings_make_owned_strings() {
+        let lex = Lexicon::builtin();
+        let ctx = NamingCtx::new(&lex);
+        let beta = ctx.sym("Beta");
+        assert_eq!(
+            ctx.spellings(&[Some(beta), None]),
+            vec![Some("Beta".to_string()), None]
+        );
     }
 
     /// A context over a carried memo counts only its own lookups: the
@@ -298,11 +271,11 @@ mod tests {
         let lex = Lexicon::builtin();
         let memo = Arc::new(NamingMemo::default());
         let first = NamingCtx::with_memo(&lex, Arc::clone(&memo));
-        first.text("Zip Code");
-        first.text("City");
+        first.text_sym(first.sym("Zip Code"));
+        first.text_sym(first.sym("City"));
         let second = NamingCtx::with_memo(&lex, memo);
-        second.text("Zip Code");
-        second.text("State");
+        second.text_sym(second.sym("Zip Code"));
+        second.text_sym(second.sym("State"));
         let [_, (_, texts)] = second.named_cache_stats();
         assert_eq!((texts.hits, texts.misses, texts.entries), (1, 1, 3));
     }
@@ -315,8 +288,8 @@ mod tests {
             for _ in 0..4 {
                 let ctx = &ctx;
                 scope.spawn(move || {
-                    assert!(ctx.equal("Job Type", "Type of Job"));
-                    assert!(ctx.hypernym("Location", "Property Location"));
+                    assert!(ctx.equal_sym(ctx.sym("Job Type"), ctx.sym("Type of Job")));
+                    assert!(ctx.hypernym_sym(ctx.sym("Location"), ctx.sym("Property Location")));
                 });
             }
         });

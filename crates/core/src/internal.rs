@@ -22,6 +22,7 @@
 
 use crate::ctx::NamingCtx;
 use crate::instances::instances_subset;
+use crate::relations::LabelRelation;
 use crate::report::{InferenceRule, LiUsage};
 use qi_mapping::ClusterId;
 use qi_runtime::Symbol;
@@ -32,8 +33,8 @@ use std::sync::Arc;
 /// contained in the global node's descendant clusters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PotentialLabel {
-    /// The source node's label.
-    pub label: String,
+    /// The source node's interned label.
+    pub label: Symbol,
     /// Source schema index.
     pub schema: usize,
     /// Clusters covered by the source node's descendant fields.
@@ -68,8 +69,8 @@ pub struct CandidateLabel {
 pub struct ClusterInfo {
     /// Union of instance domains of the cluster's fields.
     pub instances: Vec<String>,
-    /// Labels of the cluster's fields (across schemas).
-    pub field_labels: Vec<String>,
+    /// Interned labels of the cluster's fields (across schemas).
+    pub field_labels: Vec<Symbol>,
 }
 
 /// Equivalence class of equal potential labels. Variants are interned
@@ -115,11 +116,11 @@ pub fn find_candidates(
     for potential in potentials {
         if potential.bag.is_empty()
             || !potential.bag.is_subset(x)
-            || ctx.text(&potential.label).is_empty()
+            || ctx.text_sym(potential.label).is_empty()
         {
             continue;
         }
-        let psym = ctx.sym(&potential.label);
+        let psym = potential.label;
         match classes
             .iter_mut()
             .find(|c| ctx.equal_sym(c.representative(), psym))
@@ -262,14 +263,14 @@ fn li5_extends(
         let mut w_words: BTreeSet<Arc<str>> = BTreeSet::new();
         for cluster in &w {
             if let Some(ci) = info.get(cluster) {
-                for label in &ci.field_labels {
-                    for word in &ctx.text(label).words {
+                for &label in &ci.field_labels {
+                    for word in &ctx.text_sym(label).words {
                         w_words.insert(word.stem.clone());
                     }
                 }
             }
         }
-        let label_words = ctx.text(&potential.label);
+        let label_words = ctx.text_sym(potential.label);
         if !label_words.words.is_empty()
             && label_words.words.iter().all(|w| w_words.contains(&w.stem))
         {
@@ -326,16 +327,22 @@ fn collapse_equivalent(
 }
 
 /// Definition 5: label `la` (of a node covering `bag_a`) is *semantically
-/// at least as general as* `lb` (covering `bag_b`) — lexically, or because
-/// `bag_b ⊆ bag_a`.
+/// at least as general as* `lb` (covering `bag_b`) — lexically (equal,
+/// synonym or hypernym), or because `bag_b ⊆ bag_a`.
 pub fn at_least_as_general(
-    la: &str,
+    la: Symbol,
     bag_a: &BTreeSet<ClusterId>,
-    lb: &str,
+    lb: Symbol,
     bag_b: &BTreeSet<ClusterId>,
     ctx: &NamingCtx<'_>,
 ) -> bool {
-    ctx.at_least_as_general(la, lb) || bag_b.is_subset(bag_a)
+    matches!(
+        ctx.relate_sym(la, lb),
+        LabelRelation::StringEqual
+            | LabelRelation::Equal
+            | LabelRelation::Synonym
+            | LabelRelation::Hypernym
+    ) || bag_b.is_subset(bag_a)
 }
 
 #[cfg(test)]
@@ -347,23 +354,39 @@ mod tests {
         ids.iter().map(|&i| ClusterId(i)).collect()
     }
 
-    fn pot(label: &str, schema: usize, bag: &[u32]) -> PotentialLabel {
-        PotentialLabel {
-            label: label.to_string(),
-            schema,
-            bag: set(bag),
-        }
+    fn pot(label: &'static str, schema: usize, bag: &[u32]) -> (&'static str, usize, Vec<u32>) {
+        (label, schema, bag.to_vec())
     }
 
+    /// Candidates for `x`; potentials and field labels are interned
+    /// against a fresh context.
     fn run(
         x: &BTreeSet<ClusterId>,
-        potentials: &[PotentialLabel],
-        info: &BTreeMap<ClusterId, ClusterInfo>,
+        potentials: &[(&str, usize, Vec<u32>)],
+        field_info: &[(u32, &[&str], &[&str])],
     ) -> (Vec<CandidateLabel>, LiUsage) {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
+        let potentials: Vec<PotentialLabel> = potentials
+            .iter()
+            .map(|(label, schema, bag)| PotentialLabel {
+                label: ctx.sym(label),
+                schema: *schema,
+                bag: set(bag),
+            })
+            .collect();
+        let info: BTreeMap<ClusterId, ClusterInfo> = field_info
+            .iter()
+            .map(|&(cluster, instances, labels)| {
+                let info = ClusterInfo {
+                    instances: instances.iter().map(|s| s.to_string()).collect(),
+                    field_labels: labels.iter().map(|l| ctx.sym(l)).collect(),
+                };
+                (ClusterId(cluster), info)
+            })
+            .collect();
         let mut usage = LiUsage::default();
-        let candidates = find_candidates(x, potentials, info, &ctx, &mut usage);
+        let candidates = find_candidates(x, &potentials, &info, &ctx, &mut usage);
         (candidates, usage)
     }
 
@@ -378,7 +401,7 @@ mod tests {
             pot("Location", 1, &[1, 2]),
             pot("Address", 2, &[0]),
         ];
-        let (candidates, usage) = run(&x, &potentials, &BTreeMap::new());
+        let (candidates, usage) = run(&x, &potentials, &[]);
         let location = candidates.iter().find(|c| &*c.label == "Location").unwrap();
         assert_eq!(location.rule, InferenceRule::Li2);
         assert_eq!(location.schemas, BTreeSet::from([0, 1]));
@@ -398,7 +421,7 @@ mod tests {
             pot("Airline Preferences", 1, &[0]),
             pot("What are your service preferences?", 2, &[1]),
         ];
-        let (candidates, usage) = run(&x, &potentials, &BTreeMap::new());
+        let (candidates, usage) = run(&x, &potentials, &[]);
         let general = candidates
             .iter()
             .find(|c| &*c.label == "Do you have any preferences?")
@@ -418,21 +441,7 @@ mod tests {
     fn li5_extend_label_meaning() {
         // Clusters: 0=Make, 1=Model, 2=From, 3=To, 4=Keywords.
         let x = set(&[0, 1, 2, 3, 4]);
-        let mut info: BTreeMap<ClusterId, ClusterInfo> = BTreeMap::new();
-        info.insert(
-            ClusterId(0),
-            ClusterInfo {
-                instances: vec![],
-                field_labels: vec!["Make".to_string()],
-            },
-        );
-        info.insert(
-            ClusterId(1),
-            ClusterInfo {
-                instances: vec![],
-                field_labels: vec!["Model".to_string()],
-            },
-        );
+        let info: [(u32, &[&str], &[&str]); 2] = [(0, &[], &["Make"]), (1, &[], &["Model"])];
         let potentials = vec![
             pot("Car Information", 0, &[0, 1, 2, 3]),
             pot("Make/Model", 1, &[0, 1, 4]),
@@ -451,21 +460,10 @@ mod tests {
     #[test]
     fn li5_instance_subset() {
         let x = set(&[0, 1]);
-        let mut info: BTreeMap<ClusterId, ClusterInfo> = BTreeMap::new();
-        info.insert(
-            ClusterId(0),
-            ClusterInfo {
-                instances: vec!["red".into(), "blue".into(), "green".into()],
-                field_labels: vec!["Color".to_string()],
-            },
-        );
-        info.insert(
-            ClusterId(1),
-            ClusterInfo {
-                instances: vec!["red".into(), "blue".into()],
-                field_labels: vec!["Shade".to_string()],
-            },
-        );
+        let info: [(u32, &[&str], &[&str]); 2] = [
+            (0, &["red", "blue", "green"], &["Color"]),
+            (1, &["red", "blue"], &["Shade"]),
+        ];
         let potentials = vec![pot("Appearance", 0, &[0])];
         let (candidates, usage) = run(&x, &potentials, &info);
         assert_eq!(candidates.len(), 1);
@@ -484,7 +482,7 @@ mod tests {
             pot("Location", 1, &[2]),
             pot("Property Location", 2, &[0, 1, 2]),
         ];
-        let (candidates, usage) = run(&x, &potentials, &BTreeMap::new());
+        let (candidates, usage) = run(&x, &potentials, &[]);
         assert_eq!(usage.count(InferenceRule::Li1), 1);
         assert_eq!(candidates.len(), 1);
         assert_eq!(&*candidates[0].label, "Property Location");
@@ -494,7 +492,7 @@ mod tests {
     fn equal_label_variants_are_one_class() {
         let x = set(&[0, 1]);
         let potentials = vec![pot("Job Type", 0, &[0]), pot("Type of Job", 1, &[1])];
-        let (candidates, _) = run(&x, &potentials, &BTreeMap::new());
+        let (candidates, _) = run(&x, &potentials, &[]);
         assert_eq!(candidates.len(), 1);
         assert_eq!(candidates[0].rule, InferenceRule::Li2);
         assert_eq!(candidates[0].frequency, 2);
@@ -503,7 +501,7 @@ mod tests {
     #[test]
     fn no_potentials_no_candidates() {
         let x = set(&[0, 1]);
-        let (candidates, usage) = run(&x, &[], &BTreeMap::new());
+        let (candidates, usage) = run(&x, &[], &[]);
         assert!(candidates.is_empty());
         assert_eq!(usage.total(), 0);
     }
@@ -512,7 +510,7 @@ mod tests {
     fn bag_outside_x_is_ignored() {
         let x = set(&[0]);
         let potentials = vec![pot("Wide", 0, &[0, 7])];
-        let (candidates, _) = run(&x, &potentials, &BTreeMap::new());
+        let (candidates, _) = run(&x, &potentials, &[]);
         assert!(candidates.is_empty());
     }
 
@@ -520,28 +518,17 @@ mod tests {
     fn generality_definition5() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        // Lexical: Location ⊒ Property Location.
-        assert!(at_least_as_general(
-            "Location",
-            &set(&[0]),
-            "Property Location",
-            &set(&[1, 2]),
-            &ctx
-        ));
+        let general = |la: &str, bag_a: &[u32], lb: &str, bag_b: &[u32]| {
+            at_least_as_general(ctx.sym(la), &set(bag_a), ctx.sym(lb), &set(bag_b), &ctx)
+        };
+        // Lexical: Location ⊒ Property Location, Class ⊒ Flight Class,
+        // and a label is as general as itself.
+        assert!(general("Location", &[0], "Property Location", &[1, 2]));
+        assert!(general("Class", &[0], "Flight Class", &[1]));
+        assert!(general("Location", &[0], "Location", &[1]));
+        assert!(!general("Flight Class", &[0], "Class", &[1]));
         // Structural: unrelated labels, but bag containment.
-        assert!(at_least_as_general(
-            "Search",
-            &set(&[0, 1, 2]),
-            "Make",
-            &set(&[1]),
-            &ctx
-        ));
-        assert!(!at_least_as_general(
-            "Make",
-            &set(&[1]),
-            "Search Area",
-            &set(&[0, 2]),
-            &ctx
-        ));
+        assert!(general("Search", &[0, 1, 2], "Make", &[1]));
+        assert!(!general("Make", &[1], "Search Area", &[0, 2]));
     }
 }

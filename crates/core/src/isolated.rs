@@ -16,12 +16,13 @@ use crate::ctx::NamingCtx;
 use crate::instances::{instances_subset, label_is_instance_of};
 use crate::policy::{LabelSelection, NamingPolicy};
 use crate::report::{InferenceRule, LiUsage};
+use qi_runtime::Symbol;
 
 /// One label observed on the cluster's member fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabelOccurrence {
-    /// The raw label.
-    pub label: String,
+    /// The interned raw label.
+    pub label: Symbol,
     /// Number of interfaces supplying this label for the cluster.
     pub frequency: usize,
     /// Union of the instance domains of the fields carrying this label.
@@ -35,10 +36,10 @@ pub fn label_isolated_cluster(
     ctx: &NamingCtx<'_>,
     policy: &NamingPolicy,
     usage: &mut LiUsage,
-) -> Option<String> {
+) -> Option<Symbol> {
     let mut candidates: Vec<&LabelOccurrence> = occurrences
         .iter()
-        .filter(|o| !ctx.text(&o.label).is_empty())
+        .filter(|o| !ctx.text_sym(o.label).is_empty())
         .collect();
     if candidates.is_empty() {
         return None;
@@ -50,7 +51,8 @@ pub fn label_isolated_cluster(
         let before = candidates.len();
         candidates.retain(|cand| {
             !all.iter().any(|other| {
-                other.label != cand.label && label_is_instance_of(&cand.label, &other.domain)
+                other.label != cand.label
+                    && label_is_instance_of(&ctx.spelling(cand.label), &other.domain)
             })
         });
         if candidates.len() < before {
@@ -68,7 +70,7 @@ pub fn label_isolated_cluster(
         .filter(|cand| {
             !candidates
                 .iter()
-                .any(|other| other.label != cand.label && ctx.hypernym(&other.label, &cand.label))
+                .any(|other| ctx.hypernym_sym(other.label, cand.label))
         })
         .collect();
     let roots = if roots.is_empty() {
@@ -87,8 +89,7 @@ pub fn label_isolated_cluster(
                 .iter()
                 .copied()
                 .filter(|h| {
-                    h.label != root.label
-                        && ctx.hypernym(&root.label, &h.label)
+                    ctx.hypernym_sym(root.label, h.label)
                         && instances_subset(&root.domain, &h.domain)
                 })
                 .collect();
@@ -103,28 +104,30 @@ pub fn label_isolated_cluster(
         }
     }
     order(&mut finalists, ctx, policy.selection);
-    Some(finalists[0].label.clone())
+    Some(finalists[0].label)
 }
 
 /// Order candidates per the selection policy: most-descriptive =
 /// (expressiveness desc, frequency desc); most-general = (frequency desc,
-/// expressiveness asc) — \[12\]'s majority rule.
+/// expressiveness asc) — \[12\]'s majority rule. Ties go to the first
+/// spelling.
 fn order(candidates: &mut [&LabelOccurrence], ctx: &NamingCtx<'_>, selection: LabelSelection) {
+    let spelling = |o: &LabelOccurrence| ctx.spelling(o.label);
     match selection {
         LabelSelection::MostDescriptive => candidates.sort_by(|a, b| {
-            ctx.expressiveness(&b.label)
-                .cmp(&ctx.expressiveness(&a.label))
+            ctx.expressiveness_sym(b.label)
+                .cmp(&ctx.expressiveness_sym(a.label))
                 .then(b.frequency.cmp(&a.frequency))
-                .then(a.label.cmp(&b.label))
+                .then_with(|| spelling(a).cmp(&spelling(b)))
         }),
         LabelSelection::MostGeneral => candidates.sort_by(|a, b| {
             b.frequency
                 .cmp(&a.frequency)
                 .then(
-                    ctx.expressiveness(&a.label)
-                        .cmp(&ctx.expressiveness(&b.label)),
+                    ctx.expressiveness_sym(a.label)
+                        .cmp(&ctx.expressiveness_sym(b.label)),
                 )
-                .then(a.label.cmp(&b.label))
+                .then_with(|| spelling(a).cmp(&spelling(b)))
         }),
     }
 }
@@ -134,27 +137,46 @@ mod tests {
     use super::*;
     use qi_lexicon::Lexicon;
 
-    fn occ(label: &str, frequency: usize) -> LabelOccurrence {
-        LabelOccurrence {
-            label: label.to_string(),
-            frequency,
-            domain: Vec::new(),
-        }
+    /// An occurrence spelled `label`, elected against a context that
+    /// interns it when the election runs.
+    struct Occ {
+        label: &'static str,
+        frequency: usize,
+        domain: Vec<String>,
     }
 
-    fn occ_dom(label: &str, frequency: usize, domain: &[&str]) -> LabelOccurrence {
-        LabelOccurrence {
-            label: label.to_string(),
+    fn occ(label: &'static str, frequency: usize) -> Occ {
+        occ_dom(label, frequency, &[])
+    }
+
+    fn occ_dom(label: &'static str, frequency: usize, domain: &[&str]) -> Occ {
+        Occ {
+            label,
             frequency,
             domain: domain.iter().map(|s| s.to_string()).collect(),
         }
     }
 
-    fn run(occurrences: &[LabelOccurrence], policy: &NamingPolicy) -> Option<String> {
+    /// Elect over `occurrences`; returns the winner's spelling and the
+    /// inference rules used.
+    fn elect(occurrences: &[Occ], policy: &NamingPolicy) -> (Option<String>, LiUsage) {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
+        let occurrences: Vec<LabelOccurrence> = occurrences
+            .iter()
+            .map(|o| LabelOccurrence {
+                label: ctx.sym(o.label),
+                frequency: o.frequency,
+                domain: o.domain.clone(),
+            })
+            .collect();
         let mut usage = LiUsage::default();
-        label_isolated_cluster(occurrences, &ctx, policy, &mut usage)
+        let chosen = label_isolated_cluster(&occurrences, &ctx, policy, &mut usage);
+        (chosen.map(|s| ctx.spelling(s).to_string()), usage)
+    }
+
+    fn run(occurrences: &[Occ], policy: &NamingPolicy) -> Option<String> {
+        elect(occurrences, policy).0
     }
 
     /// §4.4's example: labels {Class, Class of Ticket, Preferred Cabin,
@@ -193,16 +215,12 @@ mod tests {
     /// Class is bounded to the descriptive hyponym.
     #[test]
     fn li6_bounds_generic_root_to_descriptive_hyponym() {
-        let lex = Lexicon::builtin();
-        let ctx = NamingCtx::new(&lex);
-        let mut usage = LiUsage::default();
         let occurrences = vec![
             occ_dom("Class", 3, &["Economy", "Business", "First"]),
             occ_dom("Class of Tickets", 1, &["Economy", "Business"]),
             occ_dom("Flight Class", 2, &["Economy", "Business", "First"]),
         ];
-        let chosen =
-            label_isolated_cluster(&occurrences, &ctx, &NamingPolicy::default(), &mut usage);
+        let (chosen, usage) = elect(&occurrences, &NamingPolicy::default());
         assert_eq!(chosen.as_deref(), Some("Flight Class"));
         assert_eq!(usage.count(InferenceRule::Li6), 1);
     }
@@ -211,15 +229,11 @@ mod tests {
     /// discarded.
     #[test]
     fn li7_discards_value_labels() {
-        let lex = Lexicon::builtin();
-        let ctx = NamingCtx::new(&lex);
-        let mut usage = LiUsage::default();
         let occurrences = vec![
             occ_dom("Format", 2, &["Hardcover", "Paperback"]),
             occ("Hardcover", 1),
         ];
-        let chosen =
-            label_isolated_cluster(&occurrences, &ctx, &NamingPolicy::default(), &mut usage);
+        let (chosen, usage) = elect(&occurrences, &NamingPolicy::default());
         assert_eq!(chosen.as_deref(), Some("Format"));
         assert_eq!(usage.count(InferenceRule::Li7), 1);
     }

@@ -1,15 +1,21 @@
 //! The interned naming kernel: a group relation as rows of label ids.
 //!
+//! A labeling run interns each source label once ([`LabelSymbols`]), so
+//! a [`GroupRelation`] is built from [`Symbol`]s and every later stage —
+//! `Combine*`, the solutions, conflict repair, the isolated and internal
+//! elections — compares labels as integers. Strings are made again only
+//! where the labeled tree and the report are written.
+//!
 //! `name_group` compares the same few labels over and over — every pair
 //! of tuples at every consistency level, and every `Combine*` state
-//! against every member tuple. [`InternedRelation`] interns the relation
-//! once per naming run so that all of that work is integer work:
+//! against every member tuple. [`InternedRelation`] indexes the relation
+//! once per group so that all of that work is bitmask and integer work:
 //!
-//! * every label becomes a column-local `u32` id built from the exact
-//!   label string (`0` = null), so Definition 3's `Combine` and row
-//!   equality compare ids, and `Adults`/`adults` stay distinct;
+//! * every label becomes a column-local `u32` id built from its symbol
+//!   (`0` = null), so Definition 3's `Combine` and row equality compare
+//!   ids, and `Adults`/`adults` stay distinct;
 //! * each label's normalized text is fetched once, when the relation is
-//!   interned;
+//!   indexed; its spelling is the text's `raw` field;
 //! * Definition 2 consistency becomes bitmask algebra. For a level, a
 //!   column and a label id, the *admit mask* holds the tuples whose label
 //!   in that column relates to the id's label at that level; the tuples
@@ -24,16 +30,127 @@
 //! * one table counts how often each distinct row occurs in the relation
 //!   (§4.2.1's *frequency*), and each label's content-word stems are
 //!   interned once for *expressiveness*.
+//!
+//! Symbol ids are handed out in first-seen order, and a memo carried
+//! across runs sees labels in another order than a fresh one. So every
+//! tie-break that orders labels compares spellings, never symbols.
 
 use crate::consistency::ConsistencyLevel;
 use crate::ctx::NamingCtx;
-use qi_mapping::GroupRelation;
+use qi_mapping::{ClusterId, Mapping};
 use qi_runtime::Symbol;
+use qi_schema::{NodeId, SchemaTree};
 use qi_text::LabelText;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
+
+/// The source labels of one labeling run, each interned once: the
+/// symbol of every node of every source schema (`None` = unlabeled).
+pub struct LabelSymbols(Vec<Vec<Option<Symbol>>>);
+
+impl LabelSymbols {
+    /// Intern every node label of `schemas` against `ctx`.
+    pub fn new(schemas: &[SchemaTree], ctx: &NamingCtx<'_>) -> Self {
+        LabelSymbols(
+            schemas
+                .iter()
+                .map(|schema| {
+                    schema
+                        .nodes()
+                        .map(|node| node.label.as_deref().map(|l| ctx.sym(l)))
+                        .collect()
+                })
+                .collect(),
+        )
+    }
+
+    /// The label of `node` in schema `schema`.
+    pub fn get(&self, schema: usize, node: NodeId) -> Option<Symbol> {
+        self.0[schema][node.index()]
+    }
+}
+
+/// One tuple of a group relation: the labels one interface supplies for
+/// the clusters of the group (`None` = the paper's null entry).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GroupTuple {
+    /// Source schema index.
+    pub schema: usize,
+    /// Labels, parallel to [`GroupRelation::clusters`].
+    pub labels: Vec<Option<Symbol>>,
+}
+
+/// The paper's (n+1)-ary *group relation* (§4, Tables 2–4): one column
+/// per cluster of a group, one tuple per source interface that labels at
+/// least one of them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GroupRelation {
+    /// The group's clusters (column order).
+    pub clusters: Vec<ClusterId>,
+    /// Tuples, one per interface that labels at least one cluster.
+    pub tuples: Vec<GroupTuple>,
+}
+
+impl GroupRelation {
+    /// Build the group relation for `clusters`: schema `s`'s entry for
+    /// cluster `C` is the label of its member field in `C`, or null when
+    /// it has no member or the member is unlabeled. Schemas contributing
+    /// only nulls are omitted.
+    pub fn build(clusters: &[ClusterId], mapping: &Mapping, symbols: &LabelSymbols) -> Self {
+        let tuples = (0..symbols.0.len())
+            .filter_map(|schema| {
+                let labels: Vec<Option<Symbol>> = clusters
+                    .iter()
+                    .map(|&cid| {
+                        let field = mapping.cluster(cid).member_of(schema)?;
+                        symbols.get(schema, field.node)
+                    })
+                    .collect();
+                labels
+                    .iter()
+                    .any(Option::is_some)
+                    .then_some(GroupTuple { schema, labels })
+            })
+            .collect();
+        GroupRelation {
+            clusters: clusters.to_vec(),
+            tuples,
+        }
+    }
+
+    /// A relation from rows of optional label strings, interned against
+    /// `ctx`. Tuples are attributed to schemas `0..rows.len()` in order;
+    /// all-null rows are dropped. Tests mirror the paper's tables with it.
+    pub fn from_rows(
+        clusters: &[ClusterId],
+        rows: &[Vec<Option<&str>>],
+        ctx: &NamingCtx<'_>,
+    ) -> Self {
+        let tuples = rows
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| row.iter().any(Option::is_some))
+            .map(|(schema, row)| {
+                assert_eq!(row.len(), clusters.len(), "row arity mismatch");
+                GroupTuple {
+                    schema,
+                    labels: row.iter().map(|l| l.map(|l| ctx.sym(l))).collect(),
+                }
+            })
+            .collect();
+        GroupRelation {
+            clusters: clusters.to_vec(),
+            tuples,
+        }
+    }
+
+    /// Number of clusters (columns).
+    pub fn width(&self) -> usize {
+        self.clusters.len()
+    }
+}
 
 /// Iterate the set bits of a bitmask, ascending.
 pub(crate) fn bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
@@ -148,8 +265,8 @@ impl RowIndex {
     }
 }
 
-/// A group relation interned for one naming run (see the module docs).
-pub struct InternedRelation<'r> {
+/// A group relation indexed for one naming run (see the module docs).
+pub struct InternedRelation {
     n: usize,
     width: usize,
     /// Bitmask length in 64-bit words (one bit per relation tuple).
@@ -158,8 +275,6 @@ pub struct InternedRelation<'r> {
     rows: Vec<u32>,
     /// Column `c`'s ids `1..` occupy slots `slot_base[c]..slot_base[c + 1]`.
     slot_base: Vec<usize>,
-    /// Per slot: the label spelling.
-    labels: Vec<&'r str>,
     /// Per slot: the label's symbol in the naming context.
     syms: Vec<Symbol>,
     /// Per slot: the label's normalized text.
@@ -183,33 +298,32 @@ pub struct InternedRelation<'r> {
     stem_scratch: Vec<u32>,
 }
 
-impl<'r> InternedRelation<'r> {
-    /// Intern `relation`'s labels against `ctx`.
-    pub fn new(relation: &'r GroupRelation, ctx: &NamingCtx<'_>) -> Self {
+impl InternedRelation {
+    /// Index `relation`'s labels, fetching their texts from `ctx`.
+    pub fn new(relation: &GroupRelation, ctx: &NamingCtx<'_>) -> Self {
         let n = relation.tuples.len();
         let width = relation.width();
         let words = n.div_ceil(64);
         let mut rows = vec![0u32; n * width];
         let mut slot_base = Vec::with_capacity(width + 1);
-        let mut labels: Vec<&'r str> = Vec::new();
-        let mut column_ids: HashMap<&'r str, u32> = HashMap::new();
+        let mut syms: Vec<Symbol> = Vec::new();
+        let mut column_ids: HashMap<Symbol, u32> = HashMap::new();
         for c in 0..width {
-            slot_base.push(labels.len());
+            slot_base.push(syms.len());
             column_ids.clear();
             for (t, tuple) in relation.tuples.iter().enumerate() {
-                if let Some(label) = tuple.labels[c].as_deref() {
+                if let Some(sym) = tuple.labels[c] {
                     let next = column_ids.len() as u32 + 1;
-                    let id = *column_ids.entry(label).or_insert_with(|| {
-                        labels.push(label);
+                    let id = *column_ids.entry(sym).or_insert_with(|| {
+                        syms.push(sym);
                         next
                     });
                     rows[t * width + c] = id;
                 }
             }
         }
-        slot_base.push(labels.len());
-        let slots = labels.len();
-        let syms: Vec<Symbol> = labels.iter().map(|l| ctx.sym(l)).collect();
+        slot_base.push(syms.len());
+        let slots = syms.len();
         let texts = syms.iter().map(|&sym| ctx.text_sym(sym)).collect();
         let mut carriers = vec![0u64; slots * words];
         let mut nonnull = vec![0u64; width * words];
@@ -242,7 +356,6 @@ impl<'r> InternedRelation<'r> {
             words,
             rows,
             slot_base,
-            labels,
             syms,
             texts,
             carriers,
@@ -278,17 +391,14 @@ impl<'r> InternedRelation<'r> {
         &self.rows[t * self.width..(t + 1) * self.width]
     }
 
-    /// The spelling of label `id` in column `c` (`None` for null).
-    pub(crate) fn label(&self, c: usize, id: u32) -> Option<&'r str> {
-        (id != 0).then(|| self.labels[self.slot_base[c] + id as usize - 1])
+    /// The symbol of label `id` in column `c` (`None` for null).
+    pub(crate) fn sym(&self, c: usize, id: u32) -> Option<Symbol> {
+        (id != 0).then(|| self.syms[self.slot_base[c] + id as usize - 1])
     }
 
-    /// A row of ids back as label strings.
-    pub(crate) fn labels_of(&self, row: &[u32]) -> Vec<Option<String>> {
-        row.iter()
-            .enumerate()
-            .map(|(c, &id)| self.label(c, id).map(str::to_string))
-            .collect()
+    /// The spelling of label `id` in column `c` (`None` for null).
+    fn spelling(&self, c: usize, id: u32) -> Option<&str> {
+        (id != 0).then(|| &*self.texts[self.slot_base[c] + id as usize - 1].raw)
     }
 
     /// OR into `into` the tuples with a non-null label in column `c`.
@@ -310,8 +420,8 @@ impl<'r> InternedRelation<'r> {
         let slot = self.slot_base[c] + id as usize - 1;
         let l = level as usize;
         if self.filled[l].is_empty() {
-            self.filled[l] = vec![false; self.labels.len()];
-            self.admit[l] = vec![0; self.labels.len() * words];
+            self.filled[l] = vec![false; self.syms.len()];
+            self.admit[l] = vec![0; self.syms.len() * words];
         }
         if !self.filled[l][slot] {
             match level {
@@ -453,12 +563,12 @@ impl<'r> InternedRelation<'r> {
         distinct
     }
 
-    /// Order two rows as their label vectors (`Vec<Option<String>>`)
-    /// would order: column by column, null first, then by spelling.
+    /// Order two rows as their label spellings would order: column by
+    /// column, null first, then by spelling.
     pub(crate) fn cmp_rows(&self, a: &[u32], b: &[u32]) -> Ordering {
         for (c, (&x, &y)) in a.iter().zip(b).enumerate() {
             if x != y {
-                return self.label(c, x).cmp(&self.label(c, y));
+                return self.spelling(c, x).cmp(&self.spelling(c, y));
             }
         }
         Ordering::Equal
@@ -469,35 +579,34 @@ impl<'r> InternedRelation<'r> {
 mod tests {
     use super::*;
     use qi_lexicon::Lexicon;
-    use qi_mapping::ClusterId;
 
-    fn relation(rows: &[Vec<Option<&str>>]) -> GroupRelation {
+    fn relation(rows: &[Vec<Option<&str>>], ctx: &NamingCtx<'_>) -> GroupRelation {
         let width = rows.first().map_or(0, Vec::len) as u32;
         let clusters: Vec<ClusterId> = (0..width).map(ClusterId).collect();
-        GroupRelation::from_rows(&clusters, rows)
+        GroupRelation::from_rows(&clusters, rows, ctx)
     }
 
     #[test]
     fn ids_are_column_local_and_case_exact() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let r = relation(&[
-            vec![Some("Adults"), Some("Adults")],
-            vec![Some("adults"), None],
-            vec![Some("Adults"), Some("Children")],
-        ]);
+        let r = relation(
+            &[
+                vec![Some("Adults"), Some("Adults")],
+                vec![Some("adults"), None],
+                vec![Some("Adults"), Some("Children")],
+            ],
+            &ctx,
+        );
         let rel = InternedRelation::new(&r, &ctx);
         assert_eq!(rel.row(0), &[1, 1]);
         assert_eq!(rel.row(1), &[2, 0]);
         assert_eq!(rel.row(2), &[1, 2]);
-        assert_eq!(rel.label(0, 2), Some("adults"));
-        assert_eq!(rel.label(1, 0), None);
+        assert_eq!(rel.sym(0, 2), Some(ctx.sym("adults")));
+        assert_eq!(rel.spelling(0, 2), Some("adults"));
+        assert_eq!(rel.sym(1, 0), None);
         assert_eq!(rel.frequency(&[1, 1]), 1);
         assert_eq!(rel.frequency(&[1, 0]), 0);
-        assert_eq!(
-            rel.labels_of(&[2, 0]),
-            vec![Some("adults".to_string()), None]
-        );
     }
 
     #[test]
@@ -513,7 +622,7 @@ mod tests {
                 }
             })
             .collect();
-        let r = relation(&rows);
+        let r = relation(&rows, &ctx);
         let mut rel = InternedRelation::new(&r, &ctx);
         assert_eq!(rel.words(), 3);
         let mut mask = vec![0u64; rel.words()];
@@ -550,14 +659,14 @@ mod tests {
             "(18-64)",
         ];
         let rows: Vec<Vec<Option<&str>>> = labels.iter().map(|&l| vec![Some(l)]).collect();
-        let r = relation(&rows);
+        let r = relation(&rows, &ctx);
         let mut rel = InternedRelation::new(&r, &ctx);
         for level in ConsistencyLevel::LADDER {
             for (a, &la) in labels.iter().enumerate() {
                 let mut mask = vec![0u64; rel.words()];
                 rel.or_admit(level, 0, a as u32 + 1, &ctx, &mut mask);
                 for (b, &lb) in labels.iter().enumerate() {
-                    let expected = level.admits(ctx.relate(la, lb));
+                    let expected = level.admits(ctx.relate_sym(ctx.sym(la), ctx.sym(lb)));
                     let got = mask[b / 64] & (1 << (b % 64)) != 0;
                     assert_eq!(got, expected, "{la:?} vs {lb:?} at {level}");
                 }
@@ -565,11 +674,53 @@ mod tests {
         }
     }
 
+    /// A schema's entry is its member's label, null for an unlabeled or
+    /// missing member; a schema that labels none of the clusters
+    /// contributes no tuple.
+    #[test]
+    fn build_reads_each_member_label_from_the_symbol_table() {
+        use qi_mapping::FieldRef;
+        use qi_schema::spec::{leaf, unlabeled_leaf};
+        let lex = Lexicon::builtin();
+        let ctx = NamingCtx::new(&lex);
+        let a = SchemaTree::build("a", vec![unlabeled_leaf(), leaf("B")]).unwrap();
+        let c = SchemaTree::build("c", vec![unlabeled_leaf()]).unwrap();
+        let (al, cl) = (
+            a.descendant_leaves(NodeId::ROOT),
+            c.descendant_leaves(NodeId::ROOT),
+        );
+        let mapping = Mapping::from_clusters(vec![
+            (
+                "c_0".to_string(),
+                vec![FieldRef::new(0, al[0]), FieldRef::new(1, cl[0])],
+            ),
+            ("c_1".to_string(), vec![FieldRef::new(0, al[1])]),
+        ]);
+        let schemas = vec![a, c];
+        let symbols = LabelSymbols::new(&schemas, &ctx);
+        let r = GroupRelation::build(&[ClusterId(0), ClusterId(1)], &mapping, &symbols);
+        assert_eq!(r.tuples.len(), 1, "schema c labels nothing");
+        assert_eq!(r.tuples[0].schema, 0);
+        assert_eq!(r.tuples[0].labels, vec![None, Some(ctx.sym("B"))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row arity mismatch")]
+    fn from_rows_checks_arity() {
+        let lex = Lexicon::builtin();
+        let ctx = NamingCtx::new(&lex);
+        GroupRelation::from_rows(&[ClusterId(0), ClusterId(1)], &[vec![Some("A")]], &ctx);
+    }
+
     #[test]
     fn rows_order_like_label_vectors() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let r = relation(&[vec![Some("b"), Some("x")], vec![Some("a"), None]]);
+        // Interned in reverse spelling order: symbol order is not
+        // spelling order either.
+        ctx.sym("x");
+        ctx.sym("b");
+        let r = relation(&[vec![Some("b"), Some("x")], vec![Some("a"), None]], &ctx);
         let rel = InternedRelation::new(&r, &ctx);
         // Id order is first-seen order, not spelling order.
         assert_eq!(rel.cmp_rows(rel.row(0), rel.row(1)), Ordering::Greater);

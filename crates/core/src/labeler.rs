@@ -16,11 +16,13 @@
 use crate::ctx::{NamingCtx, NamingMemo};
 use crate::internal::{self, CandidateLabel, ClusterInfo, PotentialLabel};
 use crate::isolated::{label_isolated_cluster, LabelOccurrence};
+use crate::kernel::{GroupRelation, LabelSymbols};
 use crate::policy::NamingPolicy;
 use crate::report::{ConsistencyClass, GroupOutcome, NamingReport};
 use crate::solution::{name_group, GroupNaming};
 use qi_lexicon::Lexicon;
-use qi_mapping::{ClusterId, GroupRelation, Integrated, Mapping};
+use qi_mapping::{ClusterId, Integrated, Mapping};
+use qi_runtime::Symbol;
 use qi_schema::{NodeId, SchemaTree};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -144,6 +146,10 @@ impl<'a> Labeler<'a> {
             Some(memo) => NamingCtx::with_memo(self.lexicon, Arc::clone(memo)),
             None => NamingCtx::new(self.lexicon),
         };
+        // Each source label is interned once; the naming layer below
+        // speaks symbols, and strings are made again only for the tree
+        // and the report.
+        let symbols = LabelSymbols::new(schemas, &ctx);
         let mut report = NamingReport::default();
         let mut tree = integrated.tree.clone();
         let partition = integrated.partition();
@@ -167,7 +173,7 @@ impl<'a> Labeler<'a> {
         let phase_span = self.telemetry.timed("label.phase1.groups");
         let groups: Vec<GroupWork> =
             qi_runtime::parallel_map(&specs, self.threads, |_, (clusters, leaves, parent)| {
-                let relation = GroupRelation::build(clusters, mapping, schemas);
+                let relation = GroupRelation::build(clusters, mapping, &symbols);
                 let naming = name_group(&relation, &ctx, &self.policy);
                 GroupWork {
                     clusters: clusters.clone(),
@@ -182,15 +188,16 @@ impl<'a> Labeler<'a> {
         // ---------- Phase 1b: isolated clusters ------------------------------
         let phase_span = self.telemetry.timed("label.phase1.isolated");
         for &(leaf, cluster) in &partition.isolated {
-            let occurrences = isolated_occurrences(schemas, mapping, cluster);
+            let occurrences = isolated_occurrences(schemas, mapping, &symbols, cluster, &ctx);
             let chosen =
-                label_isolated_cluster(&occurrences, &ctx, &self.policy, &mut report.li_usage);
+                label_isolated_cluster(&occurrences, &ctx, &self.policy, &mut report.li_usage)
+                    .map(|sym| ctx.spelling(sym).to_string());
             report.isolated.push(crate::report::IsolatedOutcome {
                 leaf,
                 chosen: chosen.clone(),
                 occurrences: occurrences
                     .iter()
-                    .map(|o| (o.label.clone(), o.frequency))
+                    .map(|o| (ctx.spelling(o.label).to_string(), o.frequency))
                     .collect(),
             });
             tree.set_label(leaf, chosen);
@@ -199,8 +206,8 @@ impl<'a> Labeler<'a> {
 
         // ---------- Phase 1c: candidate labels for internal nodes -----------
         let phase_span = self.telemetry.timed("label.phase1.candidates");
-        let potentials = collect_potentials(schemas, mapping);
-        let info = collect_cluster_info(schemas, mapping);
+        let potentials = collect_potentials(schemas, mapping, &symbols);
+        let info = collect_cluster_info(schemas, mapping, &symbols);
         let mut internal_candidates: BTreeMap<NodeId, Vec<CandidateLabel>> = BTreeMap::new();
         let mut node_clusters: BTreeMap<NodeId, BTreeSet<ClusterId>> = BTreeMap::new();
         for internal in integrated.tree.internal_nodes() {
@@ -221,7 +228,7 @@ impl<'a> Labeler<'a> {
         let phase_span = self.telemetry.timed("label.phase3.groups");
         for group in &groups {
             let best = &group.naming.best;
-            let labels: Vec<Option<String>> = best.labels.clone();
+            let labels = ctx.spellings(&best.labels);
             for (leaf, label) in group.leaves.iter().zip(&labels) {
                 tree.set_label(*leaf, label.clone());
             }
@@ -229,17 +236,19 @@ impl<'a> Labeler<'a> {
             // among, with occurrence counts (provenance candidates).
             let column_options: Vec<Vec<(String, usize)>> = (0..group.clusters.len())
                 .map(|column| {
-                    let mut options: Vec<(String, usize)> = Vec::new();
+                    let mut options: Vec<(Symbol, usize)> = Vec::new();
                     for tuple in &group.relation.tuples {
-                        let Some(label) = &tuple.labels[column] else {
+                        let Some(label) = tuple.labels[column] else {
                             continue;
                         };
-                        match options.iter_mut().find(|(l, _)| l == label) {
+                        match options.iter_mut().find(|(l, _)| *l == label) {
                             Some((_, n)) => *n += 1,
-                            None => options.push((label.clone(), 1)),
+                            None => options.push((label, 1)),
                         }
                     }
-                    options
+                    (options.into_iter())
+                        .map(|(label, n)| (ctx.spelling(label).to_string(), n))
+                        .collect()
                 })
                 .collect();
             report.groups.push(GroupOutcome {
@@ -267,7 +276,7 @@ impl<'a> Labeler<'a> {
         // Ancestor labels are tracked as interned symbols: the Prop. 2
         // duplication check and the Definition 5 parent lookup become
         // integer comparisons / cache probes instead of String compares.
-        let mut assigned: BTreeMap<NodeId, qi_runtime::Symbol> = BTreeMap::new();
+        let mut assigned: BTreeMap<NodeId, Symbol> = BTreeMap::new();
         let mut decisions: BTreeMap<NodeId, InternalDecision> = BTreeMap::new();
         let mut weakly = 0usize;
         for id in integrated.tree.preorder() {
@@ -289,11 +298,11 @@ impl<'a> Labeler<'a> {
                 continue;
             }
             let path: Vec<NodeId> = integrated.tree.path_to_root(id);
-            let ancestor_labels: Vec<qi_runtime::Symbol> = path
+            let ancestor_labels: Vec<Symbol> = path
                 .iter()
                 .filter_map(|p| assigned.get(p).copied())
                 .collect();
-            let parent_label: Option<(qi_runtime::Symbol, &BTreeSet<ClusterId>)> = path
+            let parent_label: Option<(Symbol, &BTreeSet<ClusterId>)> = path
                 .iter()
                 .find_map(|p| assigned.get(p).map(|&l| (l, &node_clusters[p])));
             let descendant_groups: Vec<&GroupWork> = groups
@@ -320,12 +329,11 @@ impl<'a> Labeler<'a> {
                     .all(|g| candidate_consistent_with_group(candidate, g));
                 let generality_ok = match parent_label {
                     Some((pl, pbag)) => {
-                        let pl = ctx.spelling(pl);
-                        internal::at_least_as_general(&pl, pbag, &candidate.label, x, &ctx)
+                        internal::at_least_as_general(pl, pbag, candidate.sym, x, &ctx)
                             || internal::at_least_as_general(
-                                &pl,
+                                pl,
                                 pbag,
-                                &candidate.label,
+                                candidate.sym,
                                 &candidate.coverage,
                                 &ctx,
                             )
@@ -500,20 +508,24 @@ fn candidate_consistent_with_group(candidate: &CandidateLabel, group: &GroupWork
 }
 
 /// Label occurrences of an isolated cluster's member fields, grouped by
-/// display-normalized form.
+/// spelling up to ASCII case (the first spelling seen names the group).
 fn isolated_occurrences(
     schemas: &[SchemaTree],
     mapping: &Mapping,
+    symbols: &LabelSymbols,
     cluster: ClusterId,
+    ctx: &NamingCtx<'_>,
 ) -> Vec<LabelOccurrence> {
     let mut occurrences: Vec<LabelOccurrence> = Vec::new();
     for member in &mapping.cluster(cluster).members {
+        let Some(label) = symbols.get(member.schema, member.node) else {
+            continue;
+        };
         let node = schemas[member.schema].node(member.node);
-        let Some(label) = &node.label else { continue };
         let instances = node.instances().to_vec();
         match occurrences
             .iter_mut()
-            .find(|o| o.label.eq_ignore_ascii_case(label))
+            .find(|o| ctx.spelling(o.label).eq_ignore_ascii_case(node.label_str()))
         {
             Some(o) => {
                 o.frequency += 1;
@@ -524,7 +536,7 @@ fn isolated_occurrences(
                 }
             }
             None => occurrences.push(LabelOccurrence {
-                label: label.clone(),
+                label,
                 frequency: 1,
                 domain: instances,
             }),
@@ -535,7 +547,11 @@ fn isolated_occurrences(
 
 /// All labeled source internal nodes as potential labels (bags computed
 /// against the mapping).
-fn collect_potentials(schemas: &[SchemaTree], mapping: &Mapping) -> Vec<PotentialLabel> {
+fn collect_potentials(
+    schemas: &[SchemaTree],
+    mapping: &Mapping,
+    symbols: &LabelSymbols,
+) -> Vec<PotentialLabel> {
     // Reverse index: field → cluster.
     let mut field_cluster: BTreeMap<(usize, NodeId), ClusterId> = BTreeMap::new();
     for cluster in &mapping.clusters {
@@ -546,7 +562,7 @@ fn collect_potentials(schemas: &[SchemaTree], mapping: &Mapping) -> Vec<Potentia
     let mut potentials = Vec::new();
     for (schema_idx, tree) in schemas.iter().enumerate() {
         for internal in tree.internal_nodes() {
-            let Some(label) = &internal.label else {
+            let Some(label) = symbols.get(schema_idx, internal.id) else {
                 continue;
             };
             let bag: BTreeSet<ClusterId> = tree
@@ -556,7 +572,7 @@ fn collect_potentials(schemas: &[SchemaTree], mapping: &Mapping) -> Vec<Potentia
                 .collect();
             if !bag.is_empty() {
                 potentials.push(PotentialLabel {
-                    label: label.clone(),
+                    label,
                     schema: schema_idx,
                     bag,
                 });
@@ -570,17 +586,18 @@ fn collect_potentials(schemas: &[SchemaTree], mapping: &Mapping) -> Vec<Potentia
 fn collect_cluster_info(
     schemas: &[SchemaTree],
     mapping: &Mapping,
+    symbols: &LabelSymbols,
 ) -> BTreeMap<ClusterId, ClusterInfo> {
     let mut info: BTreeMap<ClusterId, ClusterInfo> = BTreeMap::new();
     for cluster in &mapping.clusters {
         let entry = info.entry(cluster.id).or_default();
         for &member in &cluster.members {
-            let node = schemas[member.schema].node(member.node);
-            if let Some(label) = &node.label {
-                if !entry.field_labels.contains(label) {
-                    entry.field_labels.push(label.clone());
+            if let Some(label) = symbols.get(member.schema, member.node) {
+                if !entry.field_labels.contains(&label) {
+                    entry.field_labels.push(label);
                 }
             }
+            let node = schemas[member.schema].node(member.node);
             for instance in node.instances() {
                 if !entry.instances.contains(instance) {
                     entry.instances.push(instance.clone());

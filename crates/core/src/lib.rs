@@ -17,7 +17,7 @@
 //! |---|---|
 //! | [`relations`] | Definition 1 — `string_equal`/`equal`/`synonym`/`hypernym` |
 //! | [`ctx`] | normalization + relation memoization |
-//! | [`kernel`] | a group relation interned as label-id rows, consistency as bitmasks |
+//! | [`kernel`] | §4 group relations over interned labels; label-id rows, consistency as bitmasks |
 //! | [`consistency`] | Definition 2 — the three consistency levels |
 //! | [`combine`] | Definitions 3–4 — `Combine`, `Combine*`, tuple-solutions |
 //! | [`partition`] | §4.1.1 — graph closure into maximal partitions |

@@ -8,8 +8,7 @@
 
 use crate::consistency::ConsistencyLevel;
 use crate::ctx::NamingCtx;
-use crate::kernel::{bits, InternedRelation};
-use qi_mapping::GroupRelation;
+use crate::kernel::{bits, GroupRelation, InternedRelation};
 use std::collections::BTreeSet;
 
 /// One maximal partition of consistent tuples.
@@ -100,7 +99,7 @@ fn canonicalize(parent: &mut Vec<usize>) -> Vec<usize> {
 /// The canonical component ids of a partitioning: `comp[i]` is the
 /// smallest tuple index in tuple `i`'s connected component.
 pub fn components(
-    relation: &mut InternedRelation<'_>,
+    relation: &mut InternedRelation,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
 ) -> Vec<usize> {
@@ -131,7 +130,8 @@ pub fn result_from_components(
 ) -> PartitionResult {
     let mut groups: Vec<(usize, TuplePartition)> = Vec::new();
     for (i, &root) in comp.iter().enumerate() {
-        let covered: Vec<usize> = relation.tuples[i].covered_columns();
+        let labels = &relation.tuples[i].labels;
+        let covered = (0..labels.len()).filter(|&c| labels[c].is_some());
         match groups.iter_mut().find(|(r, _)| *r == root) {
             Some((_, p)) => {
                 p.tuples.push(i);
@@ -142,7 +142,7 @@ pub fn result_from_components(
                     root,
                     TuplePartition {
                         tuples: vec![i],
-                        covered: covered.into_iter().collect(),
+                        covered: covered.collect(),
                     },
                 ));
             }
@@ -201,6 +201,7 @@ mod tests {
                 // vacations
                 vec![Some("Seniors"), Some("Adults"), Some("Children"), None],
             ],
+            &ctx,
         );
         let result = partition_tuples(&relation, ConsistencyLevel::String, &ctx);
         assert_eq!(result.partitions.len(), 2);
@@ -229,6 +230,7 @@ mod tests {
                 vec![Some("State"), Some("City"), None, None],
                 vec![None, None, Some("Your Zip"), Some("Within")],
             ],
+            &ctx,
         );
         for level in ConsistencyLevel::LADDER {
             let result = partition_tuples(&relation, level, &ctx);
@@ -265,6 +267,7 @@ mod tests {
                 // msn
                 vec![None, Some("Class"), Some("Airline")],
             ],
+            &ctx,
         );
         let string_level = partition_tuples(&relation, ConsistencyLevel::String, &ctx);
         assert!(!string_level.has_full_cover());
@@ -282,7 +285,7 @@ mod tests {
     fn empty_relation() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let relation = GroupRelation::from_rows(&cids(2), &[]);
+        let relation = GroupRelation::from_rows(&cids(2), &[], &ctx);
         let result = partition_tuples(&relation, ConsistencyLevel::String, &ctx);
         assert!(result.partitions.is_empty());
         assert!(!result.has_full_cover());

@@ -17,10 +17,10 @@ use crate::combine::{
 use crate::conflicts::repair_conflicts;
 use crate::consistency::ConsistencyLevel;
 use crate::ctx::NamingCtx;
-use crate::kernel::InternedRelation;
+use crate::kernel::{GroupRelation, InternedRelation};
 use crate::partition::{components, result_from_components, TuplePartition};
 use crate::policy::{LabelSelection, NamingPolicy};
-use qi_mapping::GroupRelation;
+use qi_runtime::Symbol;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupSolution {
     /// Labels per cluster column (`None` = no source ever labels it).
-    pub labels: Vec<Option<String>>,
+    pub labels: Vec<Option<Symbol>>,
     /// Relation tuples whose components were used.
     pub used_tuples: BTreeSet<usize>,
     /// Tuples of the partition that supplied the solution (empty for a
@@ -70,17 +70,22 @@ fn rank_order(
     }
 }
 
-/// The index of the best-ranked solution: the first-encountered minimum
-/// under [`rank_order`].
-fn best_of(solutions: &[TupleSolution], selection: LabelSelection) -> Option<usize> {
-    let key = |s: &TupleSolution| (s.expressiveness, s.frequency);
-    let mut best: Option<usize> = None;
-    for (i, s) in solutions.iter().enumerate() {
-        let b = best.map(|b| &solutions[b]);
-        if b.is_none_or(|b| {
-            rank_order(selection, key(s), key(b), || s.labels.cmp(&b.labels)).is_lt()
+/// The best-ranked tuple-solution of a derivation and its rank key: the
+/// first-encountered minimum under [`rank_order`], ties ordered by
+/// spelling.
+fn best_state(
+    relation: &mut InternedRelation,
+    derived: &Derivation,
+    selection: LabelSelection,
+) -> Option<((usize, usize), usize)> {
+    let mut best: Option<((usize, usize), usize)> = None;
+    for &s in derived.solutions() {
+        let row = derived.row(s);
+        let key = (relation.expressiveness(row), relation.frequency(row));
+        if best.is_none_or(|(k, b)| {
+            rank_order(selection, key, k, || relation.cmp_rows(row, derived.row(b))).is_lt()
         }) {
-            best = Some(i);
+            best = Some((key, s));
         }
     }
     best
@@ -94,7 +99,7 @@ fn best_of(solutions: &[TupleSolution], selection: LabelSelection) -> Option<usi
 /// paper accepts partially consistent solutions for (§4), so a single
 /// greedy solution is adequate there.
 fn partition_solutions(
-    relation: &mut InternedRelation<'_>,
+    relation: &mut InternedRelation,
     partition: &TuplePartition,
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
@@ -131,7 +136,7 @@ fn to_group_solution(solution: TupleSolution, partition_tuples: Vec<usize>) -> G
 /// materialized; ties keep the earlier solution, in partition order and
 /// then derivation order.
 fn best_consistent(
-    relation: &mut InternedRelation<'_>,
+    relation: &mut InternedRelation,
     partitions: &[&TuplePartition],
     level: ConsistencyLevel,
     ctx: &NamingCtx<'_>,
@@ -141,30 +146,17 @@ fn best_consistent(
     let mut best: Option<((usize, usize), Vec<u32>, GroupSolution)> = None;
     for partition in partitions {
         let derived = partition_solutions(relation, partition, level, ctx);
-        let mut winner: Option<((usize, usize), usize)> = None;
-        for &s in derived.solutions() {
-            let row = derived.row(s);
-            let key = (relation.expressiveness(row), relation.frequency(row));
-            let beats = |(other_key, other_row): ((usize, usize), &[u32])| {
-                rank_order(selection, key, other_key, || {
-                    relation.cmp_rows(row, other_row)
-                })
-                .is_lt()
-            };
-            let leads = match (winner, &best) {
-                (Some((k, w)), _) => beats((k, derived.row(w))),
-                (None, Some((k, r, _))) => beats((*k, r)),
-                (None, None) => true,
-            };
-            if leads {
-                winner = Some((key, s));
-            }
-        }
-        if let Some((key, s)) = winner {
+        let Some((key, s)) = best_state(relation, &derived, selection) else {
+            continue;
+        };
+        let row = derived.row(s);
+        if best.as_ref().is_none_or(|(k, r, _)| {
+            rank_order(selection, key, *k, || relation.cmp_rows(row, r)).is_lt()
+        }) {
             let solution = derived.solution(s, relation, partition);
             best = Some((
                 key,
-                derived.row(s).to_vec(),
+                row.to_vec(),
                 to_group_solution(solution, partition.tuples.clone()),
             ));
         }
@@ -234,28 +226,24 @@ pub fn name_group(
         _ => components(&mut interned, max_level, ctx),
     };
     let result = result_from_components(relation, max_level, &comps);
-    let mut per_partition: Vec<GroupSolution> = Vec::new();
+    // Each partition's top-ranked solution, with its non-null count and
+    // label ids.
+    let mut per_partition: Vec<(usize, Vec<u32>, GroupSolution)> = Vec::new();
     for partition in &result.partitions {
         let derived = partition_solutions(&mut interned, partition, max_level, ctx);
-        let mut raw = derived.all_solutions(&mut interned, partition);
-        // Only the top-ranked solution of a partition feeds the greedy
-        // concatenation — select it directly instead of sorting all.
-        if let Some(best) = best_of(&raw, policy.selection) {
-            per_partition.push(to_group_solution(
-                raw.swap_remove(best),
-                partition.tuples.clone(),
-            ));
+        if let Some((_, s)) = best_state(&mut interned, &derived, policy.selection) {
+            let solution = derived.solution(s, &mut interned, partition);
+            let row = derived.row(s);
+            let width = row.iter().filter(|&&id| id != 0).count();
+            let solution = to_group_solution(solution, partition.tuples.clone());
+            per_partition.push((width, row.to_vec(), solution));
         }
     }
     // Greedy concatenation: start from the widest partial solution, fill
-    // nulls from the next widest, repeat. Non-null counts are computed
-    // once, not per comparison.
-    let mut keyed: Vec<(usize, GroupSolution)> = per_partition
-        .into_iter()
-        .map(|s| (s.labels.iter().filter(|l| l.is_some()).count(), s))
-        .collect();
-    keyed.sort_by(|(na, a), (nb, b)| nb.cmp(na).then(a.labels.cmp(&b.labels)));
-    let per_partition: Vec<GroupSolution> = keyed.into_iter().map(|(_, s)| s).collect();
+    // nulls from the next widest, repeat.
+    per_partition
+        .sort_by(|(na, a, _), (nb, b, _)| nb.cmp(na).then_with(|| interned.cmp_rows(a, b)));
+    let per_partition: Vec<GroupSolution> = per_partition.into_iter().map(|(_, _, s)| s).collect();
     let mut merged: GroupSolution = match per_partition.first() {
         Some(first) => first.clone(),
         None => null_solution(),
@@ -268,7 +256,7 @@ pub fn name_group(
         let mut added = false;
         for (slot, label) in merged.labels.iter_mut().zip(&other.labels) {
             if slot.is_none() && label.is_some() {
-                *slot = label.clone();
+                *slot = *label;
                 added = true;
             }
         }
@@ -299,11 +287,10 @@ mod tests {
         (0..n).map(ClusterId).collect()
     }
 
-    fn labels(solution: &GroupSolution) -> Vec<&str> {
-        solution
-            .labels
-            .iter()
-            .map(|l| l.as_deref().unwrap_or("∅"))
+    fn labels(solution: &GroupSolution, ctx: &NamingCtx<'_>) -> Vec<String> {
+        ctx.spellings(&solution.labels)
+            .into_iter()
+            .map(|l| l.unwrap_or_else(|| "∅".to_string()))
             .collect()
     }
 
@@ -323,12 +310,13 @@ mod tests {
                 vec![None, Some("Adults"), Some("Children"), Some("Infants")],
                 vec![Some("Seniors"), Some("Adults"), Some("Children"), None],
             ],
+            &ctx,
         );
         let naming = name_group(&relation, &ctx, &NamingPolicy::default());
         assert!(naming.consistent);
         assert_eq!(naming.level, Some(ConsistencyLevel::String));
         assert_eq!(
-            labels(&naming.best),
+            labels(&naming.best, &ctx),
             vec!["Seniors", "Adults", "Children", "Infants"]
         );
     }
@@ -347,13 +335,20 @@ mod tests {
                 vec![Some("State"), Some("City"), None, None],
                 vec![None, None, Some("Your Zip"), Some("Within")],
             ],
+            &ctx,
         );
         let naming = name_group(&relation, &ctx, &NamingPolicy::default());
         assert!(!naming.consistent);
         assert_eq!(naming.level, None);
         let best = &naming.best;
-        assert_eq!(best.labels[0].as_deref(), Some("State"));
-        assert_eq!(best.labels[1].as_deref(), Some("City"));
+        assert_eq!(
+            best.labels[0].map(|l| ctx.spelling(l)).as_deref(),
+            Some("State")
+        );
+        assert_eq!(
+            best.labels[1].map(|l| ctx.spelling(l)).as_deref(),
+            Some("City")
+        );
         assert!(best.labels[2].is_some());
         assert!(best.labels[3].is_some());
     }
@@ -382,13 +377,20 @@ mod tests {
                 ],
                 vec![None, Some("Class"), Some("Airline")],
             ],
+            &ctx,
         );
         let naming = name_group(&relation, &ctx, &NamingPolicy::default());
         assert!(naming.consistent);
         assert_eq!(naming.level, Some(ConsistencyLevel::Equality));
         let best = &naming.best;
-        assert_eq!(best.labels[0].as_deref(), Some("Max. Number of Stops"));
-        assert_eq!(best.labels[1].as_deref(), Some("Class of Ticket"));
+        assert_eq!(
+            best.labels[0].map(|l| ctx.spelling(l)).as_deref(),
+            Some("Max. Number of Stops")
+        );
+        assert_eq!(
+            best.labels[1].map(|l| ctx.spelling(l)).as_deref(),
+            Some("Class of Ticket")
+        );
     }
 
     #[test]
@@ -402,14 +404,15 @@ mod tests {
                 vec![Some("Make"), Some("Model")],
                 vec![Some("Vehicle Make"), Some("Vehicle Model")],
             ],
+            &ctx,
         );
         let descriptive = name_group(&relation, &ctx, &NamingPolicy::default());
         assert_eq!(
-            labels(&descriptive.best),
+            labels(&descriptive.best, &ctx),
             vec!["Vehicle Make", "Vehicle Model"]
         );
         let general = name_group(&relation, &ctx, &NamingPolicy::most_general_baseline());
-        assert_eq!(labels(&general.best), vec!["Make", "Model"]);
+        assert_eq!(labels(&general.best, &ctx), vec!["Make", "Model"]);
     }
 
     #[test]
@@ -424,6 +427,7 @@ mod tests {
                 vec![Some("Job Type"), Some("Salary"), None],
                 vec![Some("Type of Job"), None, Some("Company")],
             ],
+            &ctx,
         );
         let capped = NamingPolicy {
             max_level: ConsistencyLevel::String,
@@ -440,7 +444,7 @@ mod tests {
     fn empty_relation_yields_null_solution() {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
-        let relation = GroupRelation::from_rows(&cids(3), &[]);
+        let relation = GroupRelation::from_rows(&cids(3), &[], &ctx);
         let naming = name_group(&relation, &ctx, &NamingPolicy::default());
         assert!(!naming.consistent);
         assert_eq!(naming.best.labels, vec![None, None, None]);
@@ -457,6 +461,7 @@ mod tests {
                 vec![Some("From"), Some("To"), None],
                 vec![Some("From"), Some("To"), None],
             ],
+            &ctx,
         );
         let naming = name_group(&relation, &ctx, &NamingPolicy::default());
         assert!(naming.consistent);
@@ -477,11 +482,15 @@ mod tests {
                 vec![Some("Job Type"), Some("Type of Job"), Some("Company Name")],
                 vec![Some("Job Type"), Some("Employment Type"), None],
             ],
+            &ctx,
         );
         let naming = name_group(&relation, &ctx, &NamingPolicy::default());
         assert!(naming.consistent);
         let best = &naming.best;
-        assert_eq!(best.labels[1].as_deref(), Some("Employment Type"));
+        assert_eq!(
+            best.labels[1].map(|l| ctx.spelling(l)).as_deref(),
+            Some("Employment Type")
+        );
         assert_eq!(best.conflict_repaired, None, "no conflict left to repair");
     }
 
@@ -502,6 +511,7 @@ mod tests {
                     Some("Company Name"),
                 ],
             ],
+            &ctx,
         );
         let policy = NamingPolicy {
             selection: LabelSelection::MostGeneral,
@@ -511,6 +521,9 @@ mod tests {
         assert!(naming.consistent);
         let best = &naming.best;
         assert_eq!(best.conflict_repaired, Some(true));
-        assert_eq!(best.labels[1].as_deref(), Some("Employment Type"));
+        assert_eq!(
+            best.labels[1].map(|l| ctx.spelling(l)).as_deref(),
+            Some("Employment Type")
+        );
     }
 }

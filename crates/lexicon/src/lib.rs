@@ -57,6 +57,12 @@ pub const LABEL_TEXT_CAP: usize = 1024;
 /// catches the repeats while keeping the memo's footprint small.
 pub const WORD_CAP: usize = 1024;
 
+/// Most morphological reductions [`Lexicon::base_form`] keeps. It is
+/// keyed by every probed token and compound half: one cold pass over a
+/// 100-domain drift corpus leaves about 11,000 entries, which fit, while
+/// a long-running server stays bounded.
+pub const BASE_FORM_CAP: usize = 16_384;
+
 /// The lexical database: synsets, lemma index, hypernym DAG, morphology.
 ///
 /// All queries take `&self`; the transitive-hypernymy and base-form
@@ -78,7 +84,7 @@ pub struct Lexicon {
     /// Memoized transitive-hypernymy answers.
     hypernym_cache: ShardedCache<(SynsetId, SynsetId), bool>,
     /// Memoized morphological reductions (`base_form` results, covering
-    /// the Morphy detachment-rule walk).
+    /// the Morphy detachment-rule walk), bounded by [`BASE_FORM_CAP`].
     base_form_cache: ShardedCache<String, Option<String>>,
     /// Memoized word → synset-id resolutions ([`Lexicon::resolve`]).
     /// The matcher's candidate generator keys its synonym postings on
@@ -437,7 +443,7 @@ impl Lexicon {
             hypernyms,
             exceptions,
             hypernym_cache: ShardedCache::default(),
-            base_form_cache: ShardedCache::default(),
+            base_form_cache: ShardedCache::bounded(BASE_FORM_CAP),
             resolve_cache: ShardedCache::default(),
             text_cache: ShardedCache::bounded(LABEL_TEXT_CAP),
             word_cache: ShardedCache::bounded(WORD_CAP),
@@ -619,6 +625,31 @@ mod label_text_memo {
         assert_eq!(text_stats(&lex).hits, 1, "the newest entry survives");
         lex.reset_caches();
         assert_eq!(text_stats(&lex), CacheStats::default());
+    }
+
+    /// A stream of more than twice `BASE_FORM_CAP` distinct unknown
+    /// tokens never grows the morphology memo past its cap, and every
+    /// answer, known inflections included, equals the unmemoized one.
+    #[test]
+    fn base_form_memo_is_bounded() {
+        let lex = Lexicon::builtin();
+        for i in 0..2 * BASE_FORM_CAP + 1_000 {
+            let token = match i % 500 {
+                0 => "cities".to_string(),
+                1 => "children".to_string(),
+                _ => format!("zq{i}ings"),
+            };
+            assert_eq!(
+                lex.base_form(&token),
+                lex.base_form_uncached(&token),
+                "{token}"
+            );
+            assert!(
+                lex.morph_cache_stats().entries <= BASE_FORM_CAP,
+                "after {i}"
+            );
+        }
+        assert_eq!(lex.base_form("cities").as_deref(), Some("city"));
     }
 }
 

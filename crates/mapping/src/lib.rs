@@ -8,8 +8,6 @@
 //!   coarse-grained field into an internal node (the `Passengers` example
 //!   of Figure 2 / Table 1), harvesting its label as an internal-node
 //!   candidate.
-//! * [`GroupRelation`] is the paper's (n+1)-ary *group relation*: one tuple
-//!   per source interface, one column per cluster of a group (Tables 2–4).
 //! * [`Integrated`] ties the merged schema tree to the clusters and
 //!   partitions them into `C_groups` / `C_root` / `C_int`.
 //! * [`matcher`] derives clusters from label similarity when ground truth
@@ -22,7 +20,6 @@ mod index;
 pub mod integrated;
 pub mod matcher;
 pub mod quality;
-pub mod relation;
 
 pub use cluster::{
     expand_one_to_many, Cluster, ClusterId, ExpansionOutcome, FieldRef, Mapping, MappingError,
@@ -37,4 +34,3 @@ pub use matcher::{
     match_by_labels_with, match_tier_with, MatchStats, MatchTier, MatcherConfig,
 };
 pub use quality::{pairwise_quality, MatchQuality};
-pub use relation::{GroupRelation, GroupTuple};

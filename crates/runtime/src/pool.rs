@@ -19,12 +19,13 @@ use std::sync::{Condvar, Mutex, PoisonError};
 pub const MAX_THREADS: usize = 16;
 
 /// Resolve a requested thread count: `0` means "use the hardware",
-/// anything else is clamped to `[1, MAX_THREADS]`.
+/// anything else is clamped to `[1, MAX_THREADS]`. The hardware (which
+/// can mean reading cgroup files) is asked only for `0`.
 pub fn resolve_threads(requested: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let n = if requested == 0 { hw } else { requested };
+    let n = match requested {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
     n.clamp(1, MAX_THREADS)
 }
 

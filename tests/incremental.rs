@@ -294,3 +294,80 @@ fn guard_fallbacks_still_match_full_rebuild() {
     assert_eq!(counter("serve.ingest.delta"), deltas + 1);
     assert_eq!(fallbacks(), before);
 }
+
+/// Symbol ids follow first-seen order, so a memo carried across ingests
+/// hands out other ids than a fresh one. Labeling over a memo that
+/// interned every label of the domain in reverse spelling order must
+/// give exactly what a fresh memo gives: every tie-break (group ties,
+/// the partial-consistency sort, isolated elections, the internal-node
+/// representative) orders by spelling, never by symbol.
+#[test]
+fn symbol_order_never_reaches_the_output() {
+    use qi_core::{LabeledInterface, Labeler, NamingCtx, NamingMemo};
+    use std::sync::Arc;
+
+    /// Everything a labeling run reports, with each internal-node
+    /// candidate's symbol (the memo's own id) left out.
+    fn observable(labeled: &LabeledInterface) -> String {
+        let candidates: Vec<_> = (labeled.internal_candidates.iter())
+            .map(|(id, candidates)| {
+                let fields: Vec<_> = (candidates.iter())
+                    .map(|c| {
+                        (
+                            &c.label,
+                            &c.schemas,
+                            c.rule,
+                            c.expressiveness,
+                            c.frequency,
+                            &c.coverage,
+                        )
+                    })
+                    .collect();
+                (id, fields)
+            })
+            .collect();
+        format!(
+            "{:?}\n{:?}\n{:?}\n{:?}\n{candidates:?}",
+            labeled.tree, labeled.leaf_cluster, labeled.report, labeled.internal_decisions
+        )
+    }
+
+    let lexicon = Lexicon::builtin();
+    let drift = qi_datasets::DriftConfig {
+        seed: 7,
+        domains: 6,
+        ..qi_datasets::DriftConfig::default()
+    };
+    let domains = qi_datasets::all_domains()
+        .into_iter()
+        .chain(qi_datasets::generate_drift_corpus(&drift, &lexicon));
+    for domain in domains {
+        let prepared = domain.prepare();
+        let mut labels: Vec<&str> = (prepared.schemas.iter())
+            .flat_map(|schema| schema.nodes().filter_map(|n| n.label.as_deref()))
+            .collect();
+        labels.sort_unstable();
+        labels.dedup();
+        for policy in [
+            NamingPolicy::default(),
+            NamingPolicy::most_general_baseline(),
+        ] {
+            let reversed = Arc::new(NamingMemo::default());
+            let ctx = NamingCtx::with_memo(&lexicon, Arc::clone(&reversed));
+            for label in labels.iter().rev() {
+                ctx.sym(label);
+            }
+            let label = |labeler: Labeler| {
+                labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated)
+            };
+            let fresh = label(Labeler::new(&lexicon, policy));
+            let carried = label(Labeler::new(&lexicon, policy).with_memo(reversed));
+            assert_eq!(
+                observable(&carried),
+                observable(&fresh),
+                "{} under {policy:?}",
+                domain.name
+            );
+        }
+    }
+}

@@ -3,16 +3,47 @@
 //! evaluation corpus.
 
 use qi::{ConsistencyLevel, Lexicon, NamingPolicy};
+use qi_core::kernel::{GroupRelation, LabelSymbols};
 use qi_core::{
     ctx::NamingCtx, partition::partition_tuples, solution::name_group, InferenceRule, Labeler,
 };
 use qi_datasets::PreparedDomain;
-use qi_mapping::GroupRelation;
 use qi_schema::NodeId;
 
 fn labeled(prepared: &PreparedDomain, lexicon: &Lexicon) -> qi::LabeledInterface {
     let labeler = Labeler::new(lexicon, NamingPolicy::default());
     labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated)
+}
+
+/// The group relation over the clusters of `concepts`, built from the
+/// domain's labels as a labeling run builds it.
+fn concept_relation(
+    prepared: &PreparedDomain,
+    concepts: &[&str],
+    ctx: &NamingCtx<'_>,
+) -> GroupRelation {
+    let clusters: Vec<_> = concepts
+        .iter()
+        .map(|c| prepared.mapping.by_concept(c).unwrap().id)
+        .collect();
+    let symbols = LabelSymbols::new(&prepared.schemas, ctx);
+    GroupRelation::build(&clusters, &prepared.mapping, &symbols)
+}
+
+/// The labels schema `name` supplies to `relation`, as strings.
+fn row_of(
+    prepared: &PreparedDomain,
+    relation: &GroupRelation,
+    name: &str,
+    ctx: &NamingCtx<'_>,
+) -> Vec<Option<String>> {
+    let idx = prepared
+        .schemas
+        .iter()
+        .position(|s| s.name() == name)
+        .unwrap();
+    let tuple = relation.tuples.iter().find(|t| t.schema == idx).unwrap();
+    ctx.spellings(&tuple.labels)
 }
 
 /// Table 1 / Figure 2: `airtravel`'s 1:m `Passengers` field is expanded
@@ -52,19 +83,10 @@ fn table1_passengers_expansion() {
 #[test]
 fn table2_group_relation_rows() {
     let prepared = qi_datasets::airline::domain().prepare();
-    let clusters: Vec<_> = ["senior", "adult", "child", "infant"]
-        .iter()
-        .map(|c| prepared.mapping.by_concept(c).unwrap().id)
-        .collect();
-    let relation = GroupRelation::build(&clusters, &prepared.mapping, &prepared.schemas);
-    let by_name = |name: &str| {
-        let idx = prepared
-            .schemas
-            .iter()
-            .position(|s| s.name() == name)
-            .unwrap();
-        relation.tuple_of_schema(idx).unwrap().labels.clone()
-    };
+    let lexicon = Lexicon::builtin();
+    let ctx = NamingCtx::new(&lexicon);
+    let relation = concept_relation(&prepared, &["senior", "adult", "child", "infant"], &ctx);
+    let by_name = |name: &str| row_of(&prepared, &relation, name, &ctx);
     assert_eq!(
         by_name("british"),
         vec![
@@ -85,16 +107,13 @@ fn table2_group_relation_rows() {
     );
     // §4.1: the intersect-and-union of those rows is the group's
     // consistent solution.
-    let lexicon = Lexicon::builtin();
-    let ctx = NamingCtx::new(&lexicon);
     let naming = name_group(&relation, &ctx, &NamingPolicy::default());
     assert!(naming.consistent);
     assert_eq!(naming.level, Some(ConsistencyLevel::String));
-    let labels: Vec<&str> = naming
-        .best
-        .labels
-        .iter()
-        .map(|l| l.as_deref().unwrap())
+    let labels: Vec<String> = ctx
+        .spellings(&naming.best.labels)
+        .into_iter()
+        .flatten()
         .collect();
     assert_eq!(labels, vec!["Seniors", "Adults", "Children", "Infants"]);
 }
@@ -104,13 +123,9 @@ fn table2_group_relation_rows() {
 #[test]
 fn figure4_partition_graph() {
     let prepared = qi_datasets::airline::domain().prepare();
-    let clusters: Vec<_> = ["senior", "adult", "child", "infant"]
-        .iter()
-        .map(|c| prepared.mapping.by_concept(c).unwrap().id)
-        .collect();
-    let relation = GroupRelation::build(&clusters, &prepared.mapping, &prepared.schemas);
     let lexicon = Lexicon::builtin();
     let ctx = NamingCtx::new(&lexicon);
+    let relation = concept_relation(&prepared, &["senior", "adult", "child", "infant"], &ctx);
     let result = partition_tuples(&relation, ConsistencyLevel::String, &ctx);
     assert!(result.partitions.len() >= 2, "heterogeneous labels split");
     assert!(result.has_full_cover(), "Proposition 1 holds");
@@ -121,19 +136,10 @@ fn figure4_partition_graph() {
 #[test]
 fn table3_auto_location_rows() {
     let prepared = qi_datasets::auto::domain().prepare();
-    let clusters: Vec<_> = ["state", "city", "zip", "distance"]
-        .iter()
-        .map(|c| prepared.mapping.by_concept(c).unwrap().id)
-        .collect();
-    let relation = GroupRelation::build(&clusters, &prepared.mapping, &prepared.schemas);
-    let by_name = |name: &str| {
-        let idx = prepared
-            .schemas
-            .iter()
-            .position(|s| s.name() == name)
-            .unwrap();
-        relation.tuple_of_schema(idx).unwrap().labels.clone()
-    };
+    let lexicon = Lexicon::builtin();
+    let ctx = NamingCtx::new(&lexicon);
+    let relation = concept_relation(&prepared, &["state", "city", "zip", "distance"], &ctx);
+    let by_name = |name: &str| row_of(&prepared, &relation, name, &ctx);
     let s = |v: &str| Some(v.to_string());
     assert_eq!(by_name("100auto"), vec![s("State"), s("City"), None, None]);
     assert_eq!(
@@ -155,19 +161,10 @@ fn table3_auto_location_rows() {
 #[test]
 fn table4_service_preferences() {
     let prepared = qi_datasets::airline::domain().prepare();
-    let clusters: Vec<_> = ["stops", "class", "airline"]
-        .iter()
-        .map(|c| prepared.mapping.by_concept(c).unwrap().id)
-        .collect();
-    let relation = GroupRelation::build(&clusters, &prepared.mapping, &prepared.schemas);
-    let by_name = |name: &str| {
-        let idx = prepared
-            .schemas
-            .iter()
-            .position(|s| s.name() == name)
-            .unwrap();
-        relation.tuple_of_schema(idx).unwrap().labels.clone()
-    };
+    let lexicon = Lexicon::builtin();
+    let ctx = NamingCtx::new(&lexicon);
+    let relation = concept_relation(&prepared, &["stops", "class", "airline"], &ctx);
+    let by_name = |name: &str| row_of(&prepared, &relation, name, &ctx);
     let s = |v: &str| Some(v.to_string());
     assert_eq!(
         by_name("aa"),
@@ -310,7 +307,7 @@ fn job_homonyms_resolved() {
     for i in 0..labels.len() {
         for j in (i + 1)..labels.len() {
             assert!(
-                !ctx.equal(&labels[i], &labels[j]),
+                !ctx.equal_sym(ctx.sym(&labels[i]), ctx.sym(&labels[j])),
                 "homonym pair survived: {:?} / {:?}",
                 labels[i],
                 labels[j]

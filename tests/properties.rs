@@ -435,9 +435,14 @@ fn ctx_matches_direct() {
             &LabelText::new(&b, &lexicon),
             &lexicon,
         );
-        assert_eq!(ctx.relate(&a, &b), direct, "case {case}: {a:?} vs {b:?}");
+        let (sa, sb) = (ctx.sym(&a), ctx.sym(&b));
         assert_eq!(
-            ctx.relate(&a, &b),
+            ctx.relate_sym(sa, sb),
+            direct,
+            "case {case}: {a:?} vs {b:?}"
+        );
+        assert_eq!(
+            ctx.relate_sym(sa, sb),
             direct,
             "case {case}: cached {a:?} vs {b:?}"
         );
