@@ -10,22 +10,22 @@
 use crate::ctx::NamingCtx;
 use crate::kernel::GroupRelation;
 use qi_runtime::Symbol;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
-/// Column pairs of a solution whose labels are homonym-conflicted:
-/// identical up to word order and inflection (`Job Type` / `Type of
-/// Job`). Synonym-level pairs (`Job Type` / `Employment Type`) use
-/// visually distinct words and are acceptable on a form — the paper's own
-/// repair example substitutes exactly such a synonym.
+/// Columns of a solution whose labels are homonym-conflicted, in
+/// buckets: labels identical up to word order and inflection (`Job Type`
+/// / `Type of Job`). Synonym-level pairs (`Job Type` / `Employment Type`)
+/// use visually distinct words and are acceptable on a form — the paper's
+/// own repair example substitutes exactly such a synonym.
 ///
 /// `a equal b` (or stronger) holds exactly when both labels survive
 /// normalization non-empty and their content-word key sets match: string
 /// equality (displays equal ignoring case) implies equal key sets,
 /// because word analysis lowercases the display first. Key-set equality
-/// is an equivalence, so conflicts are found by bucketing the columns on
-/// that one signature instead of probing all O(n²) pairs. Matters for
-/// the wide root group, where this runs on every (incremental) relabel.
-pub fn find_conflicts(labels: &[Option<Symbol>], ctx: &NamingCtx<'_>) -> Vec<(usize, usize)> {
+/// is an equivalence, so every two columns of one bucket conflict and no
+/// two columns of different buckets do. Each bucket holds at least two
+/// columns, in ascending order; the buckets come in no particular order.
+fn conflict_buckets(labels: &[Option<Symbol>], ctx: &NamingCtx<'_>) -> Vec<Vec<usize>> {
     let texts: Vec<_> = labels.iter().map(|l| l.map(|s| ctx.text_sym(s))).collect();
     let mut by_keys: HashMap<Vec<&str>, Vec<usize>> = HashMap::new();
     for (i, text) in texts.iter().enumerate() {
@@ -38,36 +38,36 @@ pub fn find_conflicts(labels: &[Option<Symbol>], ctx: &NamingCtx<'_>) -> Vec<(us
             .or_default()
             .push(i);
     }
-    // The in-bucket pairs, in the (i, j) lexicographic order a pairwise
-    // scan would emit.
-    let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for bucket in by_keys.values() {
-        for (a, &i) in bucket.iter().enumerate() {
-            for &j in &bucket[a + 1..] {
-                pairs.insert((i, j));
-            }
-        }
-    }
-    pairs.into_iter().collect()
+    by_keys.into_values().filter(|b| b.len() > 1).collect()
 }
 
 /// Attempt to repair every homonym conflict in `labels`. Returns
 /// `Some(true)` when conflicts were found and all were repaired,
 /// `Some(false)` when at least one conflict remains, and `None` when the
 /// solution had no conflicts.
+///
+/// Pairs are repaired in the `(i, j)` order of a pairwise scan. Buckets
+/// partition the columns and a repair reads and writes only its pair's
+/// two columns, so walking each bucket's pairs in turn gives the same
+/// labels as one global pass, without listing the pairs: a wide group
+/// whose columns share few labels has millions.
 pub fn repair_conflicts(
     labels: &mut [Option<Symbol>],
     relation: &GroupRelation,
     ctx: &NamingCtx<'_>,
 ) -> Option<bool> {
-    let conflicts = find_conflicts(labels, ctx);
-    if conflicts.is_empty() {
+    let buckets = conflict_buckets(labels, ctx);
+    if buckets.is_empty() {
         return None;
     }
     let mut all_repaired = true;
-    for (i, j) in conflicts {
-        if !repair_one(labels, i, j, relation, ctx) {
-            all_repaired = false;
+    for bucket in &buckets {
+        for (a, &i) in bucket.iter().enumerate() {
+            for &j in &bucket[a + 1..] {
+                if !repair_one(labels, i, j, relation, ctx) {
+                    all_repaired = false;
+                }
+            }
         }
     }
     Some(all_repaired)
@@ -130,8 +130,7 @@ mod tests {
             &[Some("Job Type"), Some("Type of Job"), Some("Company Name")],
             &ctx,
         );
-        let conflicts = find_conflicts(&labels, &ctx);
-        assert_eq!(conflicts, vec![(0, 1)]);
+        assert_eq!(conflict_buckets(&labels, &ctx), vec![vec![0, 1]]);
     }
 
     /// Labels whose displays are equal ignoring case always have equal
@@ -179,7 +178,7 @@ mod tests {
             ],
             &ctx,
         );
-        assert_eq!(find_conflicts(&row, &ctx), vec![(0, 1)]);
+        assert_eq!(conflict_buckets(&row, &ctx), vec![vec![0, 1]]);
     }
 
     #[test]
@@ -187,7 +186,7 @@ mod tests {
         let lex = Lexicon::builtin();
         let ctx = NamingCtx::new(&lex);
         let labels = syms(&[Some("Make"), Some("Model"), None], &ctx);
-        assert!(find_conflicts(&labels, &ctx).is_empty());
+        assert!(conflict_buckets(&labels, &ctx).is_empty());
         let mut l = labels.clone();
         let relation = GroupRelation::from_rows(&cids(3), &[], &ctx);
         assert_eq!(repair_conflicts(&mut l, &relation, &ctx), None);
@@ -219,7 +218,7 @@ mod tests {
         assert_eq!(outcome, Some(true));
         assert_eq!(labels[2], Some(ctx.sym("Employment Type")));
         assert_eq!(labels[1], Some(ctx.sym("Job Type")));
-        assert!(find_conflicts(&labels, &ctx).is_empty());
+        assert!(conflict_buckets(&labels, &ctx).is_empty());
     }
 
     #[test]

@@ -47,9 +47,6 @@ pub struct CandidateLabel {
     /// The elected raw form of the label (a lease on the naming context's
     /// interner arena — cloning is a reference-count bump).
     pub label: Arc<str>,
-    /// The label's interned symbol; ancestor-duplication checks in phase
-    /// 3 compare these as integers.
-    pub sym: Symbol,
     /// Schemas whose internal nodes supplied (an equal form of) it.
     pub schemas: BTreeSet<usize>,
     /// The inference rule that established full coverage.
@@ -105,13 +102,17 @@ impl LabelClass {
 /// * `info` — per-cluster instances and field labels (LI5);
 /// * `usage` — LI counters (Figure 10), incremented per candidate
 ///   produced.
+///
+/// Returns the candidates and, parallel to them, their interned labels
+/// (the naming memo's own ids, which phase 3 compares as integers and
+/// which never leave the run).
 pub fn find_candidates(
     x: &BTreeSet<ClusterId>,
     potentials: &[PotentialLabel],
     info: &BTreeMap<ClusterId, ClusterInfo>,
     ctx: &NamingCtx<'_>,
     usage: &mut LiUsage,
-) -> Vec<CandidateLabel> {
+) -> (Vec<CandidateLabel>, Vec<Symbol>) {
     let mut classes: Vec<LabelClass> = Vec::new();
     for potential in potentials {
         if potential.bag.is_empty()
@@ -178,7 +179,7 @@ pub fn find_candidates(
             break;
         }
     }
-    let mut candidates: Vec<CandidateLabel> = Vec::new();
+    let mut candidates: Vec<(CandidateLabel, Symbol)> = Vec::new();
     for class in &classes {
         let rule = if &class.direct == x {
             Some(InferenceRule::Li2)
@@ -196,28 +197,28 @@ pub fn find_candidates(
         if let Some(rule) = rule {
             usage.record(rule);
             let rep = class.representative();
-            candidates.push(CandidateLabel {
+            let candidate = CandidateLabel {
                 label: ctx.spelling(rep),
-                sym: rep,
                 schemas: class.schemas.clone(),
                 rule,
                 expressiveness: ctx.expressiveness_sym(rep),
                 frequency: class.frequency(),
                 coverage: class.direct.clone(),
-            });
+            };
+            candidates.push((candidate, rep));
         }
     }
     // LI1: collapse candidates that are semantically equivalent in the
     // domain (nested coverage + reverse lexical hypernymy). Keep the
     // more descriptive form.
     collapse_equivalent(&mut candidates, &classes, ctx, usage);
-    candidates.sort_by(|a, b| {
+    candidates.sort_by(|(a, _), (b, _)| {
         b.expressiveness
             .cmp(&a.expressiveness)
             .then(b.frequency.cmp(&a.frequency))
             .then(a.label.cmp(&b.label))
     });
-    candidates
+    candidates.into_iter().unzip()
 }
 
 /// LI5: is `X − coverage` characterized by the covered fields?
@@ -284,7 +285,7 @@ fn li5_extends(
 /// and `a`'s label is a lexical hypernym of `b`'s, the two labels are
 /// semantically equivalent in the domain — keep one.
 fn collapse_equivalent(
-    candidates: &mut Vec<CandidateLabel>,
+    candidates: &mut Vec<(CandidateLabel, Symbol)>,
     classes: &[LabelClass],
     ctx: &NamingCtx<'_>,
     usage: &mut LiUsage,
@@ -301,13 +302,13 @@ fn collapse_equivalent(
             if i == j || removed.contains(&i) || removed.contains(&j) {
                 continue;
             }
-            let (a, b) = (&candidates[i], &candidates[j]);
-            let (Some(cov_a), Some(cov_b)) = (coverage_of(a.sym), coverage_of(b.sym)) else {
+            let ((a, a_sym), (b, b_sym)) = (&candidates[i], &candidates[j]);
+            let (Some(cov_a), Some(cov_b)) = (coverage_of(*a_sym), coverage_of(*b_sym)) else {
                 continue;
             };
             // a's bag ⊆ b's bag and a's label lexically ⊒ b's label ⇒
             // equivalent (LI1). Prefer the more descriptive label.
-            if cov_a.is_subset(cov_b) && ctx.hypernym_sym(a.sym, b.sym) {
+            if cov_a.is_subset(cov_b) && ctx.hypernym_sym(*a_sym, *b_sym) {
                 usage.record(InferenceRule::Li1);
                 let drop = if a.expressiveness >= b.expressiveness {
                     j
@@ -386,7 +387,7 @@ mod tests {
             })
             .collect();
         let mut usage = LiUsage::default();
-        let candidates = find_candidates(x, &potentials, &info, &ctx, &mut usage);
+        let (candidates, _) = find_candidates(x, &potentials, &info, &ctx, &mut usage);
         (candidates, usage)
     }
 

@@ -54,25 +54,32 @@ pub struct LabeledInterface {
     pub leaf_cluster: BTreeMap<NodeId, ClusterId>,
     /// What happened: consistency class, group outcomes, LI usage.
     pub report: NamingReport,
-    /// Chosen candidate labels per internal node (diagnostics).
-    pub internal_candidates: BTreeMap<NodeId, Vec<CandidateLabel>>,
     /// Why each internal node got (or failed to get) its label.
-    pub internal_decisions: BTreeMap<NodeId, InternalDecision>,
+    pub internal: BTreeMap<NodeId, InternalDecision>,
 }
 
 /// How the label assignment went for one internal node (phase 3).
+///
+/// No candidates means no source interface labels a node covering this
+/// field set; candidates but no choice means every one of them duplicates
+/// an ancestor's label — the "candidate promoted to its ancestors"
+/// failure (§7).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternalDecision {
-    /// The assigned label, if any.
-    pub chosen: Option<String>,
-    /// Number of candidate labels the node had.
-    pub candidate_count: usize,
+    /// The node's candidate labels (§5, LI1–LI5), best first.
+    pub candidates: Vec<CandidateLabel>,
+    /// Index into `candidates` of the assigned label, if any.
+    pub chosen: Option<usize>,
     /// Definition 6 held for the chosen label against every descendant
     /// group's chosen solution (full vertical consistency).
     pub def6_consistent: bool,
-    /// The node had candidates, but all of them duplicate an ancestor's
-    /// label — the "candidate promoted to its ancestors" failure (§7).
-    pub blocked_by_ancestor: bool,
+}
+
+impl InternalDecision {
+    /// The candidate that became the node's label.
+    pub fn chosen_candidate(&self) -> Option<&CandidateLabel> {
+        self.chosen.map(|index| &self.candidates[index])
+    }
 }
 
 /// Everything phase 1 computed for one group of the integrated interface.
@@ -208,7 +215,9 @@ impl<'a> Labeler<'a> {
         let phase_span = self.telemetry.timed("label.phase1.candidates");
         let potentials = collect_potentials(schemas, mapping, &symbols);
         let info = collect_cluster_info(schemas, mapping, &symbols);
-        let mut internal_candidates: BTreeMap<NodeId, Vec<CandidateLabel>> = BTreeMap::new();
+        // Each node's candidates, with their symbols beside them.
+        let mut candidate_sets: BTreeMap<NodeId, (Vec<CandidateLabel>, Vec<Symbol>)> =
+            BTreeMap::new();
         let mut node_clusters: BTreeMap<NodeId, BTreeSet<ClusterId>> = BTreeMap::new();
         for internal in integrated.tree.internal_nodes() {
             let x: BTreeSet<ClusterId> = integrated
@@ -220,7 +229,7 @@ impl<'a> Labeler<'a> {
             let candidates =
                 internal::find_candidates(&x, &potentials, &info, &ctx, &mut report.li_usage);
             node_clusters.insert(internal.id, x);
-            internal_candidates.insert(internal.id, candidates);
+            candidate_sets.insert(internal.id, candidates);
         }
         drop(phase_span);
 
@@ -283,18 +292,17 @@ impl<'a> Labeler<'a> {
             if id == NodeId::ROOT || integrated.tree.node(id).is_leaf() {
                 continue;
             }
-            let candidates = &internal_candidates[&id];
-            if candidates.is_empty() {
+            let (candidates, syms) = candidate_sets
+                .remove(&id)
+                .expect("phase 1c derives candidates for every internal node");
+            let mut decision = InternalDecision {
+                candidates,
+                chosen: None,
+                def6_consistent: false,
+            };
+            if decision.candidates.is_empty() {
                 report.internal_without_candidates += 1;
-                decisions.insert(
-                    id,
-                    InternalDecision {
-                        chosen: None,
-                        candidate_count: 0,
-                        def6_consistent: false,
-                        blocked_by_ancestor: false,
-                    },
-                );
+                decisions.insert(id, decision);
                 continue;
             }
             let path: Vec<NodeId> = integrated.tree.path_to_root(id);
@@ -316,12 +324,10 @@ impl<'a> Labeler<'a> {
             // Score every candidate: must not duplicate an ancestor label;
             // prefer Definition 6 consistency with the chosen group
             // solutions, then Definition 5 generality wrt the parent.
-            let mut best: Option<(bool, bool, &CandidateLabel)> = None;
-            for candidate in candidates {
-                if ancestor_labels
-                    .iter()
-                    .any(|&al| ctx.equal_sym(al, candidate.sym))
-                {
+            let candidates = &decision.candidates;
+            let mut best: Option<(bool, bool, usize)> = None;
+            for (index, (candidate, &sym)) in candidates.iter().zip(&syms).enumerate() {
+                if ancestor_labels.iter().any(|&al| ctx.equal_sym(al, sym)) {
                     continue; // Le − L_path(e) requirement (Prop. 2)
                 }
                 let def6 = descendant_groups
@@ -329,63 +335,47 @@ impl<'a> Labeler<'a> {
                     .all(|g| candidate_consistent_with_group(candidate, g));
                 let generality_ok = match parent_label {
                     Some((pl, pbag)) => {
-                        internal::at_least_as_general(pl, pbag, candidate.sym, x, &ctx)
+                        internal::at_least_as_general(pl, pbag, sym, x, &ctx)
                             || internal::at_least_as_general(
                                 pl,
                                 pbag,
-                                candidate.sym,
+                                sym,
                                 &candidate.coverage,
                                 &ctx,
                             )
                     }
                     None => true,
                 };
-                let better = match &best {
+                let better = match best {
                     None => true,
-                    Some((b_def6, b_gen, b_cand)) => {
+                    Some((b_def6, b_gen, b)) => {
+                        let b_cand = &candidates[b];
                         (
                             def6,
                             generality_ok,
                             candidate.expressiveness,
                             candidate.frequency,
-                        ) > (*b_def6, *b_gen, b_cand.expressiveness, b_cand.frequency)
+                        ) > (b_def6, b_gen, b_cand.expressiveness, b_cand.frequency)
                     }
                 };
                 if better {
-                    best = Some((def6, generality_ok, candidate));
+                    best = Some((def6, generality_ok, index));
                 }
             }
             match best {
-                Some((def6, _generality, candidate)) => {
-                    assigned.insert(id, candidate.sym);
-                    tree.set_label(id, Some(candidate.label.to_string()));
+                Some((def6, _generality, index)) => {
+                    assigned.insert(id, syms[index]);
+                    tree.set_label(id, Some(candidates[index].label.to_string()));
                     report.labeled_internal += 1;
-                    decisions.insert(
-                        id,
-                        InternalDecision {
-                            chosen: Some(candidate.label.to_string()),
-                            candidate_count: candidates.len(),
-                            def6_consistent: def6,
-                            blocked_by_ancestor: false,
-                        },
-                    );
+                    decision.chosen = Some(index);
+                    decision.def6_consistent = def6;
                     if !def6 {
                         weakly += 1;
                     }
                 }
-                None => {
-                    report.unlabeled_internal_with_candidates += 1;
-                    decisions.insert(
-                        id,
-                        InternalDecision {
-                            chosen: None,
-                            candidate_count: candidates.len(),
-                            def6_consistent: false,
-                            blocked_by_ancestor: true,
-                        },
-                    );
-                }
+                None => report.unlabeled_internal_with_candidates += 1,
             }
+            decisions.insert(id, decision);
         }
         drop(phase_span);
 
@@ -426,8 +416,7 @@ impl<'a> Labeler<'a> {
             tree,
             leaf_cluster: integrated.leaf_cluster.clone(),
             report,
-            internal_candidates,
-            internal_decisions: decisions,
+            internal: decisions,
         }
     }
 
@@ -827,15 +816,13 @@ mod tests {
         let lexicon = Lexicon::builtin();
         let labeler = Labeler::new(&lexicon, NamingPolicy::default());
         let labeled = labeler.label(&schemas, &mapping, &integrated);
-        // Exactly one node is blocked, and its decision says so.
+        // Exactly one node is blocked: it has candidates but no choice.
         let blocked: Vec<_> = labeled
-            .internal_decisions
+            .internal
             .values()
-            .filter(|d| d.blocked_by_ancestor)
+            .filter(|d| d.chosen.is_none() && !d.candidates.is_empty())
             .collect();
-        assert_eq!(blocked.len(), 1, "{:?}", labeled.internal_decisions);
-        assert!(blocked[0].chosen.is_none());
-        assert!(blocked[0].candidate_count >= 1);
+        assert_eq!(blocked.len(), 1, "{:?}", labeled.internal);
         assert_eq!(
             labeled.report.class,
             Some(crate::ConsistencyClass::Inconsistent)
@@ -854,17 +841,17 @@ mod tests {
         let lexicon = Lexicon::builtin();
         let labeler = Labeler::new(&lexicon, NamingPolicy::default());
         let labeled = labeler.label(&schemas, &mapping, &integrated);
-        for (id, decision) in &labeled.internal_decisions {
-            if let Some(chosen) = &decision.chosen {
+        for (id, decision) in &labeled.internal {
+            if let Some(chosen) = decision.chosen_candidate() {
                 assert_eq!(
-                    labeled.tree.node(*id).label.as_ref(),
-                    Some(chosen),
+                    labeled.tree.node(*id).label.as_deref(),
+                    Some(&*chosen.label),
                     "decision and tree disagree"
                 );
             }
         }
         assert!(labeled
-            .internal_decisions
+            .internal
             .values()
             .any(|d| d.chosen.is_some() && d.def6_consistent));
     }
@@ -926,7 +913,7 @@ mod tests {
             .label(&schemas, &delta.mapping, &integrated);
         assert_eq!(incremental.tree, batch.tree);
         assert_eq!(incremental.leaf_cluster, batch.leaf_cluster);
-        assert_eq!(incremental.internal_decisions, batch.internal_decisions);
+        assert_eq!(incremental.internal, batch.internal);
         assert_eq!(incremental.report.class, batch.report.class);
         assert_eq!(incremental.report.li_usage, batch.report.li_usage);
         assert_eq!(incremental.report.groups, batch.report.groups);

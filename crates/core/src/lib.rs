@@ -27,6 +27,7 @@
 //! | [`internal`] | §5 — candidate labels for internal nodes, LI1–LI5 |
 //! | [`instances`] | §6.1 — LI6/LI7 instance-based refinements |
 //! | [`labeler`] | §6 — the three-phase naming algorithm, Definition 8 |
+//! | [`provenance`] | why each node got its label, one record per node |
 //! | [`policy`] | configuration & ablation axes |
 //! | [`report`] | naming outcome, consistency class, LI usage (Fig. 10) |
 //!
@@ -72,7 +73,6 @@ pub mod combine;
 pub mod conflicts;
 pub mod consistency;
 pub mod ctx;
-pub mod explain;
 pub mod instances;
 pub mod internal;
 pub mod isolated;

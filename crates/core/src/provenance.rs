@@ -1,12 +1,12 @@
 //! Compact, serializable labeling-decision provenance.
 //!
-//! [`crate::explain`] renders a free-form narrative for humans; this
-//! module distills the same evidence into one flat [`LabelDecision`]
-//! record per integrated-tree node — stable enough to persist in a
-//! snapshot section, serve over HTTP (`GET /domains/{d}/explain`) and
-//! print from `qi explain`. Each record names the node (id + label
-//! path), the rule that fired, the chosen label, and every candidate
-//! that was considered with its score and accept/reject verdict.
+//! The labeler's diagnostics become one flat [`LabelDecision`] record
+//! per integrated-tree node — stable enough to persist in a snapshot
+//! section, serve over HTTP (`GET /domains/{d}/explain`) and print from
+//! `qi explain` and `qi label --explain`. Each record names the node
+//! (id + label path), the rule that fired, the chosen label, and every
+//! candidate that was considered with its score and accept/reject
+//! verdict.
 //!
 //! Rule strings are a small closed vocabulary:
 //!
@@ -158,36 +158,23 @@ pub fn decisions(labeled: &LabeledInterface, policy: &NamingPolicy) -> Vec<Label
 
     // Internal nodes: candidate sets with LI rules and the phase-3
     // verdict.
-    for (&id, decision) in &labeled.internal_decisions {
-        let empty = Vec::new();
-        let candidates = labeled.internal_candidates.get(&id).unwrap_or(&empty);
-        let rule = match &decision.chosen {
-            Some(chosen) => {
-                let li = candidates
-                    .iter()
-                    .find(|c| c.label.as_ref() == chosen.as_str())
-                    .map(|c| c.rule.to_string())
-                    .unwrap_or_else(|| "LI?".to_string());
-                if decision.def6_consistent {
-                    format!("internal:{li}")
-                } else {
-                    format!("internal:{li}+weak")
-                }
-            }
-            None if decision.candidate_count == 0 => "internal:no-candidates".to_string(),
+    for (&id, decision) in &labeled.internal {
+        let rule = match decision.chosen_candidate() {
+            Some(chosen) if decision.def6_consistent => format!("internal:{}", chosen.rule),
+            Some(chosen) => format!("internal:{}+weak", chosen.rule),
+            None if decision.candidates.is_empty() => "internal:no-candidates".to_string(),
             None => "internal:blocked-by-ancestor".to_string(),
         };
         out.push(LabelDecision {
             node: id.0,
             path: node_path(tree, id),
             rule,
-            chosen: decision.chosen.clone(),
-            candidates: candidates
-                .iter()
-                .map(|c| DecisionCandidate {
+            chosen: decision.chosen_candidate().map(|c| c.label.to_string()),
+            candidates: (decision.candidates.iter().enumerate())
+                .map(|(index, c)| DecisionCandidate {
                     label: c.label.to_string(),
                     frequency: c.frequency as u64,
-                    accepted: decision.chosen.as_deref() == Some(c.label.as_ref()),
+                    accepted: decision.chosen == Some(index),
                     note: format!("{} expressiveness={}", c.rule, c.expressiveness),
                 })
                 .collect(),

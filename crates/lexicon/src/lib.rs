@@ -63,6 +63,11 @@ pub const WORD_CAP: usize = 1024;
 /// a long-running server stays bounded.
 pub const BASE_FORM_CAP: usize = 16_384;
 
+/// Most word → synset resolutions [`Lexicon::resolve`] keeps. One cold
+/// pass over a 100-domain drift corpus leaves about 4,700 entries, which
+/// fit, while a long-running server stays bounded.
+pub const RESOLVE_CAP: usize = 8_192;
+
 /// The lexical database: synsets, lemma index, hypernym DAG, morphology.
 ///
 /// All queries take `&self`; the transitive-hypernymy and base-form
@@ -86,10 +91,11 @@ pub struct Lexicon {
     /// Memoized morphological reductions (`base_form` results, covering
     /// the Morphy detachment-rule walk), bounded by [`BASE_FORM_CAP`].
     base_form_cache: ShardedCache<String, Option<String>>,
-    /// Memoized word → synset-id resolutions ([`Lexicon::resolve`]).
-    /// The matcher's candidate generator keys its synonym postings on
-    /// these ids, so the same few hundred tokens resolve once per corpus
-    /// instead of once per pairwise `are_synonyms` probe.
+    /// Memoized word → synset-id resolutions ([`Lexicon::resolve`]),
+    /// bounded by [`RESOLVE_CAP`]. The matcher's candidate generator keys
+    /// its synonym postings on these ids, so the same few hundred tokens
+    /// resolve once per corpus instead of once per pairwise
+    /// `are_synonyms` probe.
     resolve_cache: ShardedCache<String, Vec<SynsetId>>,
     /// Memoized §3.1 normalizations ([`Lexicon::label_text`]), bounded by
     /// [`LABEL_TEXT_CAP`].
@@ -364,16 +370,6 @@ impl Lexicon {
         out
     }
 
-    /// Lemmas sharing `word`'s Porter stem — the stemmer's inverse
-    /// family, in synset build order. Used by the drift generator to
-    /// emit morphological variants that still stem together.
-    pub fn stem_family(&self, word: &str) -> Vec<String> {
-        self.stem_index
-            .get(&qi_text::stem(word))
-            .cloned()
-            .unwrap_or_default()
-    }
-
     /// Every lemma in synset build order, deduplicated — a deterministic
     /// vocabulary surface for seeded corpus generators (the hash-ordered
     /// `lemma_index` must never leak into anything seed-reproducible).
@@ -444,7 +440,7 @@ impl Lexicon {
             exceptions,
             hypernym_cache: ShardedCache::default(),
             base_form_cache: ShardedCache::bounded(BASE_FORM_CAP),
-            resolve_cache: ShardedCache::default(),
+            resolve_cache: ShardedCache::bounded(RESOLVE_CAP),
             text_cache: ShardedCache::bounded(LABEL_TEXT_CAP),
             word_cache: ShardedCache::bounded(WORD_CAP),
             max_word_len,
@@ -650,6 +646,29 @@ mod label_text_memo {
             );
         }
         assert_eq!(lex.base_form("cities").as_deref(), Some("city"));
+    }
+
+    /// A stream of more than twice `RESOLVE_CAP` distinct unknown words
+    /// never grows the resolution memo past its cap, and every answer,
+    /// known words included, equals the unmemoized one.
+    #[test]
+    fn resolve_memo_is_bounded() {
+        let lex = Lexicon::builtin();
+        let resolve_entries = |lex: &Lexicon| {
+            let stats = lex.named_cache_stats();
+            let (_, resolve) = stats.iter().find(|(n, _)| *n == "lexicon.resolve").unwrap();
+            resolve.entries
+        };
+        for i in 0..2 * RESOLVE_CAP + 1_000 {
+            let word = match i % 500 {
+                0 => "cities".to_string(),
+                1 => "airline".to_string(),
+                _ => format!("zq{i}ings"),
+            };
+            assert_eq!(lex.resolve(&word), lex.resolve_uncached(&word), "{word}");
+            assert!(resolve_entries(&lex) <= RESOLVE_CAP, "after {i}");
+        }
+        assert!(!lex.resolve("airline").is_empty());
     }
 }
 

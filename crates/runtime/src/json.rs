@@ -163,14 +163,6 @@ impl Json {
         }
     }
 
-    /// The members, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(members) => Some(members),
-            _ => None,
-        }
-    }
-
     /// The number, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

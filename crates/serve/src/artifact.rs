@@ -4,7 +4,9 @@
 use qi_core::{ConsistencyClass, Labeler, LiUsage, NamingMemo, NamingPolicy};
 use qi_datasets::Domain;
 use qi_lexicon::Lexicon;
-use qi_mapping::{ClusterId, DeltaOutcome, FallbackReason, Mapping, MatchCarry, MatcherConfig};
+use qi_mapping::{
+    ClusterId, DeltaOutcome, FallbackReason, Integrated, Mapping, MatchCarry, MatcherConfig,
+};
 use qi_merge::MergeState;
 use qi_runtime::{Category, Interner, Severity, Telemetry};
 use qi_schema::{NodeId, SchemaTree};
@@ -127,41 +129,68 @@ fn build_artifact_with(
     telemetry: &Telemetry,
     match_carry: Option<MatchCarry>,
 ) -> DomainArtifact {
-    let span = telemetry.timed("serve.build_artifact");
+    let _span = telemetry.timed("serve.build_artifact");
     let ingest = match_carry.is_some();
-    let stage = |name| ingest.then(|| telemetry.span(name));
-    let merge = stage("serve.ingest.merge");
+    let merge = ingest.then(|| telemetry.span("serve.ingest.merge"));
     let prepared = domain.prepare();
     let merge_state = ingest.then(|| MergeState::capture(&prepared.schemas, &prepared.mapping));
     drop(merge);
-    let memo = Arc::new(NamingMemo::default());
-    let labeler = Labeler::new(lexicon, policy)
-        .with_telemetry(telemetry.clone())
-        .with_memo(Arc::clone(&memo));
-    let label = stage("serve.ingest.label");
-    let labeled = labeler.label(&prepared.schemas, &prepared.mapping, &prepared.integrated);
-    drop(label);
     let delta = match_carry
         .zip(merge_state)
-        .map(|(match_carry, merge_state)| {
-            Arc::new(DeltaState {
-                merge_state,
-                memo,
-                match_carry,
-            })
+        .map(|(match_carry, merge_state)| DeltaState {
+            merge_state,
+            memo: Arc::new(NamingMemo::default()),
+            match_carry,
         });
+    assemble(
+        domain.clone(),
+        Some((&prepared.schemas, &prepared.mapping)),
+        &prepared.integrated,
+        delta,
+        None,
+        lexicon,
+        policy,
+        telemetry,
+    )
+}
+
+/// The labeling half of every artifact build: label → provenance →
+/// sidecar, packaged with the raw `domain` the artifact keeps. The
+/// labeler reads `expanded` (the 1:1 form) when given, else `domain`
+/// itself, and runs over `delta`'s naming memo, or a fresh one. With
+/// `delta` set the build is an ingest and times each stage under
+/// `serve.ingest.*`. `sidecar_base` replays a previous artifact's
+/// sidecar. The artifact's version is 0.
+#[allow(clippy::too_many_arguments)]
+fn assemble(
+    domain: Domain,
+    expanded: Option<(&[SchemaTree], &Mapping)>,
+    integrated: &Integrated,
+    delta: Option<DeltaState>,
+    sidecar_base: Option<SidecarBase<'_>>,
+    lexicon: &Lexicon,
+    policy: NamingPolicy,
+    telemetry: &Telemetry,
+) -> DomainArtifact {
+    let stage = |name| delta.is_some().then(|| telemetry.span(name));
+    let memo = (delta.as_ref()).map_or_else(Default::default, |state| Arc::clone(&state.memo));
+    let (schemas, mapping) = expanded.unwrap_or((&domain.schemas, &domain.mapping));
+    let labeler = Labeler::new(lexicon, policy)
+        .with_telemetry(telemetry.clone())
+        .with_memo(memo);
+    let label = stage("serve.ingest.label");
+    let labeled = labeler.label(schemas, mapping, integrated);
+    drop(label);
     let provenance = stage("serve.ingest.provenance");
     let decisions = qi_core::provenance::decisions(&labeled, &policy);
     drop(provenance);
     let sidecar_span = stage("serve.ingest.sidecar");
-    let (symbols, normalized) = sidecar(&domain.schemas, lexicon, None);
+    let (symbols, normalized) = sidecar(&domain.schemas, lexicon, sidecar_base);
     drop(sidecar_span);
-    drop(span);
-
     DomainArtifact {
-        name: domain.name.clone(),
-        schemas: domain.schemas.clone(),
-        mapping: domain.mapping.clone(),
+        name: domain.name,
+        schemas: domain.schemas,
+        mapping: domain.mapping,
         labeled: labeled.tree,
         leaf_cluster: labeled.leaf_cluster,
         class: labeled.report.class,
@@ -172,7 +201,7 @@ fn build_artifact_with(
         normalized,
         decisions,
         version: 0,
-        delta,
+        delta: delta.map(Arc::new),
     }
 }
 
@@ -354,46 +383,33 @@ fn try_delta_ingest(
     merge_state.extend(&schemas, &mapping);
     let integrated = merge_state.finish(&schemas, &mapping);
     drop(merge);
-    let labeler = Labeler::new(lexicon, policy)
-        .with_telemetry(telemetry.clone())
-        .with_memo(Arc::clone(&state.memo));
-    let label = telemetry.span("serve.ingest.label");
-    let labeled = labeler.label(&schemas, &mapping, &integrated);
-    drop(label);
-    let provenance = telemetry.span("serve.ingest.provenance");
-    let decisions = qi_core::provenance::decisions(&labeled, &policy);
-    drop(provenance);
-    let sidecar_span = telemetry.span("serve.ingest.sidecar");
-    let (symbols, normalized) = sidecar(
-        &schemas,
-        lexicon,
-        Some((
-            &artifact.symbols,
-            &artifact.normalized,
-            artifact.schemas.len(),
-        )),
+    let sidecar_base = (
+        &artifact.symbols[..],
+        &artifact.normalized[..],
+        artifact.schemas.len(),
     );
-    drop(sidecar_span);
-    drop(span);
-    Some(DomainArtifact {
-        name: artifact.name.clone(),
-        schemas,
-        mapping,
-        labeled: labeled.tree,
-        leaf_cluster: labeled.leaf_cluster,
-        class: labeled.report.class,
-        li_usage: labeled.report.li_usage,
-        unlabeled_fields: labeled.report.unlabeled_fields,
-        labeled_internal: labeled.report.labeled_internal,
-        symbols,
-        normalized,
-        decisions,
-        version: artifact.version + 1,
-        delta: Some(Arc::new(DeltaState {
+    let rebuilt = assemble(
+        Domain {
+            name: artifact.name.clone(),
+            schemas,
+            mapping,
+        },
+        None,
+        &integrated,
+        Some(DeltaState {
             merge_state,
             memo: Arc::clone(&state.memo),
             match_carry: delta.carry,
-        })),
+        }),
+        Some(sidecar_base),
+        lexicon,
+        policy,
+        telemetry,
+    );
+    drop(span);
+    Some(DomainArtifact {
+        version: artifact.version + 1,
+        ..rebuilt
     })
 }
 

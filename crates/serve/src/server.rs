@@ -1134,13 +1134,14 @@ fn handle_job(
         .map(|_| telemetry.sibling().attach_events(telemetry.events()));
     let effective = local.as_ref().unwrap_or(telemetry);
 
-    let route = route_name(&request);
-    let (requests_key, span_key) = route_keys(route);
+    let parsed = Route::parse(&request);
+    let (route, requests_key, span_key) = parsed.keys();
     telemetry.incr("serve.requests");
     telemetry.incr(requests_key);
     let timed = telemetry.timed(span_key);
     let response = catch_unwind(AssertUnwindSafe(|| {
         handle(
+            parsed,
             &request,
             store,
             telemetry,
@@ -1233,48 +1234,79 @@ fn access_line(
     )
 }
 
-/// Stable route label for telemetry (no per-domain cardinality).
-fn route_name(request: &Request) -> &'static str {
-    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => "healthz",
-        ("GET", ["metrics"]) => "metrics",
-        ("GET", ["metrics", "history"]) => "metrics_history",
-        ("GET", ["debug", "events"]) => "debug_events",
-        ("GET", ["debug", "status"]) => "debug_status",
-        ("GET", ["domains"]) => "domains",
-        ("GET", ["domains", _, "labels"]) => "labels",
-        ("GET", ["domains", _, "tree"]) => "tree",
-        ("GET", ["domains", _, "explain"]) => "explain",
-        ("GET" | "POST", ["query"]) => "query",
-        ("POST", ["domains", _, "interfaces"]) => "ingest",
-        ("POST", ["admin", "reload"]) => "reload",
-        ("POST", ["admin", "shutdown"]) => "shutdown",
-        _ => "other",
-    }
+/// A request's endpoint, parsed once from its method and path. Domain
+/// slugs borrow from the path.
+#[derive(Debug, Clone, Copy)]
+enum Route<'a> {
+    Healthz,
+    Metrics,
+    MetricsHistory,
+    DebugEvents,
+    DebugStatus,
+    Domains,
+    Labels(&'a str),
+    Tree(&'a str),
+    Explain(&'a str),
+    Query,
+    Ingest(&'a str),
+    Reload,
+    Shutdown,
+    Other,
 }
 
-/// Pre-built telemetry keys (`serve.requests.*`, `serve.http.*`) per
-/// route, so the per-request hot path allocates no key strings.
-fn route_keys(route: &'static str) -> (&'static str, &'static str) {
-    match route {
-        "healthz" => ("serve.requests.healthz", "serve.http.healthz"),
-        "metrics" => ("serve.requests.metrics", "serve.http.metrics"),
-        "metrics_history" => (
-            "serve.requests.metrics_history",
-            "serve.http.metrics_history",
-        ),
-        "debug_events" => ("serve.requests.debug_events", "serve.http.debug_events"),
-        "debug_status" => ("serve.requests.debug_status", "serve.http.debug_status"),
-        "domains" => ("serve.requests.domains", "serve.http.domains"),
-        "labels" => ("serve.requests.labels", "serve.http.labels"),
-        "tree" => ("serve.requests.tree", "serve.http.tree"),
-        "explain" => ("serve.requests.explain", "serve.http.explain"),
-        "query" => ("serve.requests.query", "serve.http.query"),
-        "ingest" => ("serve.requests.ingest", "serve.http.ingest"),
-        "reload" => ("serve.requests.reload", "serve.http.reload"),
-        "shutdown" => ("serve.requests.shutdown", "serve.http.shutdown"),
-        _ => ("serve.requests.other", "serve.http.other"),
+/// A route's telemetry label and its pre-built `serve.requests.*` and
+/// `serve.http.*` keys, so the per-request hot path allocates no key
+/// strings.
+macro_rules! route_keys {
+    ($name:literal) => {
+        (
+            $name,
+            concat!("serve.requests.", $name),
+            concat!("serve.http.", $name),
+        )
+    };
+}
+
+impl<'a> Route<'a> {
+    fn parse(request: &'a Request) -> Route<'a> {
+        let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
+        match (request.method.as_str(), segments.as_slice()) {
+            ("GET", ["healthz"]) => Route::Healthz,
+            ("GET", ["metrics"]) => Route::Metrics,
+            ("GET", ["metrics", "history"]) => Route::MetricsHistory,
+            ("GET", ["debug", "events"]) => Route::DebugEvents,
+            ("GET", ["debug", "status"]) => Route::DebugStatus,
+            ("GET", ["domains"]) => Route::Domains,
+            ("GET", ["domains", domain, "labels"]) => Route::Labels(domain),
+            ("GET", ["domains", domain, "tree"]) => Route::Tree(domain),
+            ("GET", ["domains", domain, "explain"]) => Route::Explain(domain),
+            ("GET" | "POST", ["query"]) => Route::Query,
+            ("POST", ["domains", domain, "interfaces"]) => Route::Ingest(domain),
+            ("POST", ["admin", "reload"]) => Route::Reload,
+            ("POST", ["admin", "shutdown"]) => Route::Shutdown,
+            _ => Route::Other,
+        }
+    }
+
+    /// Stable route label for telemetry (no per-domain cardinality),
+    /// with its `serve.requests.*` and `serve.http.*` keys.
+    fn keys(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            Route::Healthz => route_keys!("healthz"),
+            Route::Metrics => route_keys!("metrics"),
+            Route::MetricsHistory => route_keys!("metrics_history"),
+            Route::DebugEvents => route_keys!("debug_events"),
+            Route::DebugStatus => route_keys!("debug_status"),
+            Route::Domains => route_keys!("domains"),
+            Route::Labels(_) => route_keys!("labels"),
+            Route::Tree(_) => route_keys!("tree"),
+            Route::Explain(_) => route_keys!("explain"),
+            Route::Query => route_keys!("query"),
+            Route::Ingest(_) => route_keys!("ingest"),
+            Route::Reload => route_keys!("reload"),
+            Route::Shutdown => route_keys!("shutdown"),
+            Route::Other => route_keys!("other"),
+        }
     }
 }
 
@@ -1284,7 +1316,9 @@ fn route_keys(route: &'static str) -> (&'static str, &'static str) {
 /// reports); `effective` is where this request's pipeline spans land —
 /// the same registry normally, a request-local one under slow-request
 /// tracing.
+#[allow(clippy::too_many_arguments)]
 fn handle(
+    route: Route<'_>,
     request: &Request,
     store: &Store,
     telemetry: &Telemetry,
@@ -1293,14 +1327,13 @@ fn handle(
     observe: &Observe,
     queue_depth: u64,
 ) -> Response {
-    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => healthz(request, store, observe),
-        ("GET", ["metrics"]) => metrics(request, telemetry),
-        ("GET", ["metrics", "history"]) => metrics_history(request, observe),
-        ("GET", ["debug", "events"]) => debug_events(request, telemetry),
-        ("GET", ["debug", "status"]) => debug_status(store, telemetry, observe, queue_depth),
-        ("GET", ["domains"]) => {
+    match route {
+        Route::Healthz => healthz(request, store, observe),
+        Route::Metrics => metrics(request, telemetry),
+        Route::MetricsHistory => metrics_history(request, observe),
+        Route::DebugEvents => debug_events(request, telemetry),
+        Route::DebugStatus => debug_status(store, telemetry, observe, queue_depth),
+        Route::Domains => {
             // The listing is rendered from the whole domain map, so it
             // is versioned by the store generation, not one artifact.
             let generation = store.generation();
@@ -1321,13 +1354,9 @@ fn handle(
             };
             respond_from_cache(request, &entry)
         }
-        ("GET", ["domains", domain, "labels"]) => {
-            cached_get(request, store, domain, "labels", telemetry, labels)
-        }
-        ("GET", ["domains", domain, "tree"]) => {
-            cached_get(request, store, domain, "tree", telemetry, tree)
-        }
-        ("GET", ["domains", domain, "explain"]) => {
+        Route::Labels(domain) => cached_get(request, store, domain, "labels", telemetry, labels),
+        Route::Tree(domain) => cached_get(request, store, domain, "tree", telemetry, tree),
+        Route::Explain(domain) => {
             // Explicit pagination parameters bypass the rendered cache
             // (each page is its own body); the bare GET stays cached.
             if request.query_param("cursor").is_some() || request.query_param("limit").is_some() {
@@ -1336,16 +1365,14 @@ fn handle(
                 cached_get(request, store, domain, "explain", telemetry, explain)
             }
         }
-        ("GET" | "POST", ["query"]) => query_endpoint(request, store, telemetry),
-        ("POST", ["domains", domain, "interfaces"]) => ingest(request, store, domain, effective),
-        ("POST", ["admin", "reload"]) => reload(request, store, telemetry, config),
-        ("POST", ["admin", "shutdown"]) => {
-            Response::json(200, Obj::new().str("status", "shutting down").finish())
-        }
-        (method, _) if !matches!(method, "GET" | "POST") => {
+        Route::Query => query_endpoint(request, store, telemetry),
+        Route::Ingest(domain) => ingest(request, store, domain, effective),
+        Route::Reload => reload(request, store, telemetry, config),
+        Route::Shutdown => Response::json(200, Obj::new().str("status", "shutting down").finish()),
+        Route::Other if !matches!(request.method.as_str(), "GET" | "POST") => {
             Response::error(405, "method not allowed")
         }
-        _ => Response::error(404, "no such resource"),
+        Route::Other => Response::error(404, "no such resource"),
     }
 }
 
@@ -1956,6 +1983,29 @@ mod tests {
         }
     }
 
+    /// Parse the request's route and handle it, as a worker does.
+    fn handle_request(
+        request: &Request,
+        store: &Store,
+        telemetry: &Telemetry,
+        effective: &Telemetry,
+        config: &ServerConfig,
+        observe: &Observe,
+        queue_depth: u64,
+    ) -> Response {
+        let route = Route::parse(request);
+        handle(
+            route,
+            request,
+            store,
+            telemetry,
+            effective,
+            config,
+            observe,
+            queue_depth,
+        )
+    }
+
     fn auto_store() -> Store {
         let lexicon = Lexicon::builtin();
         let telemetry = Telemetry::off();
@@ -1974,7 +2024,9 @@ mod tests {
         let telemetry = Telemetry::off();
         let config = ServerConfig::default();
         let observe = Observe::off();
-        let ok = |req: &Request| handle(req, &store, &telemetry, &telemetry, &config, &observe, 0);
+        let ok = |req: &Request| {
+            handle_request(req, &store, &telemetry, &telemetry, &config, &observe, 0)
+        };
 
         let health = ok(&request("GET", "/healthz", b""));
         assert_eq!(health.status, 200);
@@ -2086,8 +2138,9 @@ mod tests {
         let telemetry = Telemetry::off();
         let config = ServerConfig::default();
         let observe = Observe::off();
-        let send =
-            |req: &Request| handle(req, &store, &telemetry, &telemetry, &config, &observe, 0);
+        let send = |req: &Request| {
+            handle_request(req, &store, &telemetry, &telemetry, &config, &observe, 0)
+        };
         let path = std::env::temp_dir().join(format!("qi-poison-{}.snap", std::process::id()));
         crate::snapshot::write_snapshot(&path, &store.snapshot()).unwrap();
 
@@ -2125,7 +2178,7 @@ mod tests {
         let telemetry = Telemetry::off();
         let config = ServerConfig::default();
         let observe = Observe::off();
-        let response = handle(
+        let response = handle_request(
             &request("POST", "/admin/reload", b""),
             &store,
             &telemetry,
@@ -2138,7 +2191,7 @@ mod tests {
         let text = String::from_utf8(response.body.to_vec()).unwrap();
         assert!(text.contains("no snapshot path"), "{text}");
 
-        let response = handle(
+        let response = handle_request(
             &request("POST", "/admin/reload", b"/definitely/not/a/file.snap"),
             &store,
             &telemetry,
@@ -2159,7 +2212,7 @@ mod tests {
         let config = ServerConfig::default();
 
         let observe = Observe::off();
-        let json = handle(
+        let json = handle_request(
             &request("GET", "/metrics", b""),
             &store,
             &telemetry,
@@ -2176,7 +2229,7 @@ mod tests {
         let mut req = request("GET", "/metrics", b"");
         req.headers
             .push(("accept".to_string(), "TEXT/Plain".to_string()));
-        let prom = handle(&req, &store, &telemetry, &telemetry, &config, &observe, 0);
+        let prom = handle_request(&req, &store, &telemetry, &telemetry, &config, &observe, 0);
         assert_eq!(prom.status, 200);
         assert_eq!(prom.content_type, "text/plain; version=0.0.4");
         let text = String::from_utf8(prom.body.to_vec()).unwrap();
@@ -2192,7 +2245,7 @@ mod tests {
         let before = store.get("auto").unwrap().interfaces();
 
         let observe = Observe::off();
-        let bad = handle(
+        let bad = handle_request(
             &request("POST", "/domains/auto/interfaces", b"not an interface"),
             &store,
             &telemetry,
@@ -2206,7 +2259,7 @@ mod tests {
         // An explicit "effective" registry receives the rebuild spans,
         // as under slow-request tracing.
         let local = Telemetry::deterministic();
-        let good = handle(
+        let good = handle_request(
             &request(
                 "POST",
                 "/domains/auto/interfaces",
@@ -2230,7 +2283,7 @@ mod tests {
         assert!(snapshot.spans.contains_key("serve.ingest"));
         assert!(snapshot.spans.contains_key("serve.build_artifact"));
 
-        let missing = handle(
+        let missing = handle_request(
             &request("POST", "/domains/zzz/interfaces", b"interface x\n- A\n"),
             &store,
             &telemetry,
@@ -2244,24 +2297,20 @@ mod tests {
 
     #[test]
     fn telemetry_labels_routes_without_domain_cardinality() {
-        assert_eq!(
-            route_name(&request("GET", "/domains/auto/labels", b"")),
-            "labels"
-        );
-        assert_eq!(
-            route_name(&request("GET", "/domains/books/labels", b"")),
-            "labels"
-        );
-        assert_eq!(
-            route_name(&request("GET", "/domains/auto/explain", b"")),
-            "explain"
-        );
-        assert_eq!(
-            route_name(&request("POST", "/domains/auto/interfaces", b"")),
-            "ingest"
-        );
-        assert_eq!(route_name(&request("POST", "/admin/reload", b"")), "reload");
-        assert_eq!(route_name(&request("DELETE", "/x", b"")), "other");
+        let route = |method: &str, path: &str| {
+            let (name, requests_key, span_key) = Route::parse(&request(method, path, b"")).keys();
+            assert_eq!(requests_key, format!("serve.requests.{name}"));
+            assert_eq!(span_key, format!("serve.http.{name}"));
+            name
+        };
+        assert_eq!(route("GET", "/domains/auto/labels"), "labels");
+        assert_eq!(route("GET", "/domains/books/labels"), "labels");
+        assert_eq!(route("GET", "/domains/auto/explain"), "explain");
+        assert_eq!(route("POST", "/domains/auto/interfaces"), "ingest");
+        assert_eq!(route("POST", "/admin/reload"), "reload");
+        assert_eq!(route("GET", "/metrics/history"), "metrics_history");
+        assert_eq!(route("DELETE", "/x"), "other");
+        assert_eq!(route("GET", "/domains/auto/labels/extra"), "other");
     }
 
     #[test]
@@ -2277,7 +2326,9 @@ mod tests {
         let telemetry = Telemetry::off();
         let config = ServerConfig::default();
         let observe = Observe::off();
-        let ok = |req: &Request| handle(req, &store, &telemetry, &telemetry, &config, &observe, 0);
+        let ok = |req: &Request| {
+            handle_request(req, &store, &telemetry, &telemetry, &config, &observe, 0)
+        };
 
         // GET with an encoded query.
         let page = ok(&request("GET", "/query?q=find%20fields&limit=2", b""));
@@ -2344,7 +2395,9 @@ mod tests {
         let telemetry = Telemetry::new();
         let config = ServerConfig::default();
         let observe = Observe::off();
-        let ok = |req: &Request| handle(req, &store, &telemetry, &telemetry, &config, &observe, 0);
+        let ok = |req: &Request| {
+            handle_request(req, &store, &telemetry, &telemetry, &config, &observe, 0)
+        };
 
         let first = ok(&request("GET", "/query?q=find%20fields", b""));
         assert_eq!(first.status, 200);
@@ -2378,7 +2431,9 @@ mod tests {
         let telemetry = Telemetry::off();
         let config = ServerConfig::default();
         let observe = Observe::off();
-        let ok = |req: &Request| handle(req, &store, &telemetry, &telemetry, &config, &observe, 0);
+        let ok = |req: &Request| {
+            handle_request(req, &store, &telemetry, &telemetry, &config, &observe, 0)
+        };
 
         let full = ok(&request("GET", "/domains/auto/explain", b""));
         assert_eq!(full.status, 200);

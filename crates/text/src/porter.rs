@@ -14,13 +14,20 @@
 use qi_runtime::{CacheStats, ShardedCache};
 use std::sync::OnceLock;
 
-/// Process-wide stem memo-cache. The corpus vocabulary is a few thousand
-/// distinct tokens stemmed millions of times across clusters and domains,
-/// so the cache converges quickly and then answers from a shard read
-/// lock. `stem` is pure, so memoization is transparent.
+/// Most stems the process-wide memo keeps. One cold pass over a
+/// 100-domain drift corpus leaves about 1,300 entries, which fit, while a
+/// long-running server that meets new tokens on every ingest stays
+/// bounded.
+pub const STEM_CAP: usize = 4_096;
+
+/// Process-wide stem memo-cache, bounded by [`STEM_CAP`]. The corpus
+/// vocabulary is a few thousand distinct tokens stemmed millions of times
+/// across clusters and domains, so the cache converges quickly and then
+/// answers from a shard read lock. `stem` is pure, so memoization is
+/// transparent.
 fn stem_cache() -> &'static ShardedCache<String, String> {
     static CACHE: OnceLock<ShardedCache<String, String>> = OnceLock::new();
-    CACHE.get_or_init(ShardedCache::default)
+    CACHE.get_or_init(|| ShardedCache::bounded(STEM_CAP))
 }
 
 /// Hit/miss counters of the stem memo-cache.
@@ -465,5 +472,31 @@ mod tests {
         assert!(!ends_cvc(&w, 4)); // ends in w
         let w = b"box".to_vec();
         assert!(!ends_cvc(&w, 3)); // ends in x
+    }
+
+    /// A stream of more than twice `STEM_CAP` distinct memoizable words
+    /// never grows the process-wide memo past its cap, and every stem,
+    /// known words included, equals the unmemoized one.
+    #[test]
+    fn stem_memo_is_bounded() {
+        for i in 0..2 * STEM_CAP + 1_000 {
+            let word = match i % 500 {
+                0 => "connections".to_string(),
+                1 => "preferred".to_string(),
+                _ => {
+                    // Lowercase letters only: other words bypass the memo.
+                    let mut word = String::from("zq");
+                    let mut n = i;
+                    while n > 0 {
+                        word.push(char::from(b'a' + (n % 26) as u8));
+                        n /= 26;
+                    }
+                    word + "ings"
+                }
+            };
+            assert_eq!(stem(&word), stem_uncached(&word), "{word}");
+            assert!(stem_cache_stats().entries <= STEM_CAP, "after {i}");
+        }
+        assert_eq!(stem("preferred"), "prefer");
     }
 }

@@ -119,7 +119,8 @@ fn main() {
         .hypernym("computer", "desktop")
         .build();
 
-    let labeled = integrate_and_label(taxonomies, mapping, &lexicon, NamingPolicy::default());
+    let policy = NamingPolicy::default();
+    let labeled = integrate_and_label(taxonomies, mapping, &lexicon, policy);
     println!("Integrated category taxonomy:\n");
     println!("{}", labeled.tree.render());
     println!(
@@ -127,5 +128,6 @@ fn main() {
         labeled.report.class.expect("classified")
     );
     println!("\nWhy each label was chosen:\n");
-    println!("{}", qi_core::explain::render(&labeled));
+    let decisions = qi_core::provenance::decisions(&labeled, &policy);
+    println!("{}", qi_core::provenance::render(&decisions, None));
 }

@@ -298,7 +298,8 @@ fn cmd_label(args: &[String]) -> Result<(), String> {
     }
     if explain {
         println!();
-        print!("{}", qi_core::explain::render(&labeled));
+        let decisions = qi_core::provenance::decisions(&labeled, &policy);
+        print!("{}", qi_core::provenance::render(&decisions, None));
     }
     if let Some(path) = metrics_path {
         write_metrics(path, &telemetry.snapshot())?;

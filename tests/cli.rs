@@ -73,15 +73,24 @@ fn label_pipeline_from_files() {
     assert!(ok);
     assert!(html.contains("<form"), "{html}");
     assert!(html.contains("<fieldset>"));
-    // --explain mode narrates.
-    let (explained, _, ok) = qi(&[
+    // --explain mode prints each node's decision, as `qi explain` does.
+    let (explained, explain_stderr, ok) = qi(&[
         "label",
         "--explain",
         a.to_str().unwrap(),
         b.to_str().unwrap(),
     ]);
     assert!(ok);
-    assert!(explained.contains("Naming explanation"), "{explained}");
+    assert!(
+        explain_stderr.contains("consistency class: consistent"),
+        "{explain_stderr}"
+    );
+    assert!(explained.contains("rule: internal:LI2"), "{explained}");
+    assert!(explained.contains("rule: group:string"), "{explained}");
+    assert!(
+        explained.contains("accepted \"Travelers\" freq=1 (LI2 expressiveness=1)"),
+        "{explained}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -306,29 +306,11 @@ fn symbol_order_never_reaches_the_output() {
     use qi_core::{LabeledInterface, Labeler, NamingCtx, NamingMemo};
     use std::sync::Arc;
 
-    /// Everything a labeling run reports, with each internal-node
-    /// candidate's symbol (the memo's own id) left out.
+    /// Everything a labeling run reports.
     fn observable(labeled: &LabeledInterface) -> String {
-        let candidates: Vec<_> = (labeled.internal_candidates.iter())
-            .map(|(id, candidates)| {
-                let fields: Vec<_> = (candidates.iter())
-                    .map(|c| {
-                        (
-                            &c.label,
-                            &c.schemas,
-                            c.rule,
-                            c.expressiveness,
-                            c.frequency,
-                            &c.coverage,
-                        )
-                    })
-                    .collect();
-                (id, fields)
-            })
-            .collect();
         format!(
-            "{:?}\n{:?}\n{:?}\n{:?}\n{candidates:?}",
-            labeled.tree, labeled.leaf_cluster, labeled.report, labeled.internal_decisions
+            "{:?}\n{:?}\n{:?}\n{:?}",
+            labeled.tree, labeled.leaf_cluster, labeled.report, labeled.internal
         )
     }
 

@@ -221,7 +221,7 @@ fn figure8_preferences_hierarchy() {
     assert_eq!(labeled.tree.parent(breakfast_leaf), Some(parent));
     // "Do you have any preferences?" earns candidacy only by absorbing
     // the specific preference labels through the hypernym hierarchy.
-    let candidates = &labeled.internal_candidates[&parent];
+    let candidates = &labeled.internal[&parent].candidates;
     let question = candidates
         .iter()
         .find(|c| &*c.label == "Do you have any preferences?")
