@@ -90,7 +90,7 @@ pub fn decisions(labeled: &LabeledInterface, policy: &NamingPolicy) -> Vec<Label
     for group in &labeled.report.groups {
         let mut rule = match group.level {
             Some(level) => format!("group:{level}"),
-            None if group.consistent => "group:trivial".to_string(),
+            // `name_group` reports a level exactly when it is consistent.
             None => "group:partial".to_string(),
         };
         match group.conflict_repaired {

@@ -12,20 +12,15 @@
 //! * **Disabled is free.** [`EventRecorder`] wraps an
 //!   `Option<Arc<_>>`; the disabled handle carries `None`, so an emit
 //!   on a cold path is one pointer check. Field construction is
-//!   deferred behind a closure that only runs once an event is going
-//!   to be kept.
+//!   deferred behind a closure that only runs on an enabled recorder.
 //! * **Bounded and lock-minimal.** The ring is a fixed-capacity
 //!   `VecDeque` behind one mutex held only for a push/pop or a clone
 //!   out; there is no allocation growth, no blocking hand-off, and a
 //!   full ring evicts the oldest event instead of stalling the
 //!   emitter. Evictions advance an explicit *drop watermark* (the
 //!   highest evicted sequence number) so readers can tell silence from
-//!   loss.
-//! * **Sampled per category.** High-frequency categories can be
-//!   downsampled (keep one in N, counted per category with a relaxed
-//!   atomic); sampled-out events consume no sequence number, so the
-//!   retained ring stays seq-contiguous and cursor resume via
-//!   [`EventRecorder::events_since`] is gap-free above the watermark.
+//!   loss, and cursor resume via [`EventRecorder::events_since`] is
+//!   gap-free above the watermark.
 //!
 //! Sequence numbers start at 1; `since=0` therefore reads from the
 //! beginning. Timestamps are supplied by the caller (the telemetry
@@ -35,13 +30,12 @@
 use crate::json::Obj;
 use crate::sync;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// How loud an event is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Diagnostic detail (sampled aggressively in production).
+    /// Diagnostic detail.
     Debug,
     /// Expected-but-notable state changes (reloads, ingests).
     Info,
@@ -65,8 +59,7 @@ impl Severity {
 
 /// Which subsystem decision produced the event. The set enumerates the
 /// decision points wired today; extending it is a source change, which
-/// keeps category names static (no allocation on emit) and the
-/// sampling table a fixed array.
+/// keeps category names static (no allocation on emit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Category {
     /// Delta-ingest fallbacks to the full rebuild path.
@@ -90,10 +83,10 @@ pub enum Category {
     Http,
 }
 
-/// Number of categories (size of the sampling table).
+/// Number of categories.
 pub const CATEGORY_COUNT: usize = 9;
 
-/// Every category, in stable order (index == `as_index`).
+/// Every category, in stable order.
 pub const CATEGORIES: [Category; CATEGORY_COUNT] = [
     Category::Ingest,
     Category::Cache,
@@ -120,21 +113,6 @@ impl Category {
             Category::Reload => "reload",
             Category::Panic => "panic",
             Category::Http => "http",
-        }
-    }
-
-    /// Dense index into the per-category sampling table.
-    pub fn as_index(self) -> usize {
-        match self {
-            Category::Ingest => 0,
-            Category::Cache => 1,
-            Category::Shed => 2,
-            Category::Slow => 3,
-            Category::Cursor => 4,
-            Category::Budget => 5,
-            Category::Reload => 6,
-            Category::Panic => 7,
-            Category::Http => 8,
         }
     }
 
@@ -212,7 +190,7 @@ impl Event {
 /// Outcome of one emit attempt.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EmitOutcome {
-    /// Sequence number assigned, `None` when sampled out.
+    /// Sequence number assigned, `None` when the recorder is disabled.
     pub seq: Option<u64>,
     /// Events evicted from the ring by this emit (0 or 1).
     pub dropped: u64,
@@ -244,12 +222,6 @@ struct Ring {
 struct RecorderInner {
     capacity: usize,
     ring: Mutex<Ring>,
-    /// Keep one event in N per category (1 = keep all). Atomic so the
-    /// builder can configure a handle without unsharing the `Arc`;
-    /// reads on the emit path are relaxed.
-    sample_every: [AtomicU64; CATEGORY_COUNT],
-    /// Per-category emit attempts, for the sampling decision.
-    sample_seen: [AtomicU64; CATEGORY_COUNT],
 }
 
 /// A handle on a flight recorder (or on nothing, when disabled).
@@ -285,19 +257,8 @@ impl EventRecorder {
                     dropped_watermark: 0,
                     dropped: 0,
                 }),
-                sample_every: std::array::from_fn(|_| AtomicU64::new(1)),
-                sample_seen: Default::default(),
             })),
         }
-    }
-
-    /// Keep one in `every` events of `category` (0 and 1 both mean
-    /// keep all). Builder-style: configure before traffic flows.
-    pub fn with_sample(self, category: Category, every: u64) -> Self {
-        if let Some(inner) = &self.inner {
-            inner.sample_every[category.as_index()].store(every.max(1), Ordering::Relaxed);
-        }
-        self
     }
 
     /// Whether this handle records anything.
@@ -310,9 +271,8 @@ impl EventRecorder {
         self.inner.as_ref().map_or(0, |inner| inner.capacity)
     }
 
-    /// Record one event. `fields` is only invoked once the event has
-    /// passed sampling — a sampled-out or disabled emit never builds
-    /// its payload.
+    /// Record one event. `fields` is only invoked on an enabled
+    /// recorder — a disabled emit never builds its payload.
     pub fn emit(
         &self,
         at_ns: u64,
@@ -324,13 +284,6 @@ impl EventRecorder {
         let Some(inner) = &self.inner else {
             return EmitOutcome::default();
         };
-        let every = inner.sample_every[category.as_index()].load(Ordering::Relaxed);
-        if every > 1 {
-            let seen = inner.sample_seen[category.as_index()].fetch_add(1, Ordering::Relaxed);
-            if seen % every != 0 {
-                return EmitOutcome::default();
-            }
-        }
         let fields = fields();
         let mut ring = sync::lock(&inner.ring);
         let seq = ring.next_seq;
@@ -488,20 +441,6 @@ mod tests {
         assert_eq!(page.next_seq, 3);
         let resumed = rec.events_since(page.next_seq, Some(Category::Shed), 100);
         assert!(resumed.events.is_empty());
-    }
-
-    #[test]
-    fn sampling_keeps_one_in_n_without_consuming_seqs() {
-        let rec = EventRecorder::new(32).with_sample(Category::Slow, 3);
-        for i in 0..9u64 {
-            rec.emit(i, Severity::Warn, Category::Slow, "slow", Vec::new);
-        }
-        // Unsampled category is unaffected.
-        rec.emit(9, Severity::Info, Category::Reload, "reload", Vec::new);
-        let page = rec.events_since(0, None, 100);
-        assert_eq!(page.events.len(), 4); // 3 kept slow + 1 reload
-        let seqs: Vec<u64> = page.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3, 4], "kept events stay seq-contiguous");
     }
 
     #[test]

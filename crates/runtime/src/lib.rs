@@ -58,5 +58,5 @@ pub use intern::{Interner, Symbol};
 pub use memory::{current_rss_bytes, peak_rss_bytes};
 pub use pool::{parallel_map, parallel_try_map, resolve_threads, JobQueue};
 pub use rng::SplitMix64;
-pub use telemetry::{Counter, MetricsSnapshot, SpanData, Telemetry, TelemetryMode};
+pub use telemetry::{MetricsSnapshot, SpanData, Telemetry, TelemetryMode};
 pub use timeseries::{TimeSeries, Window};

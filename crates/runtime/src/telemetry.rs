@@ -6,9 +6,9 @@
 //! `Option<Arc<_>>`. The disabled handle ([`Telemetry::off`]) carries
 //! `None`, so every instrument call on a cold pipeline reduces to one
 //! pointer check — no allocation, no lock, no clock read. Hot paths are
-//! expected to either hold a pre-resolved [`Counter`] (an
-//! `Option<Arc<AtomicU64>>`, increment = one relaxed `fetch_add`) or to
-//! accumulate into plain local structs and record once per stage.
+//! expected to accumulate into plain local structs and record once per
+//! stage; an enabled counter update is one name lookup under a read
+//! lock plus one relaxed `fetch_add`.
 //!
 //! Span names are hierarchical by dotted path (`label.phase1.groups` is
 //! a child of `label.phase1`, which is a child of `label`); the snapshot
@@ -214,11 +214,10 @@ impl Telemetry {
     }
 
     /// Record a structured event into the attached flight recorder,
-    /// counting the outcome under `events.emitted` /
-    /// `events.sampled` / `events.dropped`. `fields` only runs once
-    /// the event passes sampling; with no recorder attached (or a
-    /// disabled registry) the call reduces to a pointer check plus
-    /// one read-lock probe.
+    /// counting the outcome under `events.emitted` / `events.dropped`.
+    /// With no recorder attached (or a disabled registry) the call
+    /// reduces to a pointer check plus one read-lock probe, and
+    /// `fields` never runs.
     pub fn event(
         &self,
         severity: Severity,
@@ -238,24 +237,9 @@ impl Telemetry {
             return;
         }
         let outcome = recorder.emit(inner.clock.now_ns(), severity, category, key, fields);
-        if outcome.seq.is_some() {
-            self.incr("events.emitted");
-        } else {
-            self.incr("events.sampled");
-        }
+        self.incr("events.emitted");
         if outcome.dropped > 0 {
             self.add("events.dropped", outcome.dropped);
-        }
-    }
-
-    /// Resolve a named monotonic counter once; increments through the
-    /// returned handle are one relaxed `fetch_add` with no name lookup.
-    pub fn counter(&self, name: &str) -> Counter {
-        Counter {
-            cell: self
-                .inner
-                .as_ref()
-                .map(|inner| Inner::entry(&inner.counters, name)),
         }
     }
 
@@ -295,15 +279,6 @@ impl Telemetry {
                 let accum = Inner::entry(&inner.spans, name);
                 (Arc::clone(inner), accum, inner.clock.now_ns())
             }),
-        }
-    }
-
-    /// Record an externally measured duration under a span name.
-    pub fn record_ns(&self, name: &str, ns: u64) {
-        if let Some(inner) = &self.inner {
-            let accum = Inner::entry(&inner.spans, name);
-            accum.total_ns.fetch_add(ns, Ordering::Relaxed);
-            accum.count.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -420,27 +395,6 @@ impl Telemetry {
             spans,
             histograms,
         }
-    }
-}
-
-/// A pre-resolved counter handle; increment cost is one pointer check
-/// plus (when enabled) one relaxed `fetch_add`.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    cell: Option<Arc<AtomicU64>>,
-}
-
-impl Counter {
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Add one.
-    pub fn incr(&self) {
-        self.add(1);
     }
 }
 
@@ -706,10 +660,7 @@ mod tests {
         tel.add("b", 9);
         tel.gauge("g", 4);
         tel.gauge_max("g", 9);
-        tel.record_ns("s", 100);
         tel.observe("h", 42);
-        let counter = tel.counter("c");
-        counter.incr();
         drop(tel.span("span"));
         drop(tel.timed("span"));
         tel.absorb(&Telemetry::deterministic().snapshot());
@@ -726,8 +677,7 @@ mod tests {
         let tel = Telemetry::deterministic();
         tel.incr("pairs");
         tel.add("pairs", 2);
-        let pairs = tel.counter("pairs");
-        pairs.add(4);
+        tel.add("pairs", 4);
         tel.gauge("buckets", 7);
         tel.gauge("buckets", 5); // last write wins
         tel.gauge_max("peak", 3);
@@ -737,19 +687,19 @@ mod tests {
             let _outer = tel.span("stage");
             let _inner = tel.span("stage.sub");
         }
-        tel.record_ns("stage.sub", 500);
+        drop(tel.span("stage.sub"));
         let snapshot = tel.snapshot();
         assert_eq!(snapshot.counters["pairs"], 7);
         assert_eq!(snapshot.gauges["buckets"], 5);
         assert_eq!(snapshot.gauges["peak"], 9);
         assert_eq!(snapshot.spans["stage"].count, 1);
         assert_eq!(snapshot.spans["stage.sub"].count, 2);
-        // Fake clock: the inner span's measured time is strictly inside
-        // the outer one's.
+        // Fake clock: the nested entry's measured time is strictly
+        // inside the outer span's; the later one took one clock step.
         let outer = snapshot.spans["stage"];
         let inner = snapshot.spans["stage.sub"];
         assert!(
-            inner.total_ns - 500 <= outer.total_ns,
+            inner.total_ns - FAKE_CLOCK_STEP_NS < outer.total_ns,
             "{inner:?} vs {outer:?}"
         );
         assert_eq!(snapshot.parent_span("stage.sub"), Some("stage"));
@@ -779,12 +729,12 @@ mod tests {
         let tel = Telemetry::deterministic();
         tel.add("x", 1);
         tel.gauge("g", 2);
-        tel.record_ns("s", 10);
+        drop(tel.span("s"));
         let a = tel.snapshot();
         let mut merged = a.clone();
         merged.merge(&a);
         assert_eq!(merged.counters["x"], 2);
-        assert_eq!(merged.spans["s"].total_ns, 20);
+        assert_eq!(merged.spans["s"].total_ns, 2 * FAKE_CLOCK_STEP_NS);
         assert_eq!(merged.spans["s"].count, 2);
         let prefixed = a.prefixed("domain.0.");
         assert_eq!(prefixed.counters["domain.0.x"], 1);
@@ -819,7 +769,7 @@ mod tests {
         tel.incr("b");
         tel.incr("a");
         tel.gauge("g", 1);
-        tel.record_ns("s", 1);
+        drop(tel.span("s"));
         tel.observe("h", 7);
         let schema = tel.snapshot().schema();
         assert_eq!(
@@ -853,7 +803,7 @@ mod tests {
         let local = Telemetry::deterministic();
         local.add("req", 2);
         local.gauge("depth", 5);
-        local.record_ns("stage", 100);
+        drop(local.span("stage"));
         local.observe("lat", 1_000);
         let global = Telemetry::deterministic();
         global.add("req", 1);
@@ -862,7 +812,7 @@ mod tests {
         let merged = global.snapshot();
         assert_eq!(merged.counters["req"], 3);
         assert_eq!(merged.gauges["depth"], 5);
-        assert_eq!(merged.spans["stage"].total_ns, 100);
+        assert_eq!(merged.spans["stage"].total_ns, FAKE_CLOCK_STEP_NS);
         assert_eq!(merged.histograms["lat"].count(), 2);
         assert_eq!(merged.histograms["lat"].max, 1_000);
     }
@@ -873,7 +823,7 @@ mod tests {
         tel.add("req", 3);
         tel.add("steady", 5);
         tel.gauge("depth", 2);
-        tel.record_ns("stage", 100);
+        drop(tel.span("stage"));
         tel.observe("lat", 40);
         let before = tel.snapshot();
         tel.add("req", 4);
@@ -902,17 +852,14 @@ mod tests {
 
     #[test]
     fn attached_recorder_captures_events_and_counts_outcomes() {
-        let tel = Telemetry::deterministic()
-            .attach_events(crate::events::EventRecorder::new(2).with_sample(Category::Slow, 2));
+        let tel = Telemetry::deterministic().attach_events(crate::events::EventRecorder::new(2));
         tel.event(Severity::Warn, Category::Shed, "shed.queue_full", || {
             vec![("depth", FieldValue::U64(64))]
         });
         tel.event(Severity::Warn, Category::Slow, "slow", Vec::new);
-        tel.event(Severity::Warn, Category::Slow, "slow", Vec::new); // sampled out
         tel.event(Severity::Info, Category::Reload, "reload", Vec::new); // evicts seq 1
         let snapshot = tel.snapshot();
         assert_eq!(snapshot.counters["events.emitted"], 3);
-        assert_eq!(snapshot.counters["events.sampled"], 1);
         assert_eq!(snapshot.counters["events.dropped"], 1);
         let page = tel.events().events_since(0, None, 10);
         assert_eq!(page.events.len(), 2);
@@ -961,21 +908,17 @@ mod tests {
     #[test]
     fn telemetry_is_shareable_across_threads() {
         let tel = Telemetry::new();
-        let counter = tel.counter("shared");
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let counter = counter.clone();
                 let tel = tel.clone();
                 scope.spawn(move || {
                     for _ in 0..100 {
-                        counter.incr();
                         tel.incr("named");
                     }
                 });
             }
         });
         let snapshot = tel.snapshot();
-        assert_eq!(snapshot.counters["shared"], 400);
         assert_eq!(snapshot.counters["named"], 400);
     }
 }

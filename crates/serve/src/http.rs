@@ -20,7 +20,6 @@
 //!
 //! [RFC 7230 §3.2]: https://datatracker.ietf.org/doc/html/rfc7230#section-3.2
 
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// Cap on the request line + headers, in bytes.
@@ -95,9 +94,6 @@ impl Request {
 /// Why a request could not be read.
 #[derive(Debug)]
 pub enum RequestError {
-    /// The peer closed the connection before sending a full request
-    /// head. Not an error worth answering.
-    Closed,
     /// Request line or headers exceed [`MAX_HEAD`] → `431`.
     HeadTooLarge,
     /// Declared body exceeds the configured cap → `413`.
@@ -279,30 +275,6 @@ fn hex_digit(b: u8) -> Option<u8> {
     }
 }
 
-/// Read and parse one request from a blocking reader (the simple
-/// clients: `qi fetch`, tests). `max_body` caps the declared
-/// `Content-Length`. Built on the same incremental parser the server
-/// reactor uses.
-pub fn read_request<R: Read>(reader: &mut R, max_body: usize) -> Result<Request, RequestError> {
-    let mut buf = RequestBuf::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(request) = buf.next_request(max_body)? {
-            return Ok(request);
-        }
-        let n = reader.read(&mut chunk).map_err(RequestError::Io)?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Err(RequestError::Closed);
-            }
-            return Err(RequestError::Malformed(
-                "connection closed mid-request".into(),
-            ));
-        }
-        buf.extend(&chunk[..n]);
-    }
-}
-
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
@@ -388,13 +360,6 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-
-    /// Serialize as an HTTP/1.1 response with `Connection: close` and
-    /// write it out (the one-shot, non-reactor path).
-    pub fn write_to<W: Write>(&self, writer: &mut W) -> std::io::Result<()> {
-        writer.write_all(&self.serialize(false))?;
-        writer.flush()
-    }
 }
 
 /// Canonical reason phrase of the status codes the server emits.
@@ -419,10 +384,13 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
+    /// Parse one complete request through the reactor's parser.
     fn parse(raw: &str) -> Result<Request, RequestError> {
-        read_request(&mut Cursor::new(raw.as_bytes().to_vec()), 1024)
+        let mut buf = RequestBuf::new();
+        buf.extend(raw.as_bytes());
+        buf.next_request(1024)
+            .map(|request| request.expect("a complete request"))
     }
 
     #[test]
@@ -487,7 +455,7 @@ mod tests {
                 "{raw:?} should be malformed"
             );
         }
-        assert!(matches!(parse(""), Err(RequestError::Closed)));
+        assert!(RequestBuf::new().next_request(1024).unwrap().is_none());
     }
 
     #[test]
@@ -588,10 +556,7 @@ mod tests {
 
     #[test]
     fn serializes_responses_with_length_and_close() {
-        let mut out = Vec::new();
-        Response::json(200, "{\"ok\":true}".into())
-            .write_to(&mut out)
-            .unwrap();
+        let out = Response::json(200, "{\"ok\":true}".into()).serialize(false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 11\r\n"));
@@ -612,11 +577,9 @@ mod tests {
 
     #[test]
     fn extra_headers_and_content_types_serialize() {
-        let mut out = Vec::new();
-        Response::with_type(200, "text/plain; version=0.0.4", "x 1\n".into())
+        let out = Response::with_type(200, "text/plain; version=0.0.4", "x 1\n".into())
             .header("x-qi-request-id", "17".to_string())
-            .write_to(&mut out)
-            .unwrap();
+            .serialize(false);
         let text = String::from_utf8(out).unwrap();
         assert!(
             text.contains("content-type: text/plain; version=0.0.4\r\n"),

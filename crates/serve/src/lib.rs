@@ -19,8 +19,9 @@
 //!   swap — readers keep serving the old artifact, no global stall.
 //!
 //! [`artifact`] defines the unit both layers exchange: one domain's
-//! fully built serving state, and [`store`] holds the live artifact map
-//! behind an `RwLock`. [`client`] is the matching response reader that
+//! fully built serving state, and [`store`] holds the live corpus (every
+//! artifact plus the responses rendered from it) as one immutable value
+//! swapped whole. [`client`] is the matching response reader that
 //! `qi fetch`, `qi top` and the socket tests share.
 
 pub mod artifact;
@@ -38,4 +39,4 @@ pub use artifact::{
 pub use queryapi::{page_json, run_query, view_of, PageParams, QueryError, QueryPage};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use snapshot::{load_snapshot, write_snapshot, Snapshot, SnapshotError, FORMAT_VERSION};
-pub use store::{CacheEntry, Store};
+pub use store::Store;

@@ -112,16 +112,11 @@ pub fn run_query(
     let canonical = query.to_string();
     let qhash = query_hash(&canonical);
     let cursor = match &params.cursor {
-        Some(text) => {
-            let cursor = Cursor::decode(text)
-                .map_err(|_| QueryError::BadCursor("cursor is not decodable"))?;
-            if cursor.qhash != qhash {
-                return Err(QueryError::BadCursor(
-                    "cursor was issued for a different query",
-                ));
-            }
-            Some(cursor)
-        }
+        Some(text) => Some(decode_cursor(
+            text,
+            qhash,
+            "cursor was issued for a different query",
+        )?),
         None => None,
     };
 
@@ -176,6 +171,21 @@ pub fn run_query(
         next_cursor,
         scanned: budget.spent(),
     })
+}
+
+/// Decode a cursor of the stream tagged `qhash`; `different` says why
+/// a cursor of another stream is refused.
+pub fn decode_cursor(
+    text: &str,
+    qhash: u64,
+    different: &'static str,
+) -> Result<Cursor, QueryError> {
+    let cursor =
+        Cursor::decode(text).map_err(|_| QueryError::BadCursor("cursor is not decodable"))?;
+    if cursor.qhash != qhash {
+        return Err(QueryError::BadCursor(different));
+    }
+    Ok(cursor)
 }
 
 /// Render one page as the wire JSON shared by `/query` and `qi query`.

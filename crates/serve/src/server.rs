@@ -49,7 +49,7 @@
 use crate::artifact::DomainArtifact;
 use crate::http::{Request, RequestError, Response};
 use crate::queryapi::{self, PageParams, QueryError};
-use crate::store::{CacheEntry, Store};
+use crate::store::{Corpus, Rendered, Served, Store};
 use qi_query::Cursor;
 use qi_runtime::json::{Arr, Obj};
 use qi_runtime::netpoll::{self, PollFd, Waker};
@@ -59,11 +59,12 @@ use qi_runtime::{
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Deref;
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Ceiling on requests a single connection may have in flight (queued
@@ -499,7 +500,6 @@ fn run(
         "serve.shed",
         "serve.panics",
         "events.emitted",
-        "events.sampled",
         "events.dropped",
         "query.executed",
         "query.parse_errors",
@@ -936,7 +936,6 @@ impl Reactor<'_> {
             RequestError::BodyTooLarge => (413, "request body too large".to_string()),
             RequestError::Malformed(what) => (400, what),
             RequestError::Io(_) => (408, "timed out reading request".to_string()),
-            RequestError::Closed => unreachable!("incremental parser never reports Closed"),
         };
         self.telemetry.incr("serve.errors.read");
         self.telemetry
@@ -1334,36 +1333,28 @@ fn handle(
         Route::DebugEvents => debug_events(request, telemetry),
         Route::DebugStatus => debug_status(store, telemetry, observe, queue_depth),
         Route::Domains => {
-            // The listing is rendered from the whole domain map, so it
-            // is versioned by the store generation, not one artifact.
-            let generation = store.generation();
-            let entry = match store.cached("", "domains", generation) {
-                Some(entry) => {
-                    telemetry.incr("serve.cache.hits");
-                    entry
-                }
-                None => {
-                    telemetry.incr("serve.cache.misses");
-                    let rendered = list_domains(store);
-                    store.insert_cached(
-                        String::new(),
-                        "domains",
-                        CacheEntry::of(generation, &rendered),
-                    )
-                }
-            };
-            respond_from_cache(request, &entry)
+            // The listing is rendered from the whole corpus, so its
+            // ETag carries the corpus generation, not one artifact's.
+            let corpus = store.corpus();
+            let cell = &corpus.listing;
+            respond_cached(request, telemetry, cell.get(), || {
+                Ok(cell.get_or_init(|| Rendered::of(corpus.generation, &list_domains(&corpus))))
+            })
         }
-        Route::Labels(domain) => cached_get(request, store, domain, "labels", telemetry, labels),
-        Route::Tree(domain) => cached_get(request, store, domain, "tree", telemetry, tree),
+        Route::Labels(domain) => {
+            domain_get(request, store, domain, telemetry, |s| &s.labels, labels)
+        }
+        Route::Tree(domain) => domain_get(request, store, domain, telemetry, |s| &s.tree, tree),
+        // Explicit pagination parameters bypass the rendered body (each
+        // page is its own body); the bare GET stays cached.
+        Route::Explain(domain)
+            if request.query_param("cursor").is_some()
+                || request.query_param("limit").is_some() =>
+        {
+            explain_paged(request, store, domain, telemetry)
+        }
         Route::Explain(domain) => {
-            // Explicit pagination parameters bypass the rendered cache
-            // (each page is its own body); the bare GET stays cached.
-            if request.query_param("cursor").is_some() || request.query_param("limit").is_some() {
-                explain_paged(request, store, domain, telemetry)
-            } else {
-                cached_get(request, store, domain, "explain", telemetry, explain)
-            }
+            domain_get(request, store, domain, telemetry, |s| &s.explain, explain)
         }
         Route::Query => query_endpoint(request, store, telemetry),
         Route::Ingest(domain) => ingest(request, store, domain, effective),
@@ -1450,25 +1441,24 @@ fn healthz(request: &Request, store: &Store, observe: &Observe) -> Response {
     if wants_plain {
         return Response::with_type(200, "text/plain", "ok\n".to_string());
     }
+    let corpus = store.corpus();
     Response::json(
         200,
         Obj::new()
             .str("status", "ok")
-            .u64("domains", store.len() as u64)
+            .u64("domains", corpus.domains.len() as u64)
             .u64("uptime_seconds", observe.uptime_seconds())
-            .u64("generation", store.generation())
-            .raw("versions", domain_versions(store).finish())
+            .u64("generation", corpus.generation)
+            .raw("versions", domain_versions(&corpus).finish())
             .finish(),
     )
 }
 
 /// Slug → current artifact version, for `/healthz` and `/debug/status`.
-fn domain_versions(store: &Store) -> Obj {
+fn domain_versions(corpus: &Corpus) -> Obj {
     let mut versions = Obj::new();
-    for slug in store.slugs() {
-        if let Some(artifact) = store.get(&slug) {
-            versions.u64(&slug, artifact.version);
-        }
+    for (slug, served) in &corpus.domains {
+        versions.u64(slug, served.artifact.version);
     }
     versions
 }
@@ -1569,61 +1559,72 @@ fn debug_status(
         .bool("enabled", recorder.is_enabled())
         .u64("last_seq", recorder.last_seq())
         .u64("dropped", recorder_page.dropped);
+    let corpus = store.corpus();
     Response::json(
         200,
         Obj::new()
             .str("status", "ok")
             .u64("uptime_seconds", observe.uptime_seconds())
-            .u64("generation", store.generation())
-            .u64("domains", store.len() as u64)
+            .u64("generation", corpus.generation)
+            .u64("domains", corpus.domains.len() as u64)
             .u64("queue_depth", queue_depth)
-            .raw("versions", domain_versions(store).finish())
+            .raw("versions", domain_versions(&corpus).finish())
             .raw("rolling", rolling.finish())
             .raw("events", events.finish())
             .finish(),
     )
 }
 
-/// Serve a per-domain GET through the rendered-response cache: look up
-/// the domain, validate any cached entry against the artifact's current
-/// version, render on a miss, and answer `304 Not Modified` when the
-/// client's `If-None-Match` already names the entry's ETag.
-fn cached_get(
+/// Serve a per-domain GET from the body `cell` picks out of the
+/// domain's [`Served`], rendering it from the artifact on a miss.
+fn domain_get(
     request: &Request,
     store: &Store,
     domain: &str,
-    endpoint: &'static str,
     telemetry: &Telemetry,
+    cell: fn(&Served) -> &OnceLock<Rendered>,
     render: fn(&DomainArtifact) -> Response,
 ) -> Response {
-    let Some(artifact) = store.get(domain) else {
+    let corpus = store.corpus();
+    let Some(served) = corpus.get(domain) else {
         return Response::error(404, "no such domain");
     };
-    let slug = artifact.slug();
-    let entry = match store.cached(&slug, endpoint, artifact.version) {
-        Some(entry) => {
+    let cell = cell(served);
+    respond_cached(request, telemetry, cell.get(), || {
+        Ok(cell.get_or_init(|| Rendered::of(served.artifact.version, &render(&served.artifact))))
+    })
+}
+
+/// Answer from a rendered body, counting a hit when `cached` holds one
+/// and a miss when `fill` has to render (and store) it; `fill` may
+/// answer an error instead. The answer is `304` without a body when
+/// the client's `If-None-Match` already names the body's ETag, `200`
+/// sharing the bytes otherwise; both carry the ETag.
+fn respond_cached<R: Deref<Target = Rendered>>(
+    request: &Request,
+    telemetry: &Telemetry,
+    cached: Option<R>,
+    fill: impl FnOnce() -> Result<R, Response>,
+) -> Response {
+    let rendered = match cached {
+        Some(rendered) => {
             telemetry.incr("serve.cache.hits");
-            entry
+            rendered
         }
         None => {
             telemetry.incr("serve.cache.misses");
-            let rendered = render(&artifact);
-            store.insert_cached(slug, endpoint, CacheEntry::of(artifact.version, &rendered))
+            match fill() {
+                Ok(rendered) => rendered,
+                Err(response) => return response,
+            }
         }
     };
-    respond_from_cache(request, &entry)
-}
-
-/// Materialize a response from a cache entry: `304` without a body when
-/// the client already holds these exact bytes, `200` sharing them
-/// otherwise. Both carry the entry's ETag.
-fn respond_from_cache(request: &Request, entry: &CacheEntry) -> Response {
-    if request.header("if-none-match") == Some(entry.etag.as_str()) {
-        return Response::bytes(304, entry.content_type, Arc::new(Vec::new()))
-            .header("etag", entry.etag.clone());
+    if request.header("if-none-match") == Some(rendered.etag.as_str()) {
+        return Response::bytes(304, rendered.content_type, Arc::new(Vec::new()))
+            .header("etag", rendered.etag.clone());
     }
-    Response::bytes(200, entry.content_type, Arc::clone(&entry.body))
-        .header("etag", entry.etag.clone())
+    Response::bytes(200, rendered.content_type, Arc::clone(&rendered.body))
+        .header("etag", rendered.etag.clone())
 }
 
 fn class_str(artifact: &DomainArtifact) -> String {
@@ -1644,12 +1645,10 @@ fn summary(artifact: &DomainArtifact) -> String {
         .finish()
 }
 
-fn list_domains(store: &Store) -> Response {
+fn list_domains(corpus: &Corpus) -> Response {
     let mut arr = Arr::new();
-    for slug in store.slugs() {
-        if let Some(artifact) = store.get(&slug) {
-            arr.raw(summary(&artifact));
-        }
+    for served in corpus.domains.values() {
+        arr.raw(summary(&served.artifact));
     }
     Response::json(200, Obj::new().raw("domains", arr.finish()).finish())
 }
@@ -1751,7 +1750,7 @@ fn explain_page(artifact: &DomainArtifact, offset: usize, limit: usize) -> Respo
 }
 
 /// `GET /domains/{d}/explain?cursor=…&limit=…`: an explicit page of the
-/// decision list, outside the rendered cache.
+/// decision list, outside the rendered body.
 fn explain_paged(
     request: &Request,
     store: &Store,
@@ -1773,33 +1772,80 @@ fn explain_paged(
     };
     let offset = match request.query_param("cursor") {
         None => 0,
-        Some(text) => match Cursor::decode(&text) {
-            Err(_) => return Response::error(400, "bad cursor: cursor is not decodable"),
-            Ok(cursor) => {
-                if cursor.qhash != explain_hash() || cursor.slug != artifact.slug() {
-                    return Response::error(
-                        400,
-                        "bad cursor: cursor was issued for a different stream",
-                    );
-                }
-                if cursor.version != artifact.version {
-                    telemetry.incr("query.stale_cursors");
-                    telemetry.event(Severity::Warn, Category::Cursor, "cursor.stale", || {
-                        vec![
-                            ("stream", "explain".into()),
-                            ("slug", artifact.slug().into()),
-                        ]
-                    });
-                    return Response::error(
-                        410,
-                        "cursor is stale: the domain was re-labeled since the page was cut",
-                    );
-                }
-                cursor.offset as usize
+        Some(text) => {
+            const DIFFERENT: &str = "cursor was issued for a different stream";
+            let slug = artifact.slug();
+            let checked =
+                queryapi::decode_cursor(&text, explain_hash(), DIFFERENT).and_then(|cursor| {
+                    if cursor.slug != slug {
+                        Err(QueryError::BadCursor(DIFFERENT))
+                    } else if cursor.version != artifact.version {
+                        Err(QueryError::StaleCursor)
+                    } else {
+                        Ok(cursor.offset as usize)
+                    }
+                });
+            match checked {
+                Ok(offset) => offset,
+                Err(err) => return paged_error(&err, Stream::Explain(&slug), telemetry),
             }
-        },
+        }
     };
     explain_page(&artifact, offset, limit as usize)
+}
+
+/// The two cursor-paged streams.
+#[derive(Clone, Copy)]
+enum Stream<'a> {
+    /// `/query`.
+    Query,
+    /// `/domains/{slug}/explain`.
+    Explain(&'a str),
+}
+
+/// Answer a failed cursor-paged read and count it: 400 for a bad query
+/// or cursor, 410 for a stale cursor, 422 for an exhausted budget.
+fn paged_error(err: &QueryError, stream: Stream<'_>, telemetry: &Telemetry) -> Response {
+    let status = match err {
+        QueryError::Parse(_) => {
+            telemetry.incr("query.parse_errors");
+            400
+        }
+        QueryError::BadCursor(_) => 400,
+        QueryError::StaleCursor => {
+            telemetry.incr("query.stale_cursors");
+            telemetry.event(
+                Severity::Warn,
+                Category::Cursor,
+                "cursor.stale",
+                || match stream {
+                    Stream::Query => vec![("stream", "query".into())],
+                    Stream::Explain(slug) => {
+                        vec![("stream", "explain".into()), ("slug", slug.into())]
+                    }
+                },
+            );
+            410
+        }
+        QueryError::BudgetExhausted { limit } => {
+            telemetry.incr("query.budget_exhausted");
+            let limit = *limit;
+            telemetry.event(
+                Severity::Warn,
+                Category::Budget,
+                "query.budget_exhausted",
+                || vec![("limit", limit.into())],
+            );
+            422
+        }
+    };
+    match (err, stream) {
+        (QueryError::StaleCursor, Stream::Explain(_)) => Response::error(
+            status,
+            "cursor is stale: the domain was re-labeled since the page was cut",
+        ),
+        _ => Response::error(status, &err.to_string()),
+    }
 }
 
 /// Parse an integer query parameter, defaulting when absent and
@@ -1826,8 +1872,8 @@ fn u64_param(
 /// `GET/POST /query`: parse, execute and paginate one query across the
 /// served domains. `?q=` carries the text on GET; a POST body carries
 /// it verbatim (no encoding needed). `?limit=`, `?budget=` and
-/// `?cursor=` tune pagination; cursorless GETs flow through the
-/// rendered-response cache keyed to the store generation, so a repeated
+/// `?cursor=` tune pagination; cursorless GET pages are kept on the
+/// corpus they were cut from (`Corpus::queries`), so a repeated
 /// dashboard query costs one pointer clone and revalidates with ETags.
 fn query_endpoint(request: &Request, store: &Store, telemetry: &Telemetry) -> Response {
     let text = if request.method == "POST" && !request.body.is_empty() {
@@ -1868,82 +1914,43 @@ fn query_endpoint(request: &Request, store: &Store, telemetry: &Telemetry) -> Re
     };
 
     // Parse up front: a 400 should not cost a corpus walk, and the
-    // cache key needs the canonical hash (so whitespace variants of the
-    // same query share one cached body).
-    let parsed = match qi_query::parse(&text) {
-        Ok(parsed) => parsed,
+    // page key is the canonical text (so whitespace variants of the
+    // same query share one page).
+    let canonical = match qi_query::parse(&text) {
+        Ok(parsed) => parsed.to_string(),
         Err(err) => {
             telemetry.incr("query.parse_errors");
             return Response::error(400, &format!("bad query: {err}"));
         }
     };
-    let qhash = qi_query::query_hash(&parsed.to_string());
-    let cacheable = request.method == "GET" && params.cursor.is_none();
-    let generation = store.generation();
-    let cache_slug = format!("q{qhash:016x}.{limit}.{budget}");
-    if cacheable {
-        if let Some(entry) = store.cached(&cache_slug, "query", generation) {
-            telemetry.incr("serve.cache.hits");
-            return respond_from_cache(request, &entry);
+    let corpus = store.corpus();
+    let execute = || {
+        let refs: Vec<&DomainArtifact> = corpus
+            .domains
+            .values()
+            .map(|served| &*served.artifact)
+            .collect();
+        telemetry.incr("query.executed");
+        let timed = telemetry.timed("query.exec");
+        let result = queryapi::run_query(&refs, store.lexicon(), &text, &params);
+        drop(timed);
+        let page = result.map_err(|err| paged_error(&err, Stream::Query, telemetry))?;
+        if params.cursor.is_some() {
+            telemetry.incr("query.cursor_resumed");
         }
-        telemetry.incr("serve.cache.misses");
-    }
-
-    let arcs: Vec<Arc<DomainArtifact>> = store
-        .slugs()
-        .iter()
-        .filter_map(|slug| store.get(slug))
-        .collect();
-    let refs: Vec<&DomainArtifact> = arcs.iter().map(|a| a.as_ref()).collect();
-    telemetry.incr("query.executed");
-    let timed = telemetry.timed("query.exec");
-    let result = queryapi::run_query(&refs, store.lexicon(), &text, &params);
-    drop(timed);
-    let page = match result {
-        Ok(page) => page,
-        Err(err) => {
-            let status = match &err {
-                QueryError::Parse(_) => {
-                    telemetry.incr("query.parse_errors");
-                    400
-                }
-                QueryError::BadCursor(_) => 400,
-                QueryError::StaleCursor => {
-                    telemetry.incr("query.stale_cursors");
-                    telemetry.event(Severity::Warn, Category::Cursor, "cursor.stale", || {
-                        vec![("stream", "query".into())]
-                    });
-                    410
-                }
-                QueryError::BudgetExhausted { limit } => {
-                    telemetry.incr("query.budget_exhausted");
-                    let limit = *limit;
-                    telemetry.event(
-                        Severity::Warn,
-                        Category::Budget,
-                        "query.budget_exhausted",
-                        || vec![("limit", limit.into())],
-                    );
-                    422
-                }
-            };
-            return Response::error(status, &err.to_string());
-        }
+        telemetry.add("query.matches", page.matches.len() as u64);
+        Ok(Response::json(200, queryapi::page_json(&page)))
     };
-    if params.cursor.is_some() {
-        telemetry.incr("query.cursor_resumed");
+    if request.method != "GET" || params.cursor.is_some() {
+        return execute().unwrap_or_else(|err| err);
     }
-    telemetry.add("query.matches", page.matches.len() as u64);
-    let rendered = Response::json(200, queryapi::page_json(&page));
-    if cacheable {
-        // Stale-generation query entries can never hit again (version
-        // validation) but would otherwise accumulate one per distinct
-        // query; drop them while holding the fresh body.
-        store.prune_cached("query", generation);
-        let entry = store.insert_cached(cache_slug, "query", CacheEntry::of(generation, &rendered));
-        return respond_from_cache(request, &entry);
-    }
-    rendered
+    let key = (canonical, limit, budget);
+    let cached = corpus.queries.get(&key);
+    respond_cached(request, telemetry, cached, || {
+        let rendered = Arc::new(Rendered::of(corpus.generation, &execute()?));
+        corpus.queries.insert(key, Arc::clone(&rendered));
+        Ok(rendered)
+    })
 }
 
 fn ingest(request: &Request, store: &Store, domain: &str, telemetry: &Telemetry) -> Response {
@@ -2423,6 +2430,41 @@ mod tests {
         let not_modified = ok(&revalidate);
         assert_eq!(not_modified.status, 304);
         assert!(not_modified.body.is_empty());
+    }
+
+    #[test]
+    fn query_pages_stay_bounded_within_one_generation() {
+        let store = auto_store();
+        let telemetry = Telemetry::off();
+        let config = ServerConfig::default();
+        let observe = Observe::off();
+        let ok = |req: &Request| {
+            handle_request(req, &store, &telemetry, &telemetry, &config, &observe, 0)
+        };
+        // Twice over more distinct (query, limit) keys than the cap:
+        // the second pass hits what the first left and re-renders the
+        // rest, and no ingest ever starts a new corpus.
+        let distinct = 2 * crate::store::QUERY_PAGE_CAP as u64 + 8;
+        for _ in 0..2 {
+            for limit in 1..=distinct {
+                let text = ["find fields", "find groups"][limit as usize % 2];
+                let path = format!("/query?q={}&limit={limit}", text.replace(' ', "%20"));
+                let cached = ok(&request("GET", &path, b""));
+                let uncached = ok(&request(
+                    "POST",
+                    &format!("/query?limit={limit}"),
+                    text.as_bytes(),
+                ));
+                assert_eq!(cached.status, 200);
+                assert_eq!(*cached.body, *uncached.body, "{path}");
+                let entries = store.corpus().queries.stats().entries;
+                assert!(
+                    entries <= crate::store::QUERY_PAGE_CAP,
+                    "{entries} query pages after {path}"
+                );
+            }
+        }
+        assert_eq!(store.corpus().generation, 0);
     }
 
     #[test]

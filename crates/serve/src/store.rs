@@ -1,62 +1,65 @@
-//! The live artifact store: copy-on-write per-domain state.
+//! The live artifact store: one immutable `Corpus` value, swapped
+//! whole.
 //!
-//! Readers take a brief read lock, clone one `Arc`, and serve from the
-//! immutable artifact — they never observe a half-rebuilt domain and
-//! never stall behind an ingest. Writers rebuild the affected domain
-//! *outside* any lock, then swap the new `Arc` in under a short write
-//! lock. Concurrent ingests into the same store are serialized by a
+//! Readers take a read lock just long enough to clone the current
+//! `Arc<Corpus>`, then serve from that value alone: they never observe
+//! a half-rebuilt domain and never stall behind an ingest. An ingest
+//! rebuilds the affected domain *outside* any lock, builds the next
+//! corpus around it and swaps it in with one write; a reload does the
+//! same with a whole snapshot. Ingests and reloads are serialized by a
 //! dedicated mutex so two `POST`s cannot both rebuild from the same
 //! base and lose one interface.
-
 //!
-//! # Rendered-response cache
+//! # Rendered responses
 //!
-//! The store also holds a cache of fully rendered response bodies,
-//! keyed by `(domain slug, endpoint)` and versioned: each entry
-//! remembers the [`DomainArtifact::version`] (or, for the corpus-wide
-//! `/domains` listing, the store [`Store::generation`]) it was rendered
-//! from, and [`Store::cached`] only returns an entry whose recorded
-//! version equals the caller's *current* version. Staleness is
-//! therefore impossible by construction — a reader that raced an
-//! ingest either sees the new artifact (and misses, re-rendering from
-//! it) or the old artifact Arc it already cloned (a consistent, merely
-//! old view, exactly as without the cache). Bodies are immutable
-//! `Arc<Vec<u8>>`, so a hit costs one pointer clone and zero
-//! serialization work.
+//! A rendered response body lives on the value it was rendered from.
+//! Each `Served` domain holds one `OnceLock` per endpoint (labels,
+//! tree, explain); the corpus holds one for the `/domains` listing and
+//! a bounded map of cursorless `/query` pages (`QUERY_PAGE_CAP`). The
+//! next corpus carries every untouched domain's `Arc<Served>` over, so
+//! their bodies survive an ingest; the touched domain's bodies go with
+//! its old `Served`, and a reload starts from empty cells. A reader
+//! that raced a swap renders into, and hits, the cells of the corpus
+//! it cloned, which describe exactly what it reads. Stale hits are
+//! therefore impossible by construction, with no version check. Bodies
+//! are immutable `Arc<Vec<u8>>`, so a hit costs one pointer clone and
+//! zero serialization work.
 
 use crate::artifact::{ingest_interface, slug_of, DomainArtifact};
+use crate::http::Response;
 use crate::snapshot::{fnv1a, Snapshot};
 use qi_core::NamingPolicy;
 use qi_lexicon::Lexicon;
-// Every critical section below is one whole-value update (an insert, a
-// swap, a retain or a clear), so a lock poisoned by a panicking holder
-// still guards valid data and its guard is recovered.
+// Both critical sections below are one whole-value update (a clone out
+// or a swap), so a lock poisoned by a panicking holder still guards a
+// valid corpus and its guard is recovered.
 use qi_runtime::sync::{lock, read, write};
-use qi_runtime::{Category, Severity, Telemetry};
+use qi_runtime::{Category, Severity, ShardedCache, Telemetry};
 use qi_schema::SchemaTree;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-/// One immutable rendered response, pinned to the artifact version it
-/// was rendered from.
-pub struct CacheEntry {
-    /// The [`DomainArtifact::version`] (or store generation) the body
-    /// reflects; entries with a non-current version never hit.
-    pub version: u64,
-    /// Strong validator: `"{version}-{fnv1a(body):x}"`, quoted.
-    pub etag: String,
+/// Most cursorless `/query` pages one corpus keeps. A dashboard repeats
+/// a handful of queries; the cap keeps a stream of distinct ones from
+/// growing the map for the life of the process.
+pub(crate) const QUERY_PAGE_CAP: usize = 64;
+
+/// One immutable rendered response.
+pub(crate) struct Rendered {
+    /// Strong validator: `"{version}-{fnv1a(body):x}"`, quoted. The
+    /// version is the artifact's, or the corpus generation for bodies
+    /// rendered from the whole corpus.
+    pub(crate) etag: String,
     /// `Content-Type` of the rendered body.
-    pub content_type: &'static str,
+    pub(crate) content_type: &'static str,
     /// The rendered bytes, shared with every response served from them.
-    pub body: Arc<Vec<u8>>,
+    pub(crate) body: Arc<Vec<u8>>,
 }
 
-impl CacheEntry {
+impl Rendered {
     /// Capture a freshly rendered response at a known version.
-    pub fn of(version: u64, response: &crate::http::Response) -> CacheEntry {
-        CacheEntry {
-            version,
+    pub(crate) fn of(version: u64, response: &Response) -> Rendered {
+        Rendered {
             etag: format!("\"{version}-{:x}\"", fnv1a(&response.body)),
             content_type: response.content_type,
             body: Arc::clone(&response.body),
@@ -64,24 +67,97 @@ impl CacheEntry {
     }
 }
 
-/// Thread-safe map of domain slug → current artifact.
+/// One served domain: its artifact and the bodies rendered from it.
+pub(crate) struct Served {
+    /// The domain's current artifact.
+    pub(crate) artifact: Arc<DomainArtifact>,
+    /// `GET /domains/{d}/labels`.
+    pub(crate) labels: OnceLock<Rendered>,
+    /// `GET /domains/{d}/tree`.
+    pub(crate) tree: OnceLock<Rendered>,
+    /// `GET /domains/{d}/explain` without pagination parameters.
+    pub(crate) explain: OnceLock<Rendered>,
+}
+
+impl Served {
+    fn new(artifact: Arc<DomainArtifact>) -> Served {
+        Served {
+            artifact,
+            labels: OnceLock::new(),
+            tree: OnceLock::new(),
+            explain: OnceLock::new(),
+        }
+    }
+
+    /// Bodies rendered so far.
+    fn rendered(&self) -> u64 {
+        [&self.labels, &self.tree, &self.explain]
+            .into_iter()
+            .filter(|cell| cell.get().is_some())
+            .count() as u64
+    }
+}
+
+/// One immutable state of the served corpus.
+pub(crate) struct Corpus {
+    /// Starts at 0 and grows by one with every ingest and reload;
+    /// versions the bodies rendered from the whole corpus.
+    pub(crate) generation: u64,
+    /// The naming policy every artifact was (and will be) built under.
+    pub(crate) policy: NamingPolicy,
+    /// Slug → served domain, sorted (the query stream's order).
+    pub(crate) domains: BTreeMap<String, Arc<Served>>,
+    /// `GET /domains`.
+    pub(crate) listing: OnceLock<Rendered>,
+    /// Cursorless `GET /query` pages by canonical query text, limit
+    /// and budget; at most [`QUERY_PAGE_CAP`].
+    pub(crate) queries: ShardedCache<(String, u64, u64), Arc<Rendered>>,
+}
+
+impl Corpus {
+    fn new(
+        generation: u64,
+        policy: NamingPolicy,
+        domains: BTreeMap<String, Arc<Served>>,
+    ) -> Corpus {
+        Corpus {
+            generation,
+            policy,
+            domains,
+            listing: OnceLock::new(),
+            queries: ShardedCache::bounded(QUERY_PAGE_CAP),
+        }
+    }
+
+    /// A served domain, by slug or display name.
+    pub(crate) fn get(&self, domain: &str) -> Option<&Arc<Served>> {
+        self.domains.get(&slug_of(domain))
+    }
+
+    /// Bodies rendered so far, on the corpus and on every domain.
+    fn rendered(&self) -> u64 {
+        let domains: u64 = self.domains.values().map(|served| served.rendered()).sum();
+        domains + u64::from(self.listing.get().is_some()) + self.queries.stats().entries as u64
+    }
+}
+
+/// Fresh artifacts by slug, with no rendered bodies yet.
+fn served(artifacts: impl IntoIterator<Item = DomainArtifact>) -> BTreeMap<String, Arc<Served>> {
+    artifacts
+        .into_iter()
+        .map(|artifact| (artifact.slug(), Arc::new(Served::new(Arc::new(artifact)))))
+        .collect()
+}
+
+/// Thread-safe handle on the current `Corpus`.
 pub struct Store {
-    domains: RwLock<BTreeMap<String, Arc<DomainArtifact>>>,
-    /// Rendered-response cache; see the module docs. The corpus-wide
-    /// `/domains` listing caches under the empty slug.
-    cache: RwLock<HashMap<(String, &'static str), Arc<CacheEntry>>>,
-    /// Bumped after every successful ingest swap; versions responses
-    /// derived from the whole domain map rather than one artifact.
-    generation: AtomicU64,
-    /// Serializes ingests and reloads. It guards no data, and the domain
-    /// map is swapped only after a rebuild completes, so a rebuild that
-    /// panicked left nothing half-written: the lock is taken through
-    /// poisoning rather than failing every later write.
+    corpus: RwLock<Arc<Corpus>>,
+    /// Serializes ingests and reloads. It guards no data, and the
+    /// corpus is swapped only after a rebuild completes, so a rebuild
+    /// that panicked left nothing half-written: the lock is taken
+    /// through poisoning rather than failing every later write.
     ingest_lock: Mutex<()>,
     lexicon: Lexicon,
-    /// Behind a lock because a hot reload may install a snapshot built
-    /// under a different policy.
-    policy: RwLock<NamingPolicy>,
     telemetry: Telemetry,
 }
 
@@ -93,17 +169,10 @@ impl Store {
         policy: NamingPolicy,
         telemetry: Telemetry,
     ) -> Self {
-        let domains = artifacts
-            .into_iter()
-            .map(|a| (a.slug(), Arc::new(a)))
-            .collect();
         Store {
-            domains: RwLock::new(domains),
-            cache: RwLock::new(HashMap::new()),
-            generation: AtomicU64::new(0),
+            corpus: RwLock::new(Arc::new(Corpus::new(0, policy, served(artifacts)))),
             ingest_lock: Mutex::new(()),
             lexicon,
-            policy: RwLock::new(policy),
             telemetry,
         }
     }
@@ -115,9 +184,9 @@ impl Store {
         Store::new(snapshot.domains, lexicon, policy, telemetry)
     }
 
-    /// The naming policy every artifact was (and will be) built under.
-    pub fn policy(&self) -> NamingPolicy {
-        *read(&self.policy)
+    /// The current corpus. Serve one request from one such value.
+    pub(crate) fn corpus(&self) -> Arc<Corpus> {
+        Arc::clone(&read(&self.corpus))
     }
 
     /// The lexicon the artifacts were normalized against — query
@@ -128,68 +197,14 @@ impl Store {
 
     /// Slugs of all served domains, sorted.
     pub fn slugs(&self) -> Vec<String> {
-        read(&self.domains).keys().cloned().collect()
+        read(&self.corpus).domains.keys().cloned().collect()
     }
 
     /// The current artifact of a domain, by slug or display name.
     pub fn get(&self, domain: &str) -> Option<Arc<DomainArtifact>> {
-        read(&self.domains).get(&slug_of(domain)).cloned()
-    }
-
-    /// Number of served domains.
-    pub fn len(&self) -> usize {
-        read(&self.domains).len()
-    }
-
-    /// True when no domain is served.
-    pub fn is_empty(&self) -> bool {
-        read(&self.domains).is_empty()
-    }
-
-    /// The corpus-wide version: bumped after every successful ingest.
-    /// Responses rendered from the whole domain map (the `/domains`
-    /// listing) are cache-validated against it.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
-    /// The cached rendered response of `(slug, endpoint)`, if one
-    /// exists *and* was rendered from exactly `version`. Callers count
-    /// hits and misses into their own telemetry registry.
-    pub fn cached(
-        &self,
-        slug: &str,
-        endpoint: &'static str,
-        version: u64,
-    ) -> Option<Arc<CacheEntry>> {
-        read(&self.cache)
-            .get(&(slug.to_string(), endpoint))
-            .filter(|entry| entry.version == version)
-            .cloned()
-    }
-
-    /// Insert a freshly rendered response and return the shared entry.
-    /// A concurrent insert for the same key simply overwrites — both
-    /// entries are correct for their recorded version.
-    pub fn insert_cached(
-        &self,
-        slug: String,
-        endpoint: &'static str,
-        entry: CacheEntry,
-    ) -> Arc<CacheEntry> {
-        let entry = Arc::new(entry);
-        write(&self.cache).insert((slug, endpoint), Arc::clone(&entry));
-        entry
-    }
-
-    /// Drop every cached entry for `endpoint` whose recorded version is
-    /// not `current`. The per-slug eviction in [`Store::ingest_with`]
-    /// cannot see `/query` entries (their slug slot carries a query
-    /// hash, not a domain), so the query handler calls this with the
-    /// store generation before inserting — stale generations never hit
-    /// anyway (version validation), this just stops them accumulating.
-    pub fn prune_cached(&self, endpoint: &'static str, current: u64) {
-        write(&self.cache).retain(|(_, e), entry| *e != endpoint || entry.version == current);
+        read(&self.corpus)
+            .get(domain)
+            .map(|served| Arc::clone(&served.artifact))
     }
 
     /// Add an interface to a domain: re-cluster, re-merge and re-label
@@ -209,31 +224,27 @@ impl Store {
         telemetry: &Telemetry,
     ) -> Option<Arc<DomainArtifact>> {
         let _serialized = lock(&self.ingest_lock);
+        // Only ingests and reloads swap the corpus, and they hold the
+        // lock above, so `current` stays current until the swap below.
+        let current = self.corpus();
         let slug = slug_of(domain);
-        // Clone the current base under a brief read lock; the expensive
-        // rebuild below runs with no lock held, so readers keep going.
-        let base = read(&self.domains).get(&slug)?.clone();
-        let policy = self.policy();
+        let base = Arc::clone(&current.domains.get(&slug)?.artifact);
+        // The expensive rebuild runs with no lock held, so readers keep
+        // going.
         let rebuilt = Arc::new(ingest_interface(
             &base,
             interface,
             &self.lexicon,
-            policy,
+            current.policy,
             telemetry,
         ));
-        write(&self.domains).insert(slug.clone(), Arc::clone(&rebuilt));
-        // The bump must happen after the swap: a reader that sees the
-        // new generation is then guaranteed to also see the new map.
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        // Drop the touched domain's rendered responses — and only
-        // those; other domains' entries stay valid. The corpus-level
-        // `/domains` entry is keyed by generation, so the bump above
-        // already retired it without an explicit eviction.
-        let mut cache = write(&self.cache);
-        let before = cache.len();
-        cache.retain(|(s, _), _| *s != slug);
-        let dropped = (before - cache.len()) as u64;
-        drop(cache);
+        let mut domains = current.domains.clone();
+        let old = domains.insert(slug.clone(), Arc::new(Served::new(Arc::clone(&rebuilt))));
+        *write(&self.corpus) =
+            Arc::new(Corpus::new(current.generation + 1, current.policy, domains));
+        // The touched domain's bodies went with its old `Served`; every
+        // other domain's carried over.
+        let dropped = old.map_or(0, |served| served.rendered());
         if dropped > 0 {
             telemetry.add("serve.cache.invalidations", dropped);
             telemetry.event(Severity::Info, Category::Cache, "cache.invalidate", || {
@@ -245,42 +256,33 @@ impl Store {
 
     /// Replace the whole served corpus with a loaded snapshot — the hot
     /// path behind `POST /admin/reload`. Serialized against ingests by
-    /// the same lock, swapped in under one brief write lock, so live
-    /// readers either keep the artifact `Arc` they already cloned or
-    /// see the complete new map; nothing in between. Returns the number
-    /// of domains now served.
+    /// the same lock and swapped in with one write, so live readers
+    /// either keep the corpus they already cloned or see the complete
+    /// new one; nothing in between. Returns the number of domains now
+    /// served.
     ///
     /// Snapshot files deliberately do not persist artifact versions
     /// (every loaded artifact carries version 0), so reload assigns
-    /// every incoming artifact a version strictly above anything the
-    /// rendered-response cache may have recorded — a cached body can
-    /// never validate against a post-reload artifact it was not
-    /// rendered from.
+    /// every incoming artifact a version strictly above any served
+    /// before: no ETag or cursor issued before the reload validates
+    /// against an artifact it was not cut from.
     pub fn reload(&self, snapshot: Snapshot, telemetry: &Telemetry) -> usize {
         let _serialized = lock(&self.ingest_lock);
+        let current = self.corpus();
         let Snapshot { policy, domains } = snapshot;
-        let floor = read(&self.domains)
+        let floor = current
+            .domains
             .values()
-            .map(|a| a.version)
+            .map(|served| served.artifact.version)
             .max()
             .unwrap_or(0);
         let count = domains.len();
-        let map: BTreeMap<String, Arc<DomainArtifact>> = domains
-            .into_iter()
-            .map(|mut artifact| {
-                artifact.version = floor + 1;
-                (artifact.slug(), Arc::new(artifact))
-            })
-            .collect();
-        *write(&self.policy) = policy;
-        *write(&self.domains) = map;
-        // Bump after the swap, as in ingest: a reader that observes the
-        // new generation is guaranteed to also observe the new map.
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        let mut cache = write(&self.cache);
-        let dropped = cache.len() as u64;
-        cache.clear();
-        drop(cache);
+        let domains = served(domains.into_iter().map(|mut artifact| {
+            artifact.version = floor + 1;
+            artifact
+        }));
+        *write(&self.corpus) = Arc::new(Corpus::new(current.generation + 1, policy, domains));
+        let dropped = current.rendered();
         if dropped > 0 {
             telemetry.add("serve.cache.invalidations", dropped);
             telemetry.event(Severity::Info, Category::Cache, "cache.clear", || {
@@ -292,13 +294,14 @@ impl Store {
 
     /// Capture the current state as a snapshot value (for persistence).
     pub fn snapshot(&self) -> Snapshot {
-        let domains = read(&self.domains)
-            .values()
-            .map(|a| (**a).clone())
-            .collect();
+        let corpus = self.corpus();
         Snapshot {
-            policy: self.policy(),
-            domains,
+            policy: corpus.policy,
+            domains: corpus
+                .domains
+                .values()
+                .map(|served| (*served.artifact).clone())
+                .collect(),
         }
     }
 }
@@ -311,15 +314,12 @@ impl Store {
         std::thread::scope(|scope| {
             let holder = scope.spawn(|| {
                 let _ingest = lock(&self.ingest_lock);
-                let _policy = write(&self.policy);
-                let _domains = write(&self.domains);
-                let _cache = write(&self.cache);
+                let _corpus = write(&self.corpus);
                 panic!("injected fault: a store lock holder panics");
             });
             assert!(holder.join().is_err());
         });
-        assert!(self.ingest_lock.is_poisoned() && self.domains.is_poisoned());
-        assert!(self.policy.is_poisoned() && self.cache.is_poisoned());
+        assert!(self.ingest_lock.is_poisoned() && self.corpus.is_poisoned());
     }
 }
 
@@ -327,6 +327,7 @@ impl Store {
 mod tests {
     use super::*;
     use crate::artifact::build_artifact;
+    use qi_runtime::{EventRecorder, FieldValue};
 
     fn auto_store() -> Store {
         let lexicon = Lexicon::builtin();
@@ -340,14 +341,35 @@ mod tests {
         Store::new(vec![artifact], lexicon, NamingPolicy::default(), telemetry)
     }
 
+    /// Render a placeholder body into `cell` at `version`.
+    fn fill(cell: &OnceLock<Rendered>, version: u64) {
+        let rendered = Response::json(200, "{}".to_string());
+        cell.get_or_init(|| Rendered::of(version, &rendered));
+    }
+
+    fn recording() -> Telemetry {
+        Telemetry::deterministic().attach_events(EventRecorder::new(16))
+    }
+
+    /// The key and fields of every cache event recorded so far.
+    fn cache_events(telemetry: &Telemetry) -> Vec<(&'static str, Vec<(&'static str, FieldValue)>)> {
+        let page = telemetry
+            .events()
+            .events_since(0, Some(Category::Cache), 16);
+        page.events
+            .into_iter()
+            .map(|event| (event.key, event.fields))
+            .collect()
+    }
+
     #[test]
     fn lookup_accepts_slug_and_display_name() {
         let store = auto_store();
-        assert_eq!(store.len(), 1);
         assert!(store.get("auto").is_some());
         assert!(store.get("Auto").is_some());
         assert!(store.get("nope").is_none());
         assert_eq!(store.slugs(), vec!["auto".to_string()]);
+        assert!(store.corpus().get("Auto").is_some());
     }
 
     #[test]
@@ -383,87 +405,124 @@ mod tests {
     #[test]
     fn ingest_invalidates_only_the_touched_domains_cache() {
         let lexicon = Lexicon::builtin();
-        let telemetry = Telemetry::off();
+        let off = Telemetry::off();
         let policy = NamingPolicy::default();
-        let auto = build_artifact(&qi_datasets::auto::domain(), &lexicon, policy, &telemetry);
-        let book = build_artifact(&qi_datasets::book::domain(), &lexicon, policy, &telemetry);
-        let store = Store::new(vec![auto, book], lexicon, policy, telemetry);
+        let auto = build_artifact(&qi_datasets::auto::domain(), &lexicon, policy, &off);
+        let book = build_artifact(&qi_datasets::book::domain(), &lexicon, policy, &off);
+        let store = Store::new(vec![auto, book], lexicon, policy, off);
 
-        let rendered = crate::http::Response::json(200, "{}".to_string());
-        store.insert_cached("auto".to_string(), "labels", CacheEntry::of(0, &rendered));
-        store.insert_cached("book".to_string(), "labels", CacheEntry::of(0, &rendered));
-        assert!(store.cached("auto", "labels", 0).is_some());
-        assert!(store.cached("book", "labels", 0).is_some());
+        let before = store.corpus();
+        let (auto, book) = (&before.domains["auto"], &before.domains["book"]);
+        fill(&auto.labels, auto.artifact.version);
+        fill(&auto.tree, auto.artifact.version);
+        fill(&book.labels, book.artifact.version);
+        fill(&before.listing, before.generation);
 
-        let generation = store.generation();
+        let telemetry = recording();
         let extra = qi_schema::text_format::parse("interface extra\n- Make\n").unwrap();
-        store.ingest("auto", extra).unwrap();
+        store.ingest_with("auto", extra, &telemetry).unwrap();
+        let after = store.corpus();
         assert_eq!(
-            store.generation(),
-            generation + 1,
+            after.generation,
+            before.generation + 1,
             "ingest bumps generation"
         );
+        let touched = &after.domains["auto"];
         assert!(
-            store.cached("auto", "labels", 0).is_none(),
-            "touched domain must be evicted"
+            touched.labels.get().is_none() && touched.tree.get().is_none(),
+            "touched domain must start from empty cells"
         );
         assert!(
-            store.cached("book", "labels", 0).is_some(),
+            Arc::ptr_eq(&after.domains["book"], book),
             "untouched domain keeps its rendered responses"
         );
-        // Version validation alone also rejects a non-current entry.
-        assert!(store.cached("book", "labels", 99).is_none());
+        assert!(after.domains["book"].labels.get().is_some());
+        assert!(after.listing.get().is_none(), "the listing is per corpus");
+        // A reader still holding the old corpus keeps a consistent view.
+        assert!(auto.labels.get().is_some());
+        assert_eq!(auto.artifact.version + 1, touched.artifact.version);
+
+        assert_eq!(
+            telemetry.snapshot().counters["serve.cache.invalidations"],
+            2,
+            "the touched domain held two bodies"
+        );
+        assert_eq!(
+            cache_events(&telemetry),
+            vec![(
+                "cache.invalidate",
+                vec![("slug", "auto".into()), ("entries", FieldValue::U64(2))]
+            )]
+        );
     }
 
     #[test]
     fn reload_swaps_the_corpus_and_defeats_stale_cache_entries() {
         let lexicon = Lexicon::builtin();
-        let telemetry = Telemetry::off();
+        let off = Telemetry::off();
         let policy = NamingPolicy::default();
-        let auto = build_artifact(&qi_datasets::auto::domain(), &lexicon, policy, &telemetry);
-        let book = build_artifact(&qi_datasets::book::domain(), &lexicon, policy, &telemetry);
-        let store = Store::new(vec![auto], lexicon, policy, telemetry.clone());
+        let auto = build_artifact(&qi_datasets::auto::domain(), &lexicon, policy, &off);
+        let book = build_artifact(&qi_datasets::book::domain(), &lexicon, policy, &off);
+        let store = Store::new(vec![auto], lexicon, policy, off.clone());
 
         // Grow the live corpus past the snapshot we will reload.
         let extra = qi_schema::text_format::parse("interface extra\n- Make\n").unwrap();
         store.ingest("auto", extra).unwrap();
-        let grown = store.get("auto").unwrap();
-        let old_reader = Arc::clone(&grown); // a request mid-flight
-        let rendered = crate::http::Response::json(200, "{}".to_string());
-        store.insert_cached(
-            "auto".to_string(),
-            "labels",
-            CacheEntry::of(grown.version, &rendered),
+        let before = store.corpus(); // a request mid-flight
+        let grown = &before.domains["auto"];
+        fill(&grown.labels, grown.artifact.version);
+        fill(&before.listing, before.generation);
+        let page = Response::json(200, "{}".to_string());
+        before.queries.insert(
+            ("find fields".to_string(), 1, 1),
+            Arc::new(Rendered::of(before.generation, &page)),
         );
-        let generation = store.generation();
 
         // Reload a two-domain snapshot whose `auto` lacks the ingest.
         let lexicon = Lexicon::builtin();
-        let snap_auto = build_artifact(&qi_datasets::auto::domain(), &lexicon, policy, &telemetry);
+        let snap_auto = build_artifact(&qi_datasets::auto::domain(), &lexicon, policy, &off);
         let snapshot = Snapshot {
             policy,
             domains: vec![snap_auto, book],
         };
+        let telemetry = recording();
         assert_eq!(store.reload(snapshot, &telemetry), 2);
 
-        assert_eq!(store.len(), 2);
-        assert!(store.get("book").is_some());
-        let reloaded = store.get("auto").unwrap();
-        assert_eq!(reloaded.interfaces(), grown.interfaces() - 1);
+        let after = store.corpus();
+        assert_eq!(store.slugs(), vec!["auto".to_string(), "book".to_string()]);
+        let reloaded = &after.domains["auto"];
+        assert_eq!(
+            reloaded.artifact.interfaces(),
+            grown.artifact.interfaces() - 1
+        );
         assert!(
-            reloaded.version > grown.version,
+            reloaded.artifact.version > grown.artifact.version,
             "reloaded artifacts must out-version every pre-reload one \
              ({} vs {})",
-            reloaded.version,
-            grown.version
+            reloaded.artifact.version,
+            grown.artifact.version
         );
-        assert_eq!(store.generation(), generation + 1);
+        assert_eq!(after.generation, before.generation + 1);
         assert!(
-            store.cached("auto", "labels", reloaded.version).is_none(),
-            "pre-reload rendered bodies must not validate"
+            reloaded.labels.get().is_none()
+                && after.listing.get().is_none()
+                && after.queries.stats().entries == 0,
+            "pre-reload rendered bodies must not carry over"
         );
-        // The in-flight reader's Arc is still fully usable.
-        assert_eq!(old_reader.interfaces(), grown.interfaces());
+        assert_eq!(
+            telemetry.snapshot().counters["serve.cache.invalidations"],
+            3
+        );
+        assert_eq!(
+            cache_events(&telemetry),
+            vec![("cache.clear", vec![("entries", FieldValue::U64(3))])]
+        );
+        // The in-flight reader's corpus is still fully usable.
+        assert_eq!(
+            before.domains["auto"].artifact.interfaces(),
+            grown.artifact.interfaces()
+        );
+        assert!(before.domains["auto"].labels.get().is_some());
     }
 
     #[test]

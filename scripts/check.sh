@@ -133,6 +133,9 @@ etag=$(./target/release/qi fetch --include "http://$addr/domains/auto/labels" \
 ./target/release/qi fetch "http://$addr/metrics" \
     | grep -o '"serve\.cache\.hits":[0-9]*' | grep -qv ':0$' \
     || { echo "FAIL: server smoke probes never hit the response cache"; exit 1; }
+book_etag=$(./target/release/qi fetch --include "http://$addr/domains/book/labels" \
+    | sed -n 's/^etag: *//p' | tr -d '\r')
+[ -n "$book_etag" ] || { echo "FAIL: /domains/book/labels carries no etag header"; exit 1; }
 # Query smoke stage: /query over the live server. The happy path rides
 # a GET whose spaces qi fetch percent-encodes itself; the POST body
 # (--data) carries the text verbatim; typed failures map to their
@@ -178,6 +181,19 @@ printf 'interface smoke\n- Make\n- Model\n' > "$smoke_dir/smoke.qis"
 ./target/release/qi fetch --body "$smoke_dir/smoke.qis" \
     "http://$addr/domains/auto/interfaces" | grep -q '"interfaces":21' \
     || { echo "FAIL: ingest probe"; exit 1; }
+# The ingest replaced auto's rendered bodies and no other domain's:
+# auto's pre-ingest ETag now gets the new body (200 with a new ETag),
+# while an untouched domain's ETag still revalidates as 304.
+auto_head=$(./target/release/qi fetch --include --etag "$etag" \
+    "http://$addr/domains/auto/labels" 2>&1 | tr -d '\r')
+printf '%s\n' "$auto_head" | grep -q '^HTTP/1.1 200 ' \
+    || { echo "FAIL: pre-ingest etag of the ingested domain did not answer 200"; exit 1; }
+auto_etag=$(printf '%s\n' "$auto_head" | sed -n 's/^etag: *//p')
+[ -n "$auto_etag" ] && [ "$auto_etag" != "$etag" ] \
+    || { echo "FAIL: the ingested domain kept its pre-ingest etag"; exit 1; }
+./target/release/qi fetch --etag "$book_etag" "http://$addr/domains/book/labels" 2>&1 \
+    | grep -q '304 Not Modified' \
+    || { echo "FAIL: an untouched domain's etag did not answer 304 after the ingest"; exit 1; }
 # The ingest above replaced auto's artifact, so the outstanding query
 # cursor pinned to auto's old version must now answer 410 Gone.
 if ./target/release/qi fetch \

@@ -10,7 +10,7 @@ use qi_serve::{build_artifact, Server, ServerConfig, Store};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn auto_store() -> Arc<Store> {
@@ -133,21 +133,30 @@ fn concurrent_readers_never_see_a_torn_swap() {
     // body and the full post-swap body.
     let (_, before) = get(addr, "/domains/auto/labels");
     let stop = AtomicBool::new(false);
+    let readers_started = Barrier::new(5);
     let torn = std::thread::scope(|scope| {
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 scope.spawn(|| {
                     let mut bodies = Vec::new();
-                    while !stop.load(Ordering::Relaxed) {
+                    loop {
                         let (status, body) = get(addr, "/domains/auto/labels");
+                        if bodies.is_empty() {
+                            readers_started.wait();
+                        }
                         assert_eq!(status, 200);
                         bodies.push(body);
+                        if stop.load(Ordering::Relaxed) {
+                            return bodies;
+                        }
                     }
-                    bodies
                 })
             })
             .collect();
 
+        // Swap only once every reader has completed a GET, however the
+        // threads are scheduled.
+        readers_started.wait();
         let (status, _) = post(
             addr,
             "/domains/auto/interfaces",
@@ -168,8 +177,8 @@ fn concurrent_readers_never_see_a_torn_swap() {
             "reader observed a torn response:\n{body}"
         );
     }
-    // Sanity: the loop actually exercised readers during the swap.
-    assert!(!torn.is_empty());
+    // Sanity: every reader completed a GET before the swap began.
+    assert!(torn.len() >= 4, "{} bodies", torn.len());
 }
 
 /// Value of a counter in the `/metrics` JSON body, 0 when absent.
